@@ -6,3 +6,10 @@ no floating point is used anywhere.
 """
 
 __version__ = "0.1.0"
+
+
+class VerificationError(AssertionError):
+    """An exact check made during a computation failed.
+
+    Raised explicitly rather than by ``assert``, so ``python -O`` keeps it.
+    """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import modpoly as mp
+from . import VerificationError
 from .classno import h5l
 from .ffactor import FactorList, factor_ff
 from .fp import golden_units
@@ -76,7 +76,8 @@ class CensusReport:
 def _hasse_factors(l: int, hasse=None) -> FactorList:
     f = build_hasse(l) if hasse is None else hasse
     fl = factor_ff(f, l)
-    assert all(m == 1 for _, m in fl.factors), f"Hasse invariant not squarefree at l={l}"
+    if any(m != 1 for _, m in fl.factors):
+        raise VerificationError(f"Hasse invariant not squarefree at l={l}")
     return fl
 
 
@@ -106,12 +107,18 @@ def find_k_factors(l: int, hasse=None) -> list[KShape]:
         if len(coeffs) != 3:
             continue
         s, r, lead = coeffs
-        assert lead == 1
+        if lead != 1:
+            raise VerificationError(f"factor {coeffs} of the Hasse invariant is not monic at l={l}")
         if r == pair.eps5 * (s - 1) % l:
             out.append(KShape(l, r, s, "eps"))
         elif r == pair.eps5bar * (s - 1) % l:
             out.append(KShape(l, r, s, "epsbar"))
     return out
+
+
+def _check_divides(k: int, h: int, l: int) -> None:
+    if h % k:
+        raise VerificationError(f"{k} does not divide h(-5l) = {h} at l={l}")
 
 
 def predicted_count(l: int, h: int) -> int:
@@ -120,22 +127,22 @@ def predicted_count(l: int, h: int) -> int:
     m5 = l % 5
     if m5 in (2, 3):
         if l % 4 == 1:
-            assert h % 4 == 0
+            _check_divides(4, h, l)
             return h // 4
         if l % 8 == 3:
-            assert h % 2 == 0
+            _check_divides(2, h, l)
             return h // 2 - 1
         return h - 1
     if m5 == 4:
         if l % 4 == 1:
-            assert h % 2 == 0
+            _check_divides(2, h, l)
             return h // 2
         if l % 8 == 3:
             return h - 3
         return 2 * h - 3
     # m5 == 1
     if l % 4 == 1:
-        assert h % 2 == 0
+        _check_divides(2, h, l)
         return h // 2
     if l % 8 == 3:
         return h - 1

@@ -65,10 +65,6 @@ def class_number_disc(D: int) -> ClassNumberResult:
     return ClassNumberResult(D, len(reduced_forms(D)), _is_fundamental(D))
 
 
-def h_disc(D: int) -> int:
-    return class_number_disc(D).h
-
-
 def field_class_number(m: int) -> ClassNumberResult:
     """Class number of Q(sqrt(m)) for m = -5l, via the field discriminant
     (-5l when -5l = 1 mod 4, else -20l)."""

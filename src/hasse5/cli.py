@@ -15,9 +15,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from . import __version__, census as census_mod, fricke as fricke_mod, icosa, modeq, refdata
+from . import VerificationError, __version__, census as census_mod, fricke as fricke_mod, icosa, modeq, refdata
 from .intfactor import is_prime, primes_in
 
 SCHEMA = 1
@@ -45,8 +47,7 @@ def _census_payload(l: int) -> dict:
     return census_mod.census(l).to_dict()
 
 
-def _k5p_payload(args: tuple[int, bool]) -> dict:
-    p, force = args
+def _k5p_payload(p: int, force: bool) -> dict:
     return modeq.verify_class_equation(p, force=force).to_dict()
 
 
@@ -54,9 +55,28 @@ def _fricke_payload(p: int) -> dict:
     return fricke_mod.verify_fricke(p).to_dict()
 
 
+def _attempt(worker: Callable[[int], dict], p: int) -> dict:
+    """worker(p), or {"error": ...} when one of its verifications fails."""
+    try:
+        return worker(p)
+    except (VerificationError, modeq.StructureMismatch) as e:
+        return {"error": f"{type(e).__name__}: {e}"}
+
+
+def _source_digest() -> str:
+    """sha256 of the package's .py sources: any code change invalidates the cache."""
+    import hashlib  # loads OpenSSL (~3.6 MB resident), so only runs that use a cache pay for it
+
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 class Cache:
     def __init__(self, root: str | None):
         self.root = Path(root) if root else None
+        self.digest = _source_digest() if root else None
 
     def load(self, command: str, p: int) -> dict | None:
         if not self.root:
@@ -68,7 +88,7 @@ class Cache:
             doc = json.loads(path.read_text())
         except ValueError:
             return None
-        if doc.get("schema") == SCHEMA and doc.get("version") == __version__:
+        if doc.get("schema") == SCHEMA and doc.get("digest") == self.digest:
             return doc["payload"]
         return None
 
@@ -77,8 +97,10 @@ class Cache:
             return
         d = self.root / command
         d.mkdir(parents=True, exist_ok=True)
-        doc = {"schema": SCHEMA, "version": __version__, "prime": p, "payload": payload}
-        (d / f"{p}.json").write_text(json.dumps(doc, sort_keys=True))
+        doc = {"schema": SCHEMA, "digest": self.digest, "prime": p, "payload": payload}
+        tmp = d / f".{p}.json.{os.getpid()}.tmp"
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, d / f"{p}.json")
 
 
 def _run_parallel(fn, items, jobs: int):
@@ -107,101 +129,83 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
         out.write("  ".join(str(r.get(c, "")).ljust(widths[c]) for c in columns) + "\n")
 
 
-def cmd_census(args) -> int:
-    primes = _parse_range(args.range)
-    cache = Cache(args.cache)
-    todo = [p for p in primes if cache.load("census", p) is None]
-    fresh = dict(zip(todo, _run_parallel(_census_payload, todo, args.jobs)))
-    rows = []
-    ok = True
-    for p in primes:
-        payload = fresh.get(p) or cache.load("census", p)
-        if p in fresh:
-            cache.store("census", p, payload)
-        rows.append(
-            {
-                "l": payload["l"],
-                "N": payload["found"],
-                "predicted": payload["predicted"],
-                "h(-5l)": payload["h_minus_5l"],
-                "match": payload["match"],
-            }
-            if args.format != "json"
-            else payload
-        )
-        ok = ok and payload["match"]
-    _emit(rows, ["l", "N", "predicted", "h(-5l)", "match"], args.format, sys.stdout)
-    return 0 if ok else 1
+class Sweep(NamedTuple):
+    """One per-prime sweep command: what it computes and how it reports it."""
+
+    worker: Callable[..., dict]  # prime -> JSON payload; top level, so picklable
+    columns: tuple[str, ...]  # text/TSV columns; the first is the prime
+    row: Callable[[dict], tuple]  # payload -> the text/TSV values of those columns
+    ok: Callable[[int, dict], bool]  # does this payload allow exit status 0
 
 
-def cmd_k5p(args) -> int:
+SWEEPS = {
+    "census": Sweep(
+        _census_payload,
+        ("l", "N", "predicted", "h(-5l)", "match"),
+        lambda d: (d["l"], d["found"], d["predicted"], d["h_minus_5l"], d["match"]),
+        lambda p, d: d["match"],
+    ),
+    "k5p": Sweep(
+        _k5p_payload,
+        ("p", "deg", "a_p*h(-5p)", "N_p", "identity", "structure", "notes"),
+        lambda d: (
+            d["p"],
+            d["degree"],
+            d["a_p"] * d["h_minus_5p"],
+            d["N_p"],
+            d["identity_holds"],
+            d["structure_ok"],
+            "; ".join(d["mismatches"] + d["sporadic_notes"]),
+        ),
+        lambda p, d: not modeq.in_validity_range(p) or (d["structure_ok"] and d["identity_holds"]),
+    ),
+    "fricke": Sweep(
+        _fricke_payload,
+        ("p", "deg", "deg_formula", "linear", "linear_formula", "match"),
+        lambda d: (d["p"], d["degree_found"], d["degree_formula"], d["linear_found"], d["linear_formula"], d["match"]),
+        lambda p, d: d["match"],
+    ),
+}
+
+
+def cmd_sweep(args) -> int:
+    """One per-prime command over the range, reusing cached payloads.
+
+    A prime that fails a verification gets a FAIL row carrying the error
+    text; it is never cached and makes the exit status 1.
+    """
+    sweep = SWEEPS[args.command]
     primes = _parse_range(args.range)
-    outside = [p for p in primes if not (p in refdata.S_SET or p > 379)]
-    if outside and not args.force:
-        if args.only_in_s:
-            primes = [p for p in primes if p in refdata.S_SET]
-        else:
+    worker = sweep.worker
+    if args.command == "k5p":
+        outside = [p for p in primes if not modeq.in_validity_range(p)]
+        if outside and not args.force and not args.only_in_s:
             raise SystemExit(
                 f"error: primes {outside} are outside the validity range "
                 "(the 22 exceptional primes and p > 379); pass --force to run anyway"
             )
-    elif args.only_in_s:
-        primes = [p for p in primes if p in refdata.S_SET]
+        if args.only_in_s:
+            primes = [p for p in primes if p in refdata.S_SET]
+        worker = partial(worker, force=args.force)
     cache = Cache(args.cache)
-    todo = [p for p in primes if cache.load("k5p", p) is None]
-    fresh = dict(zip(todo, _run_parallel(_k5p_payload, [(p, args.force) for p in todo], args.jobs)))
+    cached = {p: cache.load(args.command, p) for p in primes}
+    todo = [p for p in primes if cached[p] is None]
+    fresh = dict(zip(todo, _run_parallel(partial(_attempt, worker), todo, args.jobs)))
+    key, last = sweep.columns[0], sweep.columns[-1]
     rows = []
     ok = True
     for p in primes:
-        payload = fresh.get(p) or cache.load("k5p", p)
+        payload = cached[p] or fresh[p]
+        error = payload.get("error")
+        if error:
+            ok = False
+            rows.append({key: p, "error": error} if args.format == "json" else {key: p, last: f"FAIL: {error}"})
+            continue
         if p in fresh:
-            cache.store("k5p", p, payload)
-        in_range = p in refdata.S_SET or p > 379
-        good = payload["structure_ok"] and payload["identity_holds"]
-        if in_range:
-            ok = ok and good
-        rows.append(
-            {
-                "p": payload["p"],
-                "deg": payload["degree"],
-                "a_p*h(-5p)": payload["a_p"] * payload["h_minus_5p"],
-                "N_p": payload["N_p"],
-                "identity": payload["identity_holds"],
-                "structure": payload["structure_ok"],
-                "notes": "; ".join(payload["mismatches"] + payload["sporadic_notes"]),
-            }
-            if args.format != "json"
-            else payload
-        )
-    _emit(rows, ["p", "deg", "a_p*h(-5p)", "N_p", "identity", "structure", "notes"], args.format, sys.stdout)
-    return 0 if ok else 1
-
-
-def cmd_fricke(args) -> int:
-    primes = _parse_range(args.range)
-    cache = Cache(args.cache)
-    todo = [p for p in primes if cache.load("fricke", p) is None]
-    fresh = dict(zip(todo, _run_parallel(_fricke_payload, todo, args.jobs)))
-    rows = []
-    ok = True
-    for p in primes:
-        payload = fresh.get(p) or cache.load("fricke", p)
-        if p in fresh:
-            cache.store("fricke", p, payload)
-        ok = ok and payload["match"]
-        rows.append(
-            {
-                "p": payload["p"],
-                "deg": payload["degree_found"],
-                "deg_formula": payload["degree_formula"],
-                "linear": payload["linear_found"],
-                "linear_formula": payload["linear_formula"],
-                "match": payload["match"],
-            }
-            if args.format != "json"
-            else payload
-        )
-    _emit(rows, ["p", "deg", "deg_formula", "linear", "linear_formula", "match"], args.format, sys.stdout)
+            cache.store(args.command, p, payload)
+        ok = ok and sweep.ok(p, payload)
+        rows.append(payload if args.format == "json" else dict(zip(sweep.columns, sweep.row(payload))))
+    _emit(rows, sweep.columns, args.format, sys.stdout)
     return 0 if ok else 1
 
 
@@ -325,13 +329,13 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
         p.add_argument("--cache", default=os.environ.get("HASSE5_CACHE"))
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0, help="accepted for reproducibility bookkeeping")
-        p.add_argument("--force", action="store_true")
 
     pc = sub.add_parser("census", help="special-factor counts of the Hasse invariant vs. h(-5l)")
     common(pc)
     pk = sub.add_parser("k5p", help="class-equation factorization structure mod p")
     common(pk)
+    pk.add_argument("--force", action="store_true",
+                    help="also run primes outside the validity range; their mismatches are reported, not failed")
     pk.add_argument("--only-in-S", dest="only_in_s", action="store_true",
                     help="restrict the range to the 22 exceptional primes")
     pf = sub.add_parser("fricke", help="degree and linear-factor count of the Fricke polynomial")
@@ -345,9 +349,9 @@ def main(argv: list[str] | None = None) -> int:
 
     args = ap.parse_args(argv)
     dispatch = {
-        "census": cmd_census,
-        "k5p": cmd_k5p,
-        "fricke": cmd_fricke,
+        "census": cmd_sweep,
+        "k5p": cmd_sweep,
+        "fricke": cmd_sweep,
         "charzero": cmd_charzero,
         "tables": cmd_tables,
     }

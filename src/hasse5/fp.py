@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import VerificationError, modpoly as mp
+
 
 class NotSplit(ValueError):
     """5 is not a square mod l (l = +-2 mod 5)."""
@@ -77,13 +79,15 @@ def golden_units(l: int) -> GoldenPair:
     if l % 5 not in (1, 4):
         raise NotSplit(f"5 is not a quadratic residue mod {l}")
     s5 = sqrt_mod(5, l)
-    assert s5 is not None
+    if s5 is None:
+        raise VerificationError(f"5 has no square root mod {l}")
     inv2 = pow(2, l - 2, l)
     eps = (s5 - 1) * inv2 % l
     e5 = pow(eps, 5, l)
     e5bar = (-11 - e5) % l
     pair = GoldenPair(l, e5, e5bar)
-    assert pair.check()
+    if not pair.check():
+        raise VerificationError(f"golden units are not the roots of x^2 + 11x - 1 mod {l}")
     return pair
 
 
@@ -109,9 +113,6 @@ class ExtField:
 
     def embed(self, a: int) -> "FqElem":
         return self.elem([a])
-
-    def gen(self) -> "FqElem":
-        return self.elem([0, 1])
 
     def zero(self) -> "FqElem":
         return self.elem([])
@@ -236,21 +237,17 @@ class FqElem:
     def inv(self) -> "FqElem":
         """Inverse by extended Euclid against the defining polynomial."""
         l = self.field.l
-        a = list(self.coords)
-        b = list(self.field.defining)
-        # extended gcd over F_l[x]
-        r0, r1 = b, _trim(a)
-        s0, s1 = [0], [1]
+        r0, r1 = list(self.field.defining), mp.trim(list(self.coords))
+        s0, s1 = [], [1]
         if not r1:
             raise ZeroDivisionError("inverse of zero field element")
-        while _deg(r1) > 0:
-            q, r = _polydiv(r0, r1, l)
+        while mp.deg(r1) > 0:
+            q, r = mp.divmod_(r0, r1, l)
             r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1, l), l)
+            s0, s1 = s1, mp.sub(s0, mp.mul(q, s1, l), l)
             if not r1:
                 raise ZeroDivisionError("non-invertible element (reducible defining poly?)")
-        c = pow(r1[0], l - 2, l)
-        return self.field.elem([x * c % l for x in s1])
+        return self.field.elem(mp.scale(s1, pow(r1[0], l - 2, l), l))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -258,9 +255,6 @@ class FqElem:
 
     def __rtruediv__(self, other):
         return self.field.embed(other) / self
-
-    def frobenius(self) -> "FqElem":
-        return self ** self.field.l
 
     def sqrt(self) -> "FqElem | None":
         """Square root in F_q (q odd) by Tonelli-Shanks, or None for non-residues.
@@ -300,80 +294,17 @@ class FqElem:
         return f"Fq{list(self.coords)}/{self.field.l}^{self.field.k}"
 
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _deg(c: list[int]) -> int:
-    return len(c) - 1
-
-
-def _polysub(a, b, l):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % l for i in range(n)]
-    return _trim(out)
-
-
-def _polymul(a, b, l):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % l
-    return _trim(out)
-
-
-def _polydiv(a, b, l):
-    a = list(a)
-    db = _deg(b)
-    inv = pow(b[-1], l - 2, l)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1, db - 1, -1):
-        t = a[k] * inv % l
-        if t:
-            q[k - db] = t
-            for j in range(db + 1):
-                a[k - db + j] = (a[k - db + j] - t * b[j]) % l
-    return q, _trim(a[:db])
-
-
 def _is_irreducible(f: tuple[int, ...], l: int) -> bool:
     """Irreducibility of a monic polynomial of degree k in {2, 4} over F_l.
 
     Degree 2: no roots. Degree 4: no factor of degree <= 2, i.e.
     gcd(f, x^(l^2) - x) = 1.
     """
-    k = len(f) - 1
     fl = list(f)
-    # x^(l^j) mod f by repeated powering
-    xp = [0, 1]
-    for _ in range(k // 2):
-        xp = _polypow_mod(xp, l, fl, l)
-    # gcd(f, xp - x)
-    g = _polygcd(fl, _polysub(xp, [0, 1], l), l)
-    return _deg(g) == 0
-
-
-def _polypow_mod(base, e, mod, l):
-    out = [1]
-    b = [x % l for x in base]
-    while e:
-        if e & 1:
-            out = _polydiv(_polymul(out, b, l), mod, l)[1]
-        b = _polydiv(_polymul(b, b, l), mod, l)[1]
-        e >>= 1
-    return out
-
-
-def _polygcd(a, b, l):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _polydiv(a, b, l)[1]
-    return a
+    xp = [0, 1]  # x^(l^j) mod f by repeated powering
+    for _ in range(mp.deg(fl) // 2):
+        xp = mp.pow_mod(xp, l, fl, l)
+    return mp.deg(mp.gcd(fl, mp.sub(xp, [0, 1], l), l)) == 0
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ where
     R5(X, Y) = X^2 - X (Y^5 - 80Y^4 + 1890Y^3 - 12600Y^2 + 7776Y + 3456)
              + (Y^2 + 216Y + 144)^3.
 
-The construction asserts that every such j5* already lies in F_{p^2} and that
+The construction checks that every such j5* already lies in F_{p^2} and that
 the product of (X - j5*) has coefficients in the prime field; either failure
 raises a diagnostic rather than silently extending the field.  A second,
 independent construction goes through the genus-zero parametrization
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import modpoly as mp
+from . import VerificationError, modpoly as mp
 from .classno import h5l, h_minus_p
 from .ffactor import factor_ff, roots_in
 from .fp import FqElem, legendre, make_extension
-from .hasse import build_ss, deuring_L
+from .hasse import build_ss
 from .modeq import HD
 from .poly import Poly, discriminant, resultant
 
@@ -82,15 +82,17 @@ def supersingular_j_fp2(p: int) -> list[FqElem]:
     ss = build_ss(p)
     js = []
     for coeffs, mult in factor_ff(ss, p).factors:
-        assert mult == 1
+        if mult != 1:
+            raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
         if len(coeffs) == 2:
             js.append(fld.embed((-coeffs[0]) % p))
         elif len(coeffs) == 3:
             for r, m in roots_in(list(coeffs), p, 2):
-                assert m == 1
+                if m != 1:
+                    raise VerificationError(f"repeated root of supersingular factor {coeffs} at p={p}")
                 js.append(r)
         else:
-            raise AssertionError("supersingular factor of degree > 2")
+            raise VerificationError(f"supersingular factor of degree > 2 at p={p}")
     return js
 
 
@@ -185,13 +187,16 @@ def L5star_formula(p: int) -> int:
     chi5 = legendre(p, 5)
     if p % 4 == 1:
         val4 = (1 + chi5) * hp + h5
-        assert val4 % 4 == 0
+        if val4 % 4:
+            raise VerificationError(f"4 does not divide (1 + (p/5)) h(-p) + h(-5p) = {val4} at p={p}")
         return val4 // 4
     if p % 8 == 3:
-        assert h5 % 2 == 0
+        if h5 % 2:
+            raise VerificationError(f"h(-5p) = {h5} is odd at p={p}")
         return (1 + chi5) * hp + h5 // 2
     val2 = (1 + chi5) * hp
-    assert val2 % 2 == 0
+    if val2 % 2:
+        raise VerificationError(f"(1 + (p/5)) h(-p) = {val2} is odd at p={p}")
     return val2 // 2 + h5
 
 

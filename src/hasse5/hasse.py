@@ -5,7 +5,7 @@ The curve family is Y^2 + (1+b)XY + bY = X^3 + bX^2 (a point of order 5 at the
 origin).  Its Hasse invariant over F_l is assembled here in two independent
 ways -- once through the j-invariant written in the parameter b, once through
 the alternative degree-12 rational map j5 -- and the two expansions are
-asserted equal on every build.
+checked equal on every build.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import modpoly as mp
+from . import VerificationError, modpoly as mp
 from .classno import h_minus_p
 from .fp import legendre
 
@@ -73,7 +73,7 @@ def build_hasse(l: int) -> list[int]:
     """The Hasse invariant over F_l, degree 12*n_l + 4r + 6s.
 
     Built via the parameter-b j-invariant and cross-checked against the
-    expansion through j5; any disagreement raises AssertionError.
+    expansion through j5; any disagreement raises VerificationError.
     """
     par = hasse_params(l)
     n, r, s = par.n_l, par.r, par.s
@@ -95,8 +95,10 @@ def build_hasse(l: int) -> list[int]:
         h2 = mp.mul(h2, mp.from_int_poly(X2P1, l), l)
         h2 = mp.mul(h2, mp.from_int_poly(C65_NEG_FACTOR, l), l)
 
-    assert h1 == h2, f"the two Hasse invariant expansions disagree for l={l}"
-    assert mp.deg(h1) == 12 * n + 4 * r + 6 * s
+    if h1 != h2:
+        raise VerificationError(f"the two Hasse invariant expansions disagree for l={l}")
+    if mp.deg(h1) != 12 * n + 4 * r + 6 * s:
+        raise VerificationError(f"Hasse invariant has degree {mp.deg(h1)} != 12n + 4r + 6s at l={l}")
     return h1
 
 
@@ -109,8 +111,10 @@ def build_ss(p: int) -> list[int]:
         out = mp.mul(out, [0, 1], p)
     if p % 4 == 3:
         out = mp.mul(out, [(-1728) % p, 1], p)
-    assert out[-1] == 1
-    assert mp.deg(out) == par.n_l + par.r + par.s
+    if out[-1] != 1:
+        raise VerificationError(f"supersingular polynomial is not monic at p={p}")
+    if mp.deg(out) != par.n_l + par.r + par.s:
+        raise VerificationError(f"supersingular polynomial has degree {mp.deg(out)} != n + r + s at p={p}")
     return out
 
 
@@ -118,7 +122,8 @@ def deuring_L(p: int) -> int:
     """Count of supersingular j-invariants lying in the prime field F_p."""
     h = h_minus_p(p)
     if p % 4 == 1:
-        assert h % 2 == 0
+        if h % 2:
+            raise VerificationError(f"h(-p) = {h} is odd for p={p} = 1 mod 4")
         return h // 2
     if p % 8 == 3:
         return 2 * h

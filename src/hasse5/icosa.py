@@ -22,13 +22,14 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from . import VerificationError
 from .fp import golden_units, make_extension
 from .hasse import g_of_xj_coeffs
 from .numfield import CycNum, QuadElem
 from .poly import Poly, compose_rational, resultant
 
 
-class RelationFailure(AssertionError):
+class RelationFailure(VerificationError):
     pass
 
 
@@ -56,7 +57,7 @@ class MobiusMap:
         for v in (self.a, self.b, self.c, self.d):
             if not v == 0:
                 return tuple((w / v).c for w in (self.a, self.b, self.c, self.d))
-        raise AssertionError
+        raise VerificationError("Moebius map with all entries zero")
 
     def __eq__(self, other) -> bool:
         return self.key() == other.key()
@@ -178,7 +179,7 @@ def _order(m: MobiusMap) -> int:
         if cur == ident:
             return k
         cur = cur * m
-    raise AssertionError("order exceeds 60")
+    raise VerificationError("order exceeds 60")
 
 
 def _coset_key(maps: list[MobiusMap]) -> tuple:
@@ -208,7 +209,7 @@ def resolvent_theta_identity() -> bool:
     return lhs == rhs and lhs == -(a * a) * quarter * th1
 
 
-def resolvent_identities(l: int, trials: int, seed: int = 0) -> bool:
+def resolvent_identities(l: int, trials: int) -> bool:
     """Sample the quartic-root construction over F_{l^2} and check the pairing
     identities and the reciprocal relations on the roots."""
     if l % 5 not in (1, 4):
@@ -218,7 +219,7 @@ def resolvent_identities(l: int, trials: int, seed: int = 0) -> bool:
     e5, e5b = fld.embed(pair.eps5), fld.embed(pair.eps5bar)
     inv4 = fld.embed(pow(4, l - 2, l))
     inv2 = fld.embed(pow(2, l - 2, l))
-    rng = random.Random((l, trials, seed).__repr__().__hash__() if seed else l * 1000003 + trials)
+    rng = random.Random(l * 1000003 + trials)
     done = 0
     while done < trials:
         a = fld.embed(rng.randrange(1, l))
@@ -232,7 +233,8 @@ def resolvent_identities(l: int, trials: int, seed: int = 0) -> bool:
             continue
         s2 = (-th2).sqrt()
         s3 = (-th3).sqrt()
-        assert s2 is not None and s3 is not None  # base-field values are squares in F_{l^2}
+        if s2 is None or s3 is None:
+            raise VerificationError(f"a base-field value is not a square in F_({l}^2)")
         # coefficient of y in g(y - a/4): a^3/8 - (11/2) a^2 - 2a
         qcoef = a * a * a * inv2 * inv4 - 11 * a * a * inv2 - 2 * a
         if s2.is_zero() or s3.is_zero() or qcoef.is_zero():
@@ -459,7 +461,7 @@ def equality_ledger() -> dict[str, bool]:
 # The orbit property of G(x^5, j).
 
 
-def orbit_property(l: int, trials: int, seed: int = 0) -> bool:
+def orbit_property(l: int, trials: int) -> bool:
     """For random alpha, all 60 maps M in G60 satisfy G(M(alpha)^5, j) = 0 with
     j = j5(alpha^5): the 60 roots of G(x^5, j) form one orbit."""
     k = 1 if l % 5 == 1 else (2 if l % 5 == 4 else 4)
@@ -467,7 +469,8 @@ def orbit_property(l: int, trials: int, seed: int = 0) -> bool:
     zroot = fld.roots_of_unity5()[0]
     g = generators()
     g60 = closure([g["S"], g["T"]])
-    assert len(g60) == 60
+    if len(g60) != 60:
+        raise VerificationError(f"<S, T> has {len(g60)} elements, not 60")
     emb = {}
 
     def embed_cyc(c: CycNum):
@@ -490,7 +493,7 @@ def orbit_property(l: int, trials: int, seed: int = 0) -> bool:
             acc = acc * x + fld.embed(c % l)
         return acc
 
-    rng = random.Random(seed if seed else l * 2654435761 + trials)
+    rng = random.Random(l * 2654435761 + trials)
     done = 0
     while done < trials:
         alpha = fld.rand(rng)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import modpoly as mp
+from . import VerificationError, modpoly as mp
 from .classno import h5l
 from .ffactor import factor_ff
 from .fp import legendre
@@ -243,7 +243,8 @@ def table1_gcd(d: int) -> int:
 
     c0, c1, _ = HD[d]
     q, q1, q2, d1, d2 = quad_derivs(c1, c0)
-    assert q == 0 and q1 == 0 and q2 == 0
+    if q != 0 or q1 != 0 or q2 != 0:
+        raise VerificationError(f"Q5 or a first derivative is nonzero at H_-{d}")
     return gcd(d1, d2)
 
 
@@ -252,7 +253,8 @@ def h20_root_data() -> tuple[QuadElem, int, int, int]:
     where F'(t) = A + B sqrt(5)."""
     t = QuadElem(5, 632000, 282880)
     F, F1, _ = diag_derivs(t)
-    assert F == 0
+    if F != 0:
+        raise VerificationError("F(t) != 0 at the H_-20 root")
     A, B = F1.a, F1.b
     return F, A, B, A * A - 5 * B * B
 
@@ -268,7 +270,8 @@ def sporadic_case(d: int, case: int):
     u, v = _SPORADIC_UV[(d, case)]
     q, q1, q2, d1, d2 = quad_derivs(u, v)
     if case == 3:
-        assert q == 0 and q1 == 0 and q2 == 0
+        if q != 0 or q1 != 0 or q2 != 0:
+            raise VerificationError(f"Q5 or a first derivative is nonzero at sporadic d={d} case 3")
         return gcd(d1.norm(), d2.norm())
     return q.norm(), gcd(q1.norm(), q2.norm())
 
@@ -308,7 +311,8 @@ _SPORADIC_UV = {
 def a_p(p: int) -> int:
     """1, 2, 4 according as p = 1 mod 4, 3 mod 8, 7 mod 8."""
     val = 1 + (1 - legendre(-1, p)) * (2 + legendre(2, p)) // 2
-    assert val == {1: 1, 3: 2, 7: 4}[p % 8 if p % 4 == 3 else 1]
+    if val != {1: 1, 3: 2, 7: 4}[p % 8 if p % 4 == 3 else 1]:
+        raise VerificationError(f"a_p = {val} disagrees with p mod 8 at p={p}")
     return val
 
 
@@ -343,7 +347,8 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     g = mp.gcd(ss, phi, p)
     out = []
     for coeffs, m in factor_ff(g, p).factors:
-        assert m == 1, "supersingular polynomial has a repeated factor"
+        if m != 1:
+            raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
         q = list(coeffs)
         mult = 0
         cur = phi
@@ -353,7 +358,8 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
                 break
             cur = quot
             mult += 1
-        assert mult >= 1
+        if mult < 1:
+            raise VerificationError(f"factor {coeffs} of gcd(ss_p, Phi5(x^p, x)) does not divide Phi5(x^p, x)")
         out.append((coeffs, 2 * mult))
     out.sort(key=lambda t: (len(t[0]) - 1, t[0]))
     return out
@@ -391,16 +397,21 @@ class K5pReport:
         }
 
 
+def in_validity_range(p: int) -> bool:
+    """The primes where the predicted K_{5p} shape holds: the 22-prime
+    exceptional set and p > 379."""
+    from .refdata import S_SET
+
+    return p in S_SET or p > 379
+
+
 def verify_class_equation(p: int, force: bool = False) -> K5pReport:
     """Compare the reconstructed K_{5p} mod p against the predicted shape.
 
-    Outside the validity range (the 22-prime exceptional set and p > 379) the
-    comparison is still performed when ``force`` is set, and discrepancies are
-    reported instead of raised.
+    Outside the validity range the comparison is still performed when
+    ``force`` is set, and discrepancies are reported instead of raised.
     """
-    from .refdata import S_SET
-
-    in_range = p in S_SET or p > 379
+    in_range = in_validity_range(p)
     if not (in_range or force):
         raise ValueError(f"p={p} outside the validity range; use force to run anyway")
 

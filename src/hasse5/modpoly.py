@@ -37,10 +37,6 @@ def sub(f, g, p):
     return trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p for i in range(n)])
 
 
-def neg(f, p):
-    return [(-c) % p for c in f]
-
-
 def scale(f, c, p):
     c %= p
     if c == 0:
@@ -104,13 +100,6 @@ def quo(f, g, p):
     return divmod_(f, g, p)[0]
 
 
-def exact_div(f, g, p):
-    q, r = divmod_(f, g, p)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 def monic(f, p):
     if not f:
         return []
@@ -140,15 +129,6 @@ def pow_mod(f, e: int, m, p):
         if e:
             base = rem(mul(base, base, p), m, p)
     return out
-
-
-def xpow_qk(m, p, k: int, start=None):
-    """x^(p^k) mod m (repeatedly raising to the p-th power), optionally continuing
-    from start = x^(p^j) mod m to save repeated work."""
-    h = start if start is not None else [0, 1]
-    for _ in range(k):
-        h = pow_mod(h, p, m, p)
-    return h
 
 
 def eval_at(f, x: int, p: int) -> int:

@@ -55,10 +55,6 @@ class Poly:
             c.pop()
         self.c = c
 
-    @classmethod
-    def x_pow(cls, k: int, one=1) -> "Poly":
-        return cls([0] * k + [one])
-
     @property
     def degree(self) -> int:
         return len(self.c) - 1
@@ -194,10 +190,6 @@ class Poly:
         if self.is_zero():
             return self
         return Poly([0] * k + self.c)
-
-    def reverse(self) -> "Poly":
-        """x^deg * f(1/x)."""
-        return Poly(list(reversed(self.c)))
 
     def __repr__(self) -> str:
         return f"Poly({self.c!r})"
@@ -349,9 +341,6 @@ class BiPoly:
 
     def deg_u(self) -> int:
         return len(self.g) - 1
-
-    def deg_v(self) -> int:
-        return (len(self.g[0]) - 1) if self.g else -1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.g == other.g

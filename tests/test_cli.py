@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hasse5
+from hasse5 import VerificationError, census as census_mod
 from hasse5.cli import main
 
 
@@ -99,10 +105,73 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert doc["schema"] == 1 and doc["payload"]["l"] == int(files[0].stem)
 
 
-def test_determinism_two_runs(capsys):
-    _, out1 = run_cli(capsys, "census", "7..31", "--format", "json", "--seed", "5")
-    _, out2 = run_cli(capsys, "census", "7..31", "--format", "json", "--seed", "5")
-    assert out1 == out2
+def test_cache_entry_from_other_sources_is_recomputed(tmp_path, capsys):
+    code, out1 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "census" / "11.json"
+    doc = json.loads(path.read_text())
+    digest = doc["digest"]
+    doc["digest"] = "0" * 64
+    doc["payload"]["found"] = 99
+    path.write_text(json.dumps(doc))
+    code, out2 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
+    assert code == 0 and out2 == out1
+    assert json.loads(path.read_text())["digest"] == digest
+
+
+def run_subprocess(code: str, *flags: str, hashseed: str = "0") -> subprocess.CompletedProcess:
+    src = str(Path(hasse5.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_determinism_two_runs():
+    code = "from hasse5.cli import main; raise SystemExit(main(['census', '7..31', '--format', 'json']))"
+    run1 = run_subprocess(code, hashseed="1")
+    run2 = run_subprocess(code, hashseed="2")
+    assert run1.returncode == 0 and run2.returncode == 0
+    assert run1.stdout == run2.stdout and run1.stdout.count("\n") == 8
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    for argv in (["census", "13", "--seed", "1"], ["fricke", "13", "--force"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+
+
+def test_failed_verification_is_a_fail_row(tmp_path, capsys, monkeypatch):
+    real_census = census_mod.census
+
+    def census(l):
+        if l == 13:
+            raise VerificationError(f"injected fault at l={l}")
+        return real_census(l)
+
+    monkeypatch.setattr(census_mod, "census", census)
+    code, out = run_cli(capsys, "census", "7..17", "--format", "json", "--jobs", "1", "--cache", str(tmp_path))
+    assert code == 1
+    rows = [json.loads(line) for line in out.strip().split("\n")]
+    assert [r["l"] for r in rows] == [7, 11, 13, 17]
+    assert rows[2] == {"l": 13, "error": "VerificationError: injected fault at l=13"}
+    assert all(r["match"] for i, r in enumerate(rows) if i != 2)
+    assert sorted(f.stem for f in (tmp_path / "census").glob("*.json")) == ["11", "17", "7"]
+    code, out = run_cli(capsys, "census", "13", "--format", "tsv", "--cache", str(tmp_path))
+    assert code == 1
+    assert out.split("\n")[1] == "13\t\t\t\tFAIL: VerificationError: injected fault at l=13"
+
+
+def test_optimized_interpreter_keeps_verifications():
+    # a wrong j5 numerator makes the two Hasse expansions disagree; python -O
+    # must not remove that check
+    code = (
+        "import hasse5.hasse; hasse5.hasse.C45 = [2, 228, 494, -228, 1]; "
+        "from hasse5.cli import main; raise SystemExit(main(['census', '7..31']))"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1
+    assert "FAIL: VerificationError: the two Hasse invariant expansions disagree" in run.stdout
 
 
 def test_jobs_parallel(capsys):

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from hasse5.ffactor import is_irreducible_cert
 from hasse5.fp import NotSplit, golden_units, legendre, make_extension, sqrt_mod
 from hasse5.intfactor import primes_in
 from oracles import legendre_naive, sqrts_naive, squares_mod
@@ -112,15 +114,38 @@ def test_frobenius_fixes_field():
             assert x ** (l**k) == x
 
 
+EXT_FIELDS = [(l, k) for l in primes_in(7, 59) for k in (2, 4)]
+
+
+def _first_certified_irreducible(l, k):
+    # the same scan order as make_extension, certified by the factorization module
+    for high in itertools.product(range(l), repeat=k - 1):
+        for c0 in range(1, l):
+            coeffs = (c0,) + tuple(reversed(high)) + (1,)
+            if is_irreducible_cert(coeffs, l):
+                return coeffs
+    raise AssertionError
+
+
+def test_make_extension_matches_certified_scan():
+    for l, k in EXT_FIELDS:
+        assert make_extension(l, k).defining == _first_certified_irreducible(l, k), (l, k)
+
+
 def test_field_arithmetic_and_inverse():
-    rng = random.Random(10)
-    fld = make_extension(11, 4)
-    for _ in range(25):
-        x = fld.rand(rng)
-        if x.is_zero():
-            continue
-        assert x * x.inv() == fld.one()
-        assert (x + (-x)).is_zero()
+    for l, k in EXT_FIELDS:
+        rng = random.Random(10 * l + k)
+        fld = make_extension(l, k)
+        done = 0
+        while done < 50:
+            x = fld.rand(rng)
+            if x.is_zero():
+                continue
+            assert x * x.inv() == fld.one() == 1
+            assert (x + (-x)).is_zero()
+            done += 1
+        with pytest.raises(ZeroDivisionError):
+            fld.zero().inv()
 
 
 def test_fq_sqrt():
