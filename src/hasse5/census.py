@@ -11,16 +11,24 @@ h(-5l) selected by (l mod 5, l mod 8).  Both roots of x^2 + 11x - 1 are tried
 for the quadratic relation, so the canonical choice of sqrt(5) made by
 ``golden_units`` never affects the count; a factor is counted once even if it
 satisfies both relations (only x^2 + 1 can).
+
+The factors are found without factoring the Hasse invariant H.  H is checked
+squarefree (gcd(H, H') = 1); H mod f is then computed for every member f of a
+family at once, by one vectorized Horner sweep over H's coefficients; and only
+the members that divide H are tested for irreducibility: quartics by
+``is_irreducible_cert``, quadratics by the Legendre symbol of the discriminant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import VerificationError
+import numpy as np
+
+from . import VerificationError, modpoly as mp
 from .classno import h5l
-from .ffactor import FactorList, factor_ff
-from .fp import golden_units
+from .ffactor import is_irreducible_cert
+from .fp import golden_units, legendre
 from .hasse import build_hasse
 
 
@@ -73,47 +81,69 @@ class CensusReport:
         }
 
 
-def _hasse_factors(l: int, hasse=None) -> FactorList:
-    f = build_hasse(l) if hasse is None else hasse
-    fl = factor_ff(f, l)
-    if any(m != 1 for _, m in fl.factors):
+def _squarefree_hasse(l: int, hasse) -> list[int]:
+    """The Hasse invariant over F_l (or the injected ``hasse``), checked squarefree."""
+    f = build_hasse(l) if hasse is None else mp.from_int_poly(hasse, l)
+    if mp.deg(mp.gcd(f, mp.deriv(f, l), l)) != 0:
         raise VerificationError(f"Hasse invariant not squarefree at l={l}")
-    return fl
+    return f
+
+
+def _sweep_range(l: int, k: int) -> np.ndarray:
+    """The parameter values 0..l-1 of a k-wide sweep, once its int64 bound holds."""
+    if (k + 1) * l * l >= 2**63:
+        raise ValueError(f"l={l} is too large for the int64 divisibility sweep")
+    return np.arange(l, dtype=np.int64)
+
+
+def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
+    """Column indices t with f = 0 mod m_t, where m_t = x^k - sum_i red[i, t] x^i.
+
+    Horner over f's coefficients from the top, for every column at once: the
+    k-wide state holds f's prefix mod m_t, and x^k is replaced by red[:, t].
+    Only the outgoing top slot is reduced mod l.  A slot takes at most k
+    products below l^2 on its way to the top, so every entry stays below
+    (k+1) l^2, which ``_sweep_range`` checked fits in int64.
+    """
+    state = np.zeros_like(red)
+    for c in reversed(f):
+        top = state[-1] % l
+        state[1:] = state[:-1]
+        state[0] = c
+        state += top * red
+    return np.flatnonzero(~(state % l).any(axis=0)).tolist()
 
 
 def find_g_factors(l: int, hasse=None) -> list[GShape]:
     """Irreducible quartic factors of the Hasse invariant with coefficient
-    vector (1, a, 11a+2, -a, 1)."""
+    vector (1, a, 11a+2, -a, 1), in ascending coefficient order."""
     if l % 5 not in (2, 3):
         raise ValueError("quartic census needs l = 2, 3 mod 5")
-    out = []
-    for coeffs, _ in _hasse_factors(l, hasse).factors:
-        if len(coeffs) != 5:
-            continue
-        c0, c1, c2, c3, c4 = coeffs
-        a = c3  # monic: coefficient of x^3
-        if c4 == 1 and c0 == 1 and c2 == (11 * a + 2) % l and c1 == (-a) % l:
-            out.append(GShape(l, a))
-    return out
+    a = _sweep_range(l, 4)
+    f = _squarefree_hasse(l, hasse)
+    # x^4 = -1 + a x - (11a+2) x^2 - a x^3 mod g_a
+    red = np.stack([np.full(l, l - 1, dtype=np.int64), a, -(11 * a + 2) % l, -a % l])
+    shapes = [GShape(l, t) for t in _divisor_params(f, red, l)]
+    return sorted((g for g in shapes if is_irreducible_cert(g.coeffs(), l)), key=GShape.coeffs)
 
 
 def find_k_factors(l: int, hasse=None) -> list[KShape]:
-    """Irreducible quadratic factors x^2 + rx + s with r = e5(s-1) or ebar5(s-1)."""
+    """Irreducible quadratic factors x^2 + rx + s with r = e5(s-1) or ebar5(s-1),
+    in ascending coefficient order; x^2 + 1 satisfies both and is counted once."""
     if l % 5 not in (1, 4):
         raise ValueError("quadratic census needs l = 1, 4 mod 5")
+    s = _sweep_range(l, 2)
+    f = _squarefree_hasse(l, hasse)
     pair = golden_units(l)
-    out = []
-    for coeffs, _ in _hasse_factors(l, hasse).factors:
-        if len(coeffs) != 3:
-            continue
-        s, r, lead = coeffs
-        if lead != 1:
-            raise VerificationError(f"factor {coeffs} of the Hasse invariant is not monic at l={l}")
-        if r == pair.eps5 * (s - 1) % l:
-            out.append(KShape(l, r, s, "eps"))
-        elif r == pair.eps5bar * (s - 1) % l:
-            out.append(KShape(l, r, s, "epsbar"))
-    return out
+    found: dict[tuple[int, int], KShape] = {}
+    for variant, e in (("eps", pair.eps5), ("epsbar", pair.eps5bar)):
+        # x^2 = -s - e(s-1) x mod x^2 + e(s-1) x + s
+        red = np.stack([-s % l, -e * (s - 1) % l])
+        for t in _divisor_params(f, red, l):
+            r = e * (t - 1) % l
+            if legendre(r * r - 4 * t, l) == -1:
+                found.setdefault((t, r), KShape(l, r, t, variant))
+    return sorted(found.values(), key=KShape.coeffs)
 
 
 def _check_divides(k: int, h: int, l: int) -> None:

@@ -323,11 +323,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--version", action="version", version=f"hasse5 {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_range=True):
-        if with_range:
+    def common(p, sweep=True):
+        if sweep:
             p.add_argument("range", help="prime or inclusive range lo..hi")
+            p.add_argument("--cache", default=os.environ.get("HASSE5_CACHE"))
         p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
-        p.add_argument("--cache", default=os.environ.get("HASSE5_CACHE"))
+        # charzero runs serially but accepts --jobs, so scripts can pass it to every command
         p.add_argument("--jobs", type=int, default=1)
 
     pc = sub.add_parser("census", help="special-factor counts of the Hasse invariant vs. h(-5l)")
@@ -341,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     pf = sub.add_parser("fricke", help="degree and linear-factor count of the Fricke polynomial")
     common(pf)
     pz = sub.add_parser("charzero", help="exact characteristic-zero identity suite")
-    common(pz, with_range=False)
+    common(pz, sweep=False)
     pz.add_argument("--suite", choices=("fast", "heavy", "all"), default="fast")
     pt = sub.add_parser("tables", help="render a reference table with PASS/FAIL column")
     pt.add_argument("which", help="table id: 6, 7, 8, 9 (census) or 10 (fricke)")

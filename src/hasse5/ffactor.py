@@ -436,5 +436,5 @@ def is_irreducible_cert(coeffs, p: int, k: int = 1) -> bool:
         t = ops.gcd(g, ops.sub(h, xpoly))
         if not ops.is_one(t):
             return False
-    h = ops.pow_mod(xpoly, ops.q**d, g)
+    h = ops.pow_mod(h, ops.q, g)  # x^(q^d), from the loop's x^(q^(d-1))
     return not ops.rem(ops.sub(h, xpoly), g)

@@ -37,11 +37,11 @@ ZP_LIN = (11, 1)
 ZP_YNUM = (4, 0, 1)
 
 
-class CoefficientNotInPrimeField(ArithmeticError):
+class CoefficientNotInPrimeField(VerificationError):
     """The Fricke polynomial failed to descend to F_p (construction bug)."""
 
 
-class RootOutsideQuadraticField(ArithmeticError):
+class RootOutsideQuadraticField(VerificationError):
     """A j5* value fell outside F_{p^2}."""
 
 

@@ -3,7 +3,8 @@
 Polynomials are ascending lists of ints in [0, l).  Multiplication and
 remainder go through int64 numpy kernels whenever the worst-case convolution
 coefficient n*(l-1)^2 fits in a signed 64-bit word (always true for the prime
-ranges this toolkit sweeps); otherwise the pure-Python schoolbook path runs.
+ranges this toolkit sweeps); otherwise, and for products of short operands,
+the pure-Python schoolbook path runs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 _I64_MAX = 2**62  # conservative headroom under 2^63 - 1
+# mul runs the Python schoolbook below this many coefficient products: there
+# it beats np.convolve's fixed call cost (the two break even near 25).
+_SCHOOLBOOK_BELOW = 25
 
 
 def _np_ok(n: int, p: int) -> bool:
@@ -48,7 +52,7 @@ def mul(f, g, p):
     if not f or not g:
         return []
     n = len(f) + len(g) - 1
-    if _np_ok(min(len(f), len(g)), p):
+    if len(f) * len(g) >= _SCHOOLBOOK_BELOW and _np_ok(min(len(f), len(g)), p):
         out = np.convolve(np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64))
         return trim((out % p).tolist())
     out = [0] * n

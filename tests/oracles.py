@@ -1,9 +1,12 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent oracles for the test suite.
 
-Nothing in here uses the polynomial/factorization machinery of the package
-under test: quadratic residues are found by exhaustive squaring, elliptic
-curve orders by literal point counting, F_{p^2} is built directly from a
-non-residue, and irreducibility by exhaustive divisor search.
+The brute-force oracles use none of the polynomial/factorization machinery of
+the package under test: quadratic residues are found by exhaustive squaring,
+elliptic curve orders by literal point counting, F_{p^2} is built directly
+from a non-residue, and irreducibility by exhaustive divisor search.  The one
+exception is ``census_by_factoring``, the census by a full Cantor-Zassenhaus
+factorization of the Hasse invariant, which checks the census's divisibility
+sweep against a different algorithm.
 """
 
 from __future__ import annotations
@@ -152,3 +155,33 @@ def quartic_irreducible_naive(coeffs: tuple[int, ...], p: int) -> bool:
             if r1 == 0 and r0 == 0:
                 return False
     return True
+
+
+def census_by_factoring(l: int, hasse=None) -> dict:
+    """``census(l, hasse).to_dict()``, read off the full factorization of the
+    Hasse invariant: the special factors are the factors of the right degree
+    and shape, in factor_ff's (ascending coefficient) order."""
+    from hasse5 import VerificationError
+    from hasse5.census import CensusReport, predicted_count
+    from hasse5.classno import h5l
+    from hasse5.ffactor import factor_ff
+    from hasse5.fp import golden_units
+    from hasse5.hasse import build_hasse
+
+    fl = factor_ff(build_hasse(l) if hasse is None else hasse, l)
+    if any(m != 1 for _, m in fl.factors):
+        raise VerificationError(f"Hasse invariant not squarefree at l={l}")
+    if l % 5 in (2, 3):
+        facs = [
+            c for c, _ in fl.factors
+            if len(c) == 5 and c[0] == 1 and c[1] == -c[3] % l and c[2] == (11 * c[3] + 2) % l
+        ]
+    else:
+        pair = golden_units(l)
+        facs = [
+            c for c, _ in fl.factors
+            if len(c) == 3 and c[1] in (pair.eps5 * (c[0] - 1) % l, pair.eps5bar * (c[0] - 1) % l)
+        ]
+    h = h5l(l)
+    pred = predicted_count(l, h)
+    return CensusReport(l, l % 5, l % 8, h, len(facs), pred, len(facs) == pred, tuple(facs)).to_dict()

@@ -1,8 +1,9 @@
 import pytest
 
-from hasse5 import modpoly as mp
+from hasse5 import VerificationError, modpoly as mp
 from hasse5.census import (
     GShape,
+    KShape,
     census,
     companion,
     find_g_factors,
@@ -10,7 +11,9 @@ from hasse5.census import (
     predicted_count,
 )
 from hasse5.classno import h5l
-from hasse5.fp import golden_units
+from hasse5.fp import golden_units, legendre
+from hasse5.intfactor import is_prime, primes_in
+from oracles import census_by_factoring, quartic_irreducible_naive
 
 
 def test_find_g_7():
@@ -109,3 +112,75 @@ def test_companion_product_has_g_shape():
 def test_gshape_coeffs():
     g = GShape(7, 4)
     assert g.coeffs() == (1, 3, 4, 4, 1)
+
+
+def test_census_matches_factoring_oracle():
+    for l in primes_in(7, 199):
+        if l % 5:
+            assert census(l).to_dict() == census_by_factoring(l), l
+
+
+@pytest.mark.heavy
+def test_census_matches_factoring_oracle_to_1500():
+    for l in primes_in(7, 1500):
+        if l % 5:
+            assert census(l).to_dict() == census_by_factoring(l), l
+
+
+def _g(l, a):
+    return list(GShape(l, a).coeffs())
+
+
+def _k(l, e, s):
+    return [s, e * (s - 1) % l, 1]
+
+
+def test_reducible_g_divisor_not_counted():
+    l = 13
+    reducible = [a for a in range(l) if not quartic_irreducible_naive(GShape(l, a).coeffs(), l)]
+    irreducible = [a for a in range(l) if quartic_irreducible_naive(GShape(l, a).coeffs(), l)]
+    for a in reducible:
+        h = mp.mul(_g(l, a), _g(l, irreducible[0]), l)
+        if mp.deg(mp.gcd(h, mp.deriv(h, l), l)):
+            continue  # g_a shares a factor with g_b; not a squarefree H
+        assert find_g_factors(l, h) == [GShape(l, irreducible[0])]
+        assert census(l, h).to_dict() == census_by_factoring(l, h)
+        break
+    else:
+        pytest.fail("no reducible g_a coprime to an irreducible g_b at l=13")
+
+
+def test_square_discriminant_k_divisor_not_counted():
+    l = 11
+    e = golden_units(l).eps5
+    split = [s for s in range(l) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == 1]
+    inert = [s for s in range(l) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == -1]
+    h = mp.mul(_k(l, e, split[0]), _k(l, e, inert[0]), l)
+    assert mp.deg(mp.gcd(h, mp.deriv(h, l), l)) == 0
+    assert find_k_factors(l, h) == [KShape(l, _k(l, e, inert[0])[1], inert[0], "eps")]
+    assert census(l, h).to_dict() == census_by_factoring(l, h)
+
+
+def test_x2_plus_1_counted_once_in_injected_hasse():
+    # at l = 19 (= 3 mod 4) x^2 + 1 is irreducible and satisfies both relations
+    h = [1, 0, 1]
+    assert find_k_factors(19, h) == [KShape(19, 0, 1, "eps")]
+    assert census(19, h).to_dict() == census_by_factoring(19, h)
+
+
+def test_non_squarefree_hasse_rejected():
+    for l, f in ((13, _g(13, 1)), (11, [1, 0, 1])):
+        h = mp.mul(mp.mul(f, f, l), [1, 1], l)
+        with pytest.raises(VerificationError):
+            census(l, h)
+        with pytest.raises(VerificationError):
+            census_by_factoring(l, h)
+
+
+def test_primes_past_the_int64_sweep_rejected():
+    # the sweep state stays below (k+1) l^2, which must fit in int64
+    big = [p for p in range(2**31, 2**31 + 200) if is_prime(p)]
+    for find in (find_g_factors, find_k_factors):
+        l = next(p for p in big if (find is find_g_factors) == (p % 5 in (2, 3)))
+        with pytest.raises(ValueError, match="too large"):
+            find(l, [1, 1])

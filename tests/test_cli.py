@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hasse5
-from hasse5 import VerificationError, census as census_mod
+from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod
 from hasse5.cli import main
 
 
@@ -135,7 +135,7 @@ def test_determinism_two_runs():
 
 
 def test_removed_flags_are_usage_errors(capsys):
-    for argv in (["census", "13", "--seed", "1"], ["fricke", "13", "--force"]):
+    for argv in (["census", "13", "--seed", "1"], ["fricke", "13", "--force"], ["charzero", "--cache", "x"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
@@ -160,6 +160,23 @@ def test_failed_verification_is_a_fail_row(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "census", "13", "--format", "tsv", "--cache", str(tmp_path))
     assert code == 1
     assert out.split("\n")[1] == "13\t\t\t\tFAIL: VerificationError: injected fault at l=13"
+
+
+def test_fricke_field_check_failure_is_a_fail_row(tmp_path, capsys, monkeypatch):
+    real_roots_in = fricke_mod.roots_in
+
+    def roots_in(f, p, k):
+        found = real_roots_in(f, p, k)
+        return found[:-1] if p == 13 else found  # lose a root: it seems to escape F_(p^2)
+
+    monkeypatch.setattr(fricke_mod, "roots_in", roots_in)
+    code, out = run_cli(capsys, "fricke", "7..17", "--format", "json", "--jobs", "1", "--cache", str(tmp_path))
+    assert code == 1
+    rows = [json.loads(line) for line in out.strip().split("\n")]
+    assert [r["p"] for r in rows] == [7, 11, 13, 17]
+    assert rows[2]["error"].startswith("RootOutsideQuadraticField: p=13, ")
+    assert all(r["match"] for i, r in enumerate(rows) if i != 2)
+    assert sorted(f.stem for f in (tmp_path / "fricke").glob("*.json")) == ["11", "17", "7"]
 
 
 def test_optimized_interpreter_keeps_verifications():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hasse5 import modpoly as mp
@@ -21,6 +22,15 @@ def test_hasse7_factors():
     assert fl.factors == (((1, 0, 1), 1), ((1, 3, 4, 4, 1), 1))
     # the quartic is irreducible by exhaustive search
     assert quartic_irreducible_naive((1, 3, 4, 4, 1), 7)
+
+
+def test_irreducible_cert_matches_exhaustive_search_on_quartics():
+    rng = random.Random(33)
+    cases = [(5, c) for c in itertools.product(range(5), repeat=4)]
+    cases += [(13, tuple(rng.randrange(13) for _ in range(4))) for _ in range(300)]
+    for p, low in cases:
+        coeffs = (*low, 1)
+        assert is_irreducible_cert(coeffs, p) == quartic_irreducible_naive(coeffs, p), (p, coeffs)
 
 
 def test_multiplicities_and_reconstruction():

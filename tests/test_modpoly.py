@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 from hasse5 import modpoly as mp
 from hasse5.poly import Poly, resultant
 
@@ -34,6 +36,28 @@ def test_large_poly_numpy_path_matches_schoolbook():
         for j, y in enumerate(b):
             slow[i + j] = (slow[i + j] + x * y) % p
     assert fast == mp.trim(slow)
+
+
+def test_mul_matches_numpy_across_schoolbook_cutoff(monkeypatch):
+    rng = random.Random(32)
+    real_convolve = np.convolve
+    calls = []
+
+    def convolve(a, b):
+        calls.append((len(a), len(b)))
+        return real_convolve(a, b)
+
+    monkeypatch.setattr(mp.np, "convolve", convolve)
+    cut = mp._SCHOOLBOOK_BELOW
+    shapes = [(1, 1), (2, 3), (4, 4), (1, cut - 1), (1, cut), (5, 5), (7, 9), (1, 300), (300, 2)]
+    for p in (7, 1499, 2**61 - 1):  # the last fails the int64 guard at every length
+        for n, m in shapes:
+            f = [rng.randrange(p) for _ in range(n)]
+            g = [rng.randrange(p) for _ in range(m)]
+            want = mp.trim((real_convolve(np.array(f, dtype=object), np.array(g, dtype=object)) % p).tolist())
+            calls.clear()
+            assert mp.mul(f, g, p) == want, (p, n, m)
+            assert bool(calls) == (n * m >= cut and mp._np_ok(min(n, m), p)), (p, n, m)
 
 
 def test_resultant_prs_matches_sylvester():
