@@ -122,7 +122,9 @@ def test_census_matches_factoring_oracle():
 
 @pytest.mark.heavy
 def test_census_matches_factoring_oracle_to_1500():
-    for l in primes_in(7, 1500):
+    # every 10th prime past the range above, and the last below 1500: the
+    # oracle takes about 9 minutes over every prime up to 1500, 1 minute here
+    for l in primes_in(200, 1500)[::10] + [1499]:
         if l % 5:
             assert census(l).to_dict() == census_by_factoring(l), l
 
