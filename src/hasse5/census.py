@@ -16,7 +16,8 @@ The factors are found without factoring the Hasse invariant H.  H is checked
 squarefree (gcd(H, H') = 1); H mod f is then computed for every member f of a
 family at once, by one vectorized Horner sweep over H's coefficients; and only
 the members that divide H are tested for irreducibility: quartics by
-``is_irreducible_cert``, quadratics by the Legendre symbol of the discriminant.
+``modpoly.is_irreducible``, quadratics by the Legendre symbol of the
+discriminant.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import VerificationError, modpoly as mp
 from .classno import h5l
-from .ffactor import is_irreducible_cert
 from .fp import golden_units, legendre
 from .hasse import build_hasse
 
@@ -124,7 +124,7 @@ def find_g_factors(l: int, hasse=None) -> list[GShape]:
     # x^4 = -1 + a x - (11a+2) x^2 - a x^3 mod g_a
     red = np.stack([np.full(l, l - 1, dtype=np.int64), a, -(11 * a + 2) % l, -a % l])
     shapes = [GShape(l, t) for t in _divisor_params(f, red, l)]
-    return sorted((g for g in shapes if is_irreducible_cert(g.coeffs(), l)), key=GShape.coeffs)
+    return sorted((g for g in shapes if mp.is_irreducible(g.coeffs(), l)), key=GShape.coeffs)
 
 
 def find_k_factors(l: int, hasse=None) -> list[KShape]:

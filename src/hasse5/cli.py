@@ -278,43 +278,37 @@ def cmd_charzero(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    """A reference table, one row per listed prime, recomputed and compared.
+
+    A prime that fails a verification gets a FAIL status carrying the error
+    text and makes the exit status 1, as in the sweeps.
+    """
     which = args.which
-    ok = True
-    rows = []
     if which in ("6", "7", "8", "9"):
-        for l, n_exp, h_exp in refdata.CENSUS_TABLES[int(which)]:
-            rep = census_mod.census(l)
-            good = rep.found_count == n_exp and rep.h == h_exp and rep.match
-            ok = ok and good
-            rows.append(
-                {
-                    "l": l,
-                    "N_ref": n_exp,
-                    "N": rep.found_count,
-                    "h_ref": h_exp,
-                    "h(-5l)": rep.h,
-                    "status": "PASS" if good else "FAIL",
-                }
-            )
-        _emit(rows, ["l", "N_ref", "N", "h_ref", "h(-5l)", "status"], args.format, sys.stdout)
+        key, worker, table = "l", _census_payload, refdata.CENSUS_TABLES[int(which)]
+        fields = (("N_ref", "N", "found"), ("h_ref", "h(-5l)", "h_minus_5l"))
     elif which == "10":
-        for p, deg_exp, lin_exp in refdata.FRICKE_TABLE:
-            rep = fricke_mod.verify_fricke(p)
-            good = rep.degree_found == deg_exp and rep.linear_found == lin_exp and rep.match
-            ok = ok and good
-            rows.append(
-                {
-                    "p": p,
-                    "deg_ref": deg_exp,
-                    "deg": rep.degree_found,
-                    "linear_ref": lin_exp,
-                    "linear": rep.linear_found,
-                    "status": "PASS" if good else "FAIL",
-                }
-            )
-        _emit(rows, ["p", "deg_ref", "deg", "linear_ref", "linear", "status"], args.format, sys.stdout)
+        key, worker, table = "p", _fricke_payload, refdata.FRICKE_TABLE
+        fields = (("deg_ref", "deg", "degree_found"), ("linear_ref", "linear", "linear_found"))
     else:
         raise SystemExit(f"error: unknown table {which!r} (expected 6..10)")
+    ok = True
+    rows = []
+    for prime, *refs in table:
+        payload = _attempt(worker, prime)
+        error = payload.get("error")
+        good = not error and payload["match"]
+        row = {key: prime}
+        for (ref_col, col, field), ref in zip(fields, refs):
+            row[ref_col] = ref
+            if not error:
+                row[col] = payload[field]
+                good = good and payload[field] == ref
+        row["status"] = f"FAIL: {error}" if error else "PASS" if good else "FAIL"
+        ok = ok and good
+        rows.append(row)
+    columns = [key] + [c for ref_col, col, _ in fields for c in (ref_col, col)] + ["status"]
+    _emit(rows, columns, args.format, sys.stdout)
     return 0 if ok else 1
 
 

@@ -197,12 +197,6 @@ class FactorList:
     unit: object
     factors: tuple[tuple[tuple, int], ...]
 
-    def multiplicities(self) -> dict:
-        return {f: m for f, m in self.factors}
-
-    def degree(self) -> int:
-        return sum((len(f) - 1) * m for f, m in self.factors)
-
     def __str__(self) -> str:
         parts = []
         for f, m in self.factors:
@@ -313,7 +307,7 @@ def equal_degree(f, d: int, ops, rng) -> list[list]:
             return equal_degree(g, d, ops, rng) + equal_degree(ops.quo(f, g), d, ops, rng)
 
 
-def factor_ff(f, p: int, k: int = 1, seed: int | None = None) -> FactorList:
+def factor_ff(f, p: int, k: int = 1) -> FactorList:
     """Full factorization of a nonzero polynomial over F_{p^k}."""
     ops = _ops_for(p, k)
     f = ops.lift(list(f))
@@ -321,9 +315,7 @@ def factor_ff(f, p: int, k: int = 1, seed: int | None = None) -> FactorList:
         raise ZeroDivisionError("factor of zero polynomial")
     unit = f[-1]
     fm = ops.monic(f)
-    if seed is None:
-        seed = _seed_for(p, k, ops.coeff_tuple(f))
-    rng = random.Random(seed)
+    rng = random.Random(_seed_for(p, k, ops.coeff_tuple(f)))
     found: list[tuple[tuple, int]] = []
     for sq, m in squarefree_decompose(fm, ops):
         for prod, d in distinct_degree(sq, ops):
@@ -421,20 +413,3 @@ def _divmod_by_linear(f, r, ops):
         if k:
             out[k - 1] = acc
     return (_trim(out), None) if acc.is_zero() else (None, acc)
-
-
-def is_irreducible_cert(coeffs, p: int, k: int = 1) -> bool:
-    """Distinct-degree irreducibility certificate:
-    gcd(g, x^(q^j) - x) trivial for j < deg g, and g | x^(q^deg) - x."""
-    ops = _ops_for(p, k)
-    g = ops.monic(ops.lift(list(coeffs)))
-    d = len(g) - 1
-    xpoly = ops.lift([0, 1])
-    h = xpoly
-    for _ in range(1, d):
-        h = ops.pow_mod(h, ops.q, g)
-        t = ops.gcd(g, ops.sub(h, xpoly))
-        if not ops.is_one(t):
-            return False
-    h = ops.pow_mod(h, ops.q, g)  # x^(q^d), from the loop's x^(q^(d-1))
-    return not ops.rem(ops.sub(h, xpoly), g)

@@ -294,19 +294,6 @@ class FqElem:
         return f"Fq{list(self.coords)}/{self.field.l}^{self.field.k}"
 
 
-def _is_irreducible(f: tuple[int, ...], l: int) -> bool:
-    """Irreducibility of a monic polynomial of degree k in {2, 4} over F_l.
-
-    Degree 2: no roots. Degree 4: no factor of degree <= 2, i.e.
-    gcd(f, x^(l^2) - x) = 1.
-    """
-    fl = list(f)
-    xp = [0, 1]  # x^(l^j) mod f by repeated powering
-    for _ in range(mp.deg(fl) // 2):
-        xp = mp.pow_mod(xp, l, fl, l)
-    return mp.deg(mp.gcd(fl, mp.sub(xp, [0, 1], l), l)) == 0
-
-
 @lru_cache(maxsize=None)
 def make_extension(l: int, k: int) -> ExtField:
     """Deterministic F_{l^k}: smallest monic irreducible of degree k in
@@ -321,6 +308,6 @@ def make_extension(l: int, k: int) -> ExtField:
             coeffs = (c0,) + tuple(reversed(high)) + (1,)
             if c0 == 0:
                 continue  # divisible by x
-            if _is_irreducible(coeffs, l):
+            if mp.is_irreducible(coeffs, l):
                 return ExtField(l, k, coeffs)
     raise RuntimeError("no irreducible polynomial found (impossible)")

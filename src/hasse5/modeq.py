@@ -8,7 +8,8 @@ Central objects:
   factorization of K_{5p} = H_{-20p} (p = 1 mod 4) or H_{-5p} H_{-20p}
   (p = 3 mod 4) modulo p;
 * ``build_k5p`` -- reconstruction of K_{5p} mod p from the supersingular
-  factors of Phi5(x^p, x), with multiplicities read off Phi5(x^p, x)^2;
+  factors of Phi5(x^p, x), with multiplicities read off Phi5(x^p, x)^2,
+  computed modulo ss_p and modulo powers of each factor;
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -138,7 +139,9 @@ def phi5_diag() -> Poly:
 
 
 def phi5_xp_x(p: int) -> list[int]:
-    """Phi5(x^p, x) over F_p, assembled coefficient-by-coefficient (degree ~6p)."""
+    """Phi5(x^p, x) over F_p, assembled coefficient-by-coefficient (degree 6p).
+
+    ``build_k5p`` never forms it; the tests use it as the reference."""
     g = phi5().g
     out = [0] * (6 * p + 7)
     for i, row in enumerate(g):
@@ -334,30 +337,37 @@ def epsilon_flags(p: int) -> dict[int, int]:
     return flags
 
 
+def _phi5_xp_x_mod(m: list[int], p: int) -> list[int]:
+    """Phi5(x^p, x) mod m over F_p, without forming the degree-6p polynomial:
+    X = x^p mod m, then Horner in X over the rows of Phi5 (degree 6 in X)."""
+    X = mp.pow_mod([0, 1], p, m, p)
+    acc: list[int] = []
+    for row in reversed(phi5().g):
+        acc = mp.rem(mp.add(mp.mul(acc, X, p), mp.from_int_poly(row, p), p), m, p)
+    return acc
+
+
 def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     """Factors of K_{5p} mod p: the supersingular irreducible factors of
     Phi5(x^p, x), carrying twice their multiplicity in Phi5(x^p, x).
 
-    Returned sorted by (degree, coefficient tuple).
+    gcd(ss_p, Phi5(x^p, x)) is taken as gcd(ss_p, Phi5(x^p, x) mod ss_p), and
+    the multiplicity of a factor q is the largest k with Phi5(x^p, x) = 0
+    mod q^k.  Returned sorted by (degree, coefficient tuple).
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
     ss = build_ss(p)
-    phi = phi5_xp_x(p)
-    g = mp.gcd(ss, phi, p)
+    g = mp.gcd(ss, _phi5_xp_x_mod(ss, p), p)
     out = []
     for coeffs, m in factor_ff(g, p).factors:
         if m != 1:
             raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
         q = list(coeffs)
-        mult = 0
-        cur = phi
-        while True:
-            quot, rem = mp.divmod_(cur, q, p)
-            if rem:
-                break
-            cur = quot
+        mult, qk = 0, q
+        while not _phi5_xp_x_mod(qk, p):
             mult += 1
+            qk = mp.mul(qk, q, p)
         if mult < 1:
             raise VerificationError(f"factor {coeffs} of gcd(ss_p, Phi5(x^p, x)) does not divide Phi5(x^p, x)")
         out.append((coeffs, 2 * mult))

@@ -135,6 +135,18 @@ def pow_mod(f, e: int, m, p):
     return out
 
 
+def is_irreducible(f, p: int) -> bool:
+    """Irreducibility of f over F_p, deg f >= 1: gcd(f, x^(p^j) - x) = 1 for
+    j = 1..deg f // 2, since a reducible f has a factor of degree <= deg f / 2."""
+    f = list(f)
+    xpj = [0, 1]
+    for _ in range(deg(f) // 2):
+        xpj = pow_mod(xpj, p, f, p)
+        if deg(gcd(f, sub(xpj, [0, 1], p), p)) > 0:
+            return False
+    return True
+
+
 def eval_at(f, x: int, p: int) -> int:
     acc = 0
     for c in reversed(f):
@@ -164,23 +176,3 @@ def compose_rational(F, num, den, p):
         dpow = mul(dpow, den, p)
         acc = add(mul(acc, num, p), scale(dpow, F[k], p), p)
     return acc
-
-
-def resultant(f, g, p):
-    """Resultant over F_p by the Euclidean PRS with the standard transfer rules."""
-    f, g = trim(list(f)), trim(list(g))
-    if not f or not g:
-        raise ZeroDivisionError("resultant of zero polynomial")
-    res = 1
-    while True:
-        df, dgg = deg(f), deg(g)
-        if dgg == 0:
-            return res * pow(g[0], df, p) % p
-        r = rem(f, g, p)
-        dr = deg(r) if r else -1
-        if not r:
-            return 0
-        # Res(f, g) = (-1)^(df*dg) lc(g)^(df - dr) Res(g, r)
-        sign = -1 if (df * dgg) % 2 else 1
-        res = res * sign * pow(g[-1], df - dr, p) % p
-        f, g = g, r

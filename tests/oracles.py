@@ -4,9 +4,11 @@ The brute-force oracles use none of the polynomial/factorization machinery of
 the package under test: quadratic residues are found by exhaustive squaring,
 elliptic curve orders by literal point counting, F_{p^2} is built directly
 from a non-residue, and irreducibility by exhaustive divisor search.  The one
-exception is ``census_by_factoring``, the census by a full Cantor-Zassenhaus
-factorization of the Hasse invariant, which checks the census's divisibility
-sweep against a different algorithm.
+exceptions are the routes the package replaced, kept to check the new ones
+against a different algorithm: ``census_by_factoring``, the census by a full
+Cantor-Zassenhaus factorization of the Hasse invariant, and
+``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
+Phi5(x^p, x) by repeated division.
 """
 
 from __future__ import annotations
@@ -185,3 +187,28 @@ def census_by_factoring(l: int, hasse=None) -> dict:
     h = h5l(l)
     pred = predicted_count(l, h)
     return CensusReport(l, l % 5, l % 8, h, len(facs), pred, len(facs) == pred, tuple(facs)).to_dict()
+
+
+def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:
+    """``build_k5p(p)`` from the full Phi5(x^p, x): its gcd with ss_p, and each
+    factor's multiplicity by dividing Phi5(x^p, x) by it until a remainder
+    appears."""
+    from hasse5 import VerificationError, modpoly as mp
+    from hasse5.ffactor import factor_ff
+    from hasse5.hasse import build_ss
+    from hasse5.modeq import phi5_xp_x
+
+    phi = phi5_xp_x(p)
+    out = []
+    for coeffs, m in factor_ff(mp.gcd(build_ss(p), phi, p), p).factors:
+        if m != 1:
+            raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
+        mult, cur = 0, phi
+        while True:
+            quot, rem = mp.divmod_(cur, list(coeffs), p)
+            if rem:
+                break
+            cur, mult = quot, mult + 1
+        out.append((coeffs, 2 * mult))
+    out.sort(key=lambda t: (len(t[0]) - 1, t[0]))
+    return out

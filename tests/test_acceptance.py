@@ -156,6 +156,7 @@ def test_criterion_5_exact_identities_heavy():
     _report(5, "exact identity suite (heavy)", t0)
 
 
+@pytest.mark.heavy
 def test_criterion_6_property_suites():
     """Invariant sweeps: Hasse degree/squarefreeness to 500, root counts vs the
     prime-field supersingular count to 500, the point-count oracle to 50,

@@ -163,20 +163,34 @@ def test_failed_verification_is_a_fail_row(tmp_path, capsys, monkeypatch):
 
 
 def test_fricke_field_check_failure_is_a_fail_row(tmp_path, capsys, monkeypatch):
-    real_roots_in = fricke_mod.roots_in
-
-    def roots_in(f, p, k):
-        found = real_roots_in(f, p, k)
-        return found[:-1] if p == 13 else found  # lose a root: it seems to escape F_(p^2)
-
-    monkeypatch.setattr(fricke_mod, "roots_in", roots_in)
+    # a leading coefficient of (Y^2 + 216Y + 144)^3 that is 1 mod 7, 11 and 17
+    # but 10 mod 13: the resultant is no longer monic at p = 13 only
+    monkeypatch.setattr(fricke_mod, "R5_C", fricke_mod.R5_C[:-1] + (1 + 7 * 11 * 17,))
     code, out = run_cli(capsys, "fricke", "7..17", "--format", "json", "--jobs", "1", "--cache", str(tmp_path))
     assert code == 1
     rows = [json.loads(line) for line in out.strip().split("\n")]
     assert [r["p"] for r in rows] == [7, 11, 13, 17]
-    assert rows[2]["error"].startswith("RootOutsideQuadraticField: p=13, ")
+    assert rows[2]["error"].startswith("VerificationError: p=13: Res_X(ss_p, R5) is not monic")
     assert all(r["match"] for i, r in enumerate(rows) if i != 2)
     assert sorted(f.stem for f in (tmp_path / "fricke").glob("*.json")) == ["11", "17", "7"]
+
+
+def test_failed_table_row_is_a_fail_status(capsys, monkeypatch):
+    real_census = census_mod.census
+
+    def census(l):
+        if l == 13:
+            raise VerificationError(f"injected fault at l={l}")
+        return real_census(l)
+
+    monkeypatch.setattr(census_mod, "census", census)
+    code, out = run_cli(capsys, "tables", "6", "--format", "tsv")
+    assert code == 1
+    rows = [line.split("\t") for line in out.strip().split("\n")]
+    assert rows[0] == ["l", "N_ref", "N", "h_ref", "h(-5l)", "status"]
+    failed = [r for r in rows[1:] if r[-1] != "PASS"]
+    assert failed == [["13", "2", "", "8", "", "FAIL: VerificationError: injected fault at l=13"]]
+    assert len(rows) == 15
 
 
 def test_optimized_interpreter_keeps_verifications():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hasse5.ffactor import is_irreducible_cert
+from hasse5.ffactor import factor_ff
 from hasse5.fp import NotSplit, golden_units, legendre, make_extension, sqrt_mod
 from hasse5.intfactor import primes_in
 from oracles import legendre_naive, sqrts_naive, squares_mod
@@ -118,11 +118,12 @@ EXT_FIELDS = [(l, k) for l in primes_in(7, 59) for k in (2, 4)]
 
 
 def _first_certified_irreducible(l, k):
-    # the same scan order as make_extension, certified by the factorization module
+    # the same scan order as make_extension, certified by a full factorization:
+    # one factor, of degree k and multiplicity 1
     for high in itertools.product(range(l), repeat=k - 1):
         for c0 in range(1, l):
             coeffs = (c0,) + tuple(reversed(high)) + (1,)
-            if is_irreducible_cert(coeffs, l):
+            if factor_ff(coeffs, l).factors == ((coeffs, 1),):
                 return coeffs
     raise AssertionError
 

@@ -1,7 +1,12 @@
-from hasse5 import modpoly as mp
+import pytest
+
+from hasse5 import fricke, modpoly as mp
+from hasse5.fp import FqElem, make_extension
 from hasse5.fricke import (
     FrickeReport,
     L5star_formula,
+    RootOutsideQuadraticField,
+    _fricke_values_from_R5,
     build_ss5star,
     degree_formula,
     frobenius_stable,
@@ -44,6 +49,14 @@ def test_verify_rows():
         assert rep.match
 
 
+def test_root_outside_fp2_is_rejected(monkeypatch):
+    # 2 is not a cube mod 7, so x^3 - 2 is irreducible and its roots lie in
+    # F_(7^3), not in F_(7^2)
+    monkeypatch.setattr(fricke, "build_ss5star", lambda p: [5, 0, 0, 1])
+    with pytest.raises(RootOutsideQuadraticField):
+        verify_fricke(7)
+
+
 def test_supersingular_count():
     from hasse5.hasse import build_ss
 
@@ -74,3 +87,32 @@ def test_report_fields():
     assert isinstance(rep, FrickeReport)
     d = rep.to_dict()
     assert d["degree_found"] == 4 and d["linear_found"] == 2 and d["match"]
+
+
+def _check_against_fp2_route(p):
+    # the j5* values found in F_(p^2) from the supersingular j are deg f
+    # distinct roots of the monic f, so they are its roots, each simple; its
+    # linear factors are its roots in F_p
+    f = build_ss5star(p)
+    fld = make_extension(p, 2)
+    values = _fricke_values_from_R5(p, supersingular_j_fp2(p))
+    assert len(values) == mp.deg(f), p
+    for v in values:
+        acc = fld.zero()
+        for c in reversed(f):
+            acc = acc * FqElem(fld, v) + c
+        assert acc.is_zero(), (p, v)
+    linear = sum(1 for x in range(p) if mp.eval_at(f, x, p) == 0)
+    assert verify_fricke(p).linear_found == linear, p
+
+
+def test_ss5star_matches_fp2_route():
+    for p in primes_in(7, 199):
+        _check_against_fp2_route(p)
+
+
+@pytest.mark.heavy
+def test_ss5star_matches_fp2_route_to_1000():
+    # every 10th prime past the range above, and the last below 1000
+    for p in primes_in(200, 1000)[::10] + [997]:
+        _check_against_fp2_route(p)

@@ -85,7 +85,6 @@ def test_qd_rational():
         assert all(isinstance(c, int) for c in q.c)
 
 
-@pytest.mark.heavy
 def test_printed_resultant_R_TT():
     from hasse5.icosa import expected_R_TT
 
@@ -93,7 +92,6 @@ def test_printed_resultant_R_TT():
     assert icosa_resultant(maps["T"], maps["T"]) == expected_R_TT()
 
 
-@pytest.mark.heavy
 def test_norm_of_R_AA():
     from hasse5.icosa import expected_norm_R_AA
 

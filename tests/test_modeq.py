@@ -1,7 +1,7 @@
 import pytest
 
 from hasse5 import modpoly as mp, refdata
-from hasse5.intfactor import factor_integer
+from hasse5.intfactor import factor_integer, primes_in
 from hasse5.modeq import (
     HD,
     NonExactSplit,
@@ -31,6 +31,7 @@ from hasse5.modeq import (
     verify_class_equation,
 )
 from hasse5.poly import Poly, discriminant
+from oracles import k5p_by_division
 
 
 def test_q5_constant_term():
@@ -245,3 +246,16 @@ def test_sporadic_factors_detected_at_predicted_primes():
         notes = " ".join(rep.sporadic_notes)
         assert ("H_-84" in notes) == (p in expect84), (p, notes)
         assert ("H_-96" in notes) == (p in expect96), (p, notes)
+
+
+@pytest.mark.heavy
+def test_build_k5p_matches_division_oracle():
+    for p in sorted(refdata.S_SET) + [379] + primes_in(380, 700):
+        assert build_k5p(p) == k5p_by_division(p), p
+
+
+@pytest.mark.heavy
+def test_build_k5p_matches_division_oracle_to_2000():
+    # every 10th prime past the range above, and the last below 2000
+    for p in primes_in(701, 2000)[::10] + [1999]:
+        assert build_k5p(p) == k5p_by_division(p), p

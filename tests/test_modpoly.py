@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 
 from hasse5 import modpoly as mp
-from hasse5.poly import Poly, resultant
+from hasse5.poly import Poly
+from oracles import quartic_irreducible_naive
 
 
 def test_basic_ops():
@@ -60,15 +62,13 @@ def test_mul_matches_numpy_across_schoolbook_cutoff(monkeypatch):
             assert bool(calls) == (n * m >= cut and mp._np_ok(min(n, m), p)), (p, n, m)
 
 
-def test_resultant_prs_matches_sylvester():
-    rng = random.Random(31)
-    for _ in range(50):
-        p = rng.choice([5, 7, 13, 101])
-        f = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)]
-        g = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)]
-        got = mp.resultant(f, g, p)
-        want = resultant(Poly(f), Poly(g)) % p
-        assert got == want
+def test_is_irreducible_matches_exhaustive_search_on_quartics():
+    rng = random.Random(33)
+    cases = [(5, c) for c in itertools.product(range(5), repeat=4)]
+    cases += [(13, tuple(rng.randrange(13) for _ in range(4))) for _ in range(300)]
+    for p, low in cases:
+        coeffs = (*low, 1)
+        assert mp.is_irreducible(coeffs, p) == quartic_irreducible_naive(coeffs, p), (p, coeffs)
 
 
 def test_eval_and_compose():
