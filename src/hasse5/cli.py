@@ -177,6 +177,7 @@ def cmd_sweep(args) -> int:
     sweep = SWEEPS[args.command]
     primes = _parse_range(args.range)
     worker = sweep.worker
+    cache_key = args.command
     if args.command == "k5p":
         outside = [p for p in primes if not modeq.in_validity_range(p)]
         if outside and not args.force and not args.only_in_s:
@@ -187,8 +188,12 @@ def cmd_sweep(args) -> int:
         if args.only_in_s:
             primes = [p for p in primes if p in refdata.S_SET]
         worker = partial(worker, force=args.force)
+        if args.force:
+            # a forced run reports an in-range mismatch as a row; an unforced
+            # run must fail on it, so the two never share cache entries
+            cache_key = "k5p-force"
     cache = Cache(args.cache)
-    cached = {p: cache.load(args.command, p) for p in primes}
+    cached = {p: cache.load(cache_key, p) for p in primes}
     todo = [p for p in primes if cached[p] is None]
     fresh = dict(zip(todo, _run_parallel(partial(_attempt, worker), todo, args.jobs)))
     key, last = sweep.columns[0], sweep.columns[-1]
@@ -202,7 +207,7 @@ def cmd_sweep(args) -> int:
             rows.append({key: p, "error": error} if args.format == "json" else {key: p, last: f"FAIL: {error}"})
             continue
         if p in fresh:
-            cache.store(args.command, p, payload)
+            cache.store(cache_key, p, payload)
         ok = ok and sweep.ok(p, payload)
         rows.append(payload if args.format == "json" else dict(zip(sweep.columns, sweep.row(payload))))
     _emit(rows, sweep.columns, args.format, sys.stdout)

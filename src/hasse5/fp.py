@@ -169,9 +169,6 @@ class FqElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def in_prime_field(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
     def __eq__(self, other) -> bool:
         o = self._lift(other)
         if o is NotImplemented:

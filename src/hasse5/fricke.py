@@ -114,25 +114,15 @@ def _fricke_values_from_R5(p: int, js: list[FqElem]) -> set:
         for k, b in enumerate(R5_B):
             f[k] = f[k] - j * b
         f[0] = f[0] + j * j
-        # containment in F_{p^2}: #distinct roots found must equal the degree
-        # of the squarefree part
+        # containment in F_{p^2}: the roots found, with multiplicity, must
+        # account for the whole (monic) degree
         found = roots_in(f, p, 2)
-        nf_distinct = _squarefree_degree(f, fld)
-        if len(found) != nf_distinct:
+        if sum(m for _, m in found) != len(f) - 1:
             raise RootOutsideQuadraticField(f"p={p}, j={j}: roots escape F_(p^2)")
         out.update(r.coords for r, _ in found)
         if jp != j:
             out.update((r**p).coords for r, _ in found)
     return out
-
-
-def _squarefree_degree(f: list[FqElem], fld) -> int:
-    from .ffactor import _ExtOps
-
-    ops = _ExtOps(fld)
-    fm = ops.monic(list(f))
-    g = ops.gcd(fm, ops.deriv(fm))
-    return (len(fm) - 1) - (len(g) - 1)
 
 
 def _fricke_values_from_zparam(p: int, js: list[FqElem]) -> set:

@@ -10,7 +10,7 @@ enough and keeps the results deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import isqrt
 
 DEFAULT_TRIAL_BOUND = 10**6
 
@@ -65,10 +65,6 @@ def factor_integer(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> IntFactori
         else:
             raise UnresolvedCofactor(f"composite cofactor {m} above trial bound {trial_bound}")
     return IntFactorization(unit, tuple(out))
-
-
-def gcd_big(a: int, b: int) -> int:
-    return gcd(a, b)
 
 
 def from_factors(unit: int, factors: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> int:

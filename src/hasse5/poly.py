@@ -335,51 +335,11 @@ class BiPoly:
             width = max(width, k)
         self.g = [row[:width] + [0] * (width - len(row[:width])) for row in self.g]
 
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls([])
-
     def deg_u(self) -> int:
         return len(self.g) - 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.g == other.g
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        nu = max(len(self.g), len(other.g))
-        nv = max(len(self.g[0]) if self.g else 0, len(other.g[0]) if other.g else 0)
-        out = [[0] * nv for _ in range(nu)]
-        for src in (self.g, other.g):
-            for i, row in enumerate(src):
-                for j, c in enumerate(row):
-                    out[i][j] += c
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly([[-c for c in row] for row in self.g])
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            return BiPoly([[c * other for c in row] for row in self.g])
-        if not self.g or not other.g:
-            return BiPoly.zero()
-        nu = len(self.g) + len(other.g) - 1
-        nv = len(self.g[0]) + len(other.g[0]) - 1
-        out = [[0] * nv for _ in range(nu)]
-        for i, row in enumerate(self.g):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                for k, row2 in enumerate(other.g):
-                    for l, d in enumerate(row2):
-                        if d:
-                            out[i + k][j + l] += c * d
-        return BiPoly(out)
-
-    __rmul__ = __mul__
 
     def eval(self, u, v):
         """Evaluate at ring elements (ints, field elements, Poly, ...)."""

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hasse5
-from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod
+from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod, modeq
 from hasse5.cli import main
 
 
@@ -64,6 +64,19 @@ def test_k5p_only_in_s(capsys):
     assert code == 0
     primes = [json.loads(line)["p"] for line in out.strip().split("\n")]
     assert primes == [101, 103, 107]
+
+
+def test_forced_k5p_rows_are_not_reused_unforced(tmp_path, capsys, monkeypatch):
+    # a structure mismatch at the in-range prime 103: a forced run reports it
+    # as a row, an unforced run must fail on it, warm cache or cold
+    real_build_k5p = modeq.build_k5p
+    monkeypatch.setattr(modeq, "build_k5p", lambda p: real_build_k5p(p)[p == 103 :])
+    cold = run_cli(capsys, "k5p", "101..107", "--format", "tsv", "--cache", str(tmp_path / "cold"))
+    assert cold[0] == 1 and "FAIL: StructureMismatch" in cold[1]
+    warm = str(tmp_path / "warm")
+    forced = run_cli(capsys, "k5p", "101..107", "--force", "--format", "tsv", "--cache", warm)
+    assert "False" in forced[1]
+    assert run_cli(capsys, "k5p", "101..107", "--format", "tsv", "--cache", warm) == cold
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

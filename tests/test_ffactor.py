@@ -2,8 +2,9 @@ import random
 
 from hasse5 import modpoly as mp
 from hasse5.ffactor import FactorList, factor_ff, reconstruct, roots_in
-from hasse5.fp import make_extension
+from hasse5.fp import FqElem, make_extension
 from hasse5.hasse import build_hasse
+from hasse5.intfactor import primes_in
 from oracles import quartic_irreducible_naive
 
 
@@ -60,22 +61,11 @@ def test_squarefree_with_pth_power():
     assert dict(fl.factors) == {(1, 1): 5, (2, 1): 1}
 
 
-def test_ext_field_factorization():
-    # x^2 + 1 over F_7 is irreducible, but splits over F_49
-    fl = factor_ff([1, 0, 1], 7, k=2)
-    assert len(fl.factors) == 2
-    assert all(len(c) == 2 and m == 1 for c, m in fl.factors)
-    fld = make_extension(7, 2)
-    recon = reconstruct(fl)
-    assert [c.coords for c in recon] == [fld.embed(1).coords, fld.zero().coords, fld.embed(1).coords]
-
-
 def test_roots_examples():
     assert roots_in([-2, 0, 1], 7, 1) == [(3, 1), (4, 1)]
     assert roots_in([1, 0, 1], 7, 1) == []
     r2 = roots_in([1, 0, 1], 7, 2)
     assert len(r2) == 2 and all(m == 1 for _, m in r2)
-    fld = make_extension(7, 2)
     for r, _ in r2:
         assert (r * r + 1).is_zero()
 
@@ -87,6 +77,66 @@ def test_roots_multiplicity():
 
 
 def test_factor_list_str():
-    fl = FactorList(7, 1, 2, (((1, 0, 1), 2), ((3, 1), 1)))
-    s = str(fl)
-    assert "x^2" in s and "^2" in s
+    fl = FactorList(7, 2, (((1, 0, 1), 2), ((3, 1), 1)))
+    assert str(fl) == "2 * (x^2 + 1)^2 (x + 3)"
+
+
+def _eval(f, x):
+    acc = x.field.zero()
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _roots_by_search(f, p):
+    """Roots of f in F_(p^2) with multiplicities, by evaluating f and its
+    derivatives at all p^2 elements (valid for multiplicities below p)."""
+    fld = make_extension(p, 2)
+    f = [c if isinstance(c, FqElem) else fld.embed(c) for c in f]
+    derivs = [f]
+    while len(derivs[-1]) > 1:
+        g = derivs[-1]
+        derivs.append([g[k] * k for k in range(1, len(g))])
+    out = []
+    for a in range(p):
+        for b in range(p):
+            x = fld.elem((a, b))
+            m = 0
+            while m < len(derivs) and _eval(derivs[m], x).is_zero():
+                m += 1
+            if m:
+                out.append((x.coords, m))
+    return sorted(out)
+
+
+def _mul(f, g):
+    out = [f[0].field.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def test_roots_in_fp2_against_search():
+    rng = random.Random(52)
+    for p in primes_in(7, 31):
+        fld = make_extension(p, 2)
+        one = fld.one()
+        while True:
+            cubic = [rng.randrange(p) for _ in range(3)] + [1]
+            if mp.is_irreducible(cubic, p):
+                break
+        a, b = fld.rand(rng), fld.rand(rng)
+        lead = fld.elem((rng.randrange(1, p), rng.randrange(p)))
+        double_a = _mul([-a, one], [-a, one])
+        cases = [
+            [fld.rand(rng) for _ in range(rng.randrange(1, 7))] + [lead],
+            _mul(double_a, _mul([-b, one], [fld.rand(rng), lead])),
+            # the roots of the cubic lie in F_(p^3), outside F_(p^2)
+            _mul(double_a, [fld.embed(c) for c in cubic]),
+            [rng.randrange(p) for _ in range(rng.randrange(1, 7))] + [rng.randrange(1, p)],
+        ]
+        for f in cases:
+            got = [(r.coords, m) for r, m in roots_in(f, p, 2)]
+            assert got == _roots_by_search(f, p), (p, f)
+        assert roots_in(cases[2], p, 2) == [(a, 2)]

@@ -57,6 +57,17 @@ def test_root_outside_fp2_is_rejected(monkeypatch):
         verify_fricke(7)
 
 
+def test_root_of_R5_outside_fp2_is_rejected(monkeypatch):
+    # the one supersingular j at p = 7 is 6; this R5_C makes
+    # R5(6, Y) = Y^3 (Y^3 - 2), and 2 is not a cube in F_49
+    js = supersingular_j_fp2(7)
+    assert [j.coords for j in js] == [(6, 0)]
+    c = [g + 6 * b for g, b in zip((-36, 0, 0, -2, 0, 0, 1), fricke.R5_B + (0,))]
+    monkeypatch.setattr(fricke, "R5_C", tuple(c))
+    with pytest.raises(RootOutsideQuadraticField):
+        _fricke_values_from_R5(7, js)
+
+
 def test_supersingular_count():
     from hasse5.hasse import build_ss
 
@@ -111,7 +122,6 @@ def test_ss5star_matches_fp2_route():
         _check_against_fp2_route(p)
 
 
-@pytest.mark.heavy
 def test_ss5star_matches_fp2_route_to_1000():
     # every 10th prime past the range above, and the last below 1000
     for p in primes_in(200, 1000)[::10] + [997]:

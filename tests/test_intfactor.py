@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from hasse5.intfactor import (
     UnresolvedCofactor,
     factor_integer,
     from_factors,
-    gcd_big,
     is_prime,
     primes_in,
 )
@@ -59,21 +57,6 @@ def test_roundtrip_random():
         f = factor_integer(n)
         assert f.value() == n
         assert list(f.factors) == sorted(f.factors)
-
-
-def test_gcd_examples():
-    assert gcd_big(0, 0) == 0
-    assert gcd_big(2**4 * 5**3, 2**2 * 5**4) == 2**2 * 5**3
-
-
-def test_gcd_against_math():
-    rng = random.Random(2)
-    for _ in range(300):
-        a, b = rng.randrange(-(2**64), 2**64), rng.randrange(-(2**64), 2**64)
-        g = gcd_big(a, b)
-        assert g == math.gcd(a, b)
-        if g:
-            assert a % g == 0 and b % g == 0
 
 
 def test_from_factors():
