@@ -12,8 +12,9 @@ special factor families, the large exact resultants
 (and the companion Rbar with ebar5 in the second argument), and the fact that
 the 60 roots of G(x^5, j) form a single G60-orbit.
 
-All resultants run over Z[zeta_5] after clearing the single denominator 2, so
-the Bareiss elimination stays in integral cyclotomic arithmetic.
+Each resultant is a 10x10 Sylvester determinant over Z[zeta_5][x], after
+clearing the single denominator 2, computed multimodularly by
+:mod:`hasse5.cycres`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import VerificationError
 from .fp import golden_units, make_extension
 from .hasse import g_of_xj_coeffs
 from .numfield import CycNum, QuadElem
-from .poly import Poly, compose_rational, resultant
+from .poly import Poly, compose_rational
 
 
 class RelationFailure(VerificationError):
@@ -309,12 +310,9 @@ def _pow5_linear(a: CycNum, b: CycNum) -> Poly:
     return Poly([b, a]) ** 5
 
 
-def icosa_resultant(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> Poly:
-    """Res_y of the invariant-surface polynomial against its (M1, M2)-transform.
-
-    variant 'eps' uses e5 in the transformed argument, 'epsbar' uses ebar5.
-    Returns a Poly in x with CycNum coefficients.
-    """
+def surface_pair(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> tuple[Poly, Poly]:
+    """2*P1 and 2*P2, the invariant-surface polynomial and its (M1, M2)-transform,
+    as polynomials in y over Z[zeta][x]."""
     e5 = CycNum.eps5()
     ebar = CycNum.eps5bar() if variant == "epsbar" else e5
     two = CycNum(2)
@@ -337,13 +335,26 @@ def icosa_resultant(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> Poly:
     for k in range(6):
         rows.append(u * cy2[k] + v * ay2[k])
     p2 = Poly(rows)
+    return p1, p2
 
-    # 2^10 from clearing the half-integral eps constants, den^25 per matrix:
-    # the clearing factors enter to the 5th power in y and the resultant raises
-    # the second argument's scale to deg_y(P1) = 5 (and vice versa)
-    res = resultant(p1, p2)
-    divisor = (m1.den * m2.den) ** 25 * 1024
-    return res.map(lambda c: _cyc(c) / divisor)
+
+def resultant_divisor(m1: MobiusMap, m2: MobiusMap) -> CycNum:
+    """2^10 from clearing the half-integral eps constants, den^25 per matrix:
+    the clearing factors enter to the 5th power in y and the resultant raises
+    the second argument's scale to deg_y(P1) = 5 (and vice versa)."""
+    return (m1.den * m2.den) ** 25 * 1024
+
+
+def icosa_resultant(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> Poly:
+    """Res_y of the invariant-surface polynomial against its (M1, M2)-transform.
+
+    variant 'eps' uses e5 in the transformed argument, 'epsbar' uses ebar5.
+    Returns a Poly in x with CycNum coefficients.
+    """
+    from . import cycres  # here, not at the top: only the ledger needs it, so CLI startup skips it
+
+    divisor = resultant_divisor(m1, m2)
+    return cycres.resultant(*surface_pair(m1, m2, variant)).map(lambda c: c / divisor)
 
 
 def norm_to_Q(f: Poly) -> Poly:

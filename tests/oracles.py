@@ -6,9 +6,10 @@ elliptic curve orders by literal point counting, F_{p^2} is built directly
 from a non-residue, and irreducibility by exhaustive divisor search.  The one
 exceptions are the routes the package replaced, kept to check the new ones
 against a different algorithm: ``census_by_factoring``, the census by a full
-Cantor-Zassenhaus factorization of the Hasse invariant, and
+Cantor-Zassenhaus factorization of the Hasse invariant,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
-Phi5(x^p, x) by repeated division.
+Phi5(x^p, x) by repeated division, and ``icosa_resultant_bareiss``, the
+icosahedral resultant by Bareiss elimination over Z[zeta_5][x].
 """
 
 from __future__ import annotations
@@ -212,3 +213,15 @@ def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:
         out.append((coeffs, 2 * mult))
     out.sort(key=lambda t: (len(t[0]) - 1, t[0]))
     return out
+
+
+def icosa_resultant_bareiss(m1, m2, variant: str = "eps"):
+    """``icosa_resultant(m1, m2, variant)`` with the Sylvester determinant
+    taken by Bareiss elimination over Z[zeta_5][x]."""
+    from hasse5.icosa import resultant_divisor, surface_pair
+    from hasse5.numfield import CycNum
+    from hasse5.poly import resultant
+
+    divisor = resultant_divisor(m1, m2)
+    det = resultant(*surface_pair(m1, m2, variant))
+    return det.map(lambda c: (c if isinstance(c, CycNum) else CycNum(c)) / divisor)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hasse5
-from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod, modeq
+from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod, icosa, modeq
 from hasse5.cli import main
 
 
@@ -103,6 +103,18 @@ def test_charzero_fast(capsys):
     code, out = run_cli(capsys, "charzero", "--suite", "fast")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_charzero_heavy_rejects_a_wrong_printed_block(capsys, monkeypatch):
+    # one coefficient of the printed block p_11 changed: the two ledger rows
+    # compared with the printed factorizations fail, and every other row passes
+    monkeypatch.setitem(icosa.P_D, 11, (1, 1, 2, -1, 1))
+    code, out = run_cli(capsys, "charzero", "--suite", "heavy", "--format", "json")
+    status = {row["check"]: row["status"] for row in map(json.loads, out.splitlines())}
+    failed = {name for name, st in status.items() if st != "PASS"}
+    assert failed == {"icosahedral ledger: R_TT_printed", "icosahedral ledger: N_R_AA_printed"}
+    assert all(status[name] == "FAIL" for name in failed)
+    assert len(status) == 24 and code == 1
 
 
 def test_cache_roundtrip(tmp_path, capsys):

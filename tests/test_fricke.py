@@ -122,6 +122,7 @@ def test_ss5star_matches_fp2_route():
         _check_against_fp2_route(p)
 
 
+@pytest.mark.heavy
 def test_ss5star_matches_fp2_route_to_1000():
     # every 10th prime past the range above, and the last below 1000
     for p in primes_in(200, 1000)[::10] + [997]:
