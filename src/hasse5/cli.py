@@ -26,11 +26,14 @@ SCHEMA = 1
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        primes = primes_in(int(lo), int(hi))
+    try:
+        bounds = [int(part) for part in spec.split("..", 1)]
+    except ValueError:
+        raise SystemExit(f"error: malformed range {spec!r}; expected a prime P or a range LO..HI") from None
+    if len(bounds) == 2:
+        primes = primes_in(*bounds)
     else:
-        n = int(spec)
+        n = bounds[0]
         if not is_prime(n):
             raise SystemExit(f"error: {n} is not prime")
         primes = [n]

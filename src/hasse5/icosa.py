@@ -26,8 +26,8 @@ from functools import lru_cache
 from . import VerificationError
 from .fp import golden_units, make_extension
 from .hasse import g_of_xj_coeffs
-from .numfield import CycNum, QuadElem
-from .poly import Poly, compose_rational
+from .numfield import CycNum
+from .poly import Poly, compose_rational, galois_norm
 
 
 class RelationFailure(VerificationError):
@@ -189,24 +189,19 @@ def _coset_key(maps: list[MobiusMap]) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Resolvent of the quartic family and the tau-covariance identities (exact,
-# over Q(sqrt 5), with the parameter symbolic).
-
-
-def _eps_q5() -> tuple[QuadElem, QuadElem]:
-    e5 = QuadElem(5, Fraction(-11, 2), Fraction(5, 2))
-    return e5, QuadElem(5, -11, 0) - e5
+# over Q(sqrt 5) inside Q(zeta_5), with the parameter symbolic).
 
 
 def resolvent_theta_identity() -> bool:
     """Theta2 * Theta3 = (a^2/16)(a^2 - 44a - 16) = -(a^2/4) Theta1, with a symbolic."""
-    e5, e5b = _eps_q5()
-    a = Poly([QuadElem(5, 0), QuadElem(5, 1)])
-    quarter = QuadElem(5, Fraction(1, 4))
+    e5, e5b = CycNum.eps5(), CycNum.eps5bar()
+    a = Poly([CycNum(0), CycNum(1)])
+    quarter = CycNum(Fraction(1, 4))
     th1 = -(a * a - 44 * a - 16) * quarter
     th2 = -(a * (a * quarter + e5b))
     th3 = -(a * (a * quarter + e5))
     lhs = th2 * th3
-    rhs = a * a * (a * a - 44 * a - 16) * QuadElem(5, Fraction(1, 16))
+    rhs = a * a * (a * a - 44 * a - 16) * CycNum(Fraction(1, 16))
     return lhs == rhs and lhs == -(a * a) * quarter * th1
 
 
@@ -273,12 +268,12 @@ def resolvent_identities(l: int, trials: int) -> bool:
 def tau_covariance() -> bool:
     """The exact covariance identities of the factor families under
     tau(x) = (-x + e5)/(e5 x + 1), with the family parameter symbolic."""
-    e5, e5b = _eps_q5()
-    one = QuadElem(5, 1)
-    s5 = QuadElem(5, 0, 1)
+    e5, e5b = CycNum.eps5(), CycNum.eps5bar()
+    one = CycNum(1)
+    s5 = CycNum.sqrt5()
 
     # quartic family, parameter a: (e5 x + 1)^4 g(tau(x)) = 125 e5^2 g(x)
-    a = Poly([QuadElem(5, 0), QuadElem(5, 1)])
+    a = Poly([CycNum(0), one])
     gpoly = Poly([Poly([one]), -a, 11 * a + 2, a, Poly([one])])
     num = Poly([Poly([e5]), Poly([-one])])
     den = Poly([Poly([one]), Poly([e5])])
@@ -288,7 +283,7 @@ def tau_covariance() -> bool:
 
     # quadratic family, parameter s with r = e5 (s - 1):
     # (e5 x + 1)^2 k(tau(x)) = 5 sqrt(5) e5 k(x)
-    s = Poly([QuadElem(5, 0), QuadElem(5, 1)])
+    s = Poly([CycNum(0), one])
     kpoly = Poly([s, (s - 1) * e5, Poly([one])])
     lhs2 = compose_rational(kpoly, num, den)
     if lhs2 != kpoly * Poly([5 * s5 * e5]):
@@ -360,10 +355,7 @@ def icosa_resultant(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> Poly:
 def norm_to_Q(f: Poly) -> Poly:
     """Product of the four Galois conjugates of a CycNum-coefficient polynomial;
     the result must have rational coefficients."""
-    out = Poly([CycNum(1)])
-    for k in range(1, 5):
-        out = out * f.map(lambda c: _cyc(c).galois(k))
-    return out.map(lambda c: _cyc(c).rational())
+    return galois_norm(f.map(_cyc))
 
 
 # irreducible blocks read from the two fully printed resultants (ascending)
@@ -388,12 +380,9 @@ def p_d(d: int) -> Poly:
 
 
 def q_d(d: int) -> Poly:
-    """q_d(x) = prod_{i=1..4} p_d(zeta^i x), rational."""
-    out = Poly([CycNum(1)])
-    for i in range(1, 5):
-        z = CycNum.zeta(i)
-        out = out * Poly([c * z**k for k, c in enumerate(P_D[d])])
-    return out.map(lambda c: _cyc(c).rational())
+    """q_d(x) = prod_{i=1..4} p_d(zeta^i x), the norm of p_d(zeta x)."""
+    z = CycNum.zeta()
+    return galois_norm(Poly([c * z**k for k, c in enumerate(P_D[d])]))
 
 
 def expected_R_TT() -> Poly:

@@ -32,7 +32,7 @@ from .ffactor import factor_ff
 from .fp import legendre
 from .hasse import C4, DEN_J, build_ss
 from .numfield import BiQuadElem, QuadElem
-from .poly import BiPoly, Poly, discriminant, resultant
+from .poly import BiPoly, Poly, discriminant, galois_norm, resultant
 
 # ---------------------------------------------------------------------------
 # The de-symmetrized modular polynomial Q5(u, v):  Q5[i][j] = coeff of u^i v^j.
@@ -545,54 +545,29 @@ GD_PARAM_BIQUAD = {
 }
 
 
-def _g_shape(a) -> Poly:
-    return Poly([1, -a, 11 * a + 2, a, 1])
+def gd_param(d: int):
+    """The Table-2 parameter a of g_d, in its coefficient field."""
+    if d in GD_PARAM_INT:
+        return GD_PARAM_INT[d]
+    if d in GD_PARAM_QUAD:
+        return QuadElem(*GD_PARAM_QUAD[d])
+    return BiQuadElem(*GD_PARAM_BIQUAD[d])
 
 
 def gd_poly(d: int):
     """The Table-2 quartic g_d over its coefficient field."""
-    if d in GD_PARAM_INT:
-        return _g_shape(GD_PARAM_INT[d])
-    if d in GD_PARAM_QUAD:
-        m, a0, a1 = GD_PARAM_QUAD[d]
-        return _g_shape(QuadElem(m, a0, a1))
-    m1, m2, c0, c1, c2, c3 = GD_PARAM_BIQUAD[d]
-    return _g_shape(BiQuadElem(m1, m2, c0, c1, c2, c3))
+    a = gd_param(d)
+    return Poly([1, -a, 11 * a + 2, a, 1])
 
 
 def qd_poly(d: int) -> Poly:
     """Q_d = product of the Galois conjugates of g_d; integer coefficients."""
     if d == 20:
         return Poly([1, -22, -6, 22, 1])
-    if d in GD_PARAM_INT:
-        return gd_poly(d)
-    if d in GD_PARAM_QUAD:
-        g = gd_poly(d)
-        q = g * g.map(lambda c: c.conj() if isinstance(c, QuadElem) else c)
-        return q.map(_rat_int)
-    g = gd_poly(d)
-    q = Poly([1])
-    for fs in (False, True):
-        for ft in (False, True):
-            q = q * g.map(lambda c: c.conj(fs, ft) if isinstance(c, BiQuadElem) else c)
-    return q.map(_rat_int)
-
-
-def _rat_int(c):
-    if isinstance(c, QuadElem):
-        if c.b != 0:
-            raise NonExactSplit("conjugate product not rational")
-        v = c.a
-    elif isinstance(c, BiQuadElem):
-        if not c.is_rational():
-            raise NonExactSplit("conjugate product not rational")
-        v = c.c[0]
-    else:
-        v = c
-    iv = int(v)
-    if iv != v:
-        raise NonExactSplit("conjugate product not integral")
-    return iv
+    q = galois_norm(gd_poly(d))
+    if any(int(c) != c for c in q.c):
+        raise NonExactSplit(f"the conjugate product of g_{d} is not integral")
+    return q.map(int)
 
 
 def fd_poly(d: int) -> Poly:
@@ -640,12 +615,5 @@ def qd_disc(d: int) -> int:
 
 def table5_value(d: int):
     """a^2 - 44a - 16 for the Table-2 parameter a, in the coefficient field."""
-    if d in GD_PARAM_INT:
-        a = GD_PARAM_INT[d]
-    elif d in GD_PARAM_QUAD:
-        m, a0, a1 = GD_PARAM_QUAD[d]
-        a = QuadElem(m, a0, a1)
-    else:
-        m1, m2, c0, c1, c2, c3 = GD_PARAM_BIQUAD[d]
-        a = BiQuadElem(m1, m2, c0, c1, c2, c3)
+    a = gd_param(d)
     return a * a - 44 * a - 16

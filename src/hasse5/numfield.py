@@ -7,6 +7,16 @@ Three small field types, all with rational (Fraction/int) coordinates:
 * ``CycNum``     -- c0 + c1*z + c2*z^2 + c3*z^3 in Q(z), z a primitive 5th
   root of unity (z^4 = -1 - z - z^2 - z^3), with sqrt(5) = 1 + 2(z + z^4).
 
+Each type supplies only what is particular to its field: the coordinate
+layout (the radicands in ``_field`` and the coordinate tuple ``c``), its
+own ``__mul__``, and its Galois group ``GALOIS``, a table of coordinate
+matrices with the identity first (row i is the image of basis element i).
+The shared base ``FieldElem`` derives the rest: the ring operations and
+``__pow__``, ``conjugates()``, ``norm()`` (the product of the conjugates,
+checked to be rational) and division (multiply by the other conjugates, then
+divide by the norm).  Elements of different fields never mix: arithmetic
+between them raises ``TypeError``.
+
 Coordinates stay plain ``int`` whenever possible so the hot resultant paths
 avoid Fraction overhead; a Fraction coordinate is normalized back to ``int``
 when its denominator is 1.
@@ -24,42 +34,57 @@ def _q(x):
     return x
 
 
-class QuadElem:
-    """a + b*sqrt(m) with exact rational a, b."""
+def _exact_or_fraction(x, d):
+    if isinstance(x, int) and isinstance(d, int):
+        q, r = divmod(x, d)
+        if r == 0:
+            return q
+    return _q(Fraction(x) / d)
 
-    __slots__ = ("m", "a", "b")
 
-    def __init__(self, m: int, a=0, b=0):
-        self.m = m
-        self.a = _q(a)
-        self.b = _q(b)
+def _diag(*signs) -> tuple:
+    """The coordinate matrix of an automorphism that only flips signs."""
+    return tuple(tuple(s if i == j else 0 for j in range(len(signs))) for i, s in enumerate(signs))
 
-    def _lift(self, other) -> "QuadElem":
-        if isinstance(other, QuadElem):
-            if other.m != self.m:
-                raise TypeError(f"mixed radicands {self.m} and {other.m}")
+
+class FieldElem:
+    """Shared arithmetic of the number field types; see the module docstring."""
+
+    __slots__ = ("c",)
+    GALOIS: tuple
+    _field: tuple = ()  # the constructor arguments that fix the field (its radicands)
+
+    def _new(self, coords) -> "FieldElem":
+        return type(self)(*self._field, *coords)
+
+    def _lift(self, other):
+        """other as an element of this field; NotImplemented for a non-number."""
+        if type(other) is type(self) and other._field == self._field:
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.m, other)
+            return self._new((other,) + (0,) * (len(self.c) - 1))
+        if isinstance(other, FieldElem):
+            raise TypeError(f"mixed number fields: {self!r} and {other!r}")
         return NotImplemented
 
     def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, (int, Fraction)):
+            return self.c[0] == other and self.is_rational()
+        if type(other) is type(self) and other._field == self._field:
+            return self.c == other.c
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.m, self.a, self.b))
+        return hash((self._field, self.c))
 
     def __neg__(self):
-        return QuadElem(self.m, -self.a, -self.b)
+        return self._new([-x for x in self.c])
 
     def __add__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadElem(self.m, self.a + o.a, self.b + o.b)
+        return self._new([x + y for x, y in zip(self.c, o.c)])
 
     __radd__ = __add__
 
@@ -67,10 +92,96 @@ class QuadElem:
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        return QuadElem(self.m, self.a - o.a, self.b - o.b)
+        return self._new([x - y for x, y in zip(self.c, o.c)])
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def _image(self, rows) -> "FieldElem":
+        """Apply the automorphism with coordinate matrix rows."""
+        out = [0] * len(self.c)
+        for coord, row in zip(self.c, rows):
+            if coord == 0:
+                continue
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += coord * r
+        return self._new(out)
+
+    def conjugates(self) -> list:
+        """The images under GALOIS, this element first."""
+        return [self] + [self._image(rows) for rows in self.GALOIS[1:]]
+
+    def _cofactor(self):
+        """The product of the conjugates other than this element."""
+        out, *rest = self.conjugates()[1:]
+        for g in rest:
+            out = out * g
+        return out
+
+    def norm(self):
+        return (self * self._cofactor()).rational()
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._new([_exact_or_fraction(x, other) for x in self.c])
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        cof = o._cofactor()
+        n = (o * cof).rational()
+        if n == 0:
+            raise ZeroDivisionError(f"division by zero in {type(self).__name__}")
+        return (self * cof) / n
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return (1 / self) ** (-e)
+        out = self._lift(1)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return out
+
+    def is_rational(self) -> bool:
+        return not any(self.c[1:])
+
+    def rational(self):
+        if not self.is_rational():
+            raise ArithmeticError(f"{self!r} is not rational")
+        return self.c[0]
+
+
+class QuadElem(FieldElem):
+    """a + b*sqrt(m) with exact rational a, b."""
+
+    __slots__ = ("m",)
+    GALOIS = (_diag(1, 1), _diag(1, -1))
+
+    def __init__(self, m: int, a=0, b=0):
+        self.m = m
+        self.c = (_q(a), _q(b))
+
+    @property
+    def _field(self) -> tuple:
+        return (self.m,)
+
+    @property
+    def a(self):
+        return self.c[0]
+
+    @property
+    def b(self):
+        return self.c[1]
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -82,45 +193,11 @@ class QuadElem:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "QuadElem":
-        return QuadElem(self.m, self.a, -self.b)
-
-    def norm(self):
-        return _q(self.a * self.a - self.m * self.b * self.b)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.m, Fraction(self.a, 1) / other, Fraction(self.b, 1) / other)
-        o = self._lift(other)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quadratic element")
-        t = self * o.conj()
-        return QuadElem(self.m, Fraction(t.a, 1) / n, Fraction(t.b, 1) / n)
-
-    def __rtruediv__(self, other):
-        return QuadElem(self.m, other) / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (QuadElem(self.m, 1) / self) ** (-e)
-        out = QuadElem(self.m, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self):
         return f"({self.a}+{self.b}*sqrt({self.m}))"
 
 
-class BiQuadElem:
+class BiQuadElem(FieldElem):
     """c0 + c1*s + c2*t + c3*s*t over Q, with s^2 = m1, t^2 = m2.
 
     The product of the two radicals is represented by the basis element s*t,
@@ -128,50 +205,18 @@ class BiQuadElem:
     in a printed constant denotes via the sign of the c3 coordinate.
     """
 
-    __slots__ = ("m1", "m2", "c")
+    __slots__ = ("m1", "m2")
+    # s -> +-s and t -> +-t independently
+    GALOIS = tuple(_diag(1, s, t, s * t) for s in (1, -1) for t in (1, -1))
 
     def __init__(self, m1: int, m2: int, c0=0, c1=0, c2=0, c3=0):
         self.m1 = m1
         self.m2 = m2
         self.c = (_q(c0), _q(c1), _q(c2), _q(c3))
 
-    def _lift(self, other) -> "BiQuadElem":
-        if isinstance(other, BiQuadElem):
-            if (other.m1, other.m2) != (self.m1, self.m2):
-                raise TypeError("mixed biquadratic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiQuadElem(self.m1, self.m2, other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.c == o.c
-
-    def __hash__(self):
-        return hash((self.m1, self.m2, self.c))
-
-    def __neg__(self):
-        return BiQuadElem(self.m1, self.m2, *(-x for x in self.c))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return BiQuadElem(self.m1, self.m2, *(x + y for x, y in zip(self.c, o.c)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return BiQuadElem(self.m1, self.m2, *(x - y for x, y in zip(self.c, o.c)))
-
-    def __rsub__(self, other):
-        return (-self) + other
+    @property
+    def _field(self) -> tuple:
+        return (self.m1, self.m2)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -190,62 +235,21 @@ class BiQuadElem:
 
     __rmul__ = __mul__
 
-    def conj(self, flip_s: bool, flip_t: bool) -> "BiQuadElem":
-        c0, c1, c2, c3 = self.c
-        if flip_s:
-            c1, c3 = -c1, -c3
-        if flip_t:
-            c2, c3 = -c2, -c3
-        return BiQuadElem(self.m1, self.m2, c0, c1, c2, c3)
-
-    def conjugates(self):
-        return [self.conj(fs, ft) for fs in (False, True) for ft in (False, True)]
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiQuadElem(self.m1, self.m2, *(Fraction(x, 1) / other for x in self.c))
-        o = self._lift(other)
-        prod = BiQuadElem(self.m1, self.m2, 1)
-        for g in (o.conj(True, False), o.conj(False, True), o.conj(True, True)):
-            prod = prod * g
-        n = (o * prod).c
-        if n[1:] != (0, 0, 0) or n[0] == 0:
-            raise ZeroDivisionError("norm not rational or zero")
-        t = self * prod
-        return BiQuadElem(self.m1, self.m2, *(Fraction(x, 1) / n[0] for x in t.c))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (BiQuadElem(self.m1, self.m2, 1) / self) ** (-e)
-        out = BiQuadElem(self.m1, self.m2, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    def is_rational(self) -> bool:
-        return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
-
     def __repr__(self):
         return f"BiQuad[{self.m1},{self.m2}]{self.c}"
 
 
-_CYC_SIGMA = {
-    # sigma_k: z -> z^k expressed on the basis (1, z, z^2, z^3); z^4 = -1-z-z^2-z^3
-    1: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    2: ((1, 0, 0, 0), (0, 0, 1, 0), (-1, -1, -1, -1), (0, 1, 0, 0)),
-    3: ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (-1, -1, -1, -1)),
-    4: ((1, 0, 0, 0), (-1, -1, -1, -1), (0, 0, 0, 1), (0, 0, 1, 0)),
-}
-
-
-class CycNum:
+class CycNum(FieldElem):
     """Element of Q(z), z a fixed primitive 5th root of unity."""
 
-    __slots__ = ("c",)
+    __slots__ = ()
+    # sigma_k: z -> z^k for k = 1..4, on the basis (1, z, z^2, z^3); z^4 = -1-z-z^2-z^3
+    GALOIS = (
+        _diag(1, 1, 1, 1),
+        ((1, 0, 0, 0), (0, 0, 1, 0), (-1, -1, -1, -1), (0, 1, 0, 0)),
+        ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (-1, -1, -1, -1)),
+        ((1, 0, 0, 0), (-1, -1, -1, -1), (0, 0, 0, 1), (0, 0, 1, 0)),
+    )
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
         self.c = (_q(c0), _q(c1), _q(c2), _q(c3))
@@ -273,42 +277,6 @@ class CycNum:
     def eps5bar(cls) -> "CycNum":
         return (cls(-11) - 5 * cls.sqrt5()) / 2
 
-    def _lift(self, other) -> "CycNum":
-        if isinstance(other, CycNum):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycNum(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.c == o.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __neg__(self):
-        return CycNum(*(-x for x in self.c))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CycNum(*(x + y for x, y in zip(self.c, o.c)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return CycNum(*(x - y for x, y in zip(self.c, o.c)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CycNum(*(x * other for x in self.c))
@@ -335,64 +303,7 @@ class CycNum:
 
     def galois(self, k: int) -> "CycNum":
         """Apply z -> z^k (k in 1..4)."""
-        rows = _CYC_SIGMA[k]
-        out = [0, 0, 0, 0]
-        for i, coord in enumerate(self.c):
-            if coord == 0:
-                continue
-            row = rows[i]
-            for j in range(4):
-                if row[j]:
-                    out[j] += coord * row[j]
-        return CycNum(*out)
-
-    def norm(self):
-        t = self * self.galois(2) * self.galois(3) * self.galois(4)
-        if t.c[1:] != (0, 0, 0):
-            raise ArithmeticError("norm computation produced non-rational value")
-        return t.c[0]
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycNum(*(_exact_or_fraction(x, other) for x in self.c))
-        o = self._lift(other)
-        cof = o.galois(2) * o.galois(3) * o.galois(4)
-        n = (o * cof).c[0]
-        if n == 0:
-            raise ZeroDivisionError("division by zero cyclotomic element")
-        t = self * cof
-        return CycNum(*(_exact_or_fraction(x, n) for x in t.c))
-
-    def __rtruediv__(self, other):
-        return CycNum(other) / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (CycNum(1) / self) ** (-e)
-        out = CycNum(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    def is_rational(self) -> bool:
-        return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
-
-    def rational(self):
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.c[0]
+        return self._image(self.GALOIS[k - 1])
 
     def __repr__(self):
         return f"Cyc{self.c}"
-
-
-def _exact_or_fraction(x, d):
-    if isinstance(x, int) and isinstance(d, int):
-        q, r = divmod(x, d)
-        if r == 0:
-            return q
-    return _q(Fraction(x) / d)

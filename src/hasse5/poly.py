@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .numfield import FieldElem
+
 
 class ZeroInput(ZeroDivisionError):
     """Resultant of a zero polynomial."""
@@ -197,6 +199,20 @@ class Poly:
 
 def _as_poly(v) -> Poly:
     return v if isinstance(v, Poly) else Poly([v])
+
+
+def galois_norm(f: Poly) -> Poly:
+    """The product of the Galois conjugates of f, returned over Q.
+
+    The coefficients of f are rationals and elements of one number field;
+    a polynomial with rational coefficients is its own norm.
+    """
+    conj = [c.conjugates() if isinstance(c, FieldElem) else None for c in f.c]
+    n = max((len(cs) for cs in conj if cs), default=1)
+    out = f
+    for i in range(1, n):
+        out = out * Poly([c if cs is None else cs[i] for c, cs in zip(f.c, conj)])
+    return out.map(lambda c: c.rational() if isinstance(c, FieldElem) else c)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

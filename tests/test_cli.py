@@ -166,6 +166,13 @@ def test_removed_flags_are_usage_errors(capsys):
         assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["census", "abc"], ["census", "7.."], ["fricke", "10**3"]])
+def test_malformed_range_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == f"error: malformed range {argv[1]!r}; expected a prime P or a range LO..HI"
+
+
 def test_failed_verification_is_a_fail_row(tmp_path, capsys, monkeypatch):
     real_census = census_mod.census
 

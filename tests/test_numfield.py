@@ -1,6 +1,13 @@
+import operator
+import random
 from fractions import Fraction
+from math import prod
 
+import pytest
+
+from hasse5.icosa import P_D, q_d
 from hasse5.numfield import BiQuadElem, CycNum, QuadElem
+from hasse5.poly import Poly, galois_norm
 
 
 def test_quad_field_ops():
@@ -32,7 +39,8 @@ def test_biquad_ops():
     assert s * s == -3 and t * t == -7 and st * st == 21
     assert s * t == st and s * st == -3 * t and t * st == -7 * s
     assert (x / y) * y == x
-    assert x.conj(True, True).conj(True, True) == x
+    both = x.conjugates()[3]  # s -> -s and t -> -t
+    assert both == BiQuadElem(-3, -7, 1, -2, 0, 1) and both.conjugates()[3] == x
 
 
 def test_cyc_relations():
@@ -71,3 +79,87 @@ def test_cyc_division_stays_integral_when_possible():
     q = x / (1 + z)
     assert q == 2 - z**2
     assert all(isinstance(c, int) for c in q.c)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the shared arithmetic, on seeded random elements of each field.
+
+FIELDS = {
+    "quad5": lambda *c: QuadElem(5, *c[:2]),
+    "quad-3": lambda *c: QuadElem(-3, *c[:2]),
+    "biquad-3-7": lambda *c: BiQuadElem(-3, -7, *c),
+    "biquad-2-3": lambda *c: BiQuadElem(-2, -3, *c),
+    "cyc5": lambda *c: CycNum(*c),
+}
+
+
+def _random_elems(make, seed: int, count: int = 12) -> list:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        x = make(*(Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7))) for _ in range(4)))
+        if x != 0:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_inverse_and_quotient(field):
+    xs = _random_elems(FIELDS[field], seed=1)
+    for x, y in zip(xs, xs[1:]):
+        assert x * (1 / x) == 1
+        assert (x / y) * y == x
+        assert x**-2 * x**2 == 1
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_norm_is_multiplicative_rational_product_of_conjugates(field):
+    xs = _random_elems(FIELDS[field], seed=2)
+    for x, y in zip(xs, xs[1:]):
+        n = x.norm()
+        assert isinstance(n, (int, Fraction)) and n != 0
+        assert prod(x.conjugates()) == n
+        assert (x * y).norm() == n * y.norm()
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_conjugates_of_a_conjugate_form_the_same_set(field):
+    for x in _random_elems(FIELDS[field], seed=3, count=4):
+        conj = x.conjugates()
+        assert conj[0] == x and len(set(conj)) == len(conj)
+        for y in conj:
+            assert set(y.conjugates()) == set(conj)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_galois_norm_is_multiplicative_and_rational(field):
+    xs = _random_elems(FIELDS[field], seed=4)
+    f = Poly(xs[:3] + [1])
+    g = Poly([xs[3], 5, xs[4]])
+    nf, ng, nfg = galois_norm(f), galois_norm(g), galois_norm(f * g)
+    assert nfg == nf * ng
+    assert nfg.degree == len(f.c[0].conjugates()) * (f * g).degree
+    assert all(isinstance(c, (int, Fraction)) for p in (nf, ng, nfg) for c in p.c)
+
+
+def test_galois_norm_of_a_rational_polynomial_is_itself():
+    f = Poly([1, Fraction(1, 2), -3])
+    assert galois_norm(f) == f
+
+
+@pytest.mark.parametrize("d", sorted(P_D))
+def test_q_d_is_the_product_over_powers_of_zeta(d):
+    explicit = prod((Poly([c * CycNum.zeta(i) ** k for k, c in enumerate(P_D[d])]) for i in range(1, 5)), start=Poly([1]))
+    assert all(c.is_rational() for c in explicit.c)
+    assert q_d(d) == explicit.map(lambda c: c.c[0])
+
+
+# one element from each field, two of them from different quadratic fields
+MIXED = [QuadElem(5, 1, 1), QuadElem(3, 1, 1), BiQuadElem(-3, -7, 1, 1), CycNum(1, 1)]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("i, j", [(i, j) for i in range(len(MIXED)) for j in range(len(MIXED)) if i != j])
+def test_mixed_fields_raise_type_error(op, i, j):
+    with pytest.raises(TypeError):
+        op(MIXED[i], MIXED[j])
