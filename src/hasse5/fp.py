@@ -1,14 +1,13 @@
-"""Prime fields F_l and explicit extensions F_{l^2}, F_{l^4}.
+"""Prime fields F_l and the explicit quadratic extension F_{l^2}.
 
-Prime field elements are plain ints reduced mod l; extension field elements
-are ``FqElem`` coordinate vectors over a deterministic defining polynomial
-(the lexicographically smallest monic irreducible of the requested degree, so
-test vectors are stable run to run).
+Prime field elements are plain ints reduced mod l; elements of F_{l^2} are
+``FqElem`` coordinate pairs over a deterministic defining polynomial (the
+lexicographically smallest monic irreducible quadratic, so test vectors are
+stable run to run).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,22 +134,6 @@ class ExtField:
     def rand(self, rng) -> "FqElem":
         return self.elem([rng.randrange(self.l) for _ in range(self.k)])
 
-    def roots_of_unity5(self) -> list["FqElem"]:
-        """Primitive 5th roots of unity in this field (empty if 5 does not divide q-1),
-        sorted by coordinate tuple for determinism."""
-        if (self.q - 1) % 5:
-            return []
-        rng = random.Random(5 * self.l + self.k)
-        while True:
-            u = self.rand(rng)
-            if u.is_zero():
-                continue
-            z = u ** ((self.q - 1) // 5)
-            if z != self.one():
-                break
-        roots = sorted({(z**i).coords for i in range(1, 5)})
-        return [FqElem(self, r) for r in roots]
-
 
 class FqElem:
     __slots__ = ("field", "coords")
@@ -176,6 +159,9 @@ class FqElem:
         return self.coords == o.coords
 
     def __hash__(self):
+        # an element of the prime field hashes like the int in [0, l) it equals
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
         return hash((self.field.l, self.field.k, self.coords))
 
     def __neg__(self):
@@ -293,18 +279,12 @@ class FqElem:
 
 @lru_cache(maxsize=None)
 def make_extension(l: int, k: int) -> ExtField:
-    """Deterministic F_{l^k}: smallest monic irreducible of degree k in
-    lexicographic order on the coefficient tuple (c_{k-1}, ..., c_0)."""
-    if k == 1:
-        return ExtField(l, 1, (0, 1))
-    if k not in (2, 4):
-        raise ValueError("only extension degrees 2 and 4 are supported")
-    for high in itertools.product(range(l), repeat=k - 1):
-        # high = (c_{k-1}, ..., c_1); scan constant term last
-        for c0 in range(l):
-            coeffs = (c0,) + tuple(reversed(high)) + (1,)
-            if c0 == 0:
-                continue  # divisible by x
-            if mp.is_irreducible(coeffs, l):
-                return ExtField(l, k, coeffs)
+    """Deterministic F_{l^2} (k must be 2): x^2 + c1 x + c0 for the smallest
+    (c1, c0) in lexicographic order that is irreducible."""
+    if k != 2:
+        raise ValueError("only the extension degree 2 is supported")
+    for c1 in range(l):
+        for c0 in range(1, l):
+            if mp.is_irreducible((c0, c1, 1), l):
+                return ExtField(l, 2, (c0, c1, 1))
     raise RuntimeError("no irreducible polynomial found (impossible)")

@@ -12,10 +12,12 @@ R5(X, Y)), and its linear factors are counted as deg gcd(ss5star_p, Y^p - Y).
 The verdict also checks that ss5star_p divides Y^(p^2) - Y, i.e. that every
 j5* lies in F_{p^2}.
 
-The route through F_{p^2} is kept as a cross-check: the supersingular j as
-elements of F_{p^2}, the roots j5* of each R5(j, Y) found there, and a second,
-independent construction of the same value set through the genus-zero
-parametrization (j, j5*) = (-(z^2+12z+16)^3/(z+11), -(z^2+4)/(z+11)).
+The genus-zero parametrization (j, j5*) = (-(z^2+12z+16)^3/(z+11),
+-(z^2+4)/(z+11)) of the Fricke curve gives a second construction over F_p: the
+same norm, taken of ss_p(j(z)) (cleared of its denominator) over the quadratic
+z^2 + Y z + 11Y + 4 whose roots z have j5*(z) = Y.  Its squarefree part must
+be ss5star_p again.  The values j5* found one by one in F_{p^2}, from the
+supersingular j in F_{p^2}, are kept as a test oracle for both.
 """
 
 from __future__ import annotations
@@ -125,44 +127,29 @@ def _fricke_values_from_R5(p: int, js: list[FqElem]) -> set:
     return out
 
 
-def _fricke_values_from_zparam(p: int, js: list[FqElem]) -> set:
-    """The same value set through the z-parametrization: for each supersingular j,
-    eliminate z between (z^2+12z+16)^3 + j (z+11) and z^2 + t z + (11 t + 4)."""
-    fld = make_extension(p, 2)
-    one = fld.one()
+def _quadratic_norm(f: list[int], B: list[int], C: list[int], p: int) -> list[int]:
+    """Res_X(f(X), X^2 - B(Y) X + C(Y)) in F_p[Y], for f in F_p[X].
 
-    def const(c: int):
-        return Poly([fld.embed(c % p)])
-
-    out = set()
-    for j in js:
-        fz = Poly([const(c) + Poly([j * b]) for c, b in zip(ZP_JNUM, (11, 1, 0, 0, 0, 0, 0))])
-        gz = Poly([Poly([fld.embed(4), fld.embed(11)]), Poly([fld.zero(), one]), Poly([one])])
-        tpoly = resultant(fz, gz)
-        coeffs = [c.c[0] if isinstance(c, Poly) and c.c else (fld.zero() if isinstance(c, Poly) else c) for c in tpoly.c]
-        found = roots_in(coeffs, p, 2)
-        out.update(r.coords for r, _ in found)
-    return out
+    f is reduced modulo X^2 = B X - C, by Horner, to a(Y) X + b(Y).  If x1, x2
+    are the roots in X, the norm (a x1 + b)(a x2 + b) is a^2 C + a b B + b^2.
+    """
+    a, b = [], []
+    for c in reversed(f):
+        a, b = mp.add(mp.mul(a, B, p), b, p), mp.sub([c], mp.mul(a, C, p), p)
+    norm = mp.add(mp.mul(mp.mul(a, a, p), C, p), mp.mul(mp.mul(a, b, p), B, p), p)
+    return mp.add(norm, mp.mul(b, b, p), p)
 
 
 def build_ss5star(p: int) -> list[int]:
     """The Fricke supersingular polynomial over F_p (monic, squarefree).
 
-    ss_p(X) is reduced modulo R5 = X^2 - B(Y) X + C(Y) to a(Y) X + b(Y), by
-    Horner with X^2 = B X - C.  If x1, x2 are the roots of R5 in X, the norm
-    (a x1 + b)(a x2 + b) = a^2 C + a b B + b^2 is Res_X(ss_p, R5), whose roots
-    are the j5* values.  A root's multiplicity is at most 12 (R5(j, Y) has
-    degree 6, and at most two j share a j5*) and at most deg N = 6 deg ss_p,
-    so it is below p except possibly at p = 11; then N / gcd(N, N') is the
-    squarefree part.
+    The roots of Res_X(ss_p, R5) are the j5* values.  A root's multiplicity is
+    at most 12 (R5(j, Y) has degree 6, and at most two j share a j5*) and at
+    most deg N = 6 deg ss_p, so it is below p except possibly at p = 11; then
+    N / gcd(N, N') is the squarefree part.
     """
     ss = build_ss(p)
-    B, C = mp.from_int_poly(R5_B, p), mp.from_int_poly(R5_C, p)
-    a, b = [], []
-    for c in reversed(ss):
-        a, b = mp.add(mp.mul(a, B, p), b, p), mp.sub([c], mp.mul(a, C, p), p)
-    norm = mp.add(mp.mul(mp.mul(a, a, p), C, p), mp.mul(mp.mul(a, b, p), B, p), p)
-    norm = mp.add(norm, mp.mul(b, b, p), p)
+    norm = _quadratic_norm(ss, mp.from_int_poly(R5_B, p), mp.from_int_poly(R5_C, p), p)
     if mp.deg(norm) != 6 * mp.deg(ss) or norm[-1] != 1:
         raise VerificationError(f"p={p}: Res_X(ss_p, R5) is not monic of degree 6 deg ss_p")
     return mp.quo(norm, mp.gcd(norm, mp.deriv(norm, p), p), p)
@@ -203,17 +190,22 @@ def verify_fricke(p: int) -> FrickeReport:
 
 
 def zparam_cross_check(p: int) -> bool:
-    """Root-set equality of the R5 route and the z-parametrization route."""
-    js = supersingular_j_fp2(p)
-    return _fricke_values_from_R5(p, js) == _fricke_values_from_zparam(p, js)
+    """ss5star_p again, through the z-parametrization.
 
-
-def frobenius_stable(p: int) -> bool:
-    """The j5* value set is closed under x -> x^p."""
-    js = supersingular_j_fp2(p)
-    values = _fricke_values_from_R5(p, js)
-    fld = make_extension(p, 2)
-    return all((FqElem(fld, c) ** p).coords in values for c in values)
+    ss_p(j) = 0 at j = -ZP_JNUM(z) / ZP_LIN(z) exactly when S(z) = 0, S the
+    numerator of ss_p(j(z)), and j5*(z) = Y exactly when z is a root of
+    ZP_YNUM(z) + Y ZP_LIN(z) = z^2 + Y z + 11Y + 4.  (z = -11 never lies on
+    it, as it gives 125 = 0.)  So the j5* values are the roots of
+    Res_z(S(z), z^2 + Y z + 11Y + 4), a norm of degree 6 deg ss_p.
+    """
+    ss = build_ss(p)
+    S = mp.compose_rational(ss, mp.from_int_poly([-c for c in ZP_JNUM], p), list(ZP_LIN), p)
+    B = mp.from_int_poly((-ZP_YNUM[1], -ZP_LIN[1]), p)
+    C = mp.from_int_poly((ZP_YNUM[0], ZP_LIN[0]), p)
+    norm = _quadratic_norm(S, B, C, p)
+    if mp.deg(norm) != 6 * mp.deg(ss):
+        return False
+    return mp.monic(mp.quo(norm, mp.gcd(norm, mp.deriv(norm, p), p), p), p) == build_ss5star(p)
 
 
 def section7_identity_disc() -> bool:

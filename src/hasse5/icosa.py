@@ -9,8 +9,9 @@ special factor families, the large exact resultants
                       (c1 x + d1)^5 (c2 y + d2)^5
                       (M1(x)^5 + M2(y)^5 - e5 (1 - M1(x)^5 M2(y)^5)))
 
-(and the companion Rbar with ebar5 in the second argument), and the fact that
-the 60 roots of G(x^5, j) form a single G60-orbit.
+(and the companion Rbar with ebar5 in the second argument), and, as an
+identity over Q(zeta_5)[x] for the two generators, that G60 fixes j5(x^5), so
+that the 60 roots of G(x^5, j) form a single G60-orbit.
 
 Each resultant is a 10x10 Sylvester determinant over Z[zeta_5][x], after
 clearing the single denominator 2, computed multimodularly by
@@ -461,53 +462,22 @@ def equality_ledger() -> dict[str, bool]:
 # The orbit property of G(x^5, j).
 
 
-def orbit_property(l: int, trials: int) -> bool:
-    """For random alpha, all 60 maps M in G60 satisfy G(M(alpha)^5, j) = 0 with
-    j = j5(alpha^5): the 60 roots of G(x^5, j) form one orbit."""
-    k = 1 if l % 5 == 1 else (2 if l % 5 == 4 else 4)
-    fld = make_extension(l, max(k, 2))
-    zroot = fld.roots_of_unity5()[0]
+def orbit_property() -> bool:
+    """G60 fixes j5(x^5), where G(x, j) = gnum(x) - j gden(x) and j5 = gnum/gden.
+
+    For M in {S, T}, with N = (a x + b)^5 and D = (c x + d)^5, this is the
+    identity D^12 gnum(N/D) gden(x^5) = gnum(x^5) D^12 gden(N/D) in
+    Q(zeta_5)[x] (deg gnum = 12, deg gden = 11).  S and T generate G60
+    (``verify_group_relations``), so every M(alpha), M in G60, is a root of
+    G(x^5, j5(alpha^5)), which has degree 60 in x.  Two distinct maps agree at
+    two points at most, so for all but finitely many alpha these are the 60
+    roots: they form one G60-orbit.
+    """
     g = generators()
-    g60 = closure([g["S"], g["T"]])
-    if len(g60) != 60:
-        raise VerificationError(f"<S, T> has {len(g60)} elements, not 60")
-    emb = {}
-
-    def embed_cyc(c: CycNum):
-        if c.c not in emb:
-            acc = fld.zero()
-            zp = fld.one()
-            for coord in c.c:
-                num, den = (coord.numerator, coord.denominator) if isinstance(coord, Fraction) else (coord, 1)
-                acc = acc + zp * (fld.embed(num) / fld.embed(den))
-                zp = zp * zroot
-            emb[c.c] = acc
-        return emb[c.c]
-
-    mats = [tuple(embed_cyc(v) for v in (m.a, m.b, m.c, m.d)) for m in g60]
-    gnum, gden = g_of_xj_coeffs()  # G(x, j) = gnum(x) - j * gden(x)
-
-    def ev(coeffs, x):
-        acc = fld.zero()
-        for c in reversed(coeffs):
-            acc = acc * x + fld.embed(c % l)
-        return acc
-
-    rng = random.Random(l * 2654435761 + trials)
-    done = 0
-    while done < trials:
-        alpha = fld.rand(rng)
-        if alpha.is_zero():
-            continue
-        a5 = alpha**5
-        if ev([0, 1, -11, -1], a5).is_zero():  # x (1 - 11x - x^2) must not vanish
-            continue
-        if any((c * alpha + d).is_zero() for _, _, c, d in mats):
-            continue
-        j = ev(gnum, a5) / ev(gden, a5)
-        for a, b, c, d in mats:
-            m5 = ((a * alpha + b) / (c * alpha + d)) ** 5
-            if ev(gnum, m5) != j * ev(gden, m5):
-                return False
-        done += 1
+    gnum, gden = (Poly(c).map(_cyc) for c in g_of_xj_coeffs())
+    gnum5, gden5 = (Poly([c for a in f.c for c in (a, 0, 0, 0, 0)]) for f in (gnum, gden))
+    for m in (g["S"], g["T"]):
+        num, den = _pow5_linear(m.a, m.b), _pow5_linear(m.c, m.d)
+        if compose_rational(gnum, num, den) * gden5 != gnum5 * den * compose_rational(gden, num, den):
+            return False
     return True

@@ -75,6 +75,9 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element hashes like the int or Fraction it equals
+        if self.is_rational():
+            return hash(self.c[0])
         return hash((self._field, self.c))
 
     def __neg__(self):

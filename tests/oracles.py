@@ -14,6 +14,8 @@ icosahedral resultant by Bareiss elimination over Z[zeta_5][x].
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def squares_mod(p: int) -> set[int]:
     return {x * x % p for x in range(p)}
@@ -96,12 +98,25 @@ class Fp2:
 
 def supersingular_poly_fp2_oracle(p: int) -> list[int]:
     """Coefficients (ascending, over F_p) of prod (X - j) over all supersingular
-    j in F_{p^2}, by exhaustive point counting over F_{p^2}."""
+    j in F_{p^2}, by exhaustive point counting over F_{p^2}.
+
+    The curve y^2 = x^3 + a x + b has 1 + sum_x (1 + chi(x^3 + a x + b))
+    points, chi the quadratic character of F_{p^2}, so its trace is
+    -sum_x chi(x^3 + a x + b); for each j the sum runs over all p^2 values of
+    x at once, as int64 arrays of coordinates.
+    """
     F = Fp2(p)
-    sq = F.squares()
     one = (1, 0)
+    # chi, indexed by the code a + b p of the element (a, b)
+    chi = np.full(p * p, -1, dtype=np.int64)
+    for z in F.squares():
+        chi[z[0] + p * z[1]] = 1
+    chi[0] = 0
+    xs = list(F.elements())
+    x0, x1 = (np.array(c, dtype=np.int64) for c in zip(*xs))
+    c0, c1 = (np.array(c, dtype=np.int64) for c in zip(*(F.mul(F.mul(x, x), x) for x in xs)))
     js = []
-    for j in F.elements():
+    for j in xs:
         if j == (0, 0):
             a, b = (0, 0), one
         elif j == (1728 % p, 0):
@@ -111,16 +126,9 @@ def supersingular_poly_fp2_oracle(p: int) -> list[int]:
             jm = F.mul(j, m)
             a = F.mul((3, 0), jm)
             b = F.mul((2, 0), F.mul(jm, m))
-        total = 0
-        for x in F.elements():
-            rhs = F.add(F.mul(F.mul(x, x), x), F.add(F.mul(a, x), b))
-            if rhs == (0, 0):
-                total += 1
-            elif rhs in sq:
-                total += 2
-        n_points = 1 + total
-        t = p * p + 1 - n_points
-        if t % p == 0:
+        rhs0 = (c0 + a[0] * x0 + F.u * a[1] * x1 + b[0]) % p
+        rhs1 = (c1 + a[0] * x1 + a[1] * x0 + b[1]) % p
+        if int(chi[rhs0 + p * rhs1].sum()) % p == 0:
             js.append(j)
     # expand prod (X - j) with F_{p^2} arithmetic; coefficients must land in F_p
     prod = [one]

@@ -9,7 +9,6 @@ from hasse5.fricke import (
     _fricke_values_from_R5,
     build_ss5star,
     degree_formula,
-    frobenius_stable,
     section7_identities,
     section7_identity_disc,
     section7_identity_res_t,
@@ -81,9 +80,13 @@ def test_zparam_cross_check_sample():
         assert zparam_cross_check(p)
 
 
-def test_frobenius_stability_sample():
-    for p in primes_in(7, 60):
-        assert frobenius_stable(p)
+@pytest.mark.parametrize(
+    "name, value",
+    [("ZP_YNUM", (5, 0, 1)), ("ZP_YNUM", (4, 1, 1)), ("ZP_JNUM", (17,) + fricke.ZP_JNUM[1:])],
+)
+def test_zparam_cross_check_fails_on_a_perturbed_parametrization(monkeypatch, name, value):
+    monkeypatch.setattr(fricke, name, value)
+    assert not zparam_cross_check(7)
 
 
 def test_section7_identities():

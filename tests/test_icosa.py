@@ -6,7 +6,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from hasse5 import VerificationError
+from hasse5 import VerificationError, icosa
 from hasse5.cycres import crt_primes, det_mod_p, hadamard_bound_sq, sylvester_coords
 from hasse5.icosa import (
     MobiusMap,
@@ -73,8 +73,14 @@ def test_resolvent_rejects_inert():
 
 
 def test_orbit_property_small():
-    assert orbit_property(31, 3)
-    assert orbit_property(19, 2)
+    assert orbit_property()
+
+
+@pytest.mark.parametrize("name", ["S", "T"])
+def test_orbit_property_fails_for_a_map_outside_g60(monkeypatch, name):
+    gens = {**generators(), name: MobiusMap(2, 0, 0, 1)}  # x -> 2x
+    monkeypatch.setattr(icosa, "generators", lambda: gens)
+    assert not orbit_property()
 
 
 def test_reduced_representative_denominators():

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from hasse5.fp import make_extension
 from hasse5.icosa import P_D, q_d
 from hasse5.numfield import BiQuadElem, CycNum, QuadElem
 from hasse5.poly import Poly, galois_norm
@@ -71,6 +72,16 @@ def test_cyc_galois_and_norm():
     assert isinstance(n, int)
     assert (x / x) == 1
     assert x * (1 / x) == 1
+
+
+def test_rational_elements_hash_like_the_number_they_equal():
+    z = CycNum.zeta()
+    assert CycNum(1) == 1 and len({1, CycNum(1)}) == 1
+    assert QuadElem(5, 2) == 2 and len({2, QuadElem(5, 2)}) == 1
+    assert make_extension(7, 2).embed(3) == 3 and len({3, make_extension(7, 2).embed(3)}) == 1
+    assert len({Fraction(1, 2), CycNum(Fraction(1, 2)), BiQuadElem(-3, -7, Fraction(1, 2))}) == 1
+    # equal irrational elements still collapse, and differ from rationals
+    assert len({z + 1, 1 + z, 1, 2}) == 3
 
 
 def test_cyc_division_stays_integral_when_possible():
