@@ -1,5 +1,5 @@
 """Complete factorization over F_l: squarefree / distinct-degree /
-equal-degree splitting, plus root listing in F_l and F_{l^2}.
+equal-degree splitting, plus root listing in F_{l^2}.
 
 Equal-degree splitting is randomized (Cantor-Zassenhaus) but seeded from the
 modulus and a CRC of the input coefficients, so factorizations are
@@ -26,33 +26,11 @@ class FactorList:
     unit: int
     factors: tuple[tuple[tuple, int], ...]
 
-    def __str__(self) -> str:
-        parts = []
-        for f, m in self.factors:
-            s = _poly_str(f)
-            parts.append(f"({s})^{m}" if m > 1 else f"({s})")
-        u = "" if self.unit == 1 else f"{self.unit} * "
-        return u + " ".join(parts) if parts else str(self.unit)
-
-
-def _poly_str(coeffs) -> str:
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(f"{c}")
-        elif k == 1:
-            terms.append("x" if c == 1 else f"{c}x")
-        else:
-            terms.append(f"x^{k}" if c == 1 else f"{c}x^{k}")
-    return " + ".join(terms) if terms else "0"
-
 
 def _seed_for(p: int, f: tuple) -> int:
-    # the 1 is the extension degree of an earlier F_{p^k} factorizer, kept so
-    # that the Cantor-Zassenhaus draws, and so the factor order, stay the same
+    # the 1 is the extension degree of an earlier F_{p^k} factorizer.  factor_ff
+    # sorts its output, so the draws decide only how much splitting work is
+    # done; keeping the 1 keeps that work the same
     return zlib.crc32(repr((p, 1, f)).encode())
 
 
@@ -143,37 +121,28 @@ def reconstruct(fl: FactorList) -> list[int]:
     return mp.scale(out, fl.unit, fl.modulus)
 
 
-def roots_in(f, p: int, k: int) -> list[tuple[object, int]]:
-    """All roots of f in F_{p^k}, k = 1 or 2, with multiplicities.
+def roots_in(f, p: int) -> list[tuple[FqElem, int]]:
+    """All roots of f in F_{p^2} = make_extension(p, 2), with multiplicities.
 
-    For k == 1, f has int coefficients (read mod p) and the roots are ints.
-    For k == 2, f may also have FqElem coefficients in make_extension(p, 2),
-    and the roots are FqElem, sorted by coordinates.
+    The coefficients of f are ints (read mod p) or FqElem of that field; the
+    roots are FqElem, sorted by coordinates.
 
     Every root in F_{p^2} is a root of a linear or quadratic factor over F_p
     of f * f^sigma, where f^sigma raises each coefficient to the p-th power:
-    with F_{p^2} = F_p(alpha) and f = u + alpha w (u, w over F_p), that norm
-    is u^2 + (alpha + alpha^p) u w + alpha^(p+1) w^2.  When w = 0 it is f^2,
-    and f itself is factored instead.
+    with F_{p^2} = F_p(w), w^2 = u, and f = U + w W (U, W over F_p), that norm
+    is U^2 - u W^2.  When W = 0 it is f^2, and f itself is factored instead.
     """
-    if k == 1:
-        fl = factor_ff(f, p)
-        return sorted(((-c[0]) % p, m) for c, m in fl.factors if len(c) == 2)
-    if k != 2:
-        raise ValueError("roots are listed in F_p and F_(p^2) only")
     fld = make_extension(p, 2)
     coords = []
     for c in f:
-        if isinstance(c, FqElem) and (c.field.l, c.field.k) != (p, 2):
+        if isinstance(c, FqElem) and c.field != fld:
             raise ValueError("coefficient outside F_(p^2)")
         coords.append(c.coords if isinstance(c, FqElem) else (c % p, 0))
     u = mp.trim([a for a, _ in coords])
     w = mp.trim([b for _, b in coords])
     norm = u
     if w:
-        c0, c1, _ = fld.defining  # alpha^2 + c1 alpha + c0 = 0
-        norm = mp.add(mp.sub(mp.mul(u, u, p), mp.scale(mp.mul(u, w, p), c1, p), p),
-                      mp.scale(mp.mul(w, w, p), c0, p), p)
+        norm = mp.sub(mp.mul(u, u, p), mp.scale(mp.mul(w, w, p), fld.u, p), p)
     if not norm:
         raise ZeroDivisionError("roots of zero polynomial")
     fq = [fld.elem(c) for c in coords]

@@ -1,18 +1,22 @@
 """Prime fields F_l and the explicit quadratic extension F_{l^2}.
 
-Prime field elements are plain ints reduced mod l; elements of F_{l^2} are
-``FqElem`` coordinate pairs over a deterministic defining polynomial (the
+Prime field elements are plain ints reduced mod l.  F_{l^2} is F_l(w) with
+w^2 = u = -c0, for the smallest c0 >= 1 that makes x^2 + c0 irreducible: the
 lexicographically smallest monic irreducible quadratic, so test vectors are
-stable run to run).
+stable run to run.  Its elements ``FqElem`` are the fourth field type on the
+shared ``numfield.FieldElem`` core.  They keep only their coordinates (a, b)
+of a + b*w reduced mod l, the closed-form product, Frobenius as their Galois
+group, and ``sqrt``; the base derives the rest, dividing by a scalar of F_l
+through its inverse mod l.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import VerificationError, modpoly as mp
+from . import VerificationError
+from .numfield import FieldElem, _diag
 
 
 class NotSplit(ValueError):
@@ -90,201 +94,110 @@ def golden_units(l: int) -> GoldenPair:
     return pair
 
 
+@dataclass(frozen=True)
 class ExtField:
-    """F_{l^k} as F_l[x]/(defining), defining monic irreducible of degree k.
+    """F_{l^2} = F_l(w) with w^2 = u, u a non-residue mod l."""
 
-    Elements are FqElem tuples of length k (ascending coordinates).
-    """
+    l: int
+    u: int
 
-    def __init__(self, l: int, k: int, defining: tuple[int, ...]):
-        self.l = l
-        self.k = k
-        self.defining = defining  # ascending, length k+1, monic
-        self.q = l**k
-
-    def __repr__(self):
-        return f"ExtField(l={self.l}, k={self.k}, defining={list(self.defining)})"
+    @property
+    def defining(self) -> tuple[int, int, int]:
+        """The minimal polynomial x^2 - u of w, ascending, coefficients in [0, l)."""
+        return ((-self.u) % self.l, 0, 1)
 
     def elem(self, coords) -> "FqElem":
-        c = list(coords)[: self.k]
-        c += [0] * (self.k - len(c))
-        return FqElem(self, tuple(x % self.l for x in c))
+        return FqElem(self, *coords)
 
     def embed(self, a: int) -> "FqElem":
-        return self.elem([a])
+        return FqElem(self, a)
 
     def zero(self) -> "FqElem":
-        return self.elem([])
+        return FqElem(self)
 
     def one(self) -> "FqElem":
-        return self.elem([1])
+        return FqElem(self, 1)
 
-    def _reduce(self, c: list[int]) -> tuple[int, ...]:
-        l, k, d = self.l, self.k, self.defining
-        c = [x % l for x in c]
-        for i in range(len(c) - 1, k - 1, -1):
-            t = c[i]
-            if t:
-                c[i] = 0
-                for j in range(k):
-                    c[i - k + j] = (c[i - k + j] - t * d[j]) % l
-        c = c[:k] + [0] * (k - len(c))
-        return tuple(c)
+    def _reduce(self, c0: int, c1: int, c2: int) -> "FqElem":
+        """c0 + c1 w + c2 w^2, folding w^2 = u."""
+        return FqElem(self, c0 + self.u * c2, c1)
 
     def rand(self, rng) -> "FqElem":
-        return self.elem([rng.randrange(self.l) for _ in range(self.k)])
+        return FqElem(self, rng.randrange(self.l), rng.randrange(self.l))
 
 
-class FqElem:
-    __slots__ = ("field", "coords")
+class FqElem(FieldElem):
+    """a + b*w in F_{l^2} = F_l(w), with a and b reduced mod l."""
 
-    def __init__(self, field: ExtField, coords: tuple[int, ...]):
+    __slots__ = ("field",)
+    GALOIS = (_diag(1, 1), _diag(1, -1))  # Frobenius: w^l = u^((l-1)/2) w = -w
+    _SCALARS = (int,)
+
+    def __init__(self, field: ExtField, a=0, b=0):
         self.field = field
-        self.coords = coords
+        self.c = (a % field.l, b % field.l)
 
-    def _lift(self, other) -> "FqElem":
-        if isinstance(other, FqElem):
-            return other
-        if isinstance(other, int):
-            return self.field.embed(other)
-        return NotImplemented
+    @property
+    def _field(self) -> tuple:
+        return (self.field,)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+    @property
+    def coords(self) -> tuple[int, int]:
+        return self.c
 
-    def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.coords == o.coords
-
-    def __hash__(self):
-        # an element of the prime field hashes like the int in [0, l) it equals
-        if not any(self.coords[1:]):
-            return hash(self.coords[0])
-        return hash((self.field.l, self.field.k, self.coords))
-
-    def __neg__(self):
-        return FqElem(self.field, tuple((-c) % self.field.l for c in self.coords))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        l = self.field.l
-        return FqElem(self.field, tuple((a + b) % l for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        l = self.field.l
-        return FqElem(self.field, tuple((a - b) % l for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _div_scalar(self, d: int) -> "FqElem":
+        if d % self.field.l == 0:
+            raise ZeroDivisionError(f"division by {d} in F_({self.field.l}^2)")
+        return self * pow(d, -1, self.field.l)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            l = self.field.l
-            return FqElem(self.field, tuple(a * other % l for a in self.coords))
+            return FqElem(self.field, self.c[0] * other, self.c[1] * other)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        k = self.field.k
-        w = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    w[i + j] += a * b
-        return FqElem(self.field, self.field._reduce(w))
+        a, b = self.c
+        c, d = o.c
+        return self.field._reduce(a * c, a * d + b * c, b * d)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    def inv(self) -> "FqElem":
-        """Inverse by extended Euclid against the defining polynomial."""
-        l = self.field.l
-        r0, r1 = list(self.field.defining), mp.trim(list(self.coords))
-        s0, s1 = [], [1]
-        if not r1:
-            raise ZeroDivisionError("inverse of zero field element")
-        while mp.deg(r1) > 0:
-            q, r = mp.divmod_(r0, r1, l)
-            r0, r1 = r1, r
-            s0, s1 = s1, mp.sub(s0, mp.mul(q, s1, l), l)
-            if not r1:
-                raise ZeroDivisionError("non-invertible element (reducible defining poly?)")
-        return self.field.elem(mp.scale(s1, pow(r1[0], l - 2, l), l))
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return self.field.embed(other) / self
-
     def sqrt(self) -> "FqElem | None":
-        """Square root in F_q (q odd) by Tonelli-Shanks, or None for non-residues.
+        """A square root, or None for a non-square.
 
-        Of the two roots returns the one with lexicographically smaller coords.
+        z = a + b w with b != 0 is a square iff its norm N = a^2 - u b^2 is a
+        square in F_l; then x^2 = (a +- sqrt N)/2 for the one sign that makes
+        it a square in F_l, and y = b/(2x).  Of the two roots returns the one
+        with lexicographically smaller coords: x != 0, so sqrt_mod's smaller
+        root picks it (for b = 0, sqrt_mod's root of a or of a/u does).
         """
-        q = self.field.q
-        if self.is_zero():
-            return self
-        if self ** ((q - 1) // 2) != self.field.one():
+        fld, (a, b) = self.field, self.c
+        l = fld.l
+        if b == 0:
+            r = sqrt_mod(a, l)
+            if r is not None:
+                return FqElem(fld, r)
+            # a non-residue: a/u is a residue, and (s w)^2 = s^2 u
+            return FqElem(fld, 0, sqrt_mod(a * pow(fld.u, -1, l), l))
+        n = sqrt_mod(self.norm(), l)
+        if n is None:
             return None
-        m2, s = q - 1, 0
-        while m2 % 2 == 0:
-            m2 //= 2
-            s += 1
-        rng = random.Random(self.field.l * 65537 + self.field.k)
-        z = self.field.one()
-        while z ** ((q - 1) // 2) == self.field.one():
-            z = self.field.rand(rng)
-            if z.is_zero():
-                z = self.field.one()
-        m, c, t, r = s, z**m2, self**m2, self ** ((m2 + 1) // 2)
-        one = self.field.one()
-        while t != one:
-            t2, i = t * t, 1
-            while t2 != one:
-                t2 = t2 * t2
-                i += 1
-            b = c ** (1 << (m - i - 1))
-            m, c = i, b * b
-            t = t * c
-            r = r * b
-        other = -r
-        return r if r.coords <= other.coords else other
+        half = (l + 1) // 2
+        x = sqrt_mod((a + n) * half, l)
+        if x is None:
+            x = sqrt_mod((a - n) * half, l)
+        return FqElem(fld, x, b * pow(2 * x, -1, l))
 
     def __repr__(self):
-        return f"Fq{list(self.coords)}/{self.field.l}^{self.field.k}"
+        return f"Fq{list(self.c)}/{self.field.l}^2"
 
 
 @lru_cache(maxsize=None)
 def make_extension(l: int, k: int) -> ExtField:
-    """Deterministic F_{l^2} (k must be 2): x^2 + c1 x + c0 for the smallest
-    (c1, c0) in lexicographic order that is irreducible."""
-    if k != 2:
-        raise ValueError("only the extension degree 2 is supported")
-    for c1 in range(l):
-        for c0 in range(1, l):
-            if mp.is_irreducible((c0, c1, 1), l):
-                return ExtField(l, 2, (c0, c1, 1))
-    raise RuntimeError("no irreducible polynomial found (impossible)")
+    """Deterministic F_{l^2} (k must be 2): w^2 = -c0 for the smallest c0 >= 1
+    with -c0 a non-residue mod l, so x^2 + c0 is the lexicographically
+    smallest monic irreducible x^2 + c1 x + c0 over F_l."""
+    if k != 2 or l % 2 == 0:
+        raise ValueError("only F_(l^2) for an odd prime l is supported")
+    c0 = next(c for c in range(1, l) if legendre(-c, l) == -1)
+    return ExtField(l, (-c0) % l)

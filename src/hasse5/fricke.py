@@ -88,7 +88,7 @@ def supersingular_j_fp2(p: int) -> list[FqElem]:
         if len(coeffs) == 2:
             js.append(fld.embed((-coeffs[0]) % p))
         elif len(coeffs) == 3:
-            for r, m in roots_in(list(coeffs), p, 2):
+            for r, m in roots_in(list(coeffs), p):
                 if m != 1:
                     raise VerificationError(f"repeated root of supersingular factor {coeffs} at p={p}")
                 js.append(r)
@@ -118,7 +118,7 @@ def _fricke_values_from_R5(p: int, js: list[FqElem]) -> set:
         f[0] = f[0] + j * j
         # containment in F_{p^2}: the roots found, with multiplicity, must
         # account for the whole (monic) degree
-        found = roots_in(f, p, 2)
+        found = roots_in(f, p)
         if sum(m for _, m in found) != len(f) - 1:
             raise RootOutsideQuadraticField(f"p={p}, j={j}: roots escape F_(p^2)")
         out.update(r.coords for r, _ in found)

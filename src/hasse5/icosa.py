@@ -260,7 +260,7 @@ def resolvent_identities(l: int, trials: int) -> bool:
                 return False
         if r1.is_zero() or r2.is_zero():
             continue
-        if r3 != -(r1.inv()) or r4 != -(r2.inv()):
+        if r3 != -(1 / r1) or r4 != -(1 / r2):
             return False
         done += 1
     return True

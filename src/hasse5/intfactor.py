@@ -32,12 +32,6 @@ class IntFactorization:
             n *= p**e
         return n
 
-    def __str__(self) -> str:
-        if not self.factors:
-            return str(self.unit)
-        parts = [f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.factors]
-        return ("-" if self.unit < 0 else "") + " * ".join(parts)
-
 
 def factor_integer(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> IntFactorization:
     """Factor a nonzero integer by trial division up to ``trial_bound``.

@@ -1,6 +1,6 @@
 """Exact number field elements used as polynomial coefficients.
 
-Three small field types, all with rational (Fraction/int) coordinates:
+Three number field types, all with rational (Fraction/int) coordinates:
 
 * ``QuadElem``   -- a + b*sqrt(m) in Q(sqrt(m)), m a non-square integer;
 * ``BiQuadElem`` -- c0 + c1*s + c2*t + c3*s*t in Q(s, t) with s^2 = m1, t^2 = m2;
@@ -16,6 +16,11 @@ The shared base ``FieldElem`` derives the rest: the ring operations and
 checked to be rational) and division (multiply by the other conjugates, then
 divide by the norm).  Elements of different fields never mix: arithmetic
 between them raises ``TypeError``.
+
+A fourth type, ``fp.FqElem`` for F_{l^2}, shares this core.  Two hooks cover
+the difference: ``_SCALARS``, the plain numbers that embed in the field (int
+and Fraction here, int only in F_{l^2}), and ``_div_scalar``, division by
+such a number (exact rational division here, the inverse mod l in F_{l^2}).
 
 Coordinates stay plain ``int`` whenever possible so the hot resultant paths
 avoid Fraction overhead; a Fraction coordinate is normalized back to ``int``
@@ -53,6 +58,7 @@ class FieldElem:
     __slots__ = ("c",)
     GALOIS: tuple
     _field: tuple = ()  # the constructor arguments that fix the field (its radicands)
+    _SCALARS = (int, Fraction)  # the plain numbers that embed in the field
 
     def _new(self, coords) -> "FieldElem":
         return type(self)(*self._field, *coords)
@@ -61,14 +67,14 @@ class FieldElem:
         """other as an element of this field; NotImplemented for a non-number."""
         if type(other) is type(self) and other._field == self._field:
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, self._SCALARS):
             return self._new((other,) + (0,) * (len(self.c) - 1))
         if isinstance(other, FieldElem):
-            raise TypeError(f"mixed number fields: {self!r} and {other!r}")
+            raise TypeError(f"mixed fields: {self!r} and {other!r}")
         return NotImplemented
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, self._SCALARS):
             return self.c[0] == other and self.is_rational()
         if type(other) is type(self) and other._field == self._field:
             return self.c == other.c
@@ -125,9 +131,13 @@ class FieldElem:
     def norm(self):
         return (self * self._cofactor()).rational()
 
+    def _div_scalar(self, d):
+        """self / d for a nonzero scalar d: exact rational division of the coordinates."""
+        return self._new([_exact_or_fraction(x, d) for x in self.c])
+
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._new([_exact_or_fraction(x, other) for x in self.c])
+        if isinstance(other, self._SCALARS):
+            return self._div_scalar(other)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -154,6 +164,9 @@ class FieldElem:
             base = base * base if e > 1 else base
             e >>= 1
         return out
+
+    def is_zero(self) -> bool:
+        return not any(self.c)
 
     def is_rational(self) -> bool:
         return not any(self.c[1:])

@@ -215,14 +215,6 @@ def galois_norm(f: Poly) -> Poly:
     return out.map(lambda c: c.rational() if isinstance(c, FieldElem) else c)
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; coefficients must form a field."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
 def sylvester(f: Poly, g: Poly) -> list[list]:
     if f.is_zero() or g.is_zero():
         raise ZeroInput("resultant of zero polynomial")
@@ -350,9 +342,6 @@ class BiPoly:
                 k -= 1
             width = max(width, k)
         self.g = [row[:width] + [0] * (width - len(row[:width])) for row in self.g]
-
-    def deg_u(self) -> int:
-        return len(self.g) - 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.g == other.g

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from hasse5 import modpoly as mp
 from hasse5.ffactor import factor_ff
 from hasse5.fp import NotSplit, golden_units, legendre, make_extension, sqrt_mod
 from hasse5.intfactor import primes_in
@@ -92,9 +94,9 @@ def test_make_extension_deterministic():
     assert make_extension(13, 2).defining == (2, 0, 1)  # x^2 + 2
     for l in (7, 11, 13, 17, 19, 23):
         assert make_extension(l, 2).defining == _first_irreducible_quadratic(l)
-    for k in (1, 3, 4):
+    for l, k in ((7, 1), (7, 3), (7, 4), (2, 2)):
         with pytest.raises(ValueError):
-            make_extension(7, k)
+            make_extension(l, k)
 
 
 def test_frobenius_fixes_field():
@@ -125,31 +127,48 @@ def test_make_extension_matches_certified_scan():
         assert make_extension(l, k).defining == _first_certified_irreducible(l, k), (l, k)
 
 
+FQ_PRIMES = primes_in(7, 49)
+
+
+def _all_elements(fld):
+    """Every element of F_(l^2), in lexicographic order of coordinates."""
+    return [fld.elem((a, b)) for a in range(fld.l) for b in range(fld.l)]
+
+
 def test_field_arithmetic_and_inverse():
-    for l, k in EXT_FIELDS:
-        rng = random.Random(10 * l + k)
-        fld = make_extension(l, k)
-        done = 0
-        while done < 50:
-            x = fld.rand(rng)
+    for l in FQ_PRIMES:
+        fld = make_extension(l, 2)
+        y = fld.elem((3, 5))
+        for x in _all_elements(fld):
+            assert (x + (-x)).is_zero() and x - x == 0
+            # the closed-form product against the product mod the defining polynomial
+            prod = mp.rem(mp.mul(list(x.coords), list(y.coords), l), list(fld.defining), l)
+            assert (x * y).coords == tuple(prod + [0] * (2 - len(prod)))
+            assert x**l == x.conjugates()[1]  # GALOIS holds Frobenius
             if x.is_zero():
                 continue
-            assert x * x.inv() == fld.one() == 1
-            assert (x + (-x)).is_zero()
-            done += 1
+            inv = 1 / x
+            assert x * inv == fld.one() == 1
+            assert x**-1 == inv and y / x == y * inv
+            assert x * x.conjugates()[1] == x.norm() != 0
         with pytest.raises(ZeroDivisionError):
-            fld.zero().inv()
+            1 / fld.zero()
+        with pytest.raises(ZeroDivisionError):
+            y / l
+        with pytest.raises(TypeError):
+            y * Fraction(1, 2)  # only ints embed in F_(l^2)
 
 
 def test_fq_sqrt():
-    rng = random.Random(11)
-    for l in (11, 19):
+    for l in FQ_PRIMES:
         fld = make_extension(l, 2)
-        for _ in range(20):
-            x = fld.rand(rng)
-            s = (x * x).sqrt()
-            assert s is not None and s * s == x * x
-        # every base-field element is a square in F_{l^2}
-        for a in range(1, l):
-            s = fld.embed(a).sqrt()
-            assert s is not None and s * s == fld.embed(a)
+        elems = _all_elements(fld)
+        smallest_root = {}
+        for r in elems:
+            smallest_root.setdefault((r * r).coords, r.coords)
+        for z in elems:
+            s = z.sqrt()
+            if z.coords not in smallest_root:
+                assert s is None, z
+            else:
+                assert s is not None and s.coords == smallest_root[z.coords], z

@@ -43,7 +43,7 @@ def test_phi5_symmetric():
     g = ph.g
     n = len(g)
     assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
-    assert ph.deg_u() == 6 and len(g[0]) == 7  # degree 6 in each variable
+    assert len(ph.g) - 1 == 6 and len(g[0]) == 7  # degree 6 in each variable
 
 
 def test_phi5_diagonal_identity():

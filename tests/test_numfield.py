@@ -78,7 +78,12 @@ def test_rational_elements_hash_like_the_number_they_equal():
     z = CycNum.zeta()
     assert CycNum(1) == 1 and len({1, CycNum(1)}) == 1
     assert QuadElem(5, 2) == 2 and len({2, QuadElem(5, 2)}) == 1
-    assert make_extension(7, 2).embed(3) == 3 and len({3, make_extension(7, 2).embed(3)}) == 1
+    f49 = make_extension(7, 2)
+    assert f49.embed(3) == 3 and len({3, f49.embed(3)}) == 1
+    # an element of F_(7^2) equals only its representative in [0, 7)
+    assert f49.embed(3) != 10 and f49.embed(10) == 3 and f49.embed(-4) == f49.embed(3)
+    assert len({f49.embed(3), f49.embed(10), f49.embed(-4)}) == 1
+    assert len({f49.elem((2, 5)), f49.elem((9, -2))}) == 1
     assert len({Fraction(1, 2), CycNum(Fraction(1, 2)), BiQuadElem(-3, -7, Fraction(1, 2))}) == 1
     # equal irrational elements still collapse, and differ from rationals
     assert len({z + 1, 1 + z, 1, 2}) == 3
@@ -165,12 +170,21 @@ def test_q_d_is_the_product_over_powers_of_zeta(d):
     assert q_d(d) == explicit.map(lambda c: c.c[0])
 
 
-# one element from each field, two of them from different quadratic fields
-MIXED = [QuadElem(5, 1, 1), QuadElem(3, 1, 1), BiQuadElem(-3, -7, 1, 1), CycNum(1, 1)]
+# one element from each field: two from different quadratic fields, and two
+# with the same coordinates in F_(7^2) and F_(11^2)
+MIXED = [
+    QuadElem(5, 1, 1),
+    QuadElem(3, 1, 1),
+    BiQuadElem(-3, -7, 1, 1),
+    CycNum(1, 1),
+    make_extension(7, 2).elem((1, 1)),
+    make_extension(11, 2).elem((1, 1)),
+]
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
 @pytest.mark.parametrize("i, j", [(i, j) for i in range(len(MIXED)) for j in range(len(MIXED)) if i != j])
 def test_mixed_fields_raise_type_error(op, i, j):
+    assert MIXED[i] != MIXED[j]
     with pytest.raises(TypeError):
         op(MIXED[i], MIXED[j])

@@ -10,7 +10,6 @@ from hasse5.poly import (
     compose_rational,
     detilde,
     discriminant,
-    poly_gcd,
     resultant,
 )
 
@@ -139,13 +138,6 @@ def test_detilde_rejects():
         detilde(Poly([1, 2, 3]))  # odd degree
     with pytest.raises(NotSkewPalindromic):
         detilde(Poly([1, 0, 0, 0, 2]))  # not skew-palindromic
-
-
-def test_poly_gcd():
-    f = Poly([Fraction(-1), Fraction(0), Fraction(1)])
-    g = Poly([Fraction(1), Fraction(-2), Fraction(1)])
-    assert poly_gcd(f, g) == Poly([Fraction(-1), Fraction(1)])
-    assert poly_gcd(f, Poly()) == f.monic()
 
 
 def test_division_by_zero():

@@ -33,3 +33,24 @@ def test_trace_target_resolves(module, qualname, kind):
     owner, attr = tracer.Tracer._resolve(mod, qualname)
     assert owner is not None, f"{module}.{qualname} is not defined where the tracer looks for it"
     assert callable(owner.__dict__[attr])
+
+
+def test_fq_product_is_one_mul_and_one_reduce(monkeypatch):
+    """``fp.FqElem.__mul__.calls`` and ``fp.ExtField._reduce.calls`` count F_(l^2)
+    products only while x * y and y * x both run ``__mul__``, and each product
+    folds w^2 once."""
+    from hasse5.fp import ExtField, FqElem, make_extension
+
+    assert FqElem.__rmul__ is FqElem.__mul__
+    calls = []
+    reduce = ExtField._reduce
+
+    def counted(self, *args):
+        calls.append(args)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(ExtField, "_reduce", counted)
+    fld = make_extension(7, 2)
+    x, y = fld.elem((1, 2)), fld.elem((3, 4))
+    assert x * y == fld.elem((3 + 6 * 8, 10)) and len(calls) == 1
+    assert y * x == x * y and len(calls) == 3
