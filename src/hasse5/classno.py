@@ -8,19 +8,11 @@ instant at the discriminant sizes this toolkit sweeps (|D| up to ~3*10^4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 
 class BadDiscriminant(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ClassNumberResult:
-    discriminant: int
-    h: int
-    is_fundamental: bool
 
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
@@ -45,44 +37,22 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return forms
 
 
-def _is_fundamental(D: int) -> bool:
-    if D % 4 == 1:
-        return _squarefree(-D)
-    m = D // 4
-    return m % 4 in (2, 3) and _squarefree(-m)
-
-
-def _squarefree(n: int) -> bool:
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
-def class_number_disc(D: int) -> ClassNumberResult:
-    return ClassNumberResult(D, len(reduced_forms(D)), _is_fundamental(D))
-
-
-def field_class_number(m: int) -> ClassNumberResult:
-    """Class number of Q(sqrt(m)) for m = -5l, via the field discriminant
-    (-5l when -5l = 1 mod 4, else -20l)."""
-    if m >= 0:
-        raise BadDiscriminant("expected a negative input")
-    D = m if m % 4 == 1 else 4 * m
-    return class_number_disc(D)
+def class_number_disc(D: int) -> int:
+    """h(D), the number of primitive reduced forms of discriminant D < 0."""
+    return len(reduced_forms(D))
 
 
 def h5l(l: int) -> int:
-    """h(-5l), the class number of Q(sqrt(-5l))."""
-    return field_class_number(-5 * l).h
+    """h(-5l), the class number of Q(sqrt(-5l)), via the field discriminant
+    (-5l when -5l = 1 mod 4, else -20l)."""
+    D = -5 * l
+    return class_number_disc(D if D % 4 == 1 else 4 * D)
 
 
 def h_minus_p(p: int) -> int:
     """h(-p), the class number of Q(sqrt(-p))."""
     D = -p if p % 4 == 3 else -4 * p
-    return class_number_disc(D).h
+    return class_number_disc(D)
 
 
 def order_relation_check(l: int) -> bool:
@@ -90,7 +60,7 @@ def order_relation_check(l: int) -> bool:
     3*h(-5l) according as -5l = 1 or 5 mod 8."""
     if l % 4 != 3 or l <= 5:
         raise ValueError("needs a prime l = 3 mod 4, l > 5")
-    h_field = class_number_disc(-5 * l).h
-    h_order = class_number_disc(-20 * l).h
+    h_field = class_number_disc(-5 * l)
+    h_order = class_number_disc(-20 * l)
     factor = 1 if (-5 * l) % 8 == 1 else 3
     return h_order == factor * h_field

@@ -20,12 +20,10 @@ clearing the single denominator 2, computed multimodularly by
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 
 from . import VerificationError
-from .fp import golden_units, make_extension
 from .hasse import g_of_xj_coeffs
 from .numfield import CycNum
 from .poly import Poly, compose_rational, galois_norm
@@ -193,77 +191,69 @@ def _coset_key(maps: list[MobiusMap]) -> tuple:
 # over Q(sqrt 5) inside Q(zeta_5), with the parameter symbolic).
 
 
+# g_a(x) = x^4 + a x^3 + (11a + 2) x^2 - a x + 1: the coefficient of x^k is
+# G_A[k][0] + G_A[k][1] a.
+G_A = ((1, 0), (0, -1), (2, 11), (0, 1), (1, 0))
+# theta_1 = -(a^2 - 44a - 16)/4, ascending in a
+THETA1 = (4, 11, Fraction(-1, 4))
+
+
+def _thetas(a: Poly) -> tuple[Poly, Poly, Poly]:
+    """theta_1 and theta_2, theta_3 = -a (a/4 + e) for e = ebar5, e5, as
+    polynomials in a = Poly([0, 1])."""
+    quarter = CycNum(Fraction(1, 4))
+    th1 = Poly([CycNum(c) for c in THETA1])
+    return th1, -(a * (a * quarter + CycNum.eps5bar())), -(a * (a * quarter + CycNum.eps5()))
+
+
 def resolvent_theta_identity() -> bool:
     """Theta2 * Theta3 = (a^2/16)(a^2 - 44a - 16) = -(a^2/4) Theta1, with a symbolic."""
-    e5, e5b = CycNum.eps5(), CycNum.eps5bar()
     a = Poly([CycNum(0), CycNum(1)])
-    quarter = CycNum(Fraction(1, 4))
-    th1 = -(a * a - 44 * a - 16) * quarter
-    th2 = -(a * (a * quarter + e5b))
-    th3 = -(a * (a * quarter + e5))
+    th1, th2, th3 = _thetas(a)
     lhs = th2 * th3
     rhs = a * a * (a * a - 44 * a - 16) * CycNum(Fraction(1, 16))
-    return lhs == rhs and lhs == -(a * a) * quarter * th1
+    return lhs == rhs and lhs == -(a * a) * CycNum(Fraction(1, 4)) * th1
 
 
-def resolvent_identities(l: int, trials: int) -> bool:
-    """Sample the quartic-root construction over F_{l^2} and check the pairing
-    identities and the reciprocal relations on the roots."""
-    if l % 5 not in (1, 4):
-        raise ValueError("needs l = +-1 mod 5")
-    fld = make_extension(l, 2)
-    pair = golden_units(l)
-    e5, e5b = fld.embed(pair.eps5), fld.embed(pair.eps5bar)
-    inv4 = fld.embed(pow(4, l - 2, l))
-    inv2 = fld.embed(pow(2, l - 2, l))
-    rng = random.Random(l * 1000003 + trials)
-    done = 0
-    while done < trials:
-        a = fld.embed(rng.randrange(1, l))
-        disc_part = a * a - 44 * a - 16
-        if disc_part.is_zero():
-            continue
-        th1 = -(disc_part) * inv4
-        th2 = -(a * (a * inv4 + e5b))
-        th3 = -(a * (a * inv4 + e5))
-        if th2.is_zero() or th3.is_zero():
-            continue
-        s2 = (-th2).sqrt()
-        s3 = (-th3).sqrt()
-        if s2 is None or s3 is None:
-            raise VerificationError(f"a base-field value is not a square in F_({l}^2)")
-        # coefficient of y in g(y - a/4): a^3/8 - (11/2) a^2 - 2a
-        qcoef = a * a * a * inv2 * inv4 - 11 * a * a * inv2 - 2 * a
-        if s2.is_zero() or s3.is_zero() or qcoef.is_zero():
-            continue
-        s1 = qcoef / (s2 * s3)
-        if s1 * s1 != -th1:
+def _resolvent_cubic_holds() -> bool:
+    """With g_a(y - a/4) = y^4 + P y^2 + Q y + R, the resolvent cubic
+    u^3 + 2P u^2 + (P^2 - 4R) u - Q^2 is (u + theta1)(u + theta2)(u + theta3)
+    in Q(zeta_5)[a][u]: its roots -theta_i are the squares (y_1 + y_k)^2,
+    k = 2, 3, 4, of Ferrari's construction."""
+    one = Poly([CycNum(1)])
+    a = Poly([CycNum(0), CycNum(1)])
+    g = Poly([c0 + c1 * a for c0, c1 in G_A])
+    shifted = compose_rational(g, Poly([a * Fraction(-1, 4), one]), one)  # g_a(y - a/4)
+    if shifted[3] != 0:
+        return False
+    R, Q, P = shifted[0], shifted[1], shifted[2]
+    product = one
+    for th in _thetas(a):
+        product = product * Poly([th, one])
+    return product == Poly([-(Q * Q), P * P - 4 * R, 2 * P, one])
+
+
+def _quadratic_pairing_holds() -> bool:
+    """s g_a(x) = (x^2 + e(s-1) x + s)(s x^2 - e(s-1) x + 1) in Q(zeta_5)[s][x]
+    where s a = e (s-1)^2, for e = e5 and e = ebar5.
+
+    The roots x, y of the first factor satisfy -(x + y) = e (x y - 1), and
+    the second factor's roots are -1/x and -1/y: the pairing and reciprocal
+    relations among the roots of g_a."""
+    one = Poly([CycNum(1)])
+    s = Poly([CycNum(0), CycNum(1)])
+    for e in (CycNum.eps5(), CycNum.eps5bar()):
+        r = (s - 1) * e
+        scaled = Poly([s * c0 + r * (s - 1) * c1 for c0, c1 in G_A])
+        if scaled != Poly([s, r, one]) * Poly([one, -r, s]):
             return False
-        quart = [fld.one(), -a, 11 * a + 2, a, fld.one()]  # ascending
-
-        def geval(x):
-            acc = fld.zero()
-            for c in reversed(quart):
-                acc = acc * x + c
-            return acc
-
-        base = -a * inv4
-        r1 = base + (-s1 + s2 + s3) * inv2
-        r2 = base + (s1 + s2 - s3) * inv2
-        r3 = base - (s1 + s2 + s3) * inv2
-        r4 = base + (s1 - s2 + s3) * inv2
-        for r in (r1, r2, r3, r4):
-            if not geval(r).is_zero():
-                return False
-        for x, y, eps in ((r1, r4, e5), (r2, r3, e5), (r1, r2, e5b), (r3, r4, e5b)):
-            if -(x + y) != eps * (x * y - 1):
-                return False
-        if r1.is_zero() or r2.is_zero():
-            continue
-        if r3 != -(1 / r1) or r4 != -(1 / r2):
-            return False
-        done += 1
     return True
+
+
+def resolvent_identities() -> bool:
+    """The quartic family's resolvent cubic and its split into the quadratic
+    family, as exact identities over Q(zeta_5)."""
+    return _resolvent_cubic_holds() and _quadratic_pairing_holds()
 
 
 def tau_covariance() -> bool:
@@ -275,7 +265,7 @@ def tau_covariance() -> bool:
 
     # quartic family, parameter a: (e5 x + 1)^4 g(tau(x)) = 125 e5^2 g(x)
     a = Poly([CycNum(0), one])
-    gpoly = Poly([Poly([one]), -a, 11 * a + 2, a, Poly([one])])
+    gpoly = Poly([c0 + c1 * a for c0, c1 in G_A])
     num = Poly([Poly([e5]), Poly([-one])])
     den = Poly([Poly([one]), Poly([e5])])
     lhs = compose_rational(gpoly, num, den)

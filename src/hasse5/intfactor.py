@@ -1,85 +1,25 @@
-"""Integer factorization by trial division, for comparing against factored reference constants.
+"""Integer helpers: primality, prime ranges, and factored reference constants.
 
 Arbitrary-precision integers and rationals are Python's built-in ``int`` and
-``fractions.Fraction``; this module only adds the factorization layer.  Every
-constant the toolkit needs to factor is smooth (or carries its large prime
-factors explicitly), so plain trial division with a configurable bound is
-enough and keeps the results deterministic.
+``fractions.Fraction``; this module only adds primality by Miller-Rabin, a
+sieve for prime ranges, and the rebuild of constants that are stored in
+factored form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
-
-DEFAULT_TRIAL_BOUND = 10**6
-
-
-class UnresolvedCofactor(ValueError):
-    """Trial division left a composite cofactor above the bound."""
-
-
-@dataclass(frozen=True)
-class IntFactorization:
-    """unit * prod(p**e) == value, primes strictly increasing."""
-
-    unit: int
-    factors: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-    def value(self) -> int:
-        n = self.unit
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-
-def factor_integer(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> IntFactorization:
-    """Factor a nonzero integer by trial division up to ``trial_bound``.
-
-    Raises UnresolvedCofactor if a composite residue larger than
-    ``trial_bound**2`` remains (a cofactor below that square is prime).
-    """
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    unit = -1 if n < 0 else 1
-    m = abs(n)
-    out: list[tuple[int, int]] = []
-    for p in _trial_primes(trial_bound):
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    if m > 1:
-        if m <= trial_bound or m <= trial_bound * trial_bound or _is_prime(m):
-            out.append((m, 1))
-        else:
-            raise UnresolvedCofactor(f"composite cofactor {m} above trial bound {trial_bound}")
-    return IntFactorization(unit, tuple(out))
 
 
 def from_factors(unit: int, factors: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> int:
-    """Rebuild an integer from (prime, exponent) pairs; inverse of factor_integer."""
+    """Rebuild an integer from a unit and (prime, exponent) pairs."""
     n = unit
     for p, e in factors:
         n *= p**e
     return n
 
 
-def _trial_primes(bound: int):
-    yield 2
-    yield 3
-    k = 5
-    while k <= bound:
-        yield k
-        yield k + 2
-        k += 6
-
-
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit-ish inputs; probabilistic above."""
     if n < 2:
         return False
@@ -102,10 +42,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def is_prime(n: int) -> bool:
-    return _is_prime(n)
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

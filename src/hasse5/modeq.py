@@ -111,10 +111,6 @@ QUAD_D = (24, 36, 51, 64, 91, 99)
 QUART_D = (84, 96)
 
 
-class StructureMismatch(ValueError):
-    """The reconstructed class equation does not match the predicted factor shape."""
-
-
 @lru_cache(maxsize=1)
 def phi5() -> BiPoly:
     """Phi5(x, y) = Q5(-x-y, xy) as an exact integer bivariate polynomial."""
@@ -415,16 +411,12 @@ def in_validity_range(p: int) -> bool:
     return p in S_SET or p > 379
 
 
-def verify_class_equation(p: int, force: bool = False) -> K5pReport:
+def verify_class_equation(p: int) -> K5pReport:
     """Compare the reconstructed K_{5p} mod p against the predicted shape.
 
-    Outside the validity range the comparison is still performed when
-    ``force`` is set, and discrepancies are reported instead of raised.
+    Discrepancies are reported in the returned ``mismatches``, never raised;
+    they refute the prediction only where ``in_validity_range(p)`` holds.
     """
-    in_range = in_validity_range(p)
-    if not (in_range or force):
-        raise ValueError(f"p={p} outside the validity range; use force to run anyway")
-
     flags = epsilon_flags(p)
     k5p_list = build_k5p(p)
     found = dict(k5p_list)
@@ -496,9 +488,6 @@ def verify_class_equation(p: int, force: bool = False) -> K5pReport:
     if degree != ap * h:
         mismatches.append(f"deg K_5p = {degree} != a_p h(-5p) = {ap * h}")
 
-    ok = not mismatches
-    if not ok and in_range and not force:
-        raise StructureMismatch(f"p={p}: " + "; ".join(mismatches))
     return K5pReport(
         p,
         flags,
@@ -509,7 +498,7 @@ def verify_class_equation(p: int, force: bool = False) -> K5pReport:
         h,
         degree,
         identity,
-        ok,
+        not mismatches,
         tuple(mismatches),
         tuple(sporadic),
     )
@@ -519,7 +508,7 @@ def verify_class_equation(p: int, force: bool = False) -> K5pReport:
 # The characteristic-zero cofactor resultants R(d).
 
 
-class NonExactSplit(ArithmeticError):
+class NonExactSplit(VerificationError):
     """Q_d does not divide F_d exactly (would indicate a transcription error)."""
 
 

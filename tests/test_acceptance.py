@@ -85,7 +85,7 @@ def test_criterion_3_class_equation_suite():
     for p in primes_in(380, 600):
         rep = verify_class_equation(p)
         assert rep.structure_ok and rep.identity_holds, (p, rep.mismatches)
-    rep379 = verify_class_equation(379, force=True)
+    rep379 = verify_class_equation(379)
     assert not rep379.structure_ok and not rep379.identity_holds
     assert any("(51, 114, 1)" in m and "found 6" in m for m in rep379.mismatches)
     assert dict(build_k5p(379)) == dict(refdata.K379_FACTORS)
@@ -160,7 +160,7 @@ def test_criterion_6_property_suites():
     """Invariant sweeps: Hasse degree/squarefreeness to 500, root counts vs the
     prime-field supersingular count to 500, the point-count oracle to 50, the
     z-parametrization to 1000, companion pairing, the exact G60-orbit identity,
-    resolvent sampling, golden-unit invariants."""
+    resolvent identities, golden-unit invariants."""
     t0 = time.time()
     for l in primes_in(7, 500):
         h = build_hasse(l)  # also asserts the two constructions agree
@@ -180,8 +180,7 @@ def test_criterion_6_property_suites():
         for s in shapes:
             assert companion(l, s).coeffs() in coeffs
     assert orbit_property()
-    for l in (11, 19, 29):
-        assert resolvent_identities(l, 100)
+    assert resolvent_identities()
     for l in primes_in(7, 10**4):
         if l % 5 in (1, 4):
             assert golden_units(l).check()

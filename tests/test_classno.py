@@ -3,7 +3,6 @@ import pytest
 from hasse5.classno import (
     BadDiscriminant,
     class_number_disc,
-    field_class_number,
     h5l,
     h_minus_p,
     order_relation_check,
@@ -14,7 +13,7 @@ from hasse5.intfactor import primes_in
 
 def test_classical_h1():
     for D in (-3, -4, -7, -8, -11):
-        assert class_number_disc(D).h == 1
+        assert class_number_disc(D) == 1
 
 
 def test_disc_minus_4():
@@ -23,11 +22,11 @@ def test_disc_minus_4():
 
 def test_disc_minus_20():
     assert sorted(reduced_forms(-20)) == [(1, 0, 5), (2, 2, 3)]
-    assert class_number_disc(-20).h == 2
+    assert class_number_disc(-20) == 2
 
 
 def test_disc_minus_7580():
-    assert class_number_disc(-7580).h == 48
+    assert class_number_disc(-7580) == 48
 
 
 def test_bad_discriminant():
@@ -38,22 +37,15 @@ def test_bad_discriminant():
 
 
 def test_field_class_number_examples():
-    assert field_class_number(-35).h == 2
-    assert field_class_number(-35).discriminant == -35
-    assert field_class_number(-65).h == 8
-    assert field_class_number(-65).discriminant == -260
-    assert field_class_number(-55).h == 4
+    # h(-5l) is taken at the field discriminant: -35 for l = 7, -260 for l = 13
+    assert h5l(7) == class_number_disc(-35) == 2
+    assert h5l(13) == class_number_disc(-260) == 8
+    assert h5l(11) == class_number_disc(-220) == 4
 
 
 def test_primitivity_matters():
     # -16 has forms (1,0,4) and (2,0,2); only the first is primitive
     assert reduced_forms(-16) == [(1, 0, 4)]
-
-
-def test_fundamental_flag():
-    assert class_number_disc(-20).is_fundamental
-    assert not class_number_disc(-16).is_fundamental
-    assert class_number_disc(-35).is_fundamental
 
 
 def test_h_minus_p():

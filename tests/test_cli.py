@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hasse5
-from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod, icosa, modeq
+from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod, icosa, modeq, refdata
 from hasse5.cli import main
 
 
@@ -67,16 +67,19 @@ def test_k5p_only_in_s(capsys):
 
 
 def test_forced_k5p_rows_are_not_reused_unforced(tmp_path, capsys, monkeypatch):
-    # a structure mismatch at the in-range prime 103: a forced run reports it
-    # as a row, an unforced run must fail on it, warm cache or cold
+    # a structure mismatch at the in-range prime 103 is a row with structure
+    # False and exit status 1, forced or not, so the two runs share one cache
     real_build_k5p = modeq.build_k5p
     monkeypatch.setattr(modeq, "build_k5p", lambda p: real_build_k5p(p)[p == 103 :])
     cold = run_cli(capsys, "k5p", "101..107", "--format", "tsv", "--cache", str(tmp_path / "cold"))
-    assert cold[0] == 1 and "FAIL: StructureMismatch" in cold[1]
-    warm = str(tmp_path / "warm")
-    forced = run_cli(capsys, "k5p", "101..107", "--force", "--format", "tsv", "--cache", warm)
-    assert "False" in forced[1]
-    assert run_cli(capsys, "k5p", "101..107", "--format", "tsv", "--cache", warm) == cold
+    rows = {line.split("\t")[0]: line.split("\t") for line in cold[1].splitlines()[1:]}
+    assert cold[0] == 1 and "FAIL" not in cold[1]
+    assert rows["103"][5] == "False" and "absent" in rows["103"][6]
+    assert rows["101"][5] == rows["107"][5] == "True"
+    warm = tmp_path / "warm"
+    assert run_cli(capsys, "k5p", "101..107", "--force", "--format", "tsv", "--cache", str(warm)) == cold
+    assert run_cli(capsys, "k5p", "101..107", "--format", "tsv", "--cache", str(warm)) == cold
+    assert [d.name for d in warm.iterdir()] == ["k5p"]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -115,6 +118,53 @@ def test_charzero_heavy_rejects_a_wrong_printed_block(capsys, monkeypatch):
     assert failed == {"icosahedral ledger: R_TT_printed", "icosahedral ledger: N_R_AA_printed"}
     assert all(status[name] == "FAIL" for name in failed)
     assert len(status) == 24 and code == 1
+
+
+def _charzero_status(capsys, suite: str) -> tuple[int, dict[str, str]]:
+    code, out = run_cli(capsys, "charzero", "--suite", suite, "--format", "json")
+    return code, {row["check"]: row["status"] for row in map(json.loads, out.splitlines())}
+
+
+def test_charzero_reports_a_raising_check_as_a_row(capsys, monkeypatch):
+    # a wrong constant term of H_-24 makes table1_gcd raise: that row carries
+    # the error, the other rows reading H_-24 fail, and every other row runs
+    c0, c1, c2 = modeq.HD[24]
+    monkeypatch.setitem(modeq.HD, 24, (c0 + 1, c1, c2))
+    modeq._disc_hd.cache_clear()
+    try:
+        code, status = _charzero_status(capsys, "fast")
+    finally:
+        monkeypatch.undo()
+        modeq._disc_hd.cache_clear()
+    failed = {name for name, st in status.items() if st != "PASS"}
+    assert failed == {"disc_y(Phi5) identity", "gcd(D1,D2) at H_-24", "disc(H_-24)"}
+    assert status["gcd(D1,D2) at H_-24"] == "FAIL: VerificationError: Q5 or a first derivative is nonzero at H_-24"
+    assert status["disc(H_-24)"] == status["disc_y(Phi5) identity"] == "FAIL"
+    assert len(status) == 54 and code == 1
+
+
+def test_nonexact_split_is_a_verification_error():
+    assert issubclass(modeq.NonExactSplit, VerificationError)
+
+
+@pytest.mark.parametrize(
+    "table, key, printed",
+    [
+        ("SPORADIC_GCD", (96, 2), 73 * refdata.SPORADIC_GCD_96_2_CORRECTED),
+        ("DISC_QD", 51, refdata.DISC_QD_51_CORRECTED),
+    ],
+)
+def test_charzero_misprint_rows_assert_the_discrepancy(capsys, monkeypatch, table, key, printed):
+    # the corrected value still matches, but the printed value no longer
+    # differs from it by exactly 71 (resp. 17^4): only the misprint row fails
+    monkeypatch.setitem(getattr(refdata, table), key, printed)
+    code, status = _charzero_status(capsys, "fast")
+    failed = {name for name, st in status.items() if st != "PASS"}
+    label = {
+        "SPORADIC_GCD": "sporadic d=96 case 2 [printed gcd carries a spurious 71]",
+        "DISC_QD": "disc(Q_51) [printed value omits 17^4]",
+    }[table]
+    assert failed == {label} and status[label] == "FAIL" and code == 1
 
 
 def test_cache_roundtrip(tmp_path, capsys):

@@ -62,14 +62,21 @@ def test_tau_covariance():
 
 
 def test_resolvent_sampling():
-    assert resolvent_identities(11, 20)
-    assert resolvent_identities(19, 20)
-    assert resolvent_identities(31, 20)
+    assert resolvent_identities()
 
 
-def test_resolvent_rejects_inert():
-    with pytest.raises(ValueError):
-        resolvent_identities(7, 1)
+def test_resolvent_identities_fail_for_a_wrong_quartic(monkeypatch):
+    # x^2 coefficient 11a + 3 instead of 11a + 2
+    monkeypatch.setattr(icosa, "G_A", ((1, 0), (0, -1), (3, 11), (0, 1), (1, 0)))
+    assert not icosa._resolvent_cubic_holds()
+    assert not icosa._quadratic_pairing_holds()
+    assert not resolvent_identities()
+
+
+def test_resolvent_identities_fail_for_a_wrong_theta1(monkeypatch):
+    monkeypatch.setattr(icosa, "THETA1", tuple(-c for c in icosa.THETA1))
+    assert not icosa._resolvent_cubic_holds()
+    assert not resolvent_identities()
 
 
 def test_orbit_property_small():
