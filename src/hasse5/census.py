@@ -12,8 +12,9 @@ for the quadratic relation, so the canonical choice of sqrt(5) made by
 ``golden_units`` never affects the count; a factor is counted once even if it
 satisfies both relations (only x^2 + 1 can).
 
-The factors are found without factoring the Hasse invariant H.  H is checked
-squarefree (gcd(H, H') = 1); H mod f is then computed for every member f of a
+The factors are found without factoring the Hasse invariant H.  H is
+certified squarefree in O(l) by the Picard-Fuchs operator that annihilates it
+(see ``_squarefree_hasse``); H mod f is then computed for every member f of a
 family at once, by one vectorized Horner sweep over H's coefficients; and only
 the members that divide H are tested for irreducibility: quartics by
 ``modpoly.is_irreducible``, quadratics by the Legendre symbol of the
@@ -81,11 +82,39 @@ class CensusReport:
         }
 
 
-def _squarefree_hasse(l: int, hasse) -> list[int]:
-    """The Hasse invariant over F_l (or the injected ``hasse``), checked squarefree."""
-    f = build_hasse(l) if hasse is None else mp.from_int_poly(hasse, l)
-    if mp.deg(mp.gcd(f, mp.deriv(f, l), l)) != 0:
-        raise VerificationError(f"Hasse invariant not squarefree at l={l}")
+# x^2 + 11x - 1: its roots and 0 are the singular points of L below
+SINGULAR = [-1, 11, 1]
+
+
+def _squarefree_hasse(l: int) -> list[int]:
+    """The Hasse invariant H over F_l, certified squarefree in O(l).
+
+    H passes four checks, or VerificationError is raised: L(H) = 0 in F_l[x]
+    for L = theta^2 - x(11 theta^2 + 11 theta + 3) - x^2 (theta + 1)^2,
+    theta = x d/dx, one coefficient at a time; H(0) != 0;
+    gcd(H, x^2 + 11x - 1) = 1; and deg H < l.
+
+    They prove H squarefree.  In D = d/dx, L = x^2 (1 - 11x - x^2) D^2 + lower
+    terms.  Let a be a double root of H with a (1 - 11a - a^2) != 0.  The k-th
+    derivative of L(H) = 0 gives H^(k+2)(a) from lower derivatives, with the
+    invertible leading coefficient a^2 (1 - 11a - a^2); as H(a) = H'(a) = 0,
+    every derivative of H vanishes at a.  Since deg H < l, H is its Taylor
+    series sum_{k<l} H^(k)(a) (x - a)^k / k!, so H = 0, against H(0) != 0.
+    The other two checks rule out a double root at 0 or at a root of
+    x^2 + 11x - 1.  (Igusa's argument for the Legendre family, PNAS 44, 1958.)
+    """
+    f = build_hasse(l)
+    h = [0, 0] + f + [0, 0]  # h[n + 2] is the coefficient of x^n
+    for n in range(len(f) + 2):
+        m = n - 1
+        if (n * n * h[n + 2] - (11 * m * m + 11 * m + 3) * h[n + 1] - m * m * h[n]) % l:
+            raise VerificationError(f"L(H) has a nonzero x^{n} coefficient at l={l}")
+    if not f or f[0] == 0:
+        raise VerificationError(f"H(0) = 0 at l={l}")
+    if mp.deg(mp.gcd(f, mp.from_int_poly(SINGULAR, l), l)):
+        raise VerificationError(f"H shares a root with x^2 + 11x - 1 at l={l}")
+    if mp.deg(f) >= l:
+        raise VerificationError(f"Hasse invariant has degree {mp.deg(f)} >= l={l}")
     return f
 
 
@@ -114,26 +143,25 @@ def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
     return np.flatnonzero(~(state % l).any(axis=0)).tolist()
 
 
-def find_g_factors(l: int, hasse=None) -> list[GShape]:
-    """Irreducible quartic factors of the Hasse invariant with coefficient
-    vector (1, a, 11a+2, -a, 1), in ascending coefficient order."""
+def find_g_factors(l: int, f: list[int]) -> list[GShape]:
+    """Irreducible quartic factors of f with coefficient vector
+    (1, a, 11a+2, -a, 1), in ascending coefficient order."""
     if l % 5 not in (2, 3):
         raise ValueError("quartic census needs l = 2, 3 mod 5")
     a = _sweep_range(l, 4)
-    f = _squarefree_hasse(l, hasse)
     # x^4 = -1 + a x - (11a+2) x^2 - a x^3 mod g_a
     red = np.stack([np.full(l, l - 1, dtype=np.int64), a, -(11 * a + 2) % l, -a % l])
     shapes = [GShape(l, t) for t in _divisor_params(f, red, l)]
     return sorted((g for g in shapes if mp.is_irreducible(g.coeffs(), l)), key=GShape.coeffs)
 
 
-def find_k_factors(l: int, hasse=None) -> list[KShape]:
-    """Irreducible quadratic factors x^2 + rx + s with r = e5(s-1) or ebar5(s-1),
-    in ascending coefficient order; x^2 + 1 satisfies both and is counted once."""
+def find_k_factors(l: int, f: list[int]) -> list[KShape]:
+    """Irreducible quadratic factors x^2 + rx + s of f with r = e5(s-1) or
+    ebar5(s-1), in ascending coefficient order; x^2 + 1 satisfies both and is
+    counted once."""
     if l % 5 not in (1, 4):
         raise ValueError("quadratic census needs l = 1, 4 mod 5")
     s = _sweep_range(l, 2)
-    f = _squarefree_hasse(l, hasse)
     pair = golden_units(l)
     found: dict[tuple[int, int], KShape] = {}
     for variant, e in (("eps", pair.eps5), ("epsbar", pair.eps5bar)):
@@ -185,16 +213,13 @@ def companion(l: int, k: KShape) -> KShape:
     return KShape(l, (-k.r * sinv) % l, sinv, k.variant)
 
 
-def census(l: int, hasse=None) -> CensusReport:
+def census(l: int) -> CensusReport:
     if l % 5 == 0:
         raise ValueError("l must be a prime different from 5")
     h = h5l(l)
-    if l % 5 in (2, 3):
-        shapes = find_g_factors(l, hasse)
-        facs = tuple(s.coeffs() for s in shapes)
-    else:
-        shapes = find_k_factors(l, hasse)
-        facs = tuple(s.coeffs() for s in shapes)
+    find = find_g_factors if l % 5 in (2, 3) else find_k_factors
+    shapes = find(l, _squarefree_hasse(l))
+    facs = tuple(s.coeffs() for s in shapes)
     pred = predicted_count(l, h)
     found = len(shapes)
     return CensusReport(l, l % 5, l % 8, h, found, pred, found == pred, facs)

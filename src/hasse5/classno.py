@@ -54,13 +54,3 @@ def h_minus_p(p: int) -> int:
     D = -p if p % 4 == 3 else -4 * p
     return class_number_disc(D)
 
-
-def order_relation_check(l: int) -> bool:
-    """For l = 3 mod 4: the order class number h(-20l) equals h(-5l) or
-    3*h(-5l) according as -5l = 1 or 5 mod 8."""
-    if l % 4 != 3 or l <= 5:
-        raise ValueError("needs a prime l = 3 mod 4, l > 5")
-    h_field = class_number_disc(-5 * l)
-    h_order = class_number_disc(-20 * l)
-    factor = 1 if (-5 * l) % 8 == 1 else 3
-    return h_order == factor * h_field

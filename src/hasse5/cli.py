@@ -180,6 +180,9 @@ def cmd_sweep(args) -> int:
     sweep = SWEEPS[args.command]
     primes = _parse_range(args.range)
     if args.command == "k5p":
+        small = [p for p in primes if p <= 20]
+        if small and not args.only_in_s:
+            raise SystemExit(f"error: primes {small} are too small: K_5p is rebuilt only for p > 20")
         outside = [p for p in primes if not modeq.in_validity_range(p)]
         if outside and not args.force and not args.only_in_s:
             raise SystemExit(

@@ -2,10 +2,12 @@
 and the supersingular polynomial ss_p(X) over F_p.
 
 The curve family is Y^2 + (1+b)XY + bY = X^3 + bX^2 (a point of order 5 at the
-origin).  Its Hasse invariant over F_l is assembled here in two independent
-ways -- once through the j-invariant written in the parameter b, once through
-the alternative degree-12 rational map j5 -- and the two expansions are
-checked equal on every build.
+origin).  Its Hasse invariant over F_l is the truncated generating series
+sum_{n<l} A_n b^n mod l of the Apery numbers A_n = sum_k C(n,k)^2 C(n+k,k) of
+zeta(2), which Beukers (Asterisque 147-148, 1987) ties to Gamma_1(5), the
+group of this family.  It is built in O(l) steps from their three-term
+recurrence.  The test suite checks it against the expansion of Deuring's
+J_l through j(b) and through the degree-12 map j5.
 """
 
 from __future__ import annotations
@@ -17,15 +19,10 @@ from . import VerificationError, modpoly as mp
 from .classno import h_minus_p
 from .fp import legendre
 
-# j(b) = C4(b)^3 / (b^5 (1 - 11b - b^2)): numerator/denominator pieces (ascending)
+# j(b) = C4(b)^3 / (b^5 (1 - 11b - b^2)) and j5(x) = C45(x)^3 / (x (1 - 11x - x^2)^5)
 C4 = [1, -12, 14, 12, 1]  # b^4 + 12b^3 + 14b^2 - 12b + 1
-Q6 = [1, -18, 74, 18, 1]  # b^4 + 18b^3 + 74b^2 - 18b + 1
 DEN_J = [0, 0, 0, 0, 0, 1, -11, -1]  # b^5 (1 - 11b - b^2)
-
-# j5(x) = C45(x)^3 / (x (1 - 11x - x^2)^5) and the degree-6 companion
 C45 = [1, 228, 494, -228, 1]  # x^4 - 228x^3 + 494x^2 + 228x + 1
-C65_NEG_FACTOR = [1, -522, -10006, 522, 1]  # x^4 + 522x^3 - 10006x^2 - 522x + 1
-X2P1 = [1, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -60,46 +57,20 @@ def build_Jl(l: int) -> list[int]:
     return out
 
 
-def _den_j5(l: int) -> list[int]:
-    # x (1 - 11x - x^2)^5
-    base = mp.from_int_poly([1, -11, -1], l)
-    p5 = [1]
-    for _ in range(5):
-        p5 = mp.mul(p5, base, l)
-    return mp.mul([0, 1], p5, l)
-
-
 def build_hasse(l: int) -> list[int]:
-    """The Hasse invariant over F_l, degree 12*n_l + 4r + 6s.
-
-    Built via the parameter-b j-invariant and cross-checked against the
-    expansion through j5; any disagreement raises VerificationError.
+    """The Hasse invariant over F_l, degree 12*n_l + 4r + 6s: the coefficients
+    A_0, ..., A_{l-1} mod l from A_0 = 1, A_1 = 3 and
+    (n+1)^2 A_{n+1} = (11n^2 + 11n + 3) A_n + n^2 A_{n-1}.
+    A wrong degree raises VerificationError.
     """
     par = hasse_params(l)
-    n, r, s = par.n_l, par.r, par.s
-    J = build_Jl(l)
-
-    num1 = mp.mul_many([mp.from_int_poly(C4, l)] * 3, l)
-    h1 = mp.compose_rational(J, num1, mp.from_int_poly(DEN_J, l), l)
-    for _ in range(r):
-        h1 = mp.mul(h1, mp.from_int_poly(C4, l), l)
-    for _ in range(s):
-        h1 = mp.mul(h1, mp.from_int_poly(X2P1, l), l)
-        h1 = mp.mul(h1, mp.from_int_poly(Q6, l), l)
-
-    num2 = mp.mul_many([mp.from_int_poly(C45, l)] * 3, l)
-    h2 = mp.compose_rational(J, num2, _den_j5(l), l)
-    for _ in range(r):
-        h2 = mp.mul(h2, mp.from_int_poly(C45, l), l)
-    for _ in range(s):
-        h2 = mp.mul(h2, mp.from_int_poly(X2P1, l), l)
-        h2 = mp.mul(h2, mp.from_int_poly(C65_NEG_FACTOR, l), l)
-
-    if h1 != h2:
-        raise VerificationError(f"the two Hasse invariant expansions disagree for l={l}")
-    if mp.deg(h1) != 12 * n + 4 * r + 6 * s:
-        raise VerificationError(f"Hasse invariant has degree {mp.deg(h1)} != 12n + 4r + 6s at l={l}")
-    return h1
+    h = [1, 3]
+    for n in range(1, l - 1):
+        h.append(((11 * n * n + 11 * n + 3) * h[n] + n * n * h[n - 1]) * pow(n + 1, -2, l) % l)
+    h = mp.from_int_poly(h, l)
+    if mp.deg(h) != 12 * par.n_l + 4 * par.r + 6 * par.s:
+        raise VerificationError(f"Hasse invariant has degree {mp.deg(h)} != 12n + 4r + 6s at l={l}")
+    return h
 
 
 def build_ss(p: int) -> list[int]:

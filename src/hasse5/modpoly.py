@@ -158,13 +158,6 @@ def from_int_poly(coeffs, p):
     return trim([c % p for c in coeffs])
 
 
-def mul_many(polys, p):
-    out = [1]
-    for f in polys:
-        out = mul(out, f, p)
-    return out
-
-
 def compose_rational(F, num, den, p):
     """den^deg(F) * F(num/den) over F_p."""
     n = deg(F)

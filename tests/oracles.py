@@ -5,8 +5,9 @@ the package under test: quadratic residues are found by exhaustive squaring,
 elliptic curve orders by literal point counting, F_{p^2} is built directly
 from a non-residue, and irreducibility by exhaustive divisor search.  The one
 exceptions are the routes the package replaced, kept to check the new ones
-against a different algorithm: ``census_by_factoring``, the census by a full
-Cantor-Zassenhaus factorization of the Hasse invariant,
+against a different algorithm: ``hasse_by_expansion``, the Hasse invariant
+by composing Deuring's J_l with j(b) and with j5, ``census_by_factoring``,
+the census by a full Cantor-Zassenhaus factorization of that invariant,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
 Phi5(x^p, x) by repeated division, and ``icosa_resultant_bareiss``, the
 icosahedral resultant by Bareiss elimination over Z[zeta_5][x].
@@ -168,18 +169,65 @@ def quartic_irreducible_naive(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+# the degree-6 factors of the Hasse invariant at l = 3 mod 4: X2P1 * Q6 in b,
+# X2P1 * C65_NEG_FACTOR in x (ascending coefficients)
+Q6 = [1, -18, 74, 18, 1]  # b^4 + 18b^3 + 74b^2 - 18b + 1
+C65_NEG_FACTOR = [1, -522, -10006, 522, 1]  # x^4 + 522x^3 - 10006x^2 - 522x + 1
+X2P1 = [1, 0, 1]
+
+
+def _den_j5(l: int) -> list[int]:
+    """x (1 - 11x - x^2)^5 over F_l, the denominator of j5."""
+    from hasse5 import modpoly as mp
+
+    out = [0, 1]
+    for _ in range(5):
+        out = mp.mul(out, mp.from_int_poly([1, -11, -1], l), l)
+    return out
+
+
+def _expand(J: list[int], num: list[int], den: list[int], quartic: list[int], sextic: list[int], l: int) -> list[int]:
+    """den^deg(J) J(num^3 / den) * quartic^r * (X2P1 * sextic)^s over F_l."""
+    from hasse5 import modpoly as mp
+    from hasse5.hasse import hasse_params
+
+    par = hasse_params(l)
+    num = mp.from_int_poly(num, l)
+    h = mp.compose_rational(J, mp.mul(mp.mul(num, num, l), num, l), mp.from_int_poly(den, l), l)
+    for _ in range(par.r):
+        h = mp.mul(h, mp.from_int_poly(quartic, l), l)
+    for _ in range(par.s):
+        h = mp.mul(mp.mul(h, X2P1, l), mp.from_int_poly(sextic, l), l)
+    return h
+
+
+def hasse_by_expansion(l: int) -> list[int]:
+    """The Hasse invariant over F_l from Deuring's J_l, expanded through
+    j(b) = C4^3 / (b^5 (1 - 11b - b^2)) and through j5 = C45^3 / (x (1 - 11x - x^2)^5);
+    the two expansions must agree."""
+    from hasse5 import VerificationError
+    from hasse5.hasse import C4, C45, DEN_J, build_Jl
+
+    J = build_Jl(l)
+    h1 = _expand(J, C4, DEN_J, C4, Q6, l)
+    h2 = _expand(J, C45, _den_j5(l), C45, C65_NEG_FACTOR, l)
+    if h1 != h2:
+        raise VerificationError(f"the two Hasse invariant expansions disagree for l={l}")
+    return h1
+
+
 def census_by_factoring(l: int, hasse=None) -> dict:
-    """``census(l, hasse).to_dict()``, read off the full factorization of the
-    Hasse invariant: the special factors are the factors of the right degree
-    and shape, in factor_ff's (ascending coefficient) order."""
+    """``census(l).to_dict()``, read off the full factorization of the Hasse
+    invariant (``hasse_by_expansion(l)``, or the injected ``hasse``): the
+    special factors are the factors of the right degree and shape, in
+    factor_ff's (ascending coefficient) order."""
     from hasse5 import VerificationError
     from hasse5.census import CensusReport, predicted_count
     from hasse5.classno import h5l
     from hasse5.ffactor import factor_ff
     from hasse5.fp import golden_units
-    from hasse5.hasse import build_hasse
 
-    fl = factor_ff(build_hasse(l) if hasse is None else hasse, l)
+    fl = factor_ff(hasse_by_expansion(l) if hasse is None else hasse, l)
     if any(m != 1 for _, m in fl.factors):
         raise VerificationError(f"Hasse invariant not squarefree at l={l}")
     if l % 5 in (2, 3):

@@ -1,6 +1,6 @@
 import pytest
 
-from hasse5 import VerificationError, modpoly as mp
+from hasse5 import VerificationError, census as census_mod, modpoly as mp
 from hasse5.census import (
     GShape,
     KShape,
@@ -12,39 +12,40 @@ from hasse5.census import (
 )
 from hasse5.classno import h5l
 from hasse5.fp import golden_units, legendre
+from hasse5.hasse import build_hasse
 from hasse5.intfactor import is_prime, primes_in
 from oracles import census_by_factoring, quartic_irreducible_naive
 
 
 def test_find_g_7():
-    shapes = find_g_factors(7)
+    shapes = find_g_factors(7, build_hasse(7))
     assert [s.a for s in shapes] == [4]
     assert shapes[0].coeffs() == (1, 3, 4, 4, 1)
 
 
 def test_find_g_13():
-    assert len(find_g_factors(13)) == 2
+    assert len(find_g_factors(13, build_hasse(13))) == 2
 
 
 def test_find_k_11():
-    assert len(find_k_factors(11)) == 3
+    assert len(find_k_factors(11, build_hasse(11))) == 3
 
 
 def test_find_k_19():
-    assert len(find_k_factors(19)) == 5
+    assert len(find_k_factors(19, build_hasse(19))) == 5
 
 
 def test_wrong_residue_class_rejected():
     with pytest.raises(ValueError):
-        find_g_factors(11)
+        find_g_factors(11, build_hasse(11))
     with pytest.raises(ValueError):
-        find_k_factors(13)
+        find_k_factors(13, build_hasse(13))
 
 
 def test_x2_plus_1_counted_once():
     # at l = 19, x^2 + 1 divides the Hasse invariant (s = 1) and has s-parameter 1,
     # so the relation degenerates; the census counts it exactly once
-    shapes = find_k_factors(19)
+    shapes = find_k_factors(19, build_hasse(19))
     ones = [s for s in shapes if (s.r, s.s) == (0, 1)]
     assert len(ones) == 1
 
@@ -76,7 +77,7 @@ def test_census_report_fields():
 def test_g_shape_reversal_closure():
     # x^4 g(-1/x) = g(x) for every found shape
     for l in (7, 13, 23, 43):
-        for s in find_g_factors(l):
+        for s in find_g_factors(l, build_hasse(l)):
             c = s.coeffs()
             rev = tuple(c[4 - k] * (-1) ** k % l for k in range(5))
             # x^4 g(-1/x) has coefficients c_{4-k} (-1)^(4-k); normalize lead
@@ -87,7 +88,7 @@ def test_g_shape_reversal_closure():
 def test_k_factor_companion_pairing():
     # companions {k, kbar} both occur; self-paired ones have s = +-1
     for l in (11, 19, 29, 31, 41, 61):
-        shapes = find_k_factors(l)
+        shapes = find_k_factors(l, build_hasse(l))
         coeff_set = {s.coeffs() for s in shapes}
         for s in shapes:
             cb = companion(l, s)
@@ -100,7 +101,7 @@ def test_companion_product_has_g_shape():
     # for non-self-paired k, the product k * kbar is a quartic of the g-shape
     for l in (11, 19, 31):
         pair = golden_units(l)
-        for s in find_k_factors(l):
+        for s in find_k_factors(l, build_hasse(l)):
             cb = companion(l, s)
             if cb.coeffs() == s.coeffs():
                 continue
@@ -137,6 +138,10 @@ def _k(l, e, s):
     return [s, e * (s - 1) % l, 1]
 
 
+def _factors(l, h):
+    return census_by_factoring(l, h)["factors"]
+
+
 def test_reducible_g_divisor_not_counted():
     l = 13
     reducible = [a for a in range(l) if not quartic_irreducible_naive(GShape(l, a).coeffs(), l)]
@@ -145,8 +150,9 @@ def test_reducible_g_divisor_not_counted():
         h = mp.mul(_g(l, a), _g(l, irreducible[0]), l)
         if mp.deg(mp.gcd(h, mp.deriv(h, l), l)):
             continue  # g_a shares a factor with g_b; not a squarefree H
-        assert find_g_factors(l, h) == [GShape(l, irreducible[0])]
-        assert census(l, h).to_dict() == census_by_factoring(l, h)
+        shapes = find_g_factors(l, h)
+        assert shapes == [GShape(l, irreducible[0])]
+        assert [list(g.coeffs()) for g in shapes] == _factors(l, h)
         break
     else:
         pytest.fail("no reducible g_a coprime to an irreducible g_b at l=13")
@@ -159,24 +165,63 @@ def test_square_discriminant_k_divisor_not_counted():
     inert = [s for s in range(l) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == -1]
     h = mp.mul(_k(l, e, split[0]), _k(l, e, inert[0]), l)
     assert mp.deg(mp.gcd(h, mp.deriv(h, l), l)) == 0
-    assert find_k_factors(l, h) == [KShape(l, _k(l, e, inert[0])[1], inert[0], "eps")]
-    assert census(l, h).to_dict() == census_by_factoring(l, h)
+    shapes = find_k_factors(l, h)
+    assert shapes == [KShape(l, _k(l, e, inert[0])[1], inert[0], "eps")]
+    assert [list(k.coeffs()) for k in shapes] == _factors(l, h)
 
 
 def test_x2_plus_1_counted_once_in_injected_hasse():
     # at l = 19 (= 3 mod 4) x^2 + 1 is irreducible and satisfies both relations
     h = [1, 0, 1]
     assert find_k_factors(19, h) == [KShape(19, 0, 1, "eps")]
-    assert census(19, h).to_dict() == census_by_factoring(19, h)
+    assert _factors(19, h) == [[1, 0, 1]]
 
 
 def test_non_squarefree_hasse_rejected():
     for l, f in ((13, _g(13, 1)), (11, [1, 0, 1])):
         h = mp.mul(mp.mul(f, f, l), [1, 1], l)
         with pytest.raises(VerificationError):
-            census(l, h)
-        with pytest.raises(VerificationError):
             census_by_factoring(l, h)
+
+
+def _perturbed(l, h):
+    return h[:1] + [(h[1] + 1) % l] + h[2:]
+
+
+def _times_singular(l, h):
+    return mp.mul(h, [l - 1, 11, 1], l)
+
+
+def _times_x(l, h):
+    return [0] + h
+
+
+@pytest.mark.parametrize("l", [7, 11, 13, 379])
+@pytest.mark.parametrize("fault", [_perturbed, _times_singular, _times_x])
+def test_squarefree_certificate_rejects_a_wrong_hasse(monkeypatch, l, fault):
+    monkeypatch.setattr(census_mod, "build_hasse", lambda l: fault(l, build_hasse(l)))
+    with pytest.raises(VerificationError, match="L\\(H\\) has a nonzero"):
+        census(l)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # the zero polynomial satisfies L
+        (lambda l, h: [], "H\\(0\\) = 0"),
+        # a polynomial in x^l is a constant for theta = x d/dx, so L kills
+        # (x^2 + 11x - 1)^l H and (x + 1)^l H; only deg H < l makes the
+        # certificate's proof apply, and both have a repeated factor
+        (lambda l, h: mp.mul(h, [l - 1] + [0] * (l - 1) + [11] + [0] * (l - 1) + [1], l), "shares a root"),
+        (lambda l, h: mp.mul(h, [1] + [0] * (l - 1) + [1], l), "degree .* >= l"),
+    ],
+    ids=["zero", "singular-power", "x+1-power"],
+)
+def test_each_certificate_check_is_needed(monkeypatch, fault, message):
+    l = 13
+    monkeypatch.setattr(census_mod, "build_hasse", lambda l: fault(l, build_hasse(l)))
+    with pytest.raises(VerificationError, match=message):
+        census(l)
 
 
 def test_primes_past_the_int64_sweep_rejected():

@@ -5,7 +5,6 @@ from hasse5.classno import (
     class_number_disc,
     h5l,
     h_minus_p,
-    order_relation_check,
     reduced_forms,
 )
 from hasse5.intfactor import primes_in
@@ -55,9 +54,12 @@ def test_h_minus_p():
 
 
 def test_order_relation_sample():
+    # for l = 3 mod 4 the order class number h(-20l) equals h(-5l) or
+    # 3 h(-5l) according as -5l = 1 or 5 mod 8
     for l in primes_in(7, 300):
         if l % 4 == 3:
-            assert order_relation_check(l)
+            factor = 1 if (-5 * l) % 8 == 1 else 3
+            assert class_number_disc(-20 * l) == factor * class_number_disc(-5 * l), l
 
 
 def test_h5l():

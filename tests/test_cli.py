@@ -52,6 +52,21 @@ def test_k5p_guard_and_force(capsys):
     assert doc["structure_ok"] and doc["identity_holds"]
 
 
+@pytest.mark.parametrize(
+    "argv, small",
+    [
+        (["k5p", "7..19", "--force"], [7, 11, 13, 17, 19]),
+        (["k5p", "13..30", "--force"], [13, 17, 19]),
+        (["k5p", "7..19"], [7, 11, 13, 17, 19]),
+    ],
+)
+def test_k5p_primes_below_21_are_a_usage_error(capsys, argv, small):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == f"error: primes {small} are too small: K_5p is rebuilt only for p > 20"
+    assert capsys.readouterr().out == ""
+
+
 def test_k5p_379_forced_reports_anomaly(capsys):
     code, out = run_cli(capsys, "k5p", "379", "--force", "--format", "json")
     doc = json.loads(out.strip())
@@ -276,15 +291,16 @@ def test_failed_table_row_is_a_fail_status(capsys, monkeypatch):
 
 
 def test_optimized_interpreter_keeps_verifications():
-    # a wrong j5 numerator makes the two Hasse expansions disagree; python -O
-    # must not remove that check
+    # H (x^2 + 11x - 1) is not squarefree; python -O must not remove the
+    # certificate that rejects it
     code = (
-        "import hasse5.hasse; hasse5.hasse.C45 = [2, 228, 494, -228, 1]; "
-        "from hasse5.cli import main; raise SystemExit(main(['census', '7..31']))"
+        "from hasse5 import census, modpoly as mp; build = census.build_hasse; "
+        "census.build_hasse = lambda l: mp.mul(build(l), [l - 1, 11, 1], l); "
+        "from hasse5.cli import main; raise SystemExit(main(['census', '13', '--format', 'tsv']))"
     )
     run = run_subprocess(code, "-O")
     assert run.returncode == 1
-    assert "FAIL: VerificationError: the two Hasse invariant expansions disagree" in run.stdout
+    assert run.stdout.split("\n")[1] == "13\t\t\t\tFAIL: VerificationError: L(H) has a nonzero x^1 coefficient at l=13"
 
 
 def test_jobs_parallel(capsys):

@@ -1,4 +1,5 @@
 import random
+from functools import partial, reduce
 
 from hasse5 import modpoly as mp
 from hasse5.ffactor import factor_ff, reconstruct, roots_in
@@ -26,7 +27,7 @@ def test_hasse7_factors():
 
 def test_multiplicities_and_reconstruction():
     p = 13
-    f = mp.mul_many([[1, 1], [1, 1], [2, 0, 1], [5, 1, 1], [5, 1, 1], [5, 1, 1]], p)
+    f = reduce(partial(mp.mul, p=p), [[1, 1], [1, 1], [2, 0, 1], [5, 1, 1], [5, 1, 1], [5, 1, 1]])
     f = mp.scale(f, 4, p)
     fl = factor_ff(f, p)
     assert fl.unit == 4
@@ -56,7 +57,7 @@ def test_factorization_deterministic():
 
 def test_squarefree_with_pth_power():
     p = 5
-    f = mp.mul_many([[1, 1]] * 5 + [[2, 1]], p)  # (x+1)^5 (x+2)
+    f = reduce(partial(mp.mul, p=p), [[1, 1]] * 5 + [[2, 1]])  # (x+1)^5 (x+2)
     fl = factor_ff(f, p)
     assert dict(fl.factors) == {(1, 1): 5, (2, 1): 1}
 
@@ -70,7 +71,7 @@ def test_roots_examples():
 
 def test_roots_multiplicity():
     # (x - 2)^3 (x - 5) over F_11
-    f = mp.mul_many([[-2, 1]] * 3 + [[-5, 1]], 11)
+    f = reduce(partial(mp.mul, p=11), [[-2, 1]] * 3 + [[-5, 1]])
     assert [(r.coords, m) for r, m in roots_in(f, 11)] == [((2, 0), 3), ((5, 0), 1)]
 
 

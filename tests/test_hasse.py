@@ -1,6 +1,9 @@
-from hasse5 import modpoly as mp
+import pytest
+
+from hasse5 import VerificationError, modpoly as mp
 from hasse5.classno import h_minus_p
 from hasse5.hasse import (
+    HasseParams,
     build_Jl,
     build_hasse,
     build_ss,
@@ -8,7 +11,7 @@ from hasse5.hasse import (
     hasse_params,
 )
 from hasse5.intfactor import primes_in
-from oracles import count_points_fp, curve_from_j_fp, supersingular_js_fp
+from oracles import C65_NEG_FACTOR, Q6, X2P1, count_points_fp, curve_from_j_fp, hasse_by_expansion, supersingular_js_fp
 
 
 def test_params():
@@ -35,18 +38,11 @@ def test_j5_supersingular_mod_13_oracle():
 def test_hasse_small():
     # l=7: (b^2+1)(b^4+18b^3+74b^2-18b+1) mod 7, degree 6
     got = build_hasse(7)
-    expect = mp.mul([1, 0, 1], mp.from_int_poly([1, -18, 74, 18, 1], 7), 7)
+    expect = mp.mul(X2P1, mp.from_int_poly(Q6, 7), 7)
     assert got == expect
     # l=11: c4-quartic * (b^2+1) * (b^4+...) mod 11, degree 10
     got11 = build_hasse(11)
-    expect11 = mp.mul_many(
-        [
-            mp.from_int_poly([1, -12, 14, 12, 1], 11),
-            [1, 0, 1],
-            mp.from_int_poly([1, -18, 74, 18, 1], 11),
-        ],
-        11,
-    )
+    expect11 = mp.mul(mp.mul(mp.from_int_poly([1, -12, 14, 12, 1], 11), X2P1, 11), mp.from_int_poly(Q6, 11), 11)
     assert got11 == expect11
     assert mp.deg(build_hasse(13)) == 12
 
@@ -56,9 +52,39 @@ def test_hasse_degree_and_squarefree_sample():
 
     for l in primes_in(7, 140):
         par = hasse_params(l)
-        h = build_hasse(l)  # internally asserts the two constructions agree
+        h = build_hasse(l)
         assert mp.deg(h) == 12 * par.n_l + 4 * par.r + 6 * par.s
         assert all(m == 1 for _, m in factor_ff(h, l).factors)
+
+
+def test_hasse_matches_expansion_oracle():
+    # the Apery recurrence against Deuring's J_l composed with j(b) and j5
+    for l in primes_in(7, 1500):
+        assert build_hasse(l) == hasse_by_expansion(l), l
+
+
+@pytest.mark.heavy
+def test_hasse_matches_expansion_oracle_to_10000():
+    # every 100th prime past the range above, and the last below 10^4: the
+    # oracle is O(l^2), 3.3 s at l = 9973
+    for l in primes_in(1501, 10**4)[::100] + [9973]:
+        assert build_hasse(l) == hasse_by_expansion(l), l
+
+
+def test_expansion_oracle_checks_its_two_routes(monkeypatch):
+    import oracles
+
+    monkeypatch.setattr(oracles, "C65_NEG_FACTOR", [2] + C65_NEG_FACTOR[1:])
+    with pytest.raises(VerificationError, match="two Hasse invariant expansions disagree"):
+        hasse_by_expansion(7)
+
+
+def test_hasse_degree_check(monkeypatch):
+    from hasse5 import hasse
+
+    monkeypatch.setattr(hasse, "hasse_params", lambda l: HasseParams(l, 0, 0, 0))
+    with pytest.raises(VerificationError, match="degree 6 != 12n"):
+        build_hasse(7)
 
 
 def test_ss_small():
