@@ -8,8 +8,8 @@ Central objects:
   factorization of K_{5p} = H_{-20p} (p = 1 mod 4) or H_{-5p} H_{-20p}
   (p = 3 mod 4) modulo p;
 * ``build_k5p`` -- reconstruction of K_{5p} mod p from the supersingular
-  factors of Phi5(x^p, x), with multiplicities read off Phi5(x^p, x)^2,
-  computed modulo ss_p and modulo powers of each factor;
+  factors of Phi5(x^p, x), each with twice its multiplicity there, read off
+  the Hasse derivatives of Phi5 evaluated at x^p mod ss_p;
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 from . import VerificationError, modpoly as mp
 from .classno import h5l
@@ -115,8 +116,6 @@ QUART_D = (84, 96)
 def phi5() -> BiPoly:
     """Phi5(x, y) = Q5(-x-y, xy) as an exact integer bivariate polynomial."""
     grid = [[0] * 13 for _ in range(13)]
-    from math import comb
-
     for i, j, c in Q5.terms():
         sign = -1 if i % 2 else 1
         for a in range(i + 1):
@@ -333,37 +332,65 @@ def epsilon_flags(p: int) -> dict[int, int]:
     return flags
 
 
-def _phi5_xp_x_mod(m: list[int], p: int) -> list[int]:
-    """Phi5(x^p, x) mod m over F_p, without forming the degree-6p polynomial:
-    X = x^p mod m, then Horner in X over the rows of Phi5 (degree 6 in X)."""
-    X = mp.pow_mod([0, 1], p, m, p)
+@lru_cache(maxsize=None)
+def _hasse_rows(i: int) -> tuple[tuple[int, ...], ...]:
+    """D_Y^i Phi5, the i-th Hasse derivative of Phi5(X, Y) in its second
+    variable, over Z: row a holds sum_b C(b, i) c_ab Y^(b - i), the
+    coefficient of X^a, where Phi5 = sum c_ab X^a Y^b."""
+    rows = [mp.trim([comb(b, i) * c for b, c in enumerate(row)][i:]) for row in phi5().g]
+    while rows and not rows[-1]:
+        rows.pop()
+    return tuple(map(tuple, rows))
+
+
+def _eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
+    """sum_a row_a(x) X^a mod m over F_p, by Horner in X."""
     acc: list[int] = []
-    for row in reversed(phi5().g):
+    for row in reversed(rows):
         acc = mp.rem(mp.add(mp.mul(acc, X, p), mp.from_int_poly(row, p), p), m, p)
     return acc
 
 
 def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     """Factors of K_{5p} mod p: the supersingular irreducible factors of
-    Phi5(x^p, x), carrying twice their multiplicity in Phi5(x^p, x).
+    F = Phi5(x^p, x), carrying twice their multiplicity in F.
 
-    gcd(ss_p, Phi5(x^p, x)) is taken as gcd(ss_p, Phi5(x^p, x) mod ss_p), and
-    the multiplicity of a factor q is the largest k with Phi5(x^p, x) = 0
-    mod q^k.  Returned sorted by (degree, coefficient tuple).
+    With X = x^p mod ss_p, gcd(ss_p, F) is taken as g = gcd(ss_p, Phi5(X, x)
+    mod ss_p), and the multiplicity of a factor q of g in F is the least i
+    with q not dividing D_i = (D_Y^i Phi5)(X, x) mod g, where D_Y^i is the
+    i-th Hasse derivative in the second variable (``_hasse_rows``).
+
+    Proof.  The i-th Hasse derivative of x^(pa+b) is C(pa+b, i) x^(pa+b-i),
+    and by Lucas C(pa+b, i) = C(b, i) mod p for b, i <= 6 < p, so the i-th
+    Hasse derivative of F is (D_Y^i Phi5)(x^p, x), which is D_i mod g.  If
+    F = q^k u with q not dividing u, the Leibniz rule gives q^(k-i) | D^(i) F
+    for i < k and D^(k) F = (q')^k u mod q; q is irreducible over the perfect
+    field F_p, hence separable, so q does not divide q' and the least i with
+    q not dividing D^(i) F is k.  Phi5 is monic of degree 6 in Y, so
+    D_Y^6 Phi5 = 1 and the search ends by i = 6.  Returned sorted by
+    (degree, coefficient tuple).
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
     ss = build_ss(p)
-    g = mp.gcd(ss, _phi5_xp_x_mod(ss, p), p)
+    X = mp.pow_mod([0, 1], p, ss, p)
+    g = mp.gcd(ss, _eval_rows(_hasse_rows(0), X, ss, p), p)
+    Xg = mp.rem(X, g, p)
+
+    @lru_cache(maxsize=None)
+    def derivative(i: int) -> list[int]:  # D_i, computed once per prime
+        return _eval_rows(_hasse_rows(i), Xg, g, p)
+
     out = []
     for coeffs, m in factor_ff(g, p).factors:
         if m != 1:
             raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
         q = list(coeffs)
-        mult, qk = 0, q
-        while not _phi5_xp_x_mod(qk, p):
-            mult += 1
-            qk = mp.mul(qk, q, p)
+        for mult in range(7):
+            if mp.rem(derivative(mult), q, p):
+                break
+        else:
+            raise VerificationError(f"factor {coeffs} divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
         if mult < 1:
             raise VerificationError(f"factor {coeffs} of gcd(ss_p, Phi5(x^p, x)) does not divide Phi5(x^p, x)")
         out.append((coeffs, 2 * mult))

@@ -1,10 +1,22 @@
 """Dense polynomial arithmetic over F_l with a vectorized fast path.
 
-Polynomials are ascending lists of ints in [0, l).  Multiplication and
-remainder go through int64 numpy kernels whenever the worst-case convolution
+Polynomials are ascending lists of ints in [0, l).  Multiplication goes
+through an int64 numpy convolution whenever the worst-case convolution
 coefficient n*(l-1)^2 fits in a signed 64-bit word (always true for the prime
 ranges this toolkit sweeps); otherwise, and for products of short operands,
-the pure-Python schoolbook path runs.
+the pure-Python schoolbook path runs.  Division runs numpy's per-step update
+only for a long dividend over a divisor of at least ``_NUMPY_DIVISOR_MIN``
+coefficients; for a shorter divisor the Python loop is faster.
+
+``pow_mod`` keeps its operands as numpy arrays from start to end and reduces
+every product by Barrett's method (von zur Gathen & Gerhard, *Modern Computer
+Algebra*, 9.1): with m monic of degree n and inv = rev(m)^-1 mod x^(n-1),
+computed once by Newton iteration, the quotient of a product a of degree
+< 2n-1 is the reversal of rev(a) * inv mod x^(n-1).  Each squaring or
+multiply is then one convolution for the product and two for its remainder,
+with no Python loop over coefficients.  The arrays are int64 when
+``_np_ok(len(m), p)`` holds, which bounds every convolution of the step, and
+hold Python ints (dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -15,6 +27,10 @@ _I64_MAX = 2**62  # conservative headroom under 2^63 - 1
 # mul runs the Python schoolbook below this many coefficient products: there
 # it beats np.convolve's fixed call cost (the two break even near 25).
 _SCHOOLBOOK_BELOW = 25
+# divmod_ takes the numpy path only for a divisor with at least this many
+# coefficients: below it a few small numpy calls per quotient coefficient cost
+# more than the Python loop.
+_NUMPY_DIVISOR_MIN = 20
 
 
 def _np_ok(n: int, p: int) -> bool:
@@ -71,7 +87,7 @@ def divmod_(f, g, p):
     if deg(f) < dg:
         return [], list(f)
     inv = pow(g[-1], p - 2, p)
-    if len(f) > 64 and _np_ok(len(g), p):
+    if len(f) > 64 and len(g) >= _NUMPY_DIVISOR_MIN and _np_ok(len(g), p):
         r = np.asarray(f, dtype=np.int64)
         garr = np.asarray(g[:-1], dtype=np.int64)
         q = np.zeros(len(f) - dg, dtype=np.int64)
@@ -122,17 +138,45 @@ def deriv(f, p):
     return trim([k * c % p for k, c in enumerate(f)][1:])
 
 
+def _rev_inverse(rev_m, k: int, p: int):
+    """rev_m^-1 mod x^k by Newton iteration (rev_m[0] = 1), k >= 1."""
+    inv = np.ones(1, dtype=rev_m.dtype)
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        err = np.convolve(rev_m[:prec], inv)[:prec] % p  # 1 mod x^(previous prec)
+        err[0] -= 2
+        inv = -np.convolve(inv, err)[:prec] % p  # inv (2 - rev_m inv)
+    return inv
+
+
 def pow_mod(f, e: int, m, p):
-    """f^e mod m."""
-    out = [1]
+    """f^e mod m, by square-and-multiply with Barrett remainders."""
     base = rem(f, m, p)
-    while e:
-        if e & 1:
-            out = rem(mul(out, base, p), m, p)
-        e >>= 1
-        if e:
-            base = rem(mul(base, base, p), m, p)
-    return out
+    n = deg(m)
+    if e == 0 or n < 1:
+        return rem([1], m, p)
+    dtype = np.int64 if _np_ok(len(m), p) else object
+    mon = np.asarray(monic(m, p), dtype=dtype)
+    k = n - 1  # coefficients of the quotient of a product of two remainders
+    inv = _rev_inverse(mon[::-1], k, p) if k else None
+    low = mon[:n]
+
+    def mulmod(a, b):
+        prod = np.convolve(a, b) % p  # 2n - 1 coefficients
+        if not k:
+            return prod
+        q = (np.convolve(prod[:n - 1:-1], inv)[:k] % p)[::-1]
+        return (prod[:n] - np.convolve(q, low)[:n]) % p
+
+    x = np.zeros(n, dtype=dtype)
+    x[: len(base)] = base
+    out = x
+    for bit in bin(e)[3:]:
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, x)
+    return trim(out.tolist())
 
 
 def is_irreducible(f, p: int) -> bool:

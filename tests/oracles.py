@@ -9,8 +9,10 @@ against a different algorithm: ``hasse_by_expansion``, the Hasse invariant
 by composing Deuring's J_l with j(b) and with j5, ``census_by_factoring``,
 the census by a full Cantor-Zassenhaus factorization of that invariant,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
-Phi5(x^p, x) by repeated division, and ``icosa_resultant_bareiss``, the
-icosahedral resultant by Bareiss elimination over Z[zeta_5][x].
+Phi5(x^p, x) by repeated division, ``icosa_resultant_bareiss``, the
+icosahedral resultant by Bareiss elimination over Z[zeta_5][x], and
+``pow_mod_by_squaring``, f^e mod m on lists with a long division after every
+product.
 """
 
 from __future__ import annotations
@@ -244,6 +246,22 @@ def census_by_factoring(l: int, hasse=None) -> dict:
     h = h5l(l)
     pred = predicted_count(l, h)
     return CensusReport(l, l % 5, l % 8, h, len(facs), pred, len(facs) == pred, tuple(facs)).to_dict()
+
+
+def pow_mod_by_squaring(f, e: int, m, p: int) -> list[int]:
+    """``modpoly.pow_mod`` by right-to-left square-and-multiply on lists, each
+    product reduced by ``modpoly.rem``."""
+    from hasse5 import modpoly as mp
+
+    out = mp.rem([1], m, p)
+    base = mp.rem(f, m, p)
+    while e:
+        if e & 1:
+            out = mp.rem(mp.mul(out, base, p), m, p)
+        e >>= 1
+        if e:
+            base = mp.rem(mp.mul(base, base, p), m, p)
+    return out
 
 
 def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:

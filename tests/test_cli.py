@@ -303,6 +303,25 @@ def test_optimized_interpreter_keeps_verifications():
     assert run.stdout.split("\n")[1] == "13\t\t\t\tFAIL: VerificationError: L(H) has a nonzero x^1 coefficient at l=13"
 
 
+def test_optimized_interpreter_keeps_k5p_verifications():
+    # the rows of D_Y^(i+1) Phi5 in place of D_Y^i halve every multiplicity;
+    # python -O must still report the structure mismatch and fail the run
+    code = (
+        "from hasse5 import modeq; rows = modeq._hasse_rows; "
+        "modeq._hasse_rows = lambda i: rows(i + 1); "
+        "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1
+    assert run.stdout.split("\n")[1] == (
+        "383\t6\t24\t0\tFalse\tFalse\t"
+        "factor (6, 1) (d=19): expected multiplicity 4, found 2; "
+        "factor (137, 1) (d=16): expected multiplicity 4, found 2; "
+        "factor (187, 1) (d=4): expected multiplicity 4, found 2; "
+        "deg K_5p = 6 != a_p h(-5p) = 24"
+    )
+
+
 def test_jobs_parallel(capsys):
     code, out = run_cli(capsys, "fricke", "7..23", "--jobs", "2", "--format", "tsv")
     assert code == 0

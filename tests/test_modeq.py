@@ -1,6 +1,8 @@
+from math import comb
+
 import pytest
 
-from hasse5 import modpoly as mp, refdata
+from hasse5 import VerificationError, modeq, modpoly as mp, refdata
 from hasse5.intfactor import primes_in
 from hasse5.modeq import (
     HD,
@@ -136,6 +138,14 @@ def test_build_k5p_needs_large_p():
         build_k5p(13)
 
 
+def test_build_k5p_multiplicity_search_is_bounded(monkeypatch):
+    # with every derivative past D_0 zero, no i <= 6 leaves a factor: an error, not a loop
+    rows = modeq._hasse_rows
+    monkeypatch.setattr(modeq, "_hasse_rows", lambda i: rows(i) if i == 0 else ())
+    with pytest.raises(VerificationError, match="divides D_Y\\^6"):
+        build_k5p(383)
+
+
 def test_verify_101():
     rep = verify_class_equation(101)
     assert rep.structure_ok and rep.identity_holds
@@ -152,6 +162,25 @@ def test_379_anomaly():
     assert not rep.structure_ok and not rep.identity_holds
     assert any("(51, 114, 1)" in m and "found 6" in m for m in rep.mismatches)
     assert dict(build_k5p(379)) == dict(refdata.K379_FACTORS)
+
+
+def test_top_hasse_derivative_of_phi5_is_one():
+    # Phi5 is monic of degree 6 in its second variable, which bounds build_k5p's search
+    assert modeq._hasse_rows(6) == ((1,),)
+    assert modeq._hasse_rows(7) == ()
+
+
+@pytest.mark.parametrize("p", [23, 101, 379])
+def test_hasse_rows_at_x_p_are_the_derivatives_of_phi5_xp_x(p):
+    # Lucas: C(pa + b, i) = C(b, i) mod p for b, i <= 6 < p
+    phi = phi5_xp_x(p)
+    for i in range(7):
+        want = mp.trim([comb(k, i) * c % p for k, c in enumerate(phi)][i:])
+        got = [0] * (6 * p + 7)
+        for a, row in enumerate(modeq._hasse_rows(i)):
+            for b, c in enumerate(row):
+                got[p * a + b] = (got[p * a + b] + c) % p
+        assert mp.trim(got) == want, (p, i)
 
 
 def test_fd_printed_f11():

@@ -2,10 +2,11 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from hasse5 import modpoly as mp
 from hasse5.poly import Poly
-from oracles import quartic_irreducible_naive
+from oracles import pow_mod_by_squaring, quartic_irreducible_naive
 
 
 def test_basic_ops():
@@ -25,6 +26,44 @@ def test_pow_mod():
     f = Poly([0, 1]) ** p
     want = mp.rem(mp.from_int_poly(f.c, p), m, p)
     assert got == want
+
+
+def test_pow_mod_zero_exponent_is_one_mod_m():
+    assert mp.pow_mod([0, 1], 0, [3], 7) == mp.pow_mod([0, 1], 1, [3], 7) == []
+    assert mp.pow_mod([0, 1], 0, [3, 5, 2], 7) == [1]
+    assert mp.pow_mod([], 0, [3, 5, 2], 7) == [1]
+    with pytest.raises(ZeroDivisionError):
+        mp.pow_mod([0, 1], 0, [], 7)
+
+
+def _check_pow_mod_against_oracle(primes, degrees, seed):
+    rng = random.Random(seed)
+    for p in primes:
+        exps = (0, 1, 2, p, p * p, (p * p - 1) // 2, rng.getrandbits(200) | 1 << 199)
+        for n in degrees:
+            for lead in (1, rng.randrange(2, p)):  # monic and not
+                m = [rng.randrange(p) for _ in range(n)] + [lead]
+                for flen in (2 * n + 3, (n + 1) // 2, 0):  # longer than m, shorter, f = 0
+                    f = [rng.randrange(p) for _ in range(flen)]
+                    for e in exps:
+                        assert mp.pow_mod(f, e, m, p) == pow_mod_by_squaring(f, e, m, p), (p, n, lead, flen, e)
+
+
+INT64_PRIMES = (7, 1499, 40961)
+OBJECT_PRIME = 2**61 - 1  # fails the int64 guard, so pow_mod runs on Python ints
+
+
+def test_pow_mod_matches_squaring_oracle():
+    assert all(mp._np_ok(301, p) for p in INT64_PRIMES) and not mp._np_ok(2, OBJECT_PRIME)
+    _check_pow_mod_against_oracle(INT64_PRIMES, (*range(1, 9), 19, 20, 24), 34)
+    _check_pow_mod_against_oracle((OBJECT_PRIME,), (*range(1, 9), 20), 35)
+
+
+@pytest.mark.heavy
+def test_pow_mod_matches_squaring_oracle_long_moduli():
+    _check_pow_mod_against_oracle(INT64_PRIMES, (64,), 36)
+    _check_pow_mod_against_oracle((1499,), (300,), 37)  # deg ss_p at p near 3600
+    _check_pow_mod_against_oracle((OBJECT_PRIME,), (32,), 38)
 
 
 def test_large_poly_numpy_path_matches_schoolbook():
@@ -60,6 +99,32 @@ def test_mul_matches_numpy_across_schoolbook_cutoff(monkeypatch):
             calls.clear()
             assert mp.mul(f, g, p) == want, (p, n, m)
             assert bool(calls) == (n * m >= cut and mp._np_ok(min(n, m), p)), (p, n, m)
+
+
+def test_divmod_matches_object_reference_across_divisor_cutoff(monkeypatch):
+    rng = random.Random(38)
+    real_zeros = np.zeros
+    calls = []
+
+    def zeros(*args, **kwargs):  # only divmod_'s numpy path allocates
+        calls.append(args)
+        return real_zeros(*args, **kwargs)
+
+    monkeypatch.setattr(mp.np, "zeros", zeros)
+    cut = mp._NUMPY_DIVISOR_MIN
+    shapes = [(64, 2), (65, 2), (65, 3), (200, cut - 1), (200, cut), (65, cut), (64, cut), (700, 2), (700, 300), (30, 40)]
+    for p in (7, 1499, 2**61 - 1):  # the last fails the int64 guard at every length
+        for nf, ng in shapes:
+            f = [rng.randrange(p) for _ in range(nf - 1)] + [rng.randrange(1, p)]
+            g = [rng.randrange(p) for _ in range(ng - 1)] + [rng.randrange(1, p)]
+            calls.clear()
+            q, r = mp.divmod_(f, g, p)
+            prod = np.convolve(np.array(q or [0], dtype=object), np.array(g, dtype=object))
+            back = real_zeros(max(len(prod), len(r), nf), dtype=object)
+            back[: len(prod)] += prod
+            back[: len(r)] += np.array(r, dtype=object)
+            assert mp.trim((back % p).tolist()) == f and len(r) < ng and (not r or r[-1]), (p, nf, ng)
+            assert bool(calls) == (nf > 64 and ng >= cut and nf >= ng and mp._np_ok(ng, p)), (p, nf, ng)
 
 
 def test_is_irreducible_matches_exhaustive_search_on_quartics():
