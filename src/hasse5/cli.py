@@ -91,7 +91,7 @@ class Cache:
             doc = json.loads(path.read_text())
         except ValueError:
             return None
-        if doc.get("schema") == SCHEMA and doc.get("digest") == self.digest:
+        if isinstance(doc, dict) and doc.get("schema") == SCHEMA and doc.get("digest") == self.digest:
             return doc["payload"]
         return None
 
@@ -191,6 +191,8 @@ def cmd_sweep(args) -> int:
             )
         if args.only_in_s:
             primes = [p for p in primes if p in refdata.S_SET]
+            if not primes:
+                raise SystemExit(f"error: no prime of S in range {args.range!r}")
     cache = Cache(args.cache)
     cached = {p: cache.load(args.command, p) for p in primes}
     todo = [p for p in primes if cached[p] is None]

@@ -8,12 +8,15 @@ zeta(2), which Beukers (Asterisque 147-148, 1987) ties to Gamma_1(5), the
 group of this family.  It is built in O(l) steps from their three-term
 recurrence.  The test suite checks it against the expansion of Deuring's
 J_l through j(b) and through the degree-12 map j5.
+
+The supersingular polynomial X^rho (X - 1728)^sigma J_p(X) takes J_p from its
+truncated 2F1 series (Kaneko-Zagier 1998) in O(p) scalar steps over F_p.  The
+test suite checks it against Deuring's expansion of J_p about t = 1728.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import VerificationError, modpoly as mp
 from .classno import h_minus_p
@@ -42,21 +45,6 @@ def hasse_params(l: int) -> HasseParams:
     return HasseParams(l, n, r, s)
 
 
-def build_Jl(l: int) -> list[int]:
-    """J_l(t) = sum_k C(2n+s, 2k+s) C(2n-2k, n-k) (-432)^(n-k) (t-1728)^k  over F_l."""
-    par = hasse_params(l)
-    n, s = par.n_l, par.s
-    out: list[int] = []
-    shift = [(-1728) % l, 1]
-    pw = [1]
-    for k in range(n + 1):
-        c = comb(2 * n + s, 2 * k + s) * comb(2 * n - 2 * k, n - k) * (-432) ** (n - k)
-        out = mp.add(out, mp.scale(pw, c % l, l), l)
-        if k < n:
-            pw = mp.mul(pw, shift, l)
-    return out
-
-
 def build_hasse(l: int) -> list[int]:
     """The Hasse invariant over F_l, degree 12*n_l + 4r + 6s: the coefficients
     A_0, ..., A_{l-1} mod l from A_0 = 1, A_1 = 3 and
@@ -75,11 +63,15 @@ def build_hasse(l: int) -> list[int]:
 
 def build_ss(p: int) -> list[int]:
     """Monic supersingular polynomial over F_p: X^rho (X-1728)^sigma J_p(X),
-    with rho = 1 iff p = 2 mod 3 and sigma = 1 iff p = 3 mod 4."""
+    with rho = 1 iff p = 2 mod 3 and sigma = s = 1 iff p = 3 mod 4, and
+    J_p = sum_{k<=n} c_k X^(n-k), X^n 2F1(a, a + 1/3; 1; 1728/X) truncated at
+    a = 1/12 + s/2: c_0 = 1, c_{k+1} = 12 (12k+1+6s)(12k+5+6s) c_k / (k+1)^2."""
     par = hasse_params(p)
-    out = build_Jl(p)
-    if p % 3 == 2:
-        out = mp.mul(out, [0, 1], p)
+    n, s = par.n_l, par.s
+    c = [1]
+    for k in range(n):
+        c.append(12 * (12 * k + 1 + 6 * s) * (12 * k + 5 + 6 * s) * c[k] * pow(k + 1, -2, p) % p)
+    out = [0] * (p % 3 == 2) + c[::-1]  # X^rho J_p
     if p % 4 == 3:
         out = mp.mul(out, [(-1728) % p, 1], p)
     if out[-1] != 1:

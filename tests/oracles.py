@@ -5,17 +5,22 @@ the package under test: quadratic residues are found by exhaustive squaring,
 elliptic curve orders by literal point counting, F_{p^2} is built directly
 from a non-residue, and irreducibility by exhaustive divisor search.  The one
 exceptions are the routes the package replaced, kept to check the new ones
-against a different algorithm: ``hasse_by_expansion``, the Hasse invariant
-by composing Deuring's J_l with j(b) and with j5, ``census_by_factoring``,
-the census by a full Cantor-Zassenhaus factorization of that invariant,
+against a different algorithm: ``ss_by_expansion``, the supersingular
+polynomial from Deuring's J_l (``build_Jl``) expanded about t = 1728,
+``hasse_by_expansion``, the Hasse invariant by composing that J_l with j(b)
+and with j5, ``census_by_factoring``, the census by a full Cantor-Zassenhaus
+factorization of that invariant,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
 Phi5(x^p, x) by repeated division, ``icosa_resultant_bareiss``, the
 icosahedral resultant by Bareiss elimination over Z[zeta_5][x], and
 ``pow_mod_by_squaring``, f^e mod m on lists with a long division after every
-product.
+product.  ``class_number_dirichlet`` gives h(D) by Dirichlet's class
+number formula, with no reduced forms.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
@@ -34,6 +39,40 @@ def legendre_naive(a: int, p: int) -> int:
 def sqrts_naive(a: int, p: int) -> list[int]:
     a %= p
     return sorted(r for r in range(p) if r * r % p == a)
+
+
+def kronecker(D: int, n: int) -> int:
+    """The Kronecker symbol (D/n) for n > 0: the 2-part by (D/2) = 0 for even D,
+    1 for D = +-1 mod 8 and -1 for D = +-3 mod 8, then the Jacobi symbol by
+    quadratic reciprocity."""
+    out = 1
+    while n % 2 == 0:
+        if D % 2 == 0:
+            return 0
+        if D % 8 in (3, 5):
+            out = -out
+        n //= 2
+    a = D % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def class_number_dirichlet(D: int) -> int:
+    """h(D) for a fundamental discriminant D < -4 by Dirichlet's class number
+    formula, h(D) = -(1/|D|) sum_{0<a<|D|} (D/a) a."""
+    assert D < -4 and (D % 4 == 1 or (D % 16 in (8, 12)))
+    total = sum(kronecker(D, a) * a for a in range(1, -D))
+    h, r = divmod(-total, -D)
+    assert r == 0, "Dirichlet's sum is not divisible by |D|"
+    return h
 
 
 def curve_from_j_fp(j: int, p: int) -> tuple[int, int]:
@@ -203,12 +242,43 @@ def _expand(J: list[int], num: list[int], den: list[int], quartic: list[int], se
     return h
 
 
+def build_Jl(l: int) -> list[int]:
+    """Deuring's J_l(t) = sum_k C(2n+s, 2k+s) C(2n-2k, n-k) (-432)^(n-k) (t-1728)^k
+    over F_l, expanded term by term about t = 1728."""
+    from hasse5 import modpoly as mp
+    from hasse5.hasse import hasse_params
+
+    par = hasse_params(l)
+    n, s = par.n_l, par.s
+    out: list[int] = []
+    shift = [(-1728) % l, 1]
+    pw = [1]
+    for k in range(n + 1):
+        c = comb(2 * n + s, 2 * k + s) * comb(2 * n - 2 * k, n - k) * (-432) ** (n - k)
+        out = mp.add(out, mp.scale(pw, c % l, l), l)
+        if k < n:
+            pw = mp.mul(pw, shift, l)
+    return out
+
+
+def ss_by_expansion(p: int) -> list[int]:
+    """``build_ss(p)``: X^rho (X - 1728)^sigma J_p(X), with J_p from ``build_Jl``."""
+    from hasse5 import modpoly as mp
+
+    out = build_Jl(p)
+    if p % 3 == 2:
+        out = mp.mul(out, [0, 1], p)
+    if p % 4 == 3:
+        out = mp.mul(out, [(-1728) % p, 1], p)
+    return out
+
+
 def hasse_by_expansion(l: int) -> list[int]:
     """The Hasse invariant over F_l from Deuring's J_l, expanded through
     j(b) = C4^3 / (b^5 (1 - 11b - b^2)) and through j5 = C45^3 / (x (1 - 11x - x^2)^5);
     the two expansions must agree."""
     from hasse5 import VerificationError
-    from hasse5.hasse import C4, C45, DEN_J, build_Jl
+    from hasse5.hasse import C4, C45, DEN_J
 
     J = build_Jl(l)
     h1 = _expand(J, C4, DEN_J, C4, Q6, l)

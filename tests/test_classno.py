@@ -8,6 +8,7 @@ from hasse5.classno import (
     reduced_forms,
 )
 from hasse5.intfactor import primes_in
+from oracles import class_number_dirichlet, kronecker
 
 
 def test_classical_h1():
@@ -64,3 +65,26 @@ def test_order_relation_sample():
 
 def test_h5l():
     assert h5l(7) == 2 and h5l(11) == 4 and h5l(379) == 48
+
+
+def test_kronecker_symbol():
+    # (D/2) by D mod 8, and (-20/33) = (-20/3)(-20/11) = (1/3)(2/11) = -1
+    assert [kronecker(D, 2) for D in (-3, -4, -7, -11, -20)] == [-1, 0, 1, -1, 0]
+    assert kronecker(-20, 33) == -1 and kronecker(-20, 15) == 0 and kronecker(-7, 1) == 1
+    # Euler's criterion at odd primes
+    for q in primes_in(3, 60):
+        for D in range(-200, 0):
+            assert kronecker(D, q) == (pow(D, (q - 1) // 2, q) + 1) % q - 1, (D, q)
+
+
+def test_h5l_matches_dirichlet_oracle():
+    # the field discriminant of Q(sqrt(-5l)) is fundamental, so Dirichlet's
+    # formula applies at every prime l > 5
+    for l in primes_in(7, 2000):
+        D = -5 * l if l % 4 == 3 else -20 * l
+        assert h5l(l) == class_number_dirichlet(D), l
+
+
+def test_h_minus_p_matches_dirichlet_oracle():
+    for p in primes_in(7, 1000):
+        assert h_minus_p(p) == class_number_dirichlet(-p if p % 4 == 3 else -4 * p), p

@@ -81,6 +81,13 @@ def test_k5p_only_in_s(capsys):
     assert primes == [101, 103, 107]
 
 
+def test_k5p_only_in_s_with_no_prime_of_s_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["k5p", "7..40", "--only-in-S"])
+    assert e.value.code == "error: no prime of S in range '7..40'"
+    assert capsys.readouterr().out == ""
+
+
 def test_forced_k5p_rows_are_not_reused_unforced(tmp_path, capsys, monkeypatch):
     # a structure mismatch at the in-range prime 103 is a row with structure
     # False and exit status 1, forced or not, so the two runs share one cache
@@ -206,6 +213,11 @@ def test_cache_entry_from_other_sources_is_recomputed(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out2 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
     assert code == 0 and out2 == out1
+    assert json.loads(path.read_text())["digest"] == digest
+    # valid JSON that is not a cache document is a miss too
+    path.write_text("[]")
+    code, out3 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
+    assert code == 0 and out3 == out1
     assert json.loads(path.read_text())["digest"] == digest
 
 

@@ -2,16 +2,19 @@ import pytest
 
 from hasse5 import VerificationError, modpoly as mp
 from hasse5.classno import h_minus_p
-from hasse5.hasse import (
-    HasseParams,
-    build_Jl,
-    build_hasse,
-    build_ss,
-    deuring_L,
-    hasse_params,
-)
+from hasse5.hasse import HasseParams, build_hasse, build_ss, deuring_L, hasse_params
 from hasse5.intfactor import primes_in
-from oracles import C65_NEG_FACTOR, Q6, X2P1, count_points_fp, curve_from_j_fp, hasse_by_expansion, supersingular_js_fp
+from oracles import (
+    C65_NEG_FACTOR,
+    Q6,
+    X2P1,
+    build_Jl,
+    count_points_fp,
+    curve_from_j_fp,
+    hasse_by_expansion,
+    ss_by_expansion,
+    supersingular_js_fp,
+)
 
 
 def test_params():
@@ -91,6 +94,19 @@ def test_ss_small():
     assert build_ss(7) == [1, 1]  # X + 1 = X - 1728 mod 7
     assert build_ss(11) == [0, 10, 1]  # X(X - 1)
     assert build_ss(13) == [8, 1]  # X - 5
+
+
+def test_ss_matches_expansion_oracle():
+    # the 2F1 recurrence against Deuring's J_l expanded about t = 1728
+    for p in primes_in(7, 2000):
+        assert build_ss(p) == ss_by_expansion(p), p
+
+
+@pytest.mark.heavy
+def test_ss_matches_expansion_oracle_to_10000():
+    # every 25th prime past the range above: the oracle is O(p^2), 0.2 s near p = 10^4
+    for p in primes_in(2001, 10**4)[::25]:
+        assert build_ss(p) == ss_by_expansion(p), p
 
 
 def test_ss_roots_against_point_count_oracle():
