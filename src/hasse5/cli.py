@@ -91,9 +91,10 @@ class Cache:
             doc = json.loads(path.read_text())
         except ValueError:
             return None
-        if isinstance(doc, dict) and doc.get("schema") == SCHEMA and doc.get("digest") == self.digest:
-            return doc["payload"]
-        return None
+        if not isinstance(doc, dict) or doc.get("schema") != SCHEMA or doc.get("digest") != self.digest:
+            return None
+        payload = doc.get("payload")
+        return payload if isinstance(payload, dict) else None
 
     def store(self, command: str, p: int, payload: dict) -> None:
         if not self.root:
@@ -109,7 +110,8 @@ class Cache:
 def _run_parallel(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # under fork the pool starts all max_workers processes on the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=1))
 
 

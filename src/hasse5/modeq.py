@@ -14,7 +14,7 @@ Central objects:
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
   together with the degree identity a_p h(-5p) = 4 e20 + sum 4 e_d deg H_{-d}
-  + 4 N_p;
+  + 4 N_p, in one pass over the factors of K_{5p}, factoring no H_{-d};
 * ``cofactor_resultant`` -- the resultant R(d) extracted from the cofactor
   f_d of the quartic block Q_d inside F_d(x) = x^{5h} (1-11x-x^2)^h H_{-d}(j(x)).
 
@@ -441,70 +441,59 @@ def in_validity_range(p: int) -> bool:
 def verify_class_equation(p: int) -> K5pReport:
     """Compare the reconstructed K_{5p} mod p against the predicted shape.
 
-    Discrepancies are reported in the returned ``mismatches``, never raised;
-    they refute the prediction only where ``in_validity_range(p)`` holds.
+    One pass over the factors q of ``build_k5p(p)``, factoring no class
+    polynomial: q is credited to every flagged H_{-d} it divides mod p (they
+    can share a factor below the Gross-Zagier bound d1 d2 / 4) and matched to
+    the last in the order of ``epsilon_flags``; a q dividing none is a
+    leftover X^2 + a X + b.  Discrepancies are reported in the returned
+    ``mismatches``, never raised; they refute the prediction only where
+    ``in_validity_range(p)`` holds.
     """
     flags = epsilon_flags(p)
     k5p_list = build_k5p(p)
-    found = dict(k5p_list)
-    mismatches: list[str] = []
-
-    expected: dict[tuple[int, ...], tuple[int, int]] = {}  # coeffs -> (multiplicity, d)
-    if flags[20]:
-        for coeffs, m in factor_ff(mp.from_int_poly(HD[20], p), p).factors:
-            if len(coeffs) != 2 or m != 1:
-                mismatches.append(f"H_-20 mod {p} did not split into distinct linears")
-                continue
-            expected[coeffs] = (2, 20)
-    for d in (4, 11, 16, 19):
-        if flags[d]:
-            expected[tuple(mp.from_int_poly(HD[d], p))] = (4, d)
+    hd = {d: mp.from_int_poly(HD[d], p) for d in flags}
+    credited = {d: [] for d in flags if flags[d]}  # d -> degrees of the factors of K_5p dividing H_-d
+    head, body, matched, leftovers, sporadic = [], [], [], [], []
+    if flags[20] and legendre(_disc_hd()[20], p) != 1:
+        head.append(f"H_-20 mod {p} did not split into distinct linears")
     for d in QUAD_D:
-        if flags[d]:
-            q = tuple(mp.from_int_poly(HD[d], p))
-            if legendre(_disc_hd()[d], p) != -1:
-                mismatches.append(f"H_-{d} mod {p} unexpectedly reducible")
-            expected[q] = (4, d)
-    for d in QUART_D:
-        if flags[d]:
-            pieces = factor_ff(mp.from_int_poly(HD[d], p), p).factors
-            if len(pieces) != 2 or any(len(c) != 3 or m != 1 for c, m in pieces):
-                mismatches.append(f"H_-{d} mod {p} is not a product of two irreducible quadratics")
-            for coeffs, _ in pieces:
-                expected[coeffs] = (4, d)
+        if flags[d] and legendre(_disc_hd()[d], p) != -1:
+            head.append(f"H_-{d} mod {p} unexpectedly reducible")
 
-    matched = []
-    for coeffs, (mult, d) in sorted(expected.items(), key=lambda t: (len(t[0]), t[0])):
-        got = found.pop(coeffs, None)
-        if got is None:
-            mismatches.append(f"predicted factor {coeffs} (d={d}) absent")
-        elif got != mult:
-            mismatches.append(f"factor {coeffs} (d={d}): expected multiplicity {mult}, found {got}")
-            matched.append((coeffs, got, d))
-        else:
-            matched.append((coeffs, got, d))
-
-    leftovers = []
-    sporadic = []
-    hd84 = mp.from_int_poly(HD[84], p)
-    hd96 = mp.from_int_poly(HD[96], p)
-    hd20 = mp.from_int_poly(HD[20], p)
-    for coeffs, mult in sorted(found.items(), key=lambda t: (len(t[0]), t[0])):
+    for coeffs, mult in k5p_list:
+        q = list(coeffs)
+        divides = [d for d in credited if not mp.rem(hd[d], q, p)]
+        for d in divides:
+            credited[d].append(len(q) - 1)
+        if divides:
+            d = divides[-1]
+            want = 2 if d == 20 else 4
+            if mult != want:
+                body.append(f"factor {coeffs} (d={d}): expected multiplicity {want}, found {mult}")
+            matched.append((coeffs, mult, d))
+            continue
         if len(coeffs) != 3:
-            mismatches.append(f"leftover factor {coeffs} is not quadratic")
+            body.append(f"leftover factor {coeffs} is not quadratic")
             continue
         if mult != 2:
-            mismatches.append(f"leftover {coeffs}: multiplicity {mult} != 2")
+            body.append(f"leftover {coeffs}: multiplicity {mult} != 2")
         b_i, a_i, _ = coeffs
         if Q5.eval(a_i, b_i) % p:
-            mismatches.append(f"leftover {coeffs}: Q5(a, b) != 0 mod p")
+            body.append(f"leftover {coeffs}: Q5(a, b) != 0 mod p")
         leftovers.append((a_i, b_i))
-        for d, hdp in ((84, hd84), (96, hd96)):
-            if not flags[d] and not mp.rem(hdp, list(coeffs), p):
+        for d in QUART_D:
+            if not flags[d] and not mp.rem(hd[d], q, p):
                 sporadic.append(f"leftover {coeffs} divides H_-{d} mod {p} (sporadic)")
         # never observed, but reported rather than assumed impossible
-        if list(coeffs) == hd20:
+        if q == hd[20]:
             sporadic.append(f"leftover {coeffs} coincides with H_-20 mod {p}")
+
+    for d, degrees in credited.items():
+        if d in QUART_D and set(degrees) - {2}:
+            head.append(f"H_-{d} mod {p} is not a product of two irreducible quadratics")
+        if sum(degrees) < len(HD[d]) - 1:
+            body.append(f"predicted factors of H_-{d} mod {p} absent: degree {sum(degrees)} of {len(HD[d]) - 1} found")
+    mismatches = head + body  # the class polynomials' own shape first
 
     n_p = len(leftovers)
     h = h5l(p)

@@ -14,7 +14,9 @@ factorization of that invariant,
 Phi5(x^p, x) by repeated division, ``icosa_resultant_bareiss``, the
 icosahedral resultant by Bareiss elimination over Z[zeta_5][x], and
 ``pow_mod_by_squaring``, f^e mod m on lists with a long division after every
-product.  ``class_number_dirichlet`` gives h(D) by Dirichlet's class
+product, and ``k5p_report_by_factoring``, the K_5p verdict by factoring
+H_-20, H_-84 and H_-96 mod p and matching the predicted factor list against
+``build_k5p``'s.  ``class_number_dirichlet`` gives h(D) by Dirichlet's class
 number formula, with no reduced forms.
 """
 
@@ -357,6 +359,88 @@ def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:
         out.append((coeffs, 2 * mult))
     out.sort(key=lambda t: (len(t[0]) - 1, t[0]))
     return out
+
+
+def k5p_report_by_factoring(p: int):
+    """``verify_class_equation(p)``: the predicted factors of K_5p, with
+    H_-20, H_-84 and H_-96 factored mod p, matched against ``build_k5p(p)``;
+    the factors left over are the quadratics X^2 + a X + b."""
+    from hasse5 import modpoly as mp
+    from hasse5.classno import h5l
+    from hasse5.ffactor import factor_ff
+    from hasse5.fp import legendre
+    from hasse5.modeq import (
+        HD, Q5, QUAD_D, QUART_D, T_SET, K5pReport, _disc_hd, a_p, build_k5p, epsilon_flags,
+    )
+
+    flags = epsilon_flags(p)
+    k5p_list = build_k5p(p)
+    found = dict(k5p_list)
+    mismatches: list[str] = []
+
+    expected: dict[tuple[int, ...], tuple[int, int]] = {}  # coeffs -> (multiplicity, d)
+    if flags[20]:
+        for coeffs, m in factor_ff(mp.from_int_poly(HD[20], p), p).factors:
+            if len(coeffs) != 2 or m != 1:
+                mismatches.append(f"H_-20 mod {p} did not split into distinct linears")
+                continue
+            expected[coeffs] = (2, 20)
+    for d in (4, 11, 16, 19):
+        if flags[d]:
+            expected[tuple(mp.from_int_poly(HD[d], p))] = (4, d)
+    for d in QUAD_D:
+        if flags[d]:
+            q = tuple(mp.from_int_poly(HD[d], p))
+            if legendre(_disc_hd()[d], p) != -1:
+                mismatches.append(f"H_-{d} mod {p} unexpectedly reducible")
+            expected[q] = (4, d)
+    for d in QUART_D:
+        if flags[d]:
+            pieces = factor_ff(mp.from_int_poly(HD[d], p), p).factors
+            if len(pieces) != 2 or any(len(c) != 3 or m != 1 for c, m in pieces):
+                mismatches.append(f"H_-{d} mod {p} is not a product of two irreducible quadratics")
+            for coeffs, _ in pieces:
+                expected[coeffs] = (4, d)
+
+    matched = []
+    for coeffs, (mult, d) in sorted(expected.items(), key=lambda t: (len(t[0]), t[0])):
+        got = found.pop(coeffs, None)
+        if got is None:
+            mismatches.append(f"predicted factor {coeffs} (d={d}) absent")
+            continue
+        if got != mult:
+            mismatches.append(f"factor {coeffs} (d={d}): expected multiplicity {mult}, found {got}")
+        matched.append((coeffs, got, d))
+
+    leftovers = []
+    sporadic = []
+    for coeffs, mult in sorted(found.items(), key=lambda t: (len(t[0]), t[0])):
+        if len(coeffs) != 3:
+            mismatches.append(f"leftover factor {coeffs} is not quadratic")
+            continue
+        if mult != 2:
+            mismatches.append(f"leftover {coeffs}: multiplicity {mult} != 2")
+        b_i, a_i, _ = coeffs
+        if Q5.eval(a_i, b_i) % p:
+            mismatches.append(f"leftover {coeffs}: Q5(a, b) != 0 mod p")
+        leftovers.append((a_i, b_i))
+        for d in QUART_D:
+            if not flags[d] and not mp.rem(mp.from_int_poly(HD[d], p), list(coeffs), p):
+                sporadic.append(f"leftover {coeffs} divides H_-{d} mod {p} (sporadic)")
+        if list(coeffs) == mp.from_int_poly(HD[20], p):
+            sporadic.append(f"leftover {coeffs} coincides with H_-20 mod {p}")
+
+    n_p = len(leftovers)
+    h = h5l(p)
+    ap = a_p(p)
+    rhs = 4 * flags[20] + sum(4 * flags[d] * (len(HD[d]) - 1) for d in T_SET) + 4 * n_p
+    degree = sum((len(c) - 1) * m for c, m in k5p_list)
+    if degree != ap * h:
+        mismatches.append(f"deg K_5p = {degree} != a_p h(-5p) = {ap * h}")
+    return K5pReport(
+        p, flags, tuple(matched), tuple(leftovers), n_p, ap, h, degree,
+        ap * h == rhs, not mismatches, tuple(mismatches), tuple(sporadic),
+    )
 
 
 def icosa_resultant_bareiss(m1, m2, variant: str = "eps"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hasse5
-from hasse5 import VerificationError, census as census_mod, fricke as fricke_mod, icosa, modeq, refdata
+from hasse5 import VerificationError, census as census_mod, cli, fricke as fricke_mod, icosa, modeq, refdata
 from hasse5.cli import main
 
 
@@ -214,11 +214,15 @@ def test_cache_entry_from_other_sources_is_recomputed(tmp_path, capsys):
     code, out2 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
     assert code == 0 and out2 == out1
     assert json.loads(path.read_text())["digest"] == digest
-    # valid JSON that is not a cache document is a miss too
-    path.write_text("[]")
-    code, out3 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
-    assert code == 0 and out3 == out1
-    assert json.loads(path.read_text())["digest"] == digest
+    # valid JSON that is not a cache document is a miss too, and so is a
+    # current document whose payload is missing or not an object
+    good = json.loads(path.read_text())
+    no_payload = {k: v for k, v in good.items() if k != "payload"}
+    for text in ("[]", json.dumps(no_payload), json.dumps({**good, "payload": [1]})):
+        path.write_text(text)
+        code, out3 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
+        assert code == 0 and out3 == out1
+        assert json.loads(path.read_text()) == good
 
 
 def run_subprocess(code: str, *flags: str, hashseed: str = "0") -> subprocess.CompletedProcess:
@@ -338,6 +342,29 @@ def test_jobs_parallel(capsys):
     code, out = run_cli(capsys, "fricke", "7..23", "--jobs", "2", "--format", "tsv")
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + 6
+
+
+def test_jobs_starts_no_more_workers_than_primes(monkeypatch, capsys):
+    # a recorder in place of the process pool: it maps serially and starts nothing
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, out = run_cli(capsys, "census", "7..13", "--jobs", "5000", "--format", "json")
+    assert code == 0 and workers == [3]
+    assert out == run_cli(capsys, "census", "7..13", "--format", "json")[1]
 
 
 def test_version(capsys):

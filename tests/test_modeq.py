@@ -32,7 +32,7 @@ from hasse5.modeq import (
     verify_class_equation,
 )
 from hasse5.poly import Poly, discriminant
-from oracles import k5p_by_division
+from oracles import k5p_by_division, k5p_report_by_factoring
 
 
 def test_q5_constant_term():
@@ -269,6 +269,77 @@ def test_sporadic_factors_detected_at_predicted_primes():
         notes = " ".join(rep.sporadic_notes)
         assert ("H_-84" in notes) == (p in expect84), (p, notes)
         assert ("H_-96" in notes) == (p in expect96), (p, notes)
+
+
+def test_verify_matches_factoring_oracle():
+    for p in sorted(refdata.S_SET) + [379] + primes_in(380, 700):
+        assert verify_class_equation(p).to_dict() == k5p_report_by_factoring(p).to_dict(), p
+
+
+def test_verify_outside_validity_range_matches_factoring_oracle():
+    # the mismatch texts may differ here (the one-pass route reports a repeated
+    # factor of H_-84 or H_-96 mod p as absent degree); the verdicts may not
+    fields = ("structure_ok", "identity_holds", "matched", "leftovers", "sporadic_notes")
+    for p in primes_in(23, 378):
+        if p not in refdata.S_SET:
+            new, old = verify_class_equation(p).to_dict(), k5p_report_by_factoring(p).to_dict()
+            assert [new[f] for f in fields] == [old[f] for f in fields], p
+
+
+@pytest.mark.heavy
+def test_verify_matches_factoring_oracle_to_2000():
+    for p in primes_in(701, 2000):
+        assert verify_class_equation(p).to_dict() == k5p_report_by_factoring(p).to_dict(), p
+
+
+def test_every_mismatch_kind_fires(monkeypatch):
+    # outside the validity range, at 43: H_-84 = H_-96 = (x + 2)^2 (x^2 + 19x + 16) mod 43
+    assert verify_class_equation(43).mismatches[:2] == (
+        "H_-84 mod 43 is not a product of two irreducible quadratics",
+        "H_-96 mod 43 is not a product of two irreducible quadratics",
+    )
+    # at 499, where H_-20, H_-4 and the quadratic H_-24..H_-91 are flagged: drop one factor
+    # of H_-20, give one of H_-4 multiplicity 6 and a leftover multiplicity 4,
+    # add a cubic and a quadratic off Q5 = 0, and zero every discriminant
+    p = 499
+    real = build_k5p(p)
+    rep = verify_class_equation(p)
+    h20 = next(c for c, _, d in rep.matched if d == 20)
+    h4 = next(c for c, _, d in rep.matched if d == 4)
+    left = (rep.leftovers[0][1], rep.leftovers[0][0], 1)
+    bent = {c: 6 if c == h4 else 4 if c == left else m for c, m in real if c != h20}
+    bent.update({(1, 0, 0, 1): 2, (1, 1, 1): 2})
+    monkeypatch.setattr(modeq, "build_k5p", lambda p: sorted(bent.items(), key=lambda t: (len(t[0]), t[0])))
+    flags = epsilon_flags(p)
+    monkeypatch.setattr(modeq, "epsilon_flags", lambda p: flags)
+    monkeypatch.setattr(modeq, "_disc_hd", lambda: dict.fromkeys(HD, 0))
+    got = verify_class_equation(p).mismatches
+    assert got == (
+        "H_-20 mod 499 did not split into distinct linears",
+        *(f"H_-{d} mod 499 unexpectedly reducible" for d in (24, 36, 51, 64, 91)),
+        f"factor {h4} (d=4): expected multiplicity 4, found 6",
+        "leftover (1, 1, 1): Q5(a, b) != 0 mod p",
+        f"leftover {left}: multiplicity 4 != 2",
+        "leftover factor (1, 0, 0, 1) is not quadratic",
+        "predicted factors of H_-20 mod 499 absent: degree 1 of 2 found",
+        f"deg K_5p = {rep.degree - 2 + 2 + 4 + 6 + 4} != a_p h(-5p) = {rep.degree}",
+    )
+
+
+def test_verify_factors_g_only(monkeypatch):
+    # one factorization per prime, of g = gcd(ss_p, Phi5(x^p, x)); the class
+    # polynomials are never factored, also where H_-20, H_-84 or H_-96 is flagged
+    from hasse5.hasse import build_ss
+
+    primes = [379, 383, 389, 397, 401, 409, 421, 449]
+    assert all(any(epsilon_flags(p)[d] for p in primes) for d in (20, 84, 96))
+    calls = []
+    real = modeq.factor_ff
+    monkeypatch.setattr(modeq, "factor_ff", lambda f, p: calls.append((list(f), p)) or real(f, p))
+    for p in primes:
+        calls.clear()
+        verify_class_equation(p)
+        assert calls == [(mp.gcd(build_ss(p), phi5_xp_x(p), p), p)], p
 
 
 @pytest.mark.heavy
