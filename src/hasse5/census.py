@@ -16,9 +16,10 @@ The factors are found without factoring the Hasse invariant H.  H is
 certified squarefree in O(l) by the Picard-Fuchs operator that annihilates it
 (see ``_squarefree_hasse``); H mod f is then computed for every member f of a
 family at once, by one vectorized Horner sweep over H's coefficients; and only
-the members that divide H are tested for irreducibility: quartics by
-``modpoly.is_irreducible``, quadratics by the Legendre symbol of the
-discriminant.
+the members that divide H are tested for irreducibility, each by one Legendre
+symbol: a quartic g_a by that of a^2 - 44a - 16 = -4 theta_1, from the one
+root of its resolvent cubic in F_l (see ``find_g_factors``), a quadratic by
+that of its discriminant.  The census raises no polynomial to a power.
 """
 
 from __future__ import annotations
@@ -144,15 +145,44 @@ def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
 
 
 def find_g_factors(l: int, f: list[int]) -> list[GShape]:
-    """Irreducible quartic factors of f with coefficient vector
-    (1, a, 11a+2, -a, 1), in ascending coefficient order."""
+    """Irreducible quartic factors g_a = x^4 + a x^3 + (11a+2) x^2 - a x + 1
+    of a squarefree f, in ascending coefficient order.
+
+    A divisor g_a of f is irreducible exactly when a^2 - 44a - 16 is a
+    non-residue mod l.  This is the finite-field case of Kappe and Warren's
+    resolvent test (Amer. Math. Monthly 96, 1989).  Let y_1..y_4 be the roots
+    of g_a(y - a/4).  Its resolvent cubic has the roots -theta_i =
+    (y_1 + y_k)^2, k = 2, 3, 4, with -theta_1 = (a^2 - 44a - 16)/4 and
+    theta_2, theta_3 = -a (a/4 + e) for e = ebar5, e5
+    (``icosa._resolvent_cubic_holds`` checks this over Q(zeta_5)[a]).
+
+    * f squarefree rules out a = 0: g_0 = (x^2 + 1)^2.
+    * disc g_a = 125 a^2 (a^2 - 44a - 16)^2.  For l = 2, 3 mod 5, 5 is a
+      non-residue, so a^2 - 44a - 16, with the roots 22 +- 10 sqrt 5, has no
+      root in F_l.  So g_a is separable for a != 0, and theta_1 != 0.
+    * The resolvent is over F_l, so theta_2 + theta_3 is in F_l, but
+      theta_2 - theta_3 = +-5 sqrt(5) a is not.  So theta_1 is the only root
+      of the resolvent in F_l.
+    * Frobenius therefore fixes exactly one of the three pairings of
+      y_1..y_4, say {y_1, y_2 | y_3, y_4}, and swaps the other two.  It acts
+      as a transposition, and g_a = 1 + 1 + 2, or as a 4-cycle, and g_a is
+      irreducible.  A transposition fixes y_1 + y_2.  A 4-cycle sends it to
+      y_3 + y_4 = -(y_1 + y_2), which differs from y_1 + y_2 as theta_1 != 0.
+    * So g_a is irreducible exactly when y_1 + y_2 is not in F_l, that is,
+      when (y_1 + y_2)^2 = -theta_1 is a non-square.
+
+    A hit at a = 0 proves f not squarefree and raises VerificationError.
+    """
     if l % 5 not in (2, 3):
         raise ValueError("quartic census needs l = 2, 3 mod 5")
     a = _sweep_range(l, 4)
     # x^4 = -1 + a x - (11a+2) x^2 - a x^3 mod g_a
     red = np.stack([np.full(l, l - 1, dtype=np.int64), a, -(11 * a + 2) % l, -a % l])
-    shapes = [GShape(l, t) for t in _divisor_params(f, red, l)]
-    return sorted((g for g in shapes if mp.is_irreducible(g.coeffs(), l)), key=GShape.coeffs)
+    hits = _divisor_params(f, red, l)
+    if 0 in hits:
+        raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
+    shapes = [GShape(l, t) for t in hits if legendre(t * t - 44 * t - 16, l) == -1]
+    return sorted(shapes, key=GShape.coeffs)
 
 
 def find_k_factors(l: int, f: list[int]) -> list[KShape]:

@@ -43,6 +43,13 @@ def _parse_range(spec: str) -> list[int]:
     return primes
 
 
+def _jobs(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 # -- worker functions (top level so process pools can pickle them) ----------
 
 
@@ -349,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--cache", default=os.environ.get("HASSE5_CACHE"))
         p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
         # charzero runs serially but accepts --jobs, so scripts can pass it to every command
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_jobs, default=1)
 
     pc = sub.add_parser("census", help="special-factor counts of the Hasse invariant vs. h(-5l)")
     common(pc)

@@ -112,15 +112,6 @@ def factor_ff(f, p: int) -> FactorList:
     return FactorList(p, f[-1], tuple(found))
 
 
-def reconstruct(fl: FactorList) -> list[int]:
-    """Multiply a FactorList back out (test helper for the reconstruction invariant)."""
-    out = [1]
-    for coeffs, m in fl.factors:
-        for _ in range(m):
-            out = mp.mul(out, list(coeffs), fl.modulus)
-    return mp.scale(out, fl.unit, fl.modulus)
-
-
 def roots_in(f, p: int) -> list[tuple[FqElem, int]]:
     """All roots of f in F_{p^2} = make_extension(p, 2), with multiplicities.
 

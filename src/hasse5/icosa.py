@@ -219,7 +219,10 @@ def _resolvent_cubic_holds() -> bool:
     """With g_a(y - a/4) = y^4 + P y^2 + Q y + R, the resolvent cubic
     u^3 + 2P u^2 + (P^2 - 4R) u - Q^2 is (u + theta1)(u + theta2)(u + theta3)
     in Q(zeta_5)[a][u]: its roots -theta_i are the squares (y_1 + y_k)^2,
-    k = 2, 3, 4, of Ferrari's construction."""
+    k = 2, 3, 4, of Ferrari's construction.  The census criterion rests on
+    this identity: over F_l, l = 2, 3 mod 5, a divisor g_a of the Hasse
+    invariant is irreducible exactly when -theta_1 = (a^2 - 44a - 16)/4 is a
+    non-residue (``census.find_g_factors``)."""
     one = Poly([CycNum(1)])
     a = Poly([CycNum(0), CycNum(1)])
     g = Poly([c0 + c1 * a for c0, c1 in G_A])

@@ -179,18 +179,6 @@ def pow_mod(f, e: int, m, p):
     return trim(out.tolist())
 
 
-def is_irreducible(f, p: int) -> bool:
-    """Irreducibility of f over F_p, deg f >= 1: gcd(f, x^(p^j) - x) = 1 for
-    j = 1..deg f // 2, since a reducible f has a factor of degree <= deg f / 2."""
-    f = list(f)
-    xpj = [0, 1]
-    for _ in range(deg(f) // 2):
-        xpj = pow_mod(xpj, p, f, p)
-        if deg(gcd(f, sub(xpj, [0, 1], p), p)) > 0:
-            return False
-    return True
-
-
 def eval_at(f, x: int, p: int) -> int:
     acc = 0
     for c in reversed(f):

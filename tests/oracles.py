@@ -5,7 +5,9 @@ the package under test: quadratic residues are found by exhaustive squaring,
 elliptic curve orders by literal point counting, F_{p^2} is built directly
 from a non-residue, and irreducibility by exhaustive divisor search.  The one
 exceptions are the routes the package replaced, kept to check the new ones
-against a different algorithm: ``ss_by_expansion``, the supersingular
+against a different algorithm: ``is_irreducible``, irreducibility over F_p by
+gcd(f, x^(p^j) - x) = 1 for j <= deg f / 2, which the census replaced by one
+Legendre symbol of a^2 - 44a - 16 per quartic, ``ss_by_expansion``, the supersingular
 polynomial from Deuring's J_l (``build_Jl``) expanded about t = 1728,
 ``hasse_by_expansion``, the Hasse invariant by composing that J_l with j(b)
 and with j5, ``census_by_factoring``, the census by a full Cantor-Zassenhaus
@@ -17,7 +19,8 @@ icosahedral resultant by Bareiss elimination over Z[zeta_5][x], and
 product, and ``k5p_report_by_factoring``, the K_5p verdict by factoring
 H_-20, H_-84 and H_-96 mod p and matching the predicted factor list against
 ``build_k5p``'s.  ``class_number_dirichlet`` gives h(D) by Dirichlet's class
-number formula, with no reduced forms.
+number formula, with no reduced forms.  ``reconstruct`` multiplies a
+factorization back out.
 """
 
 from __future__ import annotations
@@ -210,6 +213,32 @@ def quartic_irreducible_naive(coeffs: tuple[int, ...], p: int) -> bool:
             if r1 == 0 and r0 == 0:
                 return False
     return True
+
+
+def is_irreducible(f, p: int) -> bool:
+    """Irreducibility of f over F_p, deg f >= 1: gcd(f, x^(p^j) - x) = 1 for
+    j = 1..deg f // 2, since a reducible f has a factor of degree <= deg f / 2.
+    The route the census replaced by the Legendre symbol of a^2 - 44a - 16."""
+    from hasse5 import modpoly as mp
+
+    f = list(f)
+    xpj = [0, 1]
+    for _ in range(mp.deg(f) // 2):
+        xpj = mp.pow_mod(xpj, p, f, p)
+        if mp.deg(mp.gcd(f, mp.sub(xpj, [0, 1], p), p)) > 0:
+            return False
+    return True
+
+
+def reconstruct(fl) -> list[int]:
+    """Multiply a ``ffactor.FactorList`` back out: unit * prod(factor^mult)."""
+    from hasse5 import modpoly as mp
+
+    out = [1]
+    for coeffs, m in fl.factors:
+        for _ in range(m):
+            out = mp.mul(out, list(coeffs), fl.modulus)
+    return mp.scale(out, fl.unit, fl.modulus)
 
 
 # the degree-6 factors of the Hasse invariant at l = 3 mod 4: X2P1 * Q6 in b,

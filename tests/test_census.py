@@ -14,7 +14,7 @@ from hasse5.classno import h5l
 from hasse5.fp import golden_units, legendre
 from hasse5.hasse import build_hasse
 from hasse5.intfactor import is_prime, primes_in
-from oracles import census_by_factoring, quartic_irreducible_naive
+from oracles import census_by_factoring, is_irreducible, quartic_irreducible_naive
 
 
 def test_find_g_7():
@@ -156,6 +156,45 @@ def test_reducible_g_divisor_not_counted():
         break
     else:
         pytest.fail("no reducible g_a coprime to an irreducible g_b at l=13")
+
+
+def test_quartic_criterion_matches_irreducibility_oracles():
+    # find_g_factors(l, g_a) keeps g_a exactly when it is irreducible, for
+    # every a != 0: the Legendre symbol of a^2 - 44a - 16 against the gcd
+    # test and, for small l, the exhaustive divisor search
+    for l in primes_in(7, 399):
+        if l % 5 not in (2, 3):
+            continue
+        for a in range(1, l):
+            g = GShape(l, a)
+            irreducible = is_irreducible(g.coeffs(), l)
+            if l < 60:
+                assert irreducible == quartic_irreducible_naive(g.coeffs(), l), (l, a)
+            assert find_g_factors(l, list(g.coeffs())) == ([g] if irreducible else []), (l, a)
+
+
+def test_quartic_census_raises_no_power(monkeypatch):
+    # the quartic verdict is one Legendre symbol per hit: no x^(l^j) mod g_a
+    primes = [7, 13, 43, 163, 373]
+    expected = {l: census_by_factoring(l, build_hasse(l)) for l in primes}
+
+    def no_power(*args):
+        raise AssertionError("the census raised a polynomial to a power")
+
+    monkeypatch.setattr(mp, "pow_mod", no_power)
+    for l in primes:
+        report = census(l)
+        assert report.found_count and report.match, l
+        assert report.to_dict() == expected[l], l
+
+
+def test_g0_hit_rejected_as_not_squarefree():
+    # g_0 = (x^2 + 1)^2 is never irreducible, though at l = 3 mod 4 its
+    # a^2 - 44a - 16 = -16 is a non-residue: a hit at a = 0 is an error
+    for l in (7, 13):
+        h = mp.mul(_g(l, 0), _g(l, 4), l)
+        with pytest.raises(VerificationError, match="not squarefree"):
+            find_g_factors(l, h)
 
 
 def test_square_discriminant_k_divisor_not_counted():

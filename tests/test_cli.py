@@ -344,6 +344,15 @@ def test_jobs_parallel(capsys):
     assert len(out.strip().split("\n")) == 1 + 6
 
 
+@pytest.mark.parametrize("command", [["census", "7..13"], ["k5p", "383"], ["fricke", "7..13"], ["charzero"]])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
+    with pytest.raises(SystemExit) as e:
+        main([*command, "--jobs", jobs])
+    assert e.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_jobs_starts_no_more_workers_than_primes(monkeypatch, capsys):
     # a recorder in place of the process pool: it maps serially and starts nothing
     workers = []

@@ -2,11 +2,11 @@ import random
 from functools import partial, reduce
 
 from hasse5 import modpoly as mp
-from hasse5.ffactor import factor_ff, reconstruct, roots_in
+from hasse5.ffactor import factor_ff, roots_in
 from hasse5.fp import FqElem, make_extension
 from hasse5.hasse import build_hasse
 from hasse5.intfactor import primes_in
-from oracles import quartic_irreducible_naive
+from oracles import is_irreducible, quartic_irreducible_naive, reconstruct
 
 
 def test_x2_plus_1_mod_7_irreducible():
@@ -46,8 +46,8 @@ def test_reconstruction_random():
         fl = factor_ff(f, p)
         assert reconstruct(fl) == f
         for coeffs, _ in fl.factors:
-            assert mp.is_irreducible(coeffs, p)
-        assert mp.is_irreducible(f, p) == (len(fl.factors) == 1 and fl.factors[0][1] == 1)
+            assert is_irreducible(coeffs, p)
+        assert is_irreducible(f, p) == (len(fl.factors) == 1 and fl.factors[0][1] == 1)
 
 
 def test_factorization_deterministic():
@@ -118,7 +118,7 @@ def test_roots_in_fp2_against_search():
         one = fld.one()
         while True:
             cubic = [rng.randrange(p) for _ in range(3)] + [1]
-            if mp.is_irreducible(cubic, p):
+            if is_irreducible(cubic, p):
                 break
         a, b = fld.rand(rng), fld.rand(rng)
         lead = fld.elem((rng.randrange(1, p), rng.randrange(p)))
