@@ -2,24 +2,54 @@
 
 Two factor families are counted, depending on l mod 5:
 
-* quartics  x^4 + a x^3 + (11a+2) x^2 - a x + 1          (l = 2, 3 mod 5)
-* quadratics x^2 + r x + s with r = e5 (s-1) or ebar5 (s-1), where e5 and
-  ebar5 are the two roots of x^2 + 11x - 1 in F_l         (l = 1, 4 mod 5)
+* quartics  g_a = x^4 + a x^3 + (11a+2) x^2 - a x + 1    (l = 2, 3 mod 5)
+* quadratics K_s = x^2 + r x + s with r = e (s-1) for e = e5 or ebar5, the
+  two roots of x^2 + 11x - 1 in F_l                     (l = 1, 4 mod 5)
 
 and the count is compared against the linear expression in the class number
-h(-5l) selected by (l mod 5, l mod 8).  Both roots of x^2 + 11x - 1 are tried
-for the quadratic relation, so the canonical choice of sqrt(5) made by
-``golden_units`` never affects the count; a factor is counted once even if it
-satisfies both relations (only x^2 + 1 can).
+h(-5l) selected by (l mod 5, l mod 8).  Both roots of x^2 + 11x - 1 are tried,
+so the canonical choice of sqrt(5) made by ``golden_units`` never affects the
+count; only x^2 + 1 satisfies both relations, and it is counted once.
 
-The factors are found without factoring the Hasse invariant H.  H is
-certified squarefree in O(l) by the Picard-Fuchs operator that annihilates it
-(see ``_squarefree_hasse``); H mod f is then computed for every member f of a
-family at once, by one vectorized Horner sweep over H's coefficients; and only
-the members that divide H are tested for irreducibility, each by one Legendre
-symbol: a quartic g_a by that of a^2 - 44a - 16 = -4 theta_1, from the one
-root of its resolvent cubic in F_l (see ``find_g_factors``), a quadratic by
-that of its discriminant.  The census raises no polynomial to a power.
+The factors are found without factoring the Hasse invariant H, on X_0(5)
+rather than X_1(5).  H is certified squarefree in O(l) by the Picard-Fuchs
+operator that annihilates it (see ``_squarefree_hasse``).  It is invariant
+under the diamond operator b -> -1/b, x^(2n) H(-1/x) = H(x) for deg H = 2n,
+which ``_fold`` checks; so with u = x - 1/x,
+
+    x^(-n) H = P(u)  (n even)    or    x^(-n) H = (x + 1/x) P(u)  (n odd),
+
+and the folded invariant P has degree about l/2.  Both families fold onto
+one conic: g_a = x^2 Q_a(x - 1/x) with Q_a(u) = u^2 + a u + 11a + 4, the
+z-fibre of ``fricke`` at Y = a, of discriminant a^2 - 44a - 16.
+
+* g_a | H <=> Q_a | P, for a != 0 with a^2 - 44a - 16 != 0.  The roots of
+  g_a are the roots of x^2 - u0 x - 1 for the roots u0 of Q_a; they are
+  distinct (a double one needs u0^2 = -4, so a = 0), and none is 0 or +-i
+  (g_a(0) = 1, g_a(+-i) = -a (11 +- 2i) and 11 +- 2i != 0 as 125 != 0), so
+  H vanishes at one exactly when P vanishes at x - 1/x.  A hit at a = 0
+  means (x^2 + 1)^2 | H, so H is not squarefree, and raises.
+* The sigma-orbits.  The roots of an irreducible Q_a are {u0, sigma(u0)} with
+  sigma(u) = (4 - 11u)/(u + 11), the Fricke involution: u0 + sigma(u0) = -a
+  and u0 sigma(u0) = 11a + 4 both follow from Q_a(u0) = 0.  Its fixed points
+  u = 2e, the doubled roots of x^2 + 11x - 1, lie in F_l exactly when
+  l = 1, 4 mod 5.
+* Quartics: g_a is irreducible exactly when a^2 - 44a - 16 is a non-residue
+  (see ``find_g_factors``).
+* Quadratics: K_s K_(1/s) = g_a with a = e (s-1)^2 / s, and the companion
+  K_(1/s) = s^(-1) x^2 K_s(-1/x) divides H with K_s, by the symmetry.  For
+  s != +-1 the roots x, s/x of an irreducible K_s give the two roots
+  x - 1/x, s/x - x/s of Q_a, distinct as (s + 1)(x^2 - s) != 0, so Q_a is
+  irreducible; conversely, for an irreducible Q_a, g_a has no root in F_l
+  (it would give one of Q_a) and its two quadratic factors are irreducible.
+  The two self-companion cases are read off P directly: x^2 + 1 = x (x + 1/x)
+  divides H exactly when n is odd, and x^2 - 2e x - 1 = x (u - 2e) exactly
+  when P(2e) = 0, at a fixed point of sigma.
+
+So the census is one vectorized Horner sweep of width 2 over P's coefficients,
+P mod Q_a for every a in F_l at once, and one Legendre symbol of
+a^2 - 44a - 16 per hit, for both families.  It raises no polynomial to a
+power.
 """
 
 from __future__ import annotations
@@ -30,7 +60,7 @@ import numpy as np
 
 from . import VerificationError, modpoly as mp
 from .classno import h5l
-from .fp import golden_units, legendre
+from .fp import golden_units, legendre, sqrt_mod
 from .hasse import build_hasse
 
 
@@ -119,11 +149,32 @@ def _squarefree_hasse(l: int) -> list[int]:
     return f
 
 
-def _sweep_range(l: int, k: int) -> np.ndarray:
-    """The parameter values 0..l-1 of a k-wide sweep, once its int64 bound holds."""
-    if (k + 1) * l * l >= 2**63:
-        raise ValueError(f"l={l} is too large for the int64 divisibility sweep")
-    return np.arange(l, dtype=np.int64)
+def _fold(l: int, f: list[int]) -> list[int]:
+    """The folded invariant P of f = sum c_j x^j of degree 2n over F_l:
+    x^(-n) f = P(u) for even n, (x + 1/x) P(u) for odd n, u = x - 1/x.
+
+    f must satisfy x^(2n) f(-1/x) = f(x), that is c_j = (-1)^j c_(2n-j), or
+    VerificationError is raised.  Then x^(-n) f = c_n + sum_(k>=1) c_(n+k)
+    phi_k with phi_k = x^k + (-1)^n (-1/x)^k, and c_n = 0 for odd n.  Both
+    L_k = x^k + (-1/x)^k and M_k = x^k - (-1/x)^k satisfy
+    phi_(k+1) = u phi_k + phi_(k-1), as x and -1/x are the roots of
+    t^2 - u t - 1; L_0 = 2, L_1 = u and M_0 = 0, M_1 = x + 1/x.  So one
+    Clenshaw pass b_k = c_(n+k) + u b_(k+1) + b_(k+2), k = n..0, gives
+    P = u b_1 + 2 b_2 + c_n = b_0 + b_2 for even n and P = b_1 for odd n.
+    """
+    c = np.array(f, dtype=np.int64)
+    sign = 1 - 2 * (np.arange(len(c)) % 2)
+    if len(c) % 2 == 0 or ((c - sign * c[::-1]) % l).any():
+        raise VerificationError(f"x^(deg f) f(-1/x) != f(x) at l={l}: f is not invariant under x -> -1/x")
+    n = len(c) // 2
+    b1 = b2 = b3 = np.zeros(n + 1, dtype=np.int64)  # entries below l
+    for k in range(n, -1, -1):
+        b = b2.copy()
+        b[1:] += b1[:-1]
+        b[0] += c[n + k]
+        b1, b2, b3 = b % l, b1, b2
+    # b1, b2, b3 = b_0, b_1, b_2
+    return mp.trim(((b2 if n % 2 else b1 + b3) % l).tolist())
 
 
 def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
@@ -133,7 +184,7 @@ def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
     k-wide state holds f's prefix mod m_t, and x^k is replaced by red[:, t].
     Only the outgoing top slot is reduced mod l.  A slot takes at most k
     products below l^2 on its way to the top, so every entry stays below
-    (k+1) l^2, which ``_sweep_range`` checked fits in int64.
+    (k+1) l^2, which the caller checks fits in int64.
     """
     state = np.zeros_like(red)
     for c in reversed(f):
@@ -144,9 +195,26 @@ def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
     return np.flatnonzero(~(state % l).any(axis=0)).tolist()
 
 
+def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
+    """(P, hits) for a squarefree symmetric f: P = _fold(l, f), and the a in
+    F_l, ascending, with Q_a = u^2 + a u + 11a + 4 an irreducible divisor of
+    P, that is with a^2 - 44a - 16 = disc Q_a a non-residue.  A divisor Q_0
+    proves (x^2 + 1)^2 | f and raises VerificationError."""
+    if 3 * l * l >= 2**63:
+        raise ValueError(f"l={l} is too large for the int64 divisibility sweep")
+    p = _fold(l, f)
+    a = np.arange(l, dtype=np.int64)
+    # u^2 = -(11a + 4) - a u mod Q_a
+    hits = _divisor_params(p, np.stack([-(11 * a + 4) % l, -a % l]), l)
+    if 0 in hits:
+        raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
+    return p, [t for t in hits if legendre(t * t - 44 * t - 16, l) == -1]
+
+
 def find_g_factors(l: int, f: list[int]) -> list[GShape]:
     """Irreducible quartic factors g_a = x^4 + a x^3 + (11a+2) x^2 - a x + 1
-    of a squarefree f, in ascending coefficient order.
+    of a squarefree f invariant under x -> -1/x, in ascending coefficient
+    order: one g_a for each irreducible Q_a dividing the fold of f.
 
     A divisor g_a of f is irreducible exactly when a^2 - 44a - 16 is a
     non-residue mod l.  This is the finite-field case of Kappe and Warren's
@@ -171,37 +239,42 @@ def find_g_factors(l: int, f: list[int]) -> list[GShape]:
     * So g_a is irreducible exactly when y_1 + y_2 is not in F_l, that is,
       when (y_1 + y_2)^2 = -theta_1 is a non-square.
 
-    A hit at a = 0 proves f not squarefree and raises VerificationError.
+    A hit at a = 0 proves f not squarefree, and an f that is not invariant
+    under x -> -1/x fails the fold; both raise VerificationError.
     """
     if l % 5 not in (2, 3):
         raise ValueError("quartic census needs l = 2, 3 mod 5")
-    a = _sweep_range(l, 4)
-    # x^4 = -1 + a x - (11a+2) x^2 - a x^3 mod g_a
-    red = np.stack([np.full(l, l - 1, dtype=np.int64), a, -(11 * a + 2) % l, -a % l])
-    hits = _divisor_params(f, red, l)
-    if 0 in hits:
-        raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
-    shapes = [GShape(l, t) for t in hits if legendre(t * t - 44 * t - 16, l) == -1]
-    return sorted(shapes, key=GShape.coeffs)
+    _, hits = _conic_hits(l, f)
+    return sorted((GShape(l, a) for a in hits), key=GShape.coeffs)
 
 
 def find_k_factors(l: int, f: list[int]) -> list[KShape]:
-    """Irreducible quadratic factors x^2 + rx + s of f with r = e5(s-1) or
-    ebar5(s-1), in ascending coefficient order; x^2 + 1 satisfies both and is
-    counted once."""
+    """Irreducible quadratic factors x^2 + rx + s of a squarefree f invariant
+    under x -> -1/x, with r = e(s-1) for e = e5 or ebar5, in ascending
+    coefficient order; x^2 + 1 satisfies both and is counted once.
+
+    Each irreducible Q_a dividing the fold of f gives the pair K_s, K_(1/s):
+    s + 1/s = a/e + 2, so s and 1/s are the roots of e s^2 - (2e + a) s + e,
+    of discriminant a (a + 4e).  The product of a (a + 4e) over both e is
+    a^2 (a^2 - 44a - 16), a non-residue, so exactly one e gives s in F_l.
+    x^2 + 1 comes from n odd (deg f = 2n) and is irreducible for l = 3 mod 4;
+    x^2 - 2ex - 1 from P(2e) = 0, irreducible when e^2 + 1 is a non-residue.
+    """
     if l % 5 not in (1, 4):
         raise ValueError("quadratic census needs l = 1, 4 mod 5")
-    s = _sweep_range(l, 2)
+    p, hits = _conic_hits(l, f)
     pair = golden_units(l)
-    found: dict[tuple[int, int], KShape] = {}
-    for variant, e in (("eps", pair.eps5), ("epsbar", pair.eps5bar)):
-        # x^2 = -s - e(s-1) x mod x^2 + e(s-1) x + s
-        red = np.stack([-s % l, -e * (s - 1) % l])
-        for t in _divisor_params(f, red, l):
-            r = e * (t - 1) % l
-            if legendre(r * r - 4 * t, l) == -1:
-                found.setdefault((t, r), KShape(l, r, t, variant))
-    return sorted(found.values(), key=KShape.coeffs)
+    units = (("eps", pair.eps5), ("epsbar", pair.eps5bar))
+    shapes = [KShape(l, 0, 1, "eps")] if mp.deg(f) % 4 == 2 and l % 4 == 3 else []
+    for variant, e in units:
+        if mp.eval_at(p, 2 * e, l) == 0 and legendre(e * e + 1, l) == -1:
+            shapes.append(KShape(l, -2 * e % l, l - 1, variant))
+    for a in hits:
+        variant, e = next(unit for unit in units if legendre(a * (a + 4 * unit[1]), l) == 1)
+        root, inv = sqrt_mod(a * (a + 4 * e), l), pow(2 * e, -1, l)
+        for s in ((2 * e + a + root) * inv % l, (2 * e + a - root) * inv % l):
+            shapes.append(KShape(l, e * (s - 1) % l, s, variant))
+    return sorted(shapes, key=KShape.coeffs)
 
 
 def _check_divides(k: int, h: int, l: int) -> None:
@@ -235,12 +308,6 @@ def predicted_count(l: int, h: int) -> int:
     if l % 8 == 3:
         return h - 1
     return 2 * h - 1
-
-
-def companion(l: int, k: KShape) -> KShape:
-    """kbar(x) = s^{-1} x^2 k(-1/x) = x^2 - (r/s) x + 1/s."""
-    sinv = pow(k.s, l - 2, l)
-    return KShape(l, (-k.r * sinv) % l, sinv, k.variant)
 
 
 def census(l: int) -> CensusReport:

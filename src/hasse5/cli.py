@@ -16,10 +16,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import VerificationError, __version__, census as census_mod, fricke as fricke_mod, icosa, modeq, refdata
+from . import VerificationError, __version__, fricke as fricke_mod, icosa, modeq, refdata
 from .intfactor import is_prime, primes_in
 
 SCHEMA = 1
@@ -53,16 +54,12 @@ def _jobs(text: str) -> int:
 # -- worker functions (top level so process pools can pickle them) ----------
 
 
-def _census_payload(l: int) -> dict:
-    return census_mod.census(l).to_dict()
-
-
-def _k5p_payload(p: int) -> dict:
-    return modeq.verify_class_equation(p).to_dict()
-
-
-def _fricke_payload(p: int) -> dict:
-    return fricke_mod.verify_fricke(p).to_dict()
+def _payload(verify: str, p: int) -> dict:
+    """The JSON payload of the report verify(p), for verify a "module.function"
+    of this package.  The function is looked up at call time, so a wrapper
+    installed on it afterwards (as perfbench's tracer does) is the one called."""
+    module, name = verify.split(".")
+    return getattr(import_module(f"{__package__}.{module}"), name)(p).to_dict()
 
 
 def _attempt(worker: Callable, *args):
@@ -144,7 +141,7 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
 class Sweep(NamedTuple):
     """One per-prime sweep command: what it computes and how it reports it."""
 
-    worker: Callable[..., dict]  # prime -> JSON payload; top level, so picklable
+    worker: Callable[[int], dict]  # prime -> JSON payload; a partial of _payload, so picklable
     columns: tuple[str, ...]  # text/TSV columns; the first is the prime
     row: Callable[[dict], tuple]  # payload -> the text/TSV values of those columns
     ok: Callable[[int, dict], bool]  # does this payload allow exit status 0
@@ -152,13 +149,13 @@ class Sweep(NamedTuple):
 
 SWEEPS = {
     "census": Sweep(
-        _census_payload,
+        partial(_payload, "census.census"),
         ("l", "N", "predicted", "h(-5l)", "match"),
         lambda d: (d["l"], d["found"], d["predicted"], d["h_minus_5l"], d["match"]),
         lambda p, d: d["match"],
     ),
     "k5p": Sweep(
-        _k5p_payload,
+        partial(_payload, "modeq.verify_class_equation"),
         ("p", "deg", "a_p*h(-5p)", "N_p", "identity", "structure", "notes"),
         lambda d: (
             d["p"],
@@ -172,7 +169,7 @@ SWEEPS = {
         lambda p, d: not modeq.in_validity_range(p) or (d["structure_ok"] and d["identity_holds"]),
     ),
     "fricke": Sweep(
-        _fricke_payload,
+        partial(_payload, "fricke.verify_fricke"),
         ("p", "deg", "deg_formula", "linear", "linear_formula", "match"),
         lambda d: (d["p"], d["degree_found"], d["degree_formula"], d["linear_found"], d["linear_formula"], d["match"]),
         lambda p, d: d["match"],
@@ -318,10 +315,10 @@ def cmd_tables(args) -> int:
     """
     which = args.which
     if which in ("6", "7", "8", "9"):
-        key, worker, table = "l", _census_payload, refdata.CENSUS_TABLES[int(which)]
+        key, worker, table = "l", SWEEPS["census"].worker, refdata.CENSUS_TABLES[int(which)]
         fields = (("N_ref", "N", "found"), ("h_ref", "h(-5l)", "h_minus_5l"))
     elif which == "10":
-        key, worker, table = "p", _fricke_payload, refdata.FRICKE_TABLE
+        key, worker, table = "p", SWEEPS["fricke"].worker, refdata.FRICKE_TABLE
         fields = (("deg_ref", "deg", "degree_found"), ("linear_ref", "linear", "linear_found"))
     else:
         raise SystemExit(f"error: unknown table {which!r} (expected 6..10)")

@@ -11,7 +11,8 @@ Legendre symbol of a^2 - 44a - 16 per quartic, ``ss_by_expansion``, the supersin
 polynomial from Deuring's J_l (``build_Jl``) expanded about t = 1728,
 ``hasse_by_expansion``, the Hasse invariant by composing that J_l with j(b)
 and with j5, ``census_by_factoring``, the census by a full Cantor-Zassenhaus
-factorization of that invariant,
+factorization of that invariant, ``census_by_h_sweep``, the census by
+Horner sweeps over all of H rather than over its fold,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
 Phi5(x^p, x) by repeated division, ``icosa_resultant_bareiss``, the
 icosahedral resultant by Bareiss elimination over Z[zeta_5][x], and
@@ -20,7 +21,8 @@ product, and ``k5p_report_by_factoring``, the K_5p verdict by factoring
 H_-20, H_-84 and H_-96 mod p and matching the predicted factor list against
 ``build_k5p``'s.  ``class_number_dirichlet`` gives h(D) by Dirichlet's class
 number formula, with no reduced forms.  ``reconstruct`` multiplies a
-factorization back out.
+factorization back out, and ``companion`` gives the companion of a census
+quadratic.
 """
 
 from __future__ import annotations
@@ -347,6 +349,50 @@ def census_by_factoring(l: int, hasse=None) -> dict:
     h = h5l(l)
     pred = predicted_count(l, h)
     return CensusReport(l, l % 5, l % 8, h, len(facs), pred, len(facs) == pred, tuple(facs)).to_dict()
+
+
+def census_by_h_sweep(l: int) -> dict:
+    """``census(l).to_dict()`` by the Horner sweeps over all of H that the fold
+    replaced: a 4-wide sweep for the quartics g_a, kept when a^2 - 44a - 16 is
+    a non-residue, and one 2-wide sweep for each golden unit e for the
+    quadratics x^2 + e(s-1)x + s, kept when their discriminant is a
+    non-residue."""
+    from hasse5 import VerificationError
+    from hasse5.census import CensusReport, GShape, KShape, _divisor_params, _squarefree_hasse, predicted_count
+    from hasse5.classno import h5l
+    from hasse5.fp import golden_units, legendre
+
+    f = _squarefree_hasse(l)
+    t = np.arange(l, dtype=np.int64)
+    if l % 5 in (2, 3):
+        # x^4 = -1 + a x - (11a+2) x^2 - a x^3 mod g_a
+        red = np.stack([np.full(l, l - 1, dtype=np.int64), t, -(11 * t + 2) % l, -t % l])
+        hits = _divisor_params(f, red, l)
+        if 0 in hits:
+            raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
+        shapes = sorted((GShape(l, a) for a in hits if legendre(a * a - 44 * a - 16, l) == -1), key=GShape.coeffs)
+    else:
+        pair = golden_units(l)
+        found: dict[tuple[int, int], KShape] = {}
+        for variant, e in (("eps", pair.eps5), ("epsbar", pair.eps5bar)):
+            # x^2 = -s - e(s-1) x mod x^2 + e(s-1) x + s
+            for s in _divisor_params(f, np.stack([-t % l, -e * (t - 1) % l]), l):
+                r = e * (s - 1) % l
+                if legendre(r * r - 4 * s, l) == -1:
+                    found.setdefault((s, r), KShape(l, r, s, variant))
+        shapes = sorted(found.values(), key=KShape.coeffs)
+    h = h5l(l)
+    pred = predicted_count(l, h)
+    facs = tuple(s.coeffs() for s in shapes)
+    return CensusReport(l, l % 5, l % 8, h, len(facs), pred, len(facs) == pred, facs).to_dict()
+
+
+def companion(l: int, k):
+    """kbar(x) = s^{-1} x^2 k(-1/x) = x^2 - (r/s) x + 1/s, for a census ``KShape`` k."""
+    from hasse5.census import KShape
+
+    sinv = pow(k.s, l - 2, l)
+    return KShape(l, (-k.r * sinv) % l, sinv, k.variant)
 
 
 def pow_mod_by_squaring(f, e: int, m, p: int) -> list[int]:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from hasse5 import modpoly as mp, refdata
-from hasse5.census import census, companion, find_k_factors
+from hasse5.census import census, find_k_factors
 from hasse5.fp import golden_units
 from hasse5.fricke import verify_fricke, zparam_cross_check
 from hasse5.hasse import build_hasse, build_ss, deuring_L, hasse_params
@@ -40,7 +40,7 @@ from hasse5.modeq import (
     verify_class_equation,
 )
 from hasse5.poly import discriminant
-from oracles import supersingular_poly_fp2_oracle
+from oracles import companion, supersingular_poly_fp2_oracle
 
 
 def _report(n, name, t0):

@@ -5,16 +5,16 @@ from hasse5.census import (
     GShape,
     KShape,
     census,
-    companion,
     find_g_factors,
     find_k_factors,
     predicted_count,
 )
 from hasse5.classno import h5l
 from hasse5.fp import golden_units, legendre
+from hasse5.fricke import verify_fricke
 from hasse5.hasse import build_hasse
 from hasse5.intfactor import is_prime, primes_in
-from oracles import census_by_factoring, is_irreducible, quartic_irreducible_naive
+from oracles import census_by_factoring, census_by_h_sweep, companion, is_irreducible, quartic_irreducible_naive
 
 
 def test_find_g_7():
@@ -198,14 +198,19 @@ def test_g0_hit_rejected_as_not_squarefree():
 
 
 def test_square_discriminant_k_divisor_not_counted():
+    # a split K_s and its companion K_(1/s) divide h and are not counted; the
+    # inert pair is
     l = 11
     e = golden_units(l).eps5
-    split = [s for s in range(l) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == 1]
-    inert = [s for s in range(l) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == -1]
-    h = mp.mul(_k(l, e, split[0]), _k(l, e, inert[0]), l)
+    split = [s for s in range(2, l - 1) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == 1]
+    inert = [s for s in range(2, l - 1) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == -1]
+    ks = [_k(l, e, s) for s in (split[0], pow(split[0], -1, l), inert[0], pow(inert[0], -1, l))]
+    h = [1]
+    for k in ks:
+        h = mp.mul(h, k, l)
     assert mp.deg(mp.gcd(h, mp.deriv(h, l), l)) == 0
     shapes = find_k_factors(l, h)
-    assert shapes == [KShape(l, _k(l, e, inert[0])[1], inert[0], "eps")]
+    assert shapes == sorted((KShape(l, k[1], k[0], "eps") for k in ks[2:]), key=KShape.coeffs)
     assert [list(k.coeffs()) for k in shapes] == _factors(l, h)
 
 
@@ -270,3 +275,102 @@ def test_primes_past_the_int64_sweep_rejected():
         l = next(p for p in big if (find is find_g_factors) == (p % 5 in (2, 3)))
         with pytest.raises(ValueError, match="too large"):
             find(l, [1, 1])
+
+
+@pytest.mark.heavy
+def test_census_matches_h_sweep_oracle_to_1500():
+    # the fold replaced Horner sweeps over all of H: 4-wide for the quartics,
+    # one 2-wide sweep per golden unit for the quadratics
+    for l in primes_in(7, 1500):
+        if l % 5:
+            assert census(l).to_dict() == census_by_h_sweep(l), l
+
+
+def _q(l, a):
+    return [(11 * a + 4) % l, a % l, 1]
+
+
+def test_fold_of_g_a_is_q_a():
+    # g_a = x^2 Q_a(x - 1/x), and x^(-3) (x^2 + 1) g_a = (x + 1/x) Q_a(u)
+    for l in (7, 11, 13, 379):
+        for a in (1, 2, 5, l - 1):
+            g = _g(l, a)
+            assert census_mod._fold(l, g) == _q(l, a), (l, a)
+            assert census_mod._fold(l, mp.mul([1, 0, 1], g, l)) == _q(l, a), (l, a)
+
+
+def test_fold_rejects_a_perturbed_coefficient():
+    # every coefficient but the middle one has a mirror image x^(2n) f(-1/x)
+    for l in (7, 11, 13, 379):
+        for f in (_g(l, 3), build_hasse(l)):
+            for i in set(range(len(f))) - {len(f) // 2}:
+                bent = f[:i] + [(f[i] + 1) % l] + f[i + 1:]
+                with pytest.raises(VerificationError, match="not invariant"):
+                    census_mod._fold(l, mp.trim(bent))
+
+
+def test_census_is_one_2_wide_sweep_over_the_fold(monkeypatch):
+    calls = []
+    sweep = census_mod._divisor_params
+
+    def recorder(f, red, l):
+        calls.append((len(f), red.shape))
+        return sweep(f, red, l)
+
+    monkeypatch.setattr(census_mod, "_divisor_params", recorder)
+    for l in (7, 11, 13, 19, 379, 1499):
+        calls.clear()
+        census(l)
+        assert len(calls) == 1, l
+        (length, shape), = calls
+        assert shape == (2, l) and length <= (l + 1) // 2, (l, length, shape)
+
+
+def _conic_count(l, p):
+    return sum(mp.deg(mp.gcd(_q(l, a), p, l)) > 0 for a in range(l))
+
+
+def _check_fricke_linear_count(primes):
+    """The paper's corollary, prime by prime: the linear factors of
+    ss_l^(5*) are counted by the conics Q_a that meet the fold P of H, plus
+    one for l = 3 mod 4.  Observed at every prime to 400; Q_a is the z-fibre
+    z^2 + Y z + 11Y + 4 of ``fricke`` at Y = a."""
+    for l in primes:
+        p = census_mod._fold(l, build_hasse(l))
+        assert verify_fricke(l).linear_found == _conic_count(l, p) + (l % 4 == 3), l
+
+
+def test_fricke_linear_count_from_the_fold():
+    _check_fricke_linear_count(primes_in(7, 200))
+
+
+@pytest.mark.heavy
+def test_fricke_linear_count_from_the_fold_to_400():
+    _check_fricke_linear_count(primes_in(201, 400))
+
+
+def _check_census_by_sigma_roots(primes):
+    """For l = 2, 3 mod 5 the census count is deg G / 2, G = gcd(P,
+    (u + 11) u^l + 11u - 4): the roots of P on which Frobenius acts as sigma.
+    Proof: the roots of an irreducible Q_a are {u0, sigma(u0)} (see the
+    ``census`` docstring).  Conversely u0^l = sigma(u0) puts u0 in F_(l^2),
+    as sigma is an involution over F_l; u0 is not in F_l, as sigma fixes only
+    u = 2e and 5 is a non-residue; and its minimal polynomial
+    (u - u0)(u - sigma(u0)) is Q_a for a = -(u0 + sigma(u0)).  u = -11 is no
+    root (125 != 0), and P is squarefree as H is."""
+    for l in primes:
+        if l % 5 not in (2, 3):
+            continue
+        p = census_mod._fold(l, build_hasse(l))
+        up = mp.pow_mod([0, 1], l, p, l)
+        g = mp.gcd(p, mp.add(mp.mul([11, 1], up, l), [l - 4, 11], l), l)
+        assert 2 * census(l).found_count == mp.deg(g), l
+
+
+def test_census_counts_the_sigma_roots_of_the_fold():
+    _check_census_by_sigma_roots(primes_in(7, 400))
+
+
+@pytest.mark.heavy
+def test_census_counts_the_sigma_roots_of_the_fold_to_1500():
+    _check_census_by_sigma_roots(primes_in(401, 1500))
