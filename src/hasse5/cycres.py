@@ -10,11 +10,26 @@ symmetric CRT lift makes them exact.  The primes are taken until their
 product exceeds 16H/5, where H is the Hadamard bound of the matrix on
 |x| = 1 (von zur Gathen & Gerhard, Modern Computer Algebra, 6.11), computed
 in exact integers for each matrix.
+
+The norm N(f) = sigma_1(f) sigma_2(f) sigma_3(f) sigma_4(f) of f in
+Q(zeta_5)[x], sigma_k: zeta -> zeta^k, comes from the same primes.  With D
+the lcm of the denominators of the zeta-coordinates of f, F = D f lies in
+Z[zeta_5][x] and N(F) = D^4 N(f) in Z[x].  Modulo p, each sigma_k(F) is F
+with zeta -> r^k, and the four images are multiplied by integer convolution.
+
+Bound: let S be the sum of the absolute values of all zeta-coordinates of
+F.  For a coefficient c = sum_m c_m zeta^m, |sigma_k(c)| <= sum_m |c_m|, so
+the l1 norm (the sum of the absolute values of the coefficients) of each
+sigma_k(F) is at most S.  The l1 norm is submultiplicative and bounds the
+largest coefficient, ||A B||_inf <= ||A B||_1 <= ||A||_1 ||B||_1, so every
+coefficient of N(F) is at most B = S^4 in absolute value, and primes whose
+product exceeds 2B determine it by the symmetric lift.
 """
 
 from __future__ import annotations
 
-from math import prod
+from fractions import Fraction
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -78,10 +93,19 @@ def _primes_1_mod_5():
 def crt_primes(h2: int) -> list[int]:
     """Primes p = 1 mod 5 below 2^31, from the top down, until their product M
     exceeds 16H/5 (25 M^2 > 256 H^2): the symmetric lift then recovers every
-    coordinate of absolute value at most 8H/5."""
+    coordinate of absolute value at most 8H/5.
+
+    For integers, 25 M^2 > 256 H^2 exactly when 5M > isqrt(256 H^2), that is
+    M > isqrt(256 H^2) // 5."""
+    return _primes_past(isqrt(256 * h2) // 5)
+
+
+def _primes_past(bound: int) -> list[int]:
+    """Primes p = 1 mod 5 below 2^31, from the top down, until their product
+    exceeds bound."""
     primes, modulus = [], 1
     gen = _primes_1_mod_5()
-    while 25 * modulus * modulus <= 256 * h2:
+    while modulus <= bound:
         primes.append(next(gen))
         modulus *= primes[-1]
     return primes
@@ -164,15 +188,20 @@ def _embed(coords: list, p: int, r: int) -> np.ndarray:
     n, width = len(coords), len(coords[0][0])
     flat = (v % p for row in coords for e in row for t in e for v in t)
     res = np.fromiter(flat, dtype=np.int64, count=n * n * width * 4)
-    res = res.reshape(n, n, width, 4).transpose(3, 2, 0, 1)  # [m][d][i][j]
-    emb = np.zeros((4, width, n, n), dtype=np.int64)
+    return _conjugates(res.reshape(n, n, width, 4).transpose(3, 2, 0, 1), p, r)  # [m][d][i][j]
+
+
+def _conjugates(res: np.ndarray, p: int, r: int) -> np.ndarray:
+    """out[k-1] = sum_m res[m] r^(km) mod p for k = 1..4: the images under
+    zeta -> r^k of the numbers whose zeta-coordinates, in [0, p), are res[m]."""
+    out = np.zeros((4, *res.shape[1:]), dtype=np.int64)
     for k in range(4):
         for m in range(4):
             term = res[m] * pow(r, (k + 1) * m, p)
             term %= p
-            emb[k] += term
-        emb[k] %= p
-    return emb
+            out[k] += term
+        out[k] %= p
+    return out
 
 
 def _interpolate(vals: np.ndarray, p: int) -> np.ndarray:
@@ -226,3 +255,58 @@ def _crt_symmetric(images: list[np.ndarray], primes: list[int]) -> list[int]:
         x = sum(r * e for r, e in zip(residues, basis)) % mod
         out.append(x - mod if 2 * x > mod else x)
     return out
+
+
+def norm(f: Poly) -> Poly:
+    """N(f) = prod_{k=1..4} f^(sigma_k), in Q[x], of f in Q(zeta_5)[x] with
+    CycNum, int or Fraction coefficients; see the module docstring.
+
+    Before it returns, it checks the result exactly: the degree is 4 deg f,
+    and the leading and constant coefficients are the norms of those of f.
+    A failed check, or an f too long for the int64 convolutions, raises
+    VerificationError."""
+    if f.is_zero():
+        return Poly()
+    if len(f.c) >= 2**16:
+        raise VerificationError(f"norm over Q(zeta_5): {len(f.c)} coefficients, the int64 products allow < 2^16")
+    coords = [c.c if isinstance(c, CycNum) else (c, 0, 0, 0) for c in f.c]
+    scale = lcm(*(Fraction(v).denominator for t in coords for v in t))
+    ints = [[int(v * scale) for v in t] for t in coords]
+    primes = norm_primes(ints)
+    lifted = _crt_symmetric([_norm_mod(ints, p) for p in primes], primes)
+    d4 = scale**4
+    out = Poly(v // d4 if v % d4 == 0 else Fraction(v, d4) for v in lifted)
+    for what, got, want in (
+        ("degree", out.degree, 4 * f.degree),
+        ("leading coefficient", out[out.degree], CycNum(*coords[-1]).norm()),
+        ("constant coefficient", out[0], CycNum(*coords[0]).norm()),
+    ):
+        if got != want:
+            raise VerificationError(f"norm over Q(zeta_5): {what} {got}, expected {want}")
+    return out
+
+
+def norm_primes(coords: list[list[int]]) -> list[int]:
+    """The primes that determine N(F) for F with the integer zeta-coordinates
+    coords[i] at x^i: their product exceeds 2 S^4, S the sum of all |coords|."""
+    return _primes_past(2 * sum(abs(v) for t in coords for v in t) ** 4)
+
+
+def _norm_mod(coords: list[list[int]], p: int) -> np.ndarray:
+    """N(F) mod p, ascending: the product of the four images of F under
+    zeta -> r^k, k = 1..4."""
+    n = len(coords)
+    res = np.fromiter((v % p for t in coords for v in t), dtype=np.int64, count=4 * n)
+    emb = _conjugates(res.reshape(n, 4).T, p, _root5(p))  # [k-1][x-degree]
+    out = emb[0]
+    for e in emb[1:]:
+        out = _mul_mod(out, e, p)
+    return out
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a b mod p for p < 2^31 and len(b) < 2^16, with b split into 16-bit
+    halves: each convolution sums at most len(b) products below 2^47."""
+    lo = np.convolve(a, b & 0xFFFF) % p
+    hi = np.convolve(a, b >> 16) % p
+    return (hi * 2**16 + lo) % p

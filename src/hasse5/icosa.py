@@ -26,7 +26,7 @@ from functools import lru_cache
 from . import VerificationError
 from .hasse import g_of_xj_coeffs
 from .numfield import CycNum
-from .poly import Poly, compose_rational, galois_norm
+from .poly import Poly, compose_rational
 
 
 class RelationFailure(VerificationError):
@@ -347,9 +347,13 @@ def icosa_resultant(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> Poly:
 
 
 def norm_to_Q(f: Poly) -> Poly:
-    """Product of the four Galois conjugates of a CycNum-coefficient polynomial;
-    the result must have rational coefficients."""
-    return galois_norm(f.map(_cyc))
+    """N(f) = prod_{k=1..4} f(zeta -> zeta^k) in Q[x], for f with CycNum (or
+    rational) coefficients, by ``cycres.norm``: lifted from the product of
+    the four embeddings of f modulo primes p = 1 mod 5, and checked exactly
+    in degree, leading and constant coefficient (VerificationError if not)."""
+    from . import cycres  # lazily, as in icosa_resultant
+
+    return cycres.norm(f)
 
 
 # irreducible blocks read from the two fully printed resultants (ascending)
@@ -376,7 +380,7 @@ def p_d(d: int) -> Poly:
 def q_d(d: int) -> Poly:
     """q_d(x) = prod_{i=1..4} p_d(zeta^i x), the norm of p_d(zeta x)."""
     z = CycNum.zeta()
-    return galois_norm(Poly([c * z**k for k, c in enumerate(P_D[d])]))
+    return norm_to_Q(Poly([c * z**k for k, c in enumerate(P_D[d])]))
 
 
 def expected_R_TT() -> Poly:

@@ -79,7 +79,6 @@ def test_g_shape_reversal_closure():
     for l in (7, 13, 23, 43):
         for s in find_g_factors(l, build_hasse(l)):
             c = s.coeffs()
-            rev = tuple(c[4 - k] * (-1) ** k % l for k in range(5))
             # x^4 g(-1/x) has coefficients c_{4-k} (-1)^(4-k); normalize lead
             rev = tuple(c[4 - k] * (-1) ** (4 - k) % l for k in range(5))
             assert rev == c

@@ -338,6 +338,24 @@ def test_optimized_interpreter_keeps_k5p_verifications():
     )
 
 
+def test_optimized_interpreter_keeps_norm_verifications():
+    # one CRT prime too few for every norm over Q(zeta_5): q_4, with a single
+    # prime, comes out as 0, and python -O must still raise the degree check
+    # as a FAIL row in place of the ledger's rows, N_R_* among them
+    code = (
+        "from hasse5 import cycres; primes = cycres.norm_primes; "
+        "cycres.norm_primes = lambda coords: primes(coords)[:-1]; "
+        "from hasse5.cli import main; raise SystemExit(main(['charzero', '--suite', 'heavy', '--format', 'tsv']))"
+    )
+    run = run_subprocess(code, "-O")
+    rows = [line.split("\t") for line in run.stdout.splitlines()[1:]]
+    assert run.returncode == 1
+    assert [r for r in rows if r[1] != "PASS"] == [
+        ["icosahedral ledger", "FAIL: VerificationError: norm over Q(zeta_5): degree -1, expected 8"]
+    ]
+    assert len(rows) == 14 and not any("N_R_" in r[0] for r in rows)
+
+
 def test_jobs_parallel(capsys):
     code, out = run_cli(capsys, "fricke", "7..23", "--jobs", "2", "--format", "tsv")
     assert code == 0

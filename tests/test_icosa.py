@@ -6,9 +6,10 @@ from math import prod
 import numpy as np
 import pytest
 
-from hasse5 import VerificationError, icosa
-from hasse5.cycres import crt_primes, det_mod_p, hadamard_bound_sq, sylvester_coords
+from hasse5 import VerificationError, cycres, icosa
+from hasse5.cycres import crt_primes, det_mod_p, hadamard_bound_sq, norm_primes, sylvester_coords
 from hasse5.icosa import (
+    P_D,
     MobiusMap,
     RelationFailure,
     closure,
@@ -28,7 +29,7 @@ from hasse5.icosa import (
     verify_group_relations,
 )
 from hasse5.numfield import CycNum
-from hasse5.poly import det_bareiss
+from hasse5.poly import Poly, det_bareiss, galois_norm
 from oracles import icosa_resultant_bareiss
 
 
@@ -220,3 +221,74 @@ def test_fraction_coordinate_is_rejected():
     m = MobiusMap(CycNum(Fraction(1, 3)), 1, 0, 1)
     with pytest.raises(VerificationError):
         icosa_resultant(coset_maps()["T"], m)
+
+
+# The four resultants whose norms the ledger compares, and polynomials of
+# other shapes: Fraction coordinates, zero coefficients, constants, zero.
+NORM_PAIRS = ["A", "A2", "TA", "TA2"]
+NORM_SHAPES = {
+    "fractions": Poly([CycNum(Fraction(1, 3), 2, 0, Fraction(-5, 7)), CycNum(0, Fraction(1, 2)), 3, Fraction(-1, 4)]),
+    "zero-coefficients": Poly([0, 0, CycNum(1, 2, 3, 4), 0, 0, CycNum.zeta(3)]),
+    "cyclotomic-constant": Poly([CycNum(2, -1, 0, 3)]),
+    "integer-constant": Poly([7]),
+    "rational-quadratic": Poly([-1, 1, 1]),
+    "zero": Poly(),
+}
+
+
+@lru_cache(maxsize=None)
+def _norm_input(name: str) -> Poly:
+    if name in NORM_SHAPES:
+        return NORM_SHAPES[name]
+    return icosa_resultant(*_maps(name, name))
+
+
+@lru_cache(maxsize=None)
+def _norm_oracle(name: str) -> Poly:
+    return galois_norm(_norm_input(name).map(icosa._cyc))
+
+
+@pytest.mark.parametrize("name", NORM_PAIRS + list(NORM_SHAPES))
+def test_norm_matches_galois_norm(name):
+    assert norm_to_Q(_norm_input(name)) == _norm_oracle(name)
+
+
+@pytest.mark.parametrize("d", sorted(P_D))
+def test_q_d_matches_galois_norm(d):
+    f = Poly([c * CycNum.zeta() ** k for k, c in enumerate(P_D[d])])
+    assert q_d(d) == galois_norm(f)
+
+
+@pytest.mark.parametrize("name", NORM_PAIRS + ["zero-coefficients", "cyclotomic-constant", "integer-constant"])
+def test_norm_primes_cover_the_oracle(name):
+    # for integral f the CRT modulus exceeds twice the largest coefficient of N(f)
+    coords = [icosa._cyc(c).c for c in _norm_input(name).c]
+    primes = norm_primes(coords)
+    assert all(p % 5 == 1 and p < 2**31 for p in primes)
+    assert prod(primes) > 2 * max(abs(c) for c in _norm_oracle(name).c)
+
+
+def test_norm_raises_when_its_primes_fall_short(monkeypatch):
+    # N(7) = 7^4 = S^4 attains the bound: with one prime fewer no prime is
+    # left, and the exact degree check raises
+    primes = norm_primes
+    monkeypatch.setattr(cycres, "norm_primes", lambda coords: primes(coords)[:-1])
+    with pytest.raises(VerificationError, match="degree -1, expected 0"):
+        norm_to_Q(Poly([7]))
+
+
+@pytest.mark.parametrize("mutation", ["one prime fewer", "zeta -> 1"])
+def test_norm_mutations_fail_the_oracle(monkeypatch, mutation):
+    # both keep the degree, the leading coefficient 5^60 and the constant 0
+    # of N(R_AA), so only the comparison with the oracle catches them
+    if mutation == "one prime fewer":
+        primes = norm_primes
+        monkeypatch.setattr(cycres, "norm_primes", lambda coords: primes(coords)[:-1])
+    else:
+        monkeypatch.setattr(cycres, "_root5", lambda p: 1)
+    assert norm_to_Q(_norm_input("A")) != _norm_oracle("A")
+
+
+def test_norm_rejects_a_polynomial_too_long_for_int64():
+    with pytest.raises(VerificationError, match="2\\^16"):
+        norm_to_Q(Poly([1] * 2**16))
