@@ -82,8 +82,15 @@ def _source_digest() -> str:
 
 class Cache:
     def __init__(self, root: str | None):
+        """The cache under root, created now, so an unusable path stops the run
+        before any prime is computed rather than after all of them."""
         self.root = Path(root) if root else None
         self.digest = _source_digest() if root else None
+        if self.root:
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise SystemExit(f"error: cannot use {root!r} as the cache directory: {e.strerror}") from None
 
     def load(self, command: str, p: int) -> dict | None:
         if not self.root:

@@ -1,17 +1,18 @@
 """Complete factorization over F_l: squarefree / distinct-degree /
 equal-degree splitting, plus root listing in F_{l^2}.
 
-Equal-degree splitting is randomized (Cantor-Zassenhaus) but seeded from the
-modulus and a CRC of the input coefficients, so factorizations are
-reproducible run to run.  Factor lists are sorted by (degree, coefficient
-tuple) which fixes the report format.
+Equal-degree splitting is Cantor-Zassenhaus with deterministic splitting
+elements, the polynomials whose base-p digits are p + 1, p + 2, ...: one
+factorization draws x + 1, ..., x + p - 1, the other linear polynomials, then
+every polynomial of degree 2, 3, ..., each at most once.  So the work, like
+the result, depends on the input alone.  Factor lists are sorted by (degree,
+coefficient tuple) which fixes the report format.
 """
 
 from __future__ import annotations
 
-import random
-import zlib
 from dataclasses import dataclass
+from itertools import count
 
 from . import modpoly as mp
 from .fp import FqElem, make_extension
@@ -25,13 +26,6 @@ class FactorList:
     modulus: int
     unit: int
     factors: tuple[tuple[tuple, int], ...]
-
-
-def _seed_for(p: int, f: tuple) -> int:
-    # the 1 is the extension degree of an earlier F_{p^k} factorizer.  factor_ff
-    # sorts its output, so the draws decide only how much splitting work is
-    # done; keeping the 1 keeps that work the same
-    return zlib.crc32(repr((p, 1, f)).encode())
 
 
 def squarefree_decompose(f, p: int) -> list[tuple[list, int]]:
@@ -83,18 +77,35 @@ def distinct_degree(f, p: int) -> list[tuple[list, int]]:
     return out
 
 
-def equal_degree(f, d: int, p: int, rng) -> list[list]:
+def equal_degree(f, d: int, p: int, draws) -> list[list]:
     """Cantor-Zassenhaus splitting of a monic squarefree product of degree-d
-    irreducibles (odd p)."""
+    irreducibles (odd p).  Each integer t from the iterator ``draws`` is a
+    splitting element a, the polynomial whose coefficients are the base-p
+    digits of t; a splits f when gcd(f, a^((p^d - 1)/2) - 1) is proper.
+
+    With draws = count(p + 1), as ``factor_ff`` passes it, this terminates.
+    A piece h still to split has degree n >= 2, and every residue class mod h
+    holds polynomials of each degree m >= n (r + c x^(m-n) h, c != 0).  From
+    wherever they stand, the draws run through every polynomial of each
+    degree still to come, so they reach every residue mod h.  By the CRT some
+    residue is a nonzero square mod one irreducible factor of h and a
+    non-square mod another; its power is 1 mod the first and -1 mod the
+    second, so it splits h.  The pieces share the iterator, so no element is
+    drawn twice, not even one that already failed on an earlier piece.
+    """
     n = mp.deg(f)
     if n == d:
         return [f]
     e = (p**d - 1) // 2
-    while True:
-        a = [rng.randrange(p) for _ in range(rng.randrange(1, n))] + [1]
+    for t in draws:
+        a = []
+        while t:
+            t, c = divmod(t, p)
+            a.append(c)
         g = mp.gcd(f, mp.sub(mp.pow_mod(a, e, f, p), [1], p), p)
         if 0 < mp.deg(g) < n:
-            return equal_degree(g, d, p, rng) + equal_degree(mp.quo(f, g, p), d, p, rng)
+            return equal_degree(g, d, p, draws) + equal_degree(mp.quo(f, g, p), d, p, draws)
+    raise ValueError(f"the draws ran out before splitting a degree-{n} product of degree-{d} factors")
 
 
 def factor_ff(f, p: int) -> FactorList:
@@ -102,11 +113,11 @@ def factor_ff(f, p: int) -> FactorList:
     f = mp.from_int_poly(f, p)
     if not f:
         raise ZeroDivisionError("factor of zero polynomial")
-    rng = random.Random(_seed_for(p, tuple(f)))
+    draws = count(p + 1)  # x + 1, x + 2, ..., shared by every split below
     found: list[tuple[tuple, int]] = []
     for sq, m in squarefree_decompose(mp.monic(f, p), p):
         for prod, d in distinct_degree(sq, p):
-            for irr in equal_degree(prod, d, p, rng):
+            for irr in equal_degree(prod, d, p, draws):
                 found.append((tuple(irr), m))
     found.sort(key=lambda t: (len(t[0]) - 1, t[0]))
     return FactorList(p, f[-1], tuple(found))

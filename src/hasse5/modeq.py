@@ -9,7 +9,7 @@ Central objects:
   (p = 3 mod 4) modulo p;
 * ``build_k5p`` -- reconstruction of K_{5p} mod p from the supersingular
   factors of Phi5(x^p, x), each with twice its multiplicity there, read off
-  the Hasse derivatives of Phi5 evaluated at x^p mod ss_p;
+  the Hasse derivatives of Phi5 evaluated at x^p modulo that factor;
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -344,10 +344,11 @@ def _hasse_rows(i: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
-    """sum_a row_a(x) X^a mod m over F_p, by Horner in X."""
+    """sum_a row_a(x) X^a mod m over F_p, by Horner in X; the integer rows
+    are reduced mod p by ``mp.add``."""
     acc: list[int] = []
     for row in reversed(rows):
-        acc = mp.rem(mp.add(mp.mul(acc, X, p), mp.from_int_poly(row, p), p), m, p)
+        acc = mp.rem(mp.add(mp.mul(acc, X, p), row, p), m, p)
     return acc
 
 
@@ -356,19 +357,21 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     F = Phi5(x^p, x), carrying twice their multiplicity in F.
 
     With X = x^p mod ss_p, gcd(ss_p, F) is taken as g = gcd(ss_p, Phi5(X, x)
-    mod ss_p), and the multiplicity of a factor q of g in F is the least i
-    with q not dividing D_i = (D_Y^i Phi5)(X, x) mod g, where D_Y^i is the
-    i-th Hasse derivative in the second variable (``_hasse_rows``).
+    mod ss_p).  For each factor q of g, with Xq = x^p mod q (X reduced mod g
+    once, then mod q), the multiplicity of q in F is the least i with
+    D_i = (D_Y^i Phi5)(Xq, x) mod q nonzero, where D_Y^i is the i-th Hasse
+    derivative in the second variable (``_hasse_rows``).
 
     Proof.  The i-th Hasse derivative of x^(pa+b) is C(pa+b, i) x^(pa+b-i),
     and by Lucas C(pa+b, i) = C(b, i) mod p for b, i <= 6 < p, so the i-th
-    Hasse derivative of F is (D_Y^i Phi5)(x^p, x), which is D_i mod g.  If
+    Hasse derivative of F is (D_Y^i Phi5)(x^p, x), and mod q that is
+    D_i = (D_Y^i Phi5)(x^p mod q, x) mod q.  If
     F = q^k u with q not dividing u, the Leibniz rule gives q^(k-i) | D^(i) F
     for i < k and D^(k) F = (q')^k u mod q; q is irreducible over the perfect
     field F_p, hence separable, so q does not divide q' and the least i with
     q not dividing D^(i) F is k.  Phi5 is monic of degree 6 in Y, so
-    D_Y^6 Phi5 = 1 and the search ends by i = 6.  Returned sorted by
-    (degree, coefficient tuple).
+    D_Y^6 Phi5 = 1 and the search ends by i = 6.  Returned in the order of
+    ``factor_ff``, by (degree, coefficient tuple).
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
@@ -376,25 +379,20 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     X = mp.pow_mod([0, 1], p, ss, p)
     g = mp.gcd(ss, _eval_rows(_hasse_rows(0), X, ss, p), p)
     Xg = mp.rem(X, g, p)
-
-    @lru_cache(maxsize=None)
-    def derivative(i: int) -> list[int]:  # D_i, computed once per prime
-        return _eval_rows(_hasse_rows(i), Xg, g, p)
-
     out = []
     for coeffs, m in factor_ff(g, p).factors:
         if m != 1:
             raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
         q = list(coeffs)
+        Xq = mp.rem(Xg, q, p)
         for mult in range(7):
-            if mp.rem(derivative(mult), q, p):
+            if _eval_rows(_hasse_rows(mult), Xq, q, p):
                 break
         else:
             raise VerificationError(f"factor {coeffs} divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
         if mult < 1:
             raise VerificationError(f"factor {coeffs} of gcd(ss_p, Phi5(x^p, x)) does not divide Phi5(x^p, x)")
         out.append((coeffs, 2 * mult))
-    out.sort(key=lambda t: (len(t[0]) - 1, t[0]))
     return out
 
 

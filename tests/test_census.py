@@ -11,9 +11,10 @@ from hasse5.census import (
 )
 from hasse5.classno import h5l
 from hasse5.fp import golden_units, legendre
-from hasse5.fricke import verify_fricke
-from hasse5.hasse import build_hasse
+from hasse5.fricke import ZP_JNUM, ZP_LIN, verify_fricke
+from hasse5.hasse import build_hasse, build_ss
 from hasse5.intfactor import is_prime, primes_in
+from hasse5.modeq import a_p
 from oracles import census_by_factoring, census_by_h_sweep, companion, is_irreducible, quartic_irreducible_naive
 
 
@@ -348,6 +349,13 @@ def test_fricke_linear_count_from_the_fold_to_400():
     _check_fricke_linear_count(primes_in(201, 400))
 
 
+def _sigma_roots(l, p):
+    """G = gcd(P, (u + 11) u^l + 11u - 4): the roots of P on which Frobenius
+    acts as sigma(u) = (4 - 11u)/(u + 11)."""
+    up = mp.pow_mod([0, 1], l, p, l)
+    return mp.gcd(p, mp.add(mp.mul([11, 1], up, l), [l - 4, 11], l), l)
+
+
 def _check_census_by_sigma_roots(primes):
     """For l = 2, 3 mod 5 the census count is deg G / 2, G = gcd(P,
     (u + 11) u^l + 11u - 4): the roots of P on which Frobenius acts as sigma.
@@ -360,9 +368,7 @@ def _check_census_by_sigma_roots(primes):
     for l in primes:
         if l % 5 not in (2, 3):
             continue
-        p = census_mod._fold(l, build_hasse(l))
-        up = mp.pow_mod([0, 1], l, p, l)
-        g = mp.gcd(p, mp.add(mp.mul([11, 1], up, l), [l - 4, 11], l), l)
+        g = _sigma_roots(l, census_mod._fold(l, build_hasse(l)))
         assert 2 * census(l).found_count == mp.deg(g), l
 
 
@@ -373,3 +379,43 @@ def test_census_counts_the_sigma_roots_of_the_fold():
 @pytest.mark.heavy
 def test_census_counts_the_sigma_roots_of_the_fold_to_1500():
     _check_census_by_sigma_roots(primes_in(401, 1500))
+
+
+def test_fold_divides_the_z_line_supersingular_polynomial():
+    """P divides S(z) = ZP_LIN(z)^(deg ss_l) ss_l(-ZP_JNUM(z) / ZP_LIN(z)),
+    the numerator of ss_l(j(z)) that ``fricke.zparam_cross_check`` builds.
+
+    Proof.  With z = b - 1/b, C4(b) = b^2 (z^2 + 12z + 16) and
+    b^5 (1 - 11b - b^2) = -b^6 (z + 11), so j(b) = C4(b)^3 / (b^5 (1 - 11b -
+    b^2)) = -(z^2 + 12z + 16)^3 / (z + 11) = -ZP_JNUM(z) / ZP_LIN(z).  A root
+    u0 of P is b0 - 1/b0 for a root b0 of H: take b0 a root of
+    x^2 - u0 x - 1, then b0^(-n) H(b0) = P(u0) (times b0 + 1/b0 for odd n)
+    = 0.  H(b0) = 0 makes b0 a supersingular parameter, so ss_l(j(b0)) = 0,
+    and b0 is not a cusp: H(0) != 0 and H shares no root with x^2 + 11x - 1
+    (``_squarefree_hasse`` checks both), so u0 + 11 != 0 and
+    S(u0) = (u0 + 11)^(deg ss_l) ss_l(j(b0)) = 0.  P is squarefree because
+    H is: (u - u0)^2 | P gives (x^2 - u0 x - 1)^2 | H, whose roots are
+    nonzero.  So every root of P is a root of S, each once in P, and P | S.
+    """
+    for l in primes_in(7, 700):
+        p = census_mod._fold(l, census_mod._squarefree_hasse(l))
+        s = mp.compose_rational(build_ss(l), mp.from_int_poly([-c for c in ZP_JNUM], l), list(ZP_LIN), l)
+        assert mp.deg(p) > 0 and not mp.rem(s, p, l), l
+
+
+def _check_sigma_roots_against_k5p(primes):
+    """deg G = deg K_5p / 2 - 2 [l = 3 mod 4] = a_l h(-5l) / 2 - 2 [l = 3 mod 4],
+    G the sigma-roots of P as above.  Observed at every prime 380..900; no
+    proof is at hand."""
+    for l in primes:
+        g = _sigma_roots(l, census_mod._fold(l, census_mod._squarefree_hasse(l)))
+        assert mp.deg(g) == a_p(l) * h5l(l) // 2 - 2 * (l % 4 == 3), l
+
+
+def test_sigma_roots_of_the_fold_count_k5p():
+    _check_sigma_roots_against_k5p(primes_in(380, 700))
+
+
+@pytest.mark.heavy
+def test_sigma_roots_of_the_fold_count_k5p_to_900():
+    _check_sigma_roots_against_k5p(primes_in(701, 900))

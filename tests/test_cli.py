@@ -111,6 +111,24 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "census" / "7.json").exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_cache_path_is_a_usage_error_before_any_prime(tmp_path, sub):
+    # a regular file as the cache root, or as a parent of it: the run stops
+    # with a usage error before computing a prime, not with a traceback after
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    root = str(blocker / sub) if sub else str(blocker)
+    code = (
+        "from hasse5 import census; census.census = None; "  # any prime run would raise TypeError
+        f"from hasse5.cli import main; raise SystemExit(main(['census', '7..379', '--cache', {root!r}]))"
+    )
+    run = run_subprocess(code)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith(f"error: cannot use {root!r} as the cache directory: ")
+    assert "Traceback" not in run.stderr
+    assert blocker.read_text() == ""
+
+
 def test_fricke_rows(capsys):
     code, out = run_cli(capsys, "fricke", "7..19", "--format", "tsv")
     assert code == 0

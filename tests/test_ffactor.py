@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from functools import partial, reduce
 
-from hasse5 import modpoly as mp
+import pytest
+
+from hasse5 import ffactor, modpoly as mp
 from hasse5.ffactor import factor_ff, roots_in
 from hasse5.fp import FqElem, make_extension
 from hasse5.hasse import build_hasse
@@ -60,6 +63,60 @@ def test_squarefree_with_pth_power():
     f = reduce(partial(mp.mul, p=p), [[1, 1]] * 5 + [[2, 1]])  # (x+1)^5 (x+2)
     fl = factor_ff(f, p)
     assert dict(fl.factors) == {(1, 1): 5, (2, 1): 1}
+
+
+def _degree_counts(f, p):
+    fl = factor_ff(f, p)
+    assert reconstruct(fl) == mp.from_int_poly(f, p)
+    assert all(m == 1 for _, m in fl.factors)
+    return Counter(len(coeffs) - 1 for coeffs, _ in fl.factors)
+
+
+def _x_pk_minus_x(p, k):
+    return [0, -1] + [0] * (p**k - 2) + [1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_x_p2_minus_x_is_every_irreducible_of_degree_1_and_2(p):
+    # x^(p^2) - x is the product of the monic irreducibles of degree 1 and 2
+    assert _degree_counts(_x_pk_minus_x(p, 2), p) == {1: p, 2: (p * p - p) // 2}
+
+
+def test_x_p4_minus_x_is_every_irreducible_of_degree_1_2_and_4():
+    assert _degree_counts(_x_pk_minus_x(3, 4), 3) == {1: 3, 2: 3, 4: 18}
+    assert _degree_counts(_x_pk_minus_x(5, 4), 5) == {1: 5, 2: 10, 4: 150}
+
+
+class _Recorded:
+    """Draws that log each element they hand out."""
+
+    def __init__(self, draws, log):
+        self.draws, self.log = draws, log
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        t = next(self.draws)
+        self.log.append(t)
+        return t
+
+
+def test_no_splitting_element_is_drawn_twice(monkeypatch):
+    # the pieces of one factorization share the draws, x + 1 first: a piece
+    # restarting them would redraw elements that already failed on its parent
+    log = []
+    real = ffactor.equal_degree
+
+    def recorder(f, d, p, draws):
+        return real(f, d, p, draws if isinstance(draws, _Recorded) else _Recorded(draws, log))
+
+    monkeypatch.setattr(ffactor, "equal_degree", recorder)
+    for p, f in [(p, _x_pk_minus_x(p, 2)) for p in (3, 5, 7, 11, 13)] + [(5, _x_pk_minus_x(5, 4)), (379, build_hasse(379))]:
+        log.clear()
+        factor_ff(f, p)
+        assert log and log[0] == p + 1, p
+        assert len(set(log)) == len(log), p
 
 
 def test_roots_examples():

@@ -342,6 +342,23 @@ def test_verify_factors_g_only(monkeypatch):
         assert calls == [(mp.gcd(build_ss(p), phi5_xp_x(p), p), p)], p
 
 
+def test_build_k5p_reads_each_multiplicity_modulo_its_factor(monkeypatch):
+    # _eval_rows runs modulo ss_p once, then modulo each factor q of g, once
+    # for each i up to q's multiplicity in Phi5(x^p, x): never modulo g
+    from collections import Counter
+
+    from hasse5.hasse import build_ss
+
+    moduli = []
+    real = modeq._eval_rows
+    monkeypatch.setattr(modeq, "_eval_rows", lambda rows, X, m, p: moduli.append(tuple(m)) or real(rows, X, m, p))
+    for p in (379, 383, 389):
+        moduli.clear()
+        k5p = build_k5p(p)
+        assert moduli[0] == tuple(build_ss(p)), p
+        assert Counter(moduli[1:]) == {c: e // 2 + 1 for c, e in k5p}, p
+
+
 @pytest.mark.heavy
 def test_build_k5p_matches_division_oracle():
     for p in sorted(refdata.S_SET) + [379] + primes_in(380, 700):
