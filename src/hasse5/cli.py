@@ -81,21 +81,22 @@ def _source_digest() -> str:
 
 
 class Cache:
-    def __init__(self, root: str | None):
-        """The cache under root, created now, so an unusable path stops the run
-        before any prime is computed rather than after all of them."""
-        self.root = Path(root) if root else None
+    def __init__(self, root: str | None, command: str):
+        """The cache of one command under root, its directory created now, so
+        an unusable path stops the run before any prime is computed rather
+        than after all of them."""
+        self.dir = Path(root) / command if root else None
         self.digest = _source_digest() if root else None
-        if self.root:
+        if self.dir:
             try:
-                self.root.mkdir(parents=True, exist_ok=True)
+                self.dir.mkdir(parents=True, exist_ok=True)
             except OSError as e:
                 raise SystemExit(f"error: cannot use {root!r} as the cache directory: {e.strerror}") from None
 
-    def load(self, command: str, p: int) -> dict | None:
-        if not self.root:
+    def load(self, p: int) -> dict | None:
+        if not self.dir:
             return None
-        path = self.root / command / f"{p}.json"
+        path = self.dir / f"{p}.json"
         if not path.exists():
             return None
         try:
@@ -107,15 +108,13 @@ class Cache:
         payload = doc.get("payload")
         return payload if isinstance(payload, dict) else None
 
-    def store(self, command: str, p: int, payload: dict) -> None:
-        if not self.root:
+    def store(self, p: int, payload: dict) -> None:
+        if not self.dir:
             return
-        d = self.root / command
-        d.mkdir(parents=True, exist_ok=True)
         doc = {"schema": SCHEMA, "digest": self.digest, "prime": p, "payload": payload}
-        tmp = d / f".{p}.json.{os.getpid()}.tmp"
+        tmp = self.dir / f".{p}.json.{os.getpid()}.tmp"
         tmp.write_text(json.dumps(doc, sort_keys=True))
-        os.replace(tmp, d / f"{p}.json")
+        os.replace(tmp, self.dir / f"{p}.json")
 
 
 def _run_parallel(fn, items, jobs: int):
@@ -206,8 +205,8 @@ def cmd_sweep(args) -> int:
             primes = [p for p in primes if p in refdata.S_SET]
             if not primes:
                 raise SystemExit(f"error: no prime of S in range {args.range!r}")
-    cache = Cache(args.cache)
-    cached = {p: cache.load(args.command, p) for p in primes}
+    cache = Cache(args.cache, args.command)
+    cached = {p: cache.load(p) for p in primes}
     todo = [p for p in primes if cached[p] is None]
     fresh = dict(zip(todo, _run_parallel(partial(_attempt, sweep.worker), todo, args.jobs)))
     key, last = sweep.columns[0], sweep.columns[-1]
@@ -221,7 +220,7 @@ def cmd_sweep(args) -> int:
             rows.append({key: p, "error": error} if args.format == "json" else {key: p, last: f"FAIL: {error}"})
             continue
         if p in fresh:
-            cache.store(args.command, p, payload)
+            cache.store(p, payload)
         ok = ok and sweep.ok(p, payload)
         rows.append(payload if args.format == "json" else dict(zip(sweep.columns, sweep.row(payload))))
     _emit(rows, sweep.columns, args.format, sys.stdout)
@@ -278,15 +277,11 @@ def _charzero_fast() -> list[tuple[str, Callable[[], bool]]]:
     return checks
 
 
-def _charzero_heavy() -> list[tuple[str, Callable[[], bool | dict[str, bool]]]]:
+def _charzero_heavy() -> list[tuple[str, Callable[[], bool]]]:
     checks = [("5^15 Phi5 resultant definition", modeq.phi5_resultant_definition_holds)]
     for d, want in refdata.RESULTANT_RD.items():
         checks.append((f"cofactor resultant R({d})", lambda d=d, want=want: modeq.cofactor_resultant(d) == want))
-    # one computation, one row per identity
-    checks.append((
-        "icosahedral ledger",
-        lambda: {f"icosahedral ledger: {name}": okk for name, okk in icosa.equality_ledger().items()},
-    ))
+    checks += [(f"icosahedral ledger: {name}", check) for name, check in icosa.ledger_checks().items()]
     return checks
 
 
@@ -303,13 +298,9 @@ def cmd_charzero(args) -> int:
         checks += _charzero_heavy()
     rows = []
     for label, check in checks:
-        got = _attempt(check)  # a bool, a dict of named results, or {"error": ...}
-        if not isinstance(got, dict):
-            got = {label: got}
-        if "error" in got:
-            rows.append({"check": label, "status": f"FAIL: {got['error']}"})
-        else:
-            rows += [{"check": name, "status": "PASS" if okk else "FAIL"} for name, okk in got.items()]
+        got = _attempt(check)  # a bool, or {"error": ...}
+        status = f"FAIL: {got['error']}" if isinstance(got, dict) else "PASS" if got else "FAIL"
+        rows.append({"check": label, "status": status})
     _emit(rows, ["check", "status"], args.format, sys.stdout)
     return 0 if all(r["status"] == "PASS" for r in rows) else 1
 

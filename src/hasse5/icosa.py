@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from . import VerificationError
 from .hasse import g_of_xj_coeffs
@@ -433,26 +434,39 @@ def coset_maps() -> dict[str, MobiusMap]:
     return {"T": T, "A": A, "A2": a2, "TA": ta, "TA2": ta2}
 
 
+def ledger_checks() -> dict[str, Callable[[], bool]]:
+    """The displayed identities among the resultant family (the heavy suite),
+    each a check of its own.  The checks share one computation of each
+    resultant and each norm, so a ``VerificationError`` raised by one of them
+    fails only the checks that read it."""
+    maps = coset_maps()
+
+    @lru_cache(maxsize=None)
+    def res(m1: str, m2: str, variant: str = "eps") -> Poly:
+        return icosa_resultant(maps[m1], maps[m2], variant)
+
+    @lru_cache(maxsize=None)
+    def norm(m: str) -> Poly:
+        return norm_to_Q(res(m, m))
+
+    return {
+        "R_TT_printed": lambda: res("T", "T") == expected_R_TT(),
+        "R_TTA2_printed": lambda: res("T", "TA2") == expected_R_TTA2(),
+        "Rbar_TT_printed": lambda: res("T", "T", "epsbar") == expected_Rbar_TT(),
+        "Rbar_TTA2_is_minus_R_TT": lambda: res("T", "TA2", "epsbar") == -res("T", "T"),
+        "R_TA_eq_R_TT": lambda: res("T", "A") == res("T", "T"),
+        "R_TTA_eq_R_TT": lambda: res("T", "TA") == res("T", "T"),
+        "R_TA2_eq_R_TT": lambda: res("T", "A2") == res("T", "T"),
+        "N_R_AA_printed": lambda: norm("A") == expected_norm_R_AA(),
+        "N_R_A2A2": lambda: norm("A2") == norm("A"),
+        "N_R_TATA": lambda: norm("TA") == norm("A"),
+        "N_R_TA2TA2": lambda: norm("TA2") == norm("A"),
+    }
+
+
 def equality_ledger() -> dict[str, bool]:
     """The displayed identities among the resultant family (the heavy suite)."""
-    maps = coset_maps()
-    T, A, A2, TA, TA2 = (maps[k] for k in ("T", "A", "A2", "TA", "TA2"))
-    r_tt = icosa_resultant(T, T)
-    out = {
-        "R_TT_printed": r_tt == expected_R_TT(),
-        "R_TTA2_printed": icosa_resultant(T, TA2) == expected_R_TTA2(),
-        "Rbar_TT_printed": icosa_resultant(T, T, "epsbar") == expected_Rbar_TT(),
-        "Rbar_TTA2_is_minus_R_TT": icosa_resultant(T, TA2, "epsbar") == -r_tt,
-        "R_TA_eq_R_TT": icosa_resultant(T, A) == r_tt,
-        "R_TTA_eq_R_TT": icosa_resultant(T, TA) == r_tt,
-        "R_TA2_eq_R_TT": icosa_resultant(T, A2) == r_tt,
-    }
-    n_aa = norm_to_Q(icosa_resultant(A, A))
-    out["N_R_AA_printed"] = n_aa == expected_norm_R_AA()
-    out["N_R_A2A2"] = norm_to_Q(icosa_resultant(A2, A2)) == n_aa
-    out["N_R_TATA"] = norm_to_Q(icosa_resultant(TA, TA)) == n_aa
-    out["N_R_TA2TA2"] = norm_to_Q(icosa_resultant(TA2, TA2)) == n_aa
-    return out
+    return {name: check() for name, check in ledger_checks().items()}
 
 
 # ---------------------------------------------------------------------------

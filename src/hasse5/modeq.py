@@ -8,8 +8,12 @@ Central objects:
   factorization of K_{5p} = H_{-20p} (p = 1 mod 4) or H_{-5p} H_{-20p}
   (p = 3 mod 4) modulo p;
 * ``build_k5p`` -- reconstruction of K_{5p} mod p from the supersingular
-  factors of Phi5(x^p, x), each with twice its multiplicity there, read off
-  the Hasse derivatives of Phi5 evaluated at x^p modulo that factor;
+  factors of Phi5(x^p, x), each with twice its multiplicity there: their
+  product g is certified squarefree with factors of degree 1 and 2 by two
+  Frobenius tests, stratified by multiplicity with one gcd ladder over the
+  Hasse derivatives of Phi5 evaluated at x^p, and split by deterministic
+  shifts, (x + c)^((p-1)/2) for the linear factors and the norm
+  ((x + c)(x^p + c))^((p-1)/2) for the quadratic ones;
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -29,7 +33,6 @@ from math import comb
 
 from . import VerificationError, modpoly as mp
 from .classno import h5l
-from .ffactor import factor_ff
 from .fp import legendre
 from .hasse import C4, DEN_J, build_ss
 from .numfield import BiQuadElem, QuadElem
@@ -352,26 +355,133 @@ def _eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
     return acc
 
 
+def _certify(g: list[int], X: list[int], p: int) -> list[int]:
+    """L, the product of the linear factors of g, for g monic and X = x^p
+    mod g, once g = L Q is proved squarefree with L | x^p - x and
+    Q | x^(p^2) - x coprime to x^p - x; raises ``VerificationError`` when
+    it is not.
+
+    L = gcd(g, x^p - x) and Q = g / L.  If gcd(Q, x^p - x) = 1 and
+    (x^p)^p = x mod Q, then L is squarefree, Q is squarefree with no linear
+    factor, and the two are coprime, so g is squarefree and its irreducible
+    factors are the linear ones of L and the quadratic ones of Q.  Conversely
+    a linear factor of g that is repeated leaves a copy in Q, and a repeated
+    quadratic factor or one of degree > 2 keeps Q from dividing the
+    squarefree x^(p^2) - x.
+    """
+    x = [0, 1]
+    lin = mp.gcd(g, mp.sub(X, x, p), p)
+    quad = mp.quo(g, lin, p)
+    if mp.deg(quad) < 1:
+        return lin
+    XQ = mp.rem(X, quad, p)
+    if mp.deg(mp.gcd(quad, mp.sub(XQ, x, p), p)) > 0:
+        raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
+    XQp = mp.pow_mod(XQ, p, quad, p)
+    if XQp != x:
+        # the quadratic factors of Q, each once: a second copy of one of them is the fault
+        once = mp.gcd(quad, mp.sub(XQp, x, p), p)
+        if mp.deg(mp.gcd(mp.quo(quad, once, p), once, p)) > 0:
+            raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
+        raise VerificationError(f"gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p={p}")
+    return lin
+
+
+def _split(pieces: list[list[int]], d: int, X: list[int], p: int, shifts) -> list[list[list[int]]]:
+    """The monic irreducible factors of each piece, a monic squarefree product
+    of irreducibles of degree d = 1 or 2 over F_p (p > 9), for X = x^p mod
+    the product of the pieces; raises ``VerificationError`` when the
+    ``shifts`` run out first (``build_k5p`` passes range(p)).
+
+    For each shift c, one power is raised modulo the product m of the pieces
+    still unsplit: a_c^((p-1)/2) with a_c = x + c for d = 1, and for d = 2
+    the norm a_c = (x + c)(X + c) = x X + c (x + X) + c^2 mod m.  At a root r
+    of a linear factor that power is chi(r + c), the Legendre symbol; at a
+    root alpha of a quadratic factor it is
+    chi(N(alpha + c)) = (alpha + c)^((p^2-1)/2) = +-1, the same at alpha and
+    alpha^p.  So gcd(piece, power - 1) collects the factors whose value is 1,
+    and each piece is refined by it at every shift.
+
+    Every pair of factors is separated by some c in F_p, so range(p) splits
+    every piece completely.  Linear: for roots r != s,
+    sum_c chi((r + c)(s + c)) = -1, and the two zero terms leave p - 2, so
+    chi(r + c) chi(s + c) = -1 for (p - 1)/2 values of c.  Quadratic: for
+    non-conjugate roots alpha, beta with minimal polynomials q_alpha, q_beta,
+    N(alpha + c) = q_alpha(-c), so f(c) = N(alpha + c) N(beta + c) is a
+    product of two distinct irreducible quadratics, with no root in F_p and
+    not a constant times a square.  By Weil's bound
+    |sum_c chi(f(c))| <= (deg f - 1) sqrt(p) = 3 sqrt(p) < p for p > 9, so
+    chi(f(c)) = -1 for some c, and that shift separates the two.
+    """
+    out: list[list[list[int]]] = [[] for _ in pieces]
+    todo = []
+    for k, f in enumerate(pieces):
+        if len(f) == d + 1:
+            out[k].append(f)
+        elif len(f) > d + 1:
+            todo.append((k, f))
+    e = (p - 1) // 2
+    m = None  # the product of the pieces in todo; None after one of them left
+    for c in shifts:
+        if not todo:
+            break
+        if m is None:
+            m = [1]
+            for _, f in todo:
+                m = mp.mul(m, f, p)
+            if d == 2:
+                Xm = mp.rem(X, m, p)
+                xX, xpX = mp.rem(mp.mul([0, 1], Xm, p), m, p), mp.add([0, 1], Xm, p)
+        a = [c, 1] if d == 1 else mp.add(mp.add(xX, mp.scale(xpX, c, p), p), [c * c % p], p)
+        power = mp.pow_mod(a, e, m, p)
+        left = []
+        for k, f in todo:
+            h = mp.gcd(f, mp.sub(mp.rem(power, f, p), [1], p), p)
+            for part in [h, mp.quo(f, h, p)] if 0 < mp.deg(h) < mp.deg(f) else [f]:
+                if len(part) == d + 1:
+                    out[k].append(part)
+                    m = None
+                else:
+                    left.append((k, part))
+        todo = left
+    if todo:
+        raise VerificationError(f"the shifts ran out before splitting the degree-{d} factors at p={p}")
+    return out
+
+
 def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     """Factors of K_{5p} mod p: the supersingular irreducible factors of
-    F = Phi5(x^p, x), carrying twice their multiplicity in F.
+    F = Phi5(x^p, x), carrying twice their multiplicity in F, sorted by
+    (degree, coefficient tuple).
 
     With X = x^p mod ss_p, gcd(ss_p, F) is taken as g = gcd(ss_p, Phi5(X, x)
-    mod ss_p).  For each factor q of g, with Xq = x^p mod q (X reduced mod g
-    once, then mod q), the multiplicity of q in F is the least i with
-    D_i = (D_Y^i Phi5)(Xq, x) mod q nonzero, where D_Y^i is the i-th Hasse
-    derivative in the second variable (``_hasse_rows``).
+    mod ss_p), and Xg = X mod g.  Three steps follow, none of them a general
+    factorization.
 
-    Proof.  The i-th Hasse derivative of x^(pa+b) is C(pa+b, i) x^(pa+b-i),
-    and by Lucas C(pa+b, i) = C(b, i) mod p for b, i <= 6 < p, so the i-th
-    Hasse derivative of F is (D_Y^i Phi5)(x^p, x), and mod q that is
-    D_i = (D_Y^i Phi5)(x^p mod q, x) mod q.  If
-    F = q^k u with q not dividing u, the Leibniz rule gives q^(k-i) | D^(i) F
-    for i < k and D^(k) F = (q')^k u mod q; q is irreducible over the perfect
-    field F_p, hence separable, so q does not divide q' and the least i with
-    q not dividing D^(i) F is k.  Phi5 is monic of degree 6 in Y, so
-    D_Y^6 Phi5 = 1 and the search ends by i = 6.  Returned in the order of
-    ``factor_ff``, by (degree, coefficient tuple).
+    1. ``_certify`` proves g squarefree with factors of degree 1 and 2 only,
+       and returns the product L of the linear ones.  Every root
+       of g is a supersingular j, which lies in F_(p^2) (Deuring), so this
+       holds unless ss_p or g is wrong.
+
+    2. One gcd ladder stratifies g by multiplicity.  With G_0 = g,
+       D_i = (D_Y^i Phi5)(Xg mod G_i, x) mod G_i and G_(i+1) = gcd(G_i, D_i),
+       where D_Y^i is the i-th Hasse derivative in the second variable
+       (``_hasse_rows``), G_i is the product of the factors of g of
+       multiplicity >= i in F, and the stratum G_i / G_(i+1) holds exactly
+       those of multiplicity i.  Proof: the i-th Hasse derivative of
+       x^(pa+b) is C(pa+b, i) x^(pa+b-i), and by Lucas C(pa+b, i) = C(b, i)
+       mod p for b, i <= 6 < p, so the i-th Hasse derivative of F is
+       (D_Y^i Phi5)(x^p, x), and modulo G_i (which divides g) that is D_i.
+       If F = q^k u with q not dividing u, the Leibniz rule gives
+       q^(k-i) | D^(i) F for i < k and D^(k) F = (q')^k u mod q; q is
+       irreducible over the perfect field F_p, hence separable, so q does not
+       divide q'.  So a factor q of G_i, where k >= i, divides D_i exactly
+       when k > i, and G_i is squarefree.  A nonempty stratum 0 is a factor
+       of g not dividing F.  Phi5 is monic of degree 6 in Y, so
+       D_Y^6 Phi5 = 1 and G_7 = 1.
+
+    3. ``_split`` splits the linear and the quadratic part of each stratum
+       into its factors, by the shifts c = 0, 1, ..., p - 1.
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
@@ -379,20 +489,27 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     X = mp.pow_mod([0, 1], p, ss, p)
     g = mp.gcd(ss, _eval_rows(_hasse_rows(0), X, ss, p), p)
     Xg = mp.rem(X, g, p)
+    lin = _certify(g, Xg, p)
+    strata = []  # (i, the product of the factors of g of multiplicity i in F)
+    G = g
+    for i in range(7):
+        if mp.deg(G) < 1:
+            break
+        above = mp.gcd(G, _eval_rows(_hasse_rows(i), mp.rem(Xg, G, p), G, p), p)
+        if mp.deg(above) < mp.deg(G):
+            if i == 0:
+                raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) does not divide Phi5(x^p, x) at p={p}")
+            strata.append((i, mp.quo(G, above, p)))
+        G = above
+    if mp.deg(G) > 0:
+        raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
+    lins = [mp.gcd(s, lin, p) for _, s in strata]
+    quads = [mp.quo(s, sl, p) for (_, s), sl in zip(strata, lins)]
     out = []
-    for coeffs, m in factor_ff(g, p).factors:
-        if m != 1:
-            raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
-        q = list(coeffs)
-        Xq = mp.rem(Xg, q, p)
-        for mult in range(7):
-            if _eval_rows(_hasse_rows(mult), Xq, q, p):
-                break
-        else:
-            raise VerificationError(f"factor {coeffs} divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
-        if mult < 1:
-            raise VerificationError(f"factor {coeffs} of gcd(ss_p, Phi5(x^p, x)) does not divide Phi5(x^p, x)")
-        out.append((coeffs, 2 * mult))
+    for d, pieces in ((1, lins), (2, quads)):
+        for (i, _), factors in zip(strata, _split(pieces, d, Xg, p, range(p))):
+            out += [(tuple(q), 2 * i) for q in factors]
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
 

@@ -129,6 +129,20 @@ def test_unusable_cache_path_is_a_usage_error_before_any_prime(tmp_path, sub):
     assert blocker.read_text() == ""
 
 
+def test_unusable_command_cache_directory_is_a_usage_error_before_any_prime(tmp_path):
+    # a regular file where the command's directory under the root belongs
+    (tmp_path / "census").write_text("")
+    code = (
+        "from hasse5 import census; census.census = None; "  # any prime run would raise TypeError
+        f"from hasse5.cli import main; raise SystemExit(main(['census', '7..13', '--cache', {str(tmp_path)!r}]))"
+    )
+    run = run_subprocess(code)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith(f"error: cannot use {str(tmp_path)!r} as the cache directory: ")
+    assert "Traceback" not in run.stderr
+    assert (tmp_path / "census").read_text() == ""
+
+
 def test_fricke_rows(capsys):
     code, out = run_cli(capsys, "fricke", "7..19", "--format", "tsv")
     assert code == 0
@@ -356,22 +370,60 @@ def test_optimized_interpreter_keeps_k5p_verifications():
     )
 
 
-def test_optimized_interpreter_keeps_norm_verifications():
-    # one CRT prime too few for every norm over Q(zeta_5): q_4, with a single
-    # prime, comes out as 0, and python -O must still raise the degree check
-    # as a FAIL row in place of the ledger's rows, N_R_* among them
+def _heavy_charzero_with_norm_primes(keep: str) -> tuple[int, dict[str, str]]:
+    """charzero --suite heavy under python -O, with norm_primes cut to primes(coords)<keep>."""
     code = (
         "from hasse5 import cycres; primes = cycres.norm_primes; "
-        "cycres.norm_primes = lambda coords: primes(coords)[:-1]; "
+        f"cycres.norm_primes = lambda coords: primes(coords){keep}; "
         "from hasse5.cli import main; raise SystemExit(main(['charzero', '--suite', 'heavy', '--format', 'tsv']))"
     )
     run = run_subprocess(code, "-O")
-    rows = [line.split("\t") for line in run.stdout.splitlines()[1:]]
-    assert run.returncode == 1
-    assert [r for r in rows if r[1] != "PASS"] == [
-        ["icosahedral ledger", "FAIL: VerificationError: norm over Q(zeta_5): degree -1, expected 8"]
-    ]
-    assert len(rows) == 14 and not any("N_R_" in r[0] for r in rows)
+    rows = dict(line.split("\t") for line in run.stdout.splitlines()[1:])
+    assert len(rows) == 24 and sum(name.startswith("icosahedral ledger: R") for name in rows) == 7
+    return run.returncode, {name: st for name, st in rows.items() if st != "PASS"}
+
+
+def test_optimized_interpreter_keeps_norm_verifications():
+    # four CRT primes, fewer than any ledger norm needs (8, 8, 8 and 13): python
+    # -O must still raise every norm's leading-coefficient check, and each
+    # N_R_* row fails with that error while the seven R_* rows pass
+    code, failed = _heavy_charzero_with_norm_primes("[:4]")
+    error = (
+        "FAIL: VerificationError: norm over Q(zeta_5): leading coefficient "
+        "4358219588109483978974714384191657392, expected 867361737988403547205962240695953369140625"
+    )
+    assert code == 1
+    assert failed == {f"icosahedral ledger: {name}": error for name in ("N_R_AA_printed", "N_R_A2A2", "N_R_TATA", "N_R_TA2TA2")}
+
+
+def test_a_norm_error_fails_only_the_ledger_rows_that_read_it():
+    # one CRT prime too few: q_4, with a single prime, comes out as 0 and
+    # raises, failing the one row that reads it; N(R_TA2TA2), with 13 primes,
+    # still comes out right and so differs from N(R_AA), which is wrong in the
+    # same way as N(R_A2A2) and N(R_TATA), so those two rows pass
+    code, failed = _heavy_charzero_with_norm_primes("[:-1]")
+    assert code == 1
+    assert failed == {
+        "icosahedral ledger: N_R_AA_printed": "FAIL: VerificationError: norm over Q(zeta_5): degree -1, expected 8",
+        "icosahedral ledger: N_R_TA2TA2": "FAIL",
+    }
+
+
+def test_optimized_interpreter_keeps_the_k5p_degree_certificate():
+    # ss_p times an irreducible cubic factor of Phi5(x^383, x): g takes it, and
+    # python -O must still reject it as a FAIL row
+    from test_modeq import CUBIC_383
+
+    code = (
+        "from hasse5 import modeq, modpoly as mp; build = modeq.build_ss; "
+        f"modeq.build_ss = lambda p: mp.mul(build(p), {CUBIC_383!r}, p); "
+        "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stdout.split("\n")[1] == (
+        "383\t\t\t\t\t\tFAIL: VerificationError: gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p=383"
+    )
 
 
 def test_jobs_parallel(capsys):

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from hasse5 import VerificationError, modeq, modpoly as mp, refdata
+from hasse5.fp import legendre
 from hasse5.intfactor import primes_in
 from hasse5.modeq import (
     HD,
@@ -327,36 +328,116 @@ def test_every_mismatch_kind_fires(monkeypatch):
 
 
 def test_verify_factors_g_only(monkeypatch):
-    # one factorization per prime, of g = gcd(ss_p, Phi5(x^p, x)); the class
-    # polynomials are never factored, also where H_-20, H_-84 or H_-96 is flagged
+    # no factorization runs (factor_ff raises if called): the split sees the
+    # strata of g = gcd(ss_p, Phi5(x^p, x)) and nothing else, no class
+    # polynomial is factored, also where H_-20, H_-84 or H_-96 is flagged, and
+    # the reports still match the factor-and-match oracle
+    from hasse5 import ffactor
     from hasse5.hasse import build_ss
+
+    def no_factoring(*args):
+        raise AssertionError("factor_ff called")
 
     primes = [379, 383, 389, 397, 401, 409, 421, 449]
     assert all(any(epsilon_flags(p)[d] for p in primes) for d in (20, 84, 96))
-    calls = []
-    real = modeq.factor_ff
-    monkeypatch.setattr(modeq, "factor_ff", lambda f, p: calls.append((list(f), p)) or real(f, p))
+    want = {p: k5p_report_by_factoring(p).to_dict() for p in primes}
+    pieces = []
+    real = modeq._split
+    monkeypatch.setattr(modeq, "_split", lambda ps, d, X, p, shifts: pieces.extend(ps) or real(ps, d, X, p, shifts))
+    monkeypatch.setattr(ffactor, "factor_ff", no_factoring)
+    assert not hasattr(modeq, "factor_ff")
     for p in primes:
-        calls.clear()
-        verify_class_equation(p)
-        assert calls == [(mp.gcd(build_ss(p), phi5_xp_x(p), p), p)], p
+        pieces.clear()
+        assert verify_class_equation(p).to_dict() == want[p], p
+        assert _product(pieces, p) == mp.gcd(build_ss(p), phi5_xp_x(p), p), p
 
 
-def test_build_k5p_reads_each_multiplicity_modulo_its_factor(monkeypatch):
-    # _eval_rows runs modulo ss_p once, then modulo each factor q of g, once
-    # for each i up to q's multiplicity in Phi5(x^p, x): never modulo g
-    from collections import Counter
-
+def test_build_k5p_ladder_runs_modulo_each_level(monkeypatch):
+    # _eval_rows runs modulo ss_p once, then once for each level of the gcd
+    # ladder, modulo G_i, the product of the factors of multiplicity >= i in
+    # Phi5(x^p, x), for i = 0 (G_0 = g) up to the last nonempty stratum
     from hasse5.hasse import build_ss
 
     moduli = []
     real = modeq._eval_rows
-    monkeypatch.setattr(modeq, "_eval_rows", lambda rows, X, m, p: moduli.append(tuple(m)) or real(rows, X, m, p))
+    monkeypatch.setattr(modeq, "_eval_rows", lambda rows, X, m, p: moduli.append(m) or real(rows, X, m, p))
     for p in (379, 383, 389):
         moduli.clear()
         k5p = build_k5p(p)
-        assert moduli[0] == tuple(build_ss(p)), p
-        assert Counter(moduli[1:]) == {c: e // 2 + 1 for c, e in k5p}, p
+        levels = [_product([c for c, e in k5p if e // 2 >= i], p) for i in range(max(e for _, e in k5p) // 2 + 1)]
+        assert moduli == [build_ss(p)] + levels, p
+
+
+def _product(factors, p: int) -> list[int]:
+    out = [1]
+    for f in factors:
+        out = mp.mul(out, list(f), p)
+    return out
+
+
+def _irreducible_quadratics(p: int, n: int, rng) -> list[list[int]]:
+    out = set()
+    while len(out) < n:
+        b, c = rng.randrange(p), rng.randrange(p)
+        if legendre(b * b - 4 * c, p) == -1:
+            out.add((c, b, 1))
+    return [list(q) for q in sorted(out)]
+
+
+@pytest.mark.parametrize("p", [23, 101, 379, 1999])
+def test_split_matches_factor_ff(p):
+    # synthetic products of distinct monic linear and irreducible quadratic
+    # factors, in several pieces that share one power per shift
+    import random
+
+    from hasse5.ffactor import factor_ff
+
+    rng = random.Random(p)
+    lins = [[r, 1] for r in rng.sample(range(p), 12)]
+    quads = _irreducible_quadratics(p, 12, rng)
+    for d, factors in ((1, lins), (2, quads)):
+        pieces = [_product(chunk, p) for chunk in (factors[:1], factors[1:5], factors[5:], [])]
+        X = mp.pow_mod([0, 1], p, _product(pieces, p), p)
+        got = modeq._split(pieces, d, X, p, range(p))
+        assert got[-1] == []  # the empty piece
+        for piece, split in zip(pieces[:-1], got):
+            want = factor_ff(piece, p).factors
+            assert sorted(split) == [list(c) for c, m in want] and all(m == 1 for _, m in want), (p, d, piece)
+
+
+def test_split_raises_when_the_shifts_run_out():
+    p = 101
+    piece = _product([[1, 1], [2, 1], [3, 1]], p)
+    X = mp.pow_mod([0, 1], p, piece, p)
+    assert sorted(modeq._split([piece], 1, X, p, range(p))[0]) == [[1, 1], [2, 1], [3, 1]]
+    with pytest.raises(VerificationError, match="shifts ran out before splitting the degree-1 factors at p=101"):
+        modeq._split([piece], 1, X, p, range(1))
+
+
+# A cubic factor of Phi5(x^383, x), irreducible over F_383.
+CUBIC_383 = [19, 275, 164, 1]
+
+
+def test_cubic_383_is_an_irreducible_factor_of_phi5_xp_x():
+    assert not mp.rem(phi5_xp_x(383), CUBIC_383, 383)
+    assert all(mp.eval_at(CUBIC_383, c, 383) for c in range(383))
+
+
+@pytest.mark.parametrize(
+    "p, extra, error",
+    [
+        (383, [6, 1], "repeated factor at p=383"),  # a linear factor of multiplicity 4 in K_5p
+        (379, [51, 114, 1], "repeated factor at p=379"),  # the quadratic of multiplicity 6
+        (383, CUBIC_383, "factor of degree > 2 at p=383"),
+    ],
+)
+def test_build_k5p_certifies_g(monkeypatch, p, extra, error):
+    # ss_p times a factor of Phi5(x^p, x): g takes it too, squared or cubic
+    from hasse5.hasse import build_ss
+
+    monkeypatch.setattr(modeq, "build_ss", lambda p: mp.mul(build_ss(p), extra, p))
+    with pytest.raises(VerificationError, match=error):
+        build_k5p(p)
 
 
 @pytest.mark.heavy
