@@ -96,12 +96,9 @@ class Cache:
     def load(self, p: int) -> dict | None:
         if not self.dir:
             return None
-        path = self.dir / f"{p}.json"
-        if not path.exists():
-            return None
         try:
-            doc = json.loads(path.read_text())
-        except ValueError:
+            doc = json.loads((self.dir / f"{p}.json").read_text())
+        except (OSError, ValueError):  # missing, unreadable or not JSON: a miss
             return None
         if not isinstance(doc, dict) or doc.get("schema") != SCHEMA or doc.get("digest") != self.digest:
             return None
@@ -112,9 +109,13 @@ class Cache:
         if not self.dir:
             return
         doc = {"schema": SCHEMA, "digest": self.digest, "prime": p, "payload": payload}
-        tmp = self.dir / f".{p}.json.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(doc, sort_keys=True))
-        os.replace(tmp, self.dir / f"{p}.json")
+        path, tmp = self.dir / f"{p}.json", self.dir / f".{p}.json.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(json.dumps(doc, sort_keys=True))
+            os.replace(tmp, path)
+        except OSError as e:  # the entry is skipped; the sweep's output does not depend on it
+            tmp.unlink(missing_ok=True)
+            print(f"warning: cannot write the cache entry {str(path)!r}: {e.strerror}", file=sys.stderr)
 
 
 def _run_parallel(fn, items, jobs: int):

@@ -1,84 +1,128 @@
-"""Resultants over Z[zeta_5][x], multimodularly (Collins 1971).
+"""Resultants and norms over Z[zeta_5][x], multimodularly.
 
-For p1, p2 in Z[zeta_5][x][y], Res_y(p1, p2) is the determinant of their
-Sylvester matrix, whose entries are polynomials in x.  It is computed modulo
-primes p = 1 mod 5 below 2^31: at the four embeddings zeta -> r^k (r a
-primitive 5th root of unity mod p) and at one more point x than its degree
-bound, all in one batched numpy elimination per prime.  Interpolation in x
-and the inverse of the embeddings give its coordinates mod p, and a
-symmetric CRT lift makes them exact.  The primes are taken until their
-product exceeds 16H/5, where H is the Hadamard bound of the matrix on
-|x| = 1 (von zur Gathen & Gerhard, Modern Computer Algebra, 6.11), computed
-in exact integers for each matrix.
+Both are computed modulo primes p = 1 mod 5 below 2^31, at the four
+embeddings zeta -> r^k (k = 1..4, r a primitive 5th root of unity mod p), by
+int64 convolution, and lifted by a symmetric CRT from primes whose product
+exceeds twice a bound on every coordinate.  For a polynomial F over
+Z[zeta_5], let S_F be the sum of the absolute values of all its
+zeta-coordinates.  For a coefficient c = sum_m c_m zeta^m,
+|sigma_k(c)| <= sum_m |c_m|, so the l1 norm (the sum of the absolute values
+of the coefficients) of each embedding sigma_k(F) is at most S_F.  The l1
+norm is subadditive and submultiplicative, and it bounds the largest
+coefficient.
 
-The norm N(f) = sigma_1(f) sigma_2(f) sigma_3(f) sigma_4(f) of f in
+Resultants.  Every resultant here is taken against P1 = A + B y^5, with A, B
+in Z[zeta_5][x] and B nonzero.  Let G = P2, of degree d in y.  The roots of
+P1 are the fifth roots alpha w^i (i = 0..4, w a primitive 5th root of unity)
+of -A/B, and Res_y(P1, G) = lc(P1)^d prod G(root), so
+
+    Res_y(P1, G) = B^d prod_i G(alpha w^i) = sum_m N_m (-A)^m B^(d-m),
+
+where N(y^5) = prod_{i=0..4} G(w^i y) = sum_m N_m y^(5m): the product is
+unchanged by y -> w y, so only the powers y^(5m) are left.  The identity is
+polynomial in the coefficients of A, B and G, so it holds modulo p with
+w = r.  Modulo p, each embedding of G is packed into one array (Kronecker:
+y^j x^i at j W + i, with W above the x-degree of N), its five rotations
+y -> r^i y are multiplied by convolution, and the sum is taken by Horner in
+-A and B.  The inverse of the embeddings,
+5 c_m = sum_k sigma_k(c) (r^(-km) - r^(-4k)) for m = 0..3, gives the
+zeta-coordinates mod p.
+
+Bound: the rotations keep the l1 norm, so each embedding of N has l1 norm at
+most S_G^5, and each embedding of the resultant at most
+sum_m ||N_m||_1 S_A^m S_B^(d-m) <= S_G^5 (S_A + S_B)^d = H.  So every
+embedding sigma_k(c) of every x-coefficient c of the resultant is at most H
+in absolute value.  Over C, 5 c_m = sum_k sigma_k(c) (zeta^(-km) - zeta^(-4k)),
+so |c_m| <= 4 * 2H/5 = 8H/5, and primes whose product exceeds 16H/5
+determine every coordinate by the symmetric lift.
+
+Norms.  The norm N(f) = sigma_1(f) sigma_2(f) sigma_3(f) sigma_4(f) of f in
 Q(zeta_5)[x], sigma_k: zeta -> zeta^k, comes from the same primes.  With D
 the lcm of the denominators of the zeta-coordinates of f, F = D f lies in
 Z[zeta_5][x] and N(F) = D^4 N(f) in Z[x].  Modulo p, each sigma_k(F) is F
-with zeta -> r^k, and the four images are multiplied by integer convolution.
-
-Bound: let S be the sum of the absolute values of all zeta-coordinates of
-F.  For a coefficient c = sum_m c_m zeta^m, |sigma_k(c)| <= sum_m |c_m|, so
-the l1 norm (the sum of the absolute values of the coefficients) of each
-sigma_k(F) is at most S.  The l1 norm is submultiplicative and bounds the
-largest coefficient, ||A B||_inf <= ||A B||_1 <= ||A||_1 ||B||_1, so every
-coefficient of N(F) is at most B = S^4 in absolute value, and primes whose
-product exceeds 2B determine it by the symmetric lift.
+with zeta -> r^k, and the four images are multiplied by convolution.  Every
+coefficient of N(F) is at most S_F^4 in absolute value, and primes whose
+product exceeds 2 S_F^4 determine it by the symmetric lift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
 from . import VerificationError
 from .intfactor import is_prime
 from .numfield import CycNum
-from .poly import Poly, sylvester
+from .poly import Poly, ZeroInput
 
 
 def resultant(p1: Poly, p2: Poly) -> Poly:
     """Res_y(p1, p2), the Sylvester determinant with the rows of p1 on top,
-    as a Poly in x with CycNum coefficients; p1 and p2 are Polys in y whose
-    coefficients are Polys in x (or ints) over Z[zeta_5]."""
-    coords, n_points = sylvester_coords(p1, p2)
-    primes = crt_primes(hadamard_bound_sq(coords))
-    det = _crt_symmetric([_det_coords_mod(coords, n_points, p) for p in primes], primes)
-    return Poly([CycNum(*det[i : i + 4]) for i in range(0, len(det), 4)])
+    as a Poly in x with CycNum coefficients, for p1 = A + B y^5; p1 and p2
+    are Polys in y whose coefficients are Polys in x (or ints) over
+    Z[zeta_5].  See the module docstring.
+
+    A p1 of another shape, a coordinate that is not an integer, or a
+    resultant too long for the int64 convolutions raises VerificationError."""
+    if p1.degree != 5 or any(not p1[i] == 0 for i in range(1, 5)):
+        raise VerificationError("resultant over Z[zeta_5][x]: p1 is not A + B y^5")
+    if p2.is_zero():
+        raise ZeroInput("resultant of zero polynomial")
+    a, b = _int_coords(p1[0]), _int_coords(p1[5])
+    g = [_int_coords(c) for c in p2.c]
+    size, w = max(len(a), len(b)), max(len(t) for t in g)
+    a, b = (c + [(0, 0, 0, 0)] * (size - len(c)) for c in (a, b))
+    g = [t + [(0, 0, 0, 0)] * (w - len(t)) for t in g]
+    d, width = len(g) - 1, 5 * w - 4  # width: the x-length of N's coefficients
+    if (5 * d + 1) * width >= 2**16 or width + d * size >= 2**16:
+        raise VerificationError(f"resultant over Z[zeta_5][x]: degrees {d} in y and {w - 1} in x, too long for int64")
+    s_a, s_b, s_g = (sum(abs(v) for t in c for v in t) for c in (a, b, sum(g, [])))
+    primes = _primes_past(16 * s_g**5 * (s_a + s_b) ** d // 5)
+    coords = _crt_symmetric([_resultant_mod(a, b, g, p) for p in primes], primes)
+    return Poly([CycNum(*coords[i : i + 4]) for i in range(0, len(coords), 4)])
 
 
-def sylvester_coords(p1: Poly, p2: Poly) -> tuple[list, int]:
-    """The Sylvester matrix of p1 and p2 (p1 rows first) as nested lists of
-    integer coordinates [i][j][x-degree][zeta-power], padded to one length in
-    x, and the number of points, sum_i max_j deg_x + 1, that determines its
-    determinant."""
-    rows = [[_entry_coords(e) for e in row] for row in sylvester(p1, p2)]
-    width = max(len(e) for row in rows for e in row)
-    n_points = 1 + sum(max(len(e) for e in row) - 1 for row in rows)
-    return [[e + [(0, 0, 0, 0)] * (width - len(e)) for e in row] for row in rows], n_points
-
-
-def _entry_coords(entry) -> list[tuple[int, int, int, int]]:
+def _int_coords(entry) -> list[tuple[int, int, int, int]]:
+    """The zeta-coordinates of the x-coefficients of entry, which must be
+    integers."""
     coeffs = entry.c if isinstance(entry, Poly) else [entry]
     out = [c.c if isinstance(c, CycNum) else (c, 0, 0, 0) for c in coeffs]
     for t in out:
         if not all(isinstance(v, int) for v in t):
-            raise VerificationError(f"Sylvester entry coordinate {t} is not an integer")
+            raise VerificationError(f"resultant coordinate {t} is not an integer")
     return out
 
 
-def hadamard_bound_sq(coords: list) -> int:
-    """H^2 = prod_i sum_j b_ij^2, with b_ij the l1 norm of the coordinates of
-    entry (i, j).
+def _resultant_mod(a: list, b: list, g: list, p: int) -> np.ndarray:
+    """The resultant mod p, as its zeta-coordinates indexed
+    [x-degree][zeta-power], from the coordinates of A, B (of one length) and
+    of the y-coefficients of G (of one length w)."""
+    r = _root5(p)
+    d, w = len(g) - 1, len(g[0])
+    width = 5 * w - 4
+    emb_a, emb_b = (_conjugates(_residues(c, p), p, r) for c in (a, b))  # [k-1][x-degree]
+    emb_g = np.zeros((4, d + 1, width), dtype=np.int64)
+    emb_g[:, :, :w] = _conjugates(_residues(g, p), p, r)  # [k-1][y-degree][x-degree]
+    rotations = [np.array([pow(r, i * j, p) for j in range(d + 1)], dtype=np.int64)[:, None] for i in range(1, 5)]
+    out = []
+    for ak, bk, gk in zip(emb_a, emb_b, emb_g):
+        n = gk.ravel()[: d * width + w]  # y^j x^i at j * width + i
+        for rot in rotations:
+            n = _mul_mod(n, (gk * rot % p).ravel()[: d * width + w], p)
+        res, b_pow, neg_a = n[5 * d * width :], bk, -ak % p  # N_d
+        for m in range(d - 1, -1, -1):  # res <- res (-A) + N_m B^(d-m)
+            res = (_mul_mod(res, neg_a, p) + _mul_mod(n[5 * m * width : (5 * m + 1) * width], b_pow, p)) % p
+            b_pow = _mul_mod(b_pow, bk, p)
+        out.append(res)
+    return _coordinates(np.array(out), p, r).T
 
-    On |x| = 1 every embedding of entry (i, j) has absolute value at most
-    b_ij, so by Hadamard every embedding of the determinant is at most H
-    there, and so is each of its x-coefficients.  With 5 c_m = Tr(a zeta^-m)
-    - Tr(a zeta^-4), every zeta-coordinate c_m of a coefficient a is at most
-    8H/5 in absolute value."""
-    return prod(sum(sum(abs(v) for t in e for v in t) ** 2 for e in row) for row in coords)
+
+def _residues(coords: list, p: int) -> np.ndarray:
+    """Nested integer coordinates, the zeta-power innermost, reduced mod p,
+    with the zeta-power axis moved first."""
+    return np.moveaxis((np.array(coords, dtype=object) % p).astype(np.int64), -1, 0)
 
 
 def _primes_1_mod_5():
@@ -88,16 +132,6 @@ def _primes_1_mod_5():
         if is_prime(n):
             yield n
         n -= 10
-
-
-def crt_primes(h2: int) -> list[int]:
-    """Primes p = 1 mod 5 below 2^31, from the top down, until their product M
-    exceeds 16H/5 (25 M^2 > 256 H^2): the symmetric lift then recovers every
-    coordinate of absolute value at most 8H/5.
-
-    For integers, 25 M^2 > 256 H^2 exactly when 5M > isqrt(256 H^2), that is
-    M > isqrt(256 H^2) // 5."""
-    return _primes_past(isqrt(256 * h2) // 5)
 
 
 def _primes_past(bound: int) -> list[int]:
@@ -111,68 +145,6 @@ def _primes_past(bound: int) -> list[int]:
     return primes
 
 
-def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a^(p-2) mod p elementwise: the inverse, and 0 for 0."""
-    out = np.ones_like(a)
-    base = a % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
-def det_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p (p < 2^31) of a stack of square int64 matrices with
-    entries in [0, p), by one batched Gaussian elimination with row swaps.
-
-    The elimination is division-free: step k multiplies the rows below the
-    pivot by the pivot, so the product of the pivots is the determinant times
-    prod_k pivot_k^(n-1-k), which one inverse at the end divides out.  Every
-    product is reduced mod p before anything is added to it.  The stack is
-    overwritten."""
-    a = mats
-    batch, n, _ = a.shape
-    sign = np.ones(batch, dtype=np.int64)
-    pivots = np.ones(batch, dtype=np.int64)  # prod_{j <= k} pivot_j
-    scale = np.ones(batch, dtype=np.int64)  # prod_k pivot_k^(n-1-k)
-    for k in range(n):
-        if not a[:, k, k].all():
-            for b, v in enumerate(a[:, k, k].tolist()):
-                if v == 0 and _swap_up_pivot(a[b], k):
-                    sign[b] = -sign[b]
-        pivot = a[:, k, k].copy()
-        pivots = pivots * pivot % p
-        if k == n - 1:
-            break
-        scale = scale * pivots % p
-        # row by row: an update of all rows at once costs numpy buffers the
-        # size of the stack
-        for i in range(k + 1, n):  # row_i <- pivot * row_i - a_ik * row_k
-            lead = a[:, i, k, None] * a[:, k, k:]
-            lead %= p
-            row = a[:, i, k:]
-            row *= pivot[:, None]
-            row %= p
-            row -= lead
-            row %= p
-    return sign * pivots % p * _inv_mod(scale, p) % p
-
-
-def _swap_up_pivot(m: np.ndarray, k: int) -> bool:
-    """Swap row k of m with the first row below it with a nonzero entry in
-    column k; False when there is none."""
-    for j, v in enumerate(m[k + 1 :, k].tolist(), k + 1):
-        if v:
-            row_k = m[k].copy()
-            m[k] = m[j]
-            m[j] = row_k
-            return True
-    return False
-
-
 def _root5(p: int) -> int:
     """A primitive 5th root of unity mod p = 1 mod 5."""
     for g in range(2, p):
@@ -182,67 +154,27 @@ def _root5(p: int) -> int:
     raise VerificationError(f"no primitive 5th root of unity mod {p}")
 
 
-def _embed(coords: list, p: int, r: int) -> np.ndarray:
-    """emb[k-1][d][i][j]: the x^d coefficient of entry (i, j) mod p under
-    zeta -> r^k, for k = 1..4."""
-    n, width = len(coords), len(coords[0][0])
-    flat = (v % p for row in coords for e in row for t in e for v in t)
-    res = np.fromiter(flat, dtype=np.int64, count=n * n * width * 4)
-    return _conjugates(res.reshape(n, n, width, 4).transpose(3, 2, 0, 1), p, r)  # [m][d][i][j]
-
-
 def _conjugates(res: np.ndarray, p: int, r: int) -> np.ndarray:
     """out[k-1] = sum_m res[m] r^(km) mod p for k = 1..4: the images under
     zeta -> r^k of the numbers whose zeta-coordinates, in [0, p), are res[m]."""
+    return _combine([[pow(r, k * m, p) for m in range(4)] for k in range(1, 5)], res, p)
+
+
+def _coordinates(emb: np.ndarray, p: int, r: int) -> np.ndarray:
+    """The inverse of ``_conjugates``: out[m] = c_m mod p from the images
+    emb[k-1], by 5 c_m = sum_k emb[k-1] (r^(-km) - r^(-4k))."""
+    inv5 = pow(5, -1, p)
+    return _combine([[(pow(r, -k * m, p) - pow(r, -4 * k, p)) * inv5 % p for k in range(1, 5)] for m in range(4)], emb, p)
+
+
+def _combine(mat: list[list[int]], res: np.ndarray, p: int) -> np.ndarray:
+    """out[i] = sum_j mat[i][j] res[j] mod p, for entries in [0, p)."""
     out = np.zeros((4, *res.shape[1:]), dtype=np.int64)
-    for k in range(4):
-        for m in range(4):
-            term = res[m] * pow(r, (k + 1) * m, p)
-            term %= p
-            out[k] += term
-        out[k] %= p
+    for i, row in enumerate(mat):
+        for j, c in enumerate(row):
+            out[i] += res[j] * c % p
+        out[i] %= p
     return out
-
-
-def _interpolate(vals: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients mod p of the polynomials of degree < N taking
-    vals[t] at x = t (t = 0..N-1), one per column: Newton's divided
-    differences, then Horner in the Newton basis."""
-    c = vals.copy()
-    n = len(c)
-    for j in range(1, n):
-        c[j:] = (c[j:] - c[j - 1 : -1]) % p * pow(j, -1, p) % p
-    out = np.zeros_like(c)
-    for j in range(n - 1, -1, -1):  # out <- out * (x - j) + c[j]
-        shifted = np.zeros_like(out)
-        shifted[1:] = out[:-1]
-        out = (shifted - out * j % p) % p
-        out[0] = (out[0] + c[j]) % p
-    return out
-
-
-def _det_coords_mod(coords: list, n_points: int, p: int) -> np.ndarray:
-    """The Sylvester determinant mod p, as its zeta-coordinates indexed
-    [x-degree][zeta-power]: evaluated at the embeddings zeta -> r^k (k = 1..4)
-    and the points x = 0..n_points-1, interpolated in x, and mapped back by
-    5 c_m = sum_k sigma_k(a) (r^(-km) - r^(-4k))."""
-    r = _root5(p)
-    emb = _embed(coords, p, r)
-    n = len(coords)
-    mats = np.zeros((4, n_points, n, n), dtype=np.int64)
-    xs = np.arange(n_points, dtype=np.int64)[:, None, None]
-    for d in range(emb.shape[1] - 1, -1, -1):  # Horner in x
-        mats *= xs
-        mats %= p
-        mats += emb[:, d, None]
-        mats %= p
-    dets = det_mod_p(mats.reshape(-1, n, n), p)
-    coeffs = _interpolate(dets.reshape(4, n_points).T, p)  # [x-degree][k-1]
-    out = np.zeros_like(coeffs)
-    for k in range(1, 5):
-        back = np.array([pow(r, -k * m, p) - pow(r, -4 * k, p) for m in range(4)], dtype=np.int64) % p
-        out = (out + coeffs[:, k - 1, None] * back % p) % p
-    return out * pow(5, -1, p) % p
 
 
 def _crt_symmetric(images: list[np.ndarray], primes: list[int]) -> list[int]:

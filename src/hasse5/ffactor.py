@@ -29,7 +29,10 @@ class FactorList:
 
 
 def squarefree_decompose(f, p: int) -> list[tuple[list, int]]:
-    """Monic f -> [(g, m)] with f = prod g^m, g pairwise coprime squarefree."""
+    """Monic f -> [(g, m)] with f = prod g^m, g pairwise coprime squarefree;
+    [] for a constant."""
+    if mp.deg(f) < 1:
+        return []
     out = []
     fprime = mp.deriv(f, p)
     if not fprime:

@@ -13,9 +13,11 @@ special factor families, the large exact resultants
 identity over Q(zeta_5)[x] for the two generators, that G60 fixes j5(x^5), so
 that the 60 roots of G(x^5, j) form a single G60-orbit.
 
-Each resultant is a 10x10 Sylvester determinant over Z[zeta_5][x], after
-clearing the single denominator 2, computed multimodularly by
-:mod:`hasse5.cycres`.
+Each resultant is taken over Z[zeta_5][x], after clearing the single
+denominator 2, multimodularly by :mod:`hasse5.cycres`.  The surface
+polynomial is the binomial A + B y^5 in y, so against G of degree d in y the
+resultant is sum_m N_m (-A)^m B^(d-m), with N(y^5) = prod_i G(zeta^i y), and
+no Sylvester matrix is eliminated.
 """
 
 from __future__ import annotations

@@ -476,9 +476,10 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
        q^(k-i) | D^(i) F for i < k and D^(k) F = (q')^k u mod q; q is
        irreducible over the perfect field F_p, hence separable, so q does not
        divide q'.  So a factor q of G_i, where k >= i, divides D_i exactly
-       when k > i, and G_i is squarefree.  A nonempty stratum 0 is a factor
-       of g not dividing F.  Phi5 is monic of degree 6 in Y, so
-       D_Y^6 Phi5 = 1 and G_7 = 1.
+       when k > i, and G_i is squarefree.  Phi5 is monic of degree 6 in Y, so
+       D_Y^6 Phi5 = 1 and G_7 = 1.  The ladder starts at i = 1, as rung 0
+       cannot fail: g divides Phi5(X, x) mod ss_p, and Xg = X mod g, so
+       D_0 = 0 and G_1 = g.
 
     3. ``_split`` splits the linear and the quadratic part of each stratum
        into its factors, by the shifts c = 0, 1, ..., p - 1.
@@ -492,13 +493,11 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     lin = _certify(g, Xg, p)
     strata = []  # (i, the product of the factors of g of multiplicity i in F)
     G = g
-    for i in range(7):
+    for i in range(1, 7):
         if mp.deg(G) < 1:
             break
         above = mp.gcd(G, _eval_rows(_hasse_rows(i), mp.rem(Xg, G, p), G, p), p)
         if mp.deg(above) < mp.deg(G):
-            if i == 0:
-                raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) does not divide Phi5(x^p, x) at p={p}")
             strata.append((i, mp.quo(G, above, p)))
         G = above
     if mp.deg(G) > 0:

@@ -257,6 +257,20 @@ def test_cache_entry_from_other_sources_is_recomputed(tmp_path, capsys):
         assert json.loads(path.read_text()) == good
 
 
+def test_unreadable_cache_entry_is_a_miss_and_is_not_stored(tmp_path, capsys):
+    # a directory in place of census/7.json can be neither read nor replaced:
+    # 7 is computed, the sweep prints what an uncached run prints, and one
+    # line on stderr says the entry was skipped
+    want = run_cli(capsys, "census", "7..13", "--format", "json")
+    (tmp_path / "census" / "7.json").mkdir(parents=True)
+    code = main(["census", "7..13", "--format", "json", "--cache", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == want
+    assert err == f"warning: cannot write the cache entry {str(tmp_path / 'census' / '7.json')!r}: Is a directory\n"
+    assert sorted(f.name for f in (tmp_path / "census").iterdir()) == ["11.json", "13.json", "7.json"]
+    assert (tmp_path / "census" / "7.json").is_dir()
+
+
 def run_subprocess(code: str, *flags: str, hashseed: str = "0") -> subprocess.CompletedProcess:
     src = str(Path(hasse5.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=hashseed)

@@ -5,7 +5,7 @@ from functools import partial, reduce
 import pytest
 
 from hasse5 import ffactor, modpoly as mp
-from hasse5.ffactor import factor_ff, roots_in
+from hasse5.ffactor import FactorList, factor_ff, roots_in
 from hasse5.fp import FqElem, make_extension
 from hasse5.hasse import build_hasse
 from hasse5.intfactor import primes_in
@@ -56,6 +56,12 @@ def test_reconstruction_random():
 def test_factorization_deterministic():
     f = mp.from_int_poly([3, 1, 4, 1, 5, 9, 2, 6, 1], 101)
     assert factor_ff(f, 101) == factor_ff(f, 101)
+
+
+@pytest.mark.parametrize("c", [1, 5])
+def test_nonzero_constant_has_no_factors(c):
+    assert ffactor.squarefree_decompose([c], 23) == []
+    assert factor_ff([c], 23) == FactorList(23, c, ())
 
 
 def test_squarefree_with_pth_power():

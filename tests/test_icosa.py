@@ -3,11 +3,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-import numpy as np
 import pytest
 
 from hasse5 import VerificationError, cycres, icosa
-from hasse5.cycres import crt_primes, det_mod_p, hadamard_bound_sq, norm_primes, sylvester_coords
+from hasse5.cycres import norm_primes
 from hasse5.icosa import (
     P_D,
     MobiusMap,
@@ -29,7 +28,7 @@ from hasse5.icosa import (
     verify_group_relations,
 )
 from hasse5.numfield import CycNum
-from hasse5.poly import Poly, det_bareiss, galois_norm
+from hasse5.poly import Poly, galois_norm, resultant
 from oracles import icosa_resultant_bareiss
 
 
@@ -159,8 +158,15 @@ def _oracle(n1: str, n2: str, variant: str):
     return icosa_resultant_bareiss(*_maps(n1, n2), variant)
 
 
-def _bound_sq(n1: str, n2: str, variant: str) -> int:
-    return hadamard_bound_sq(sylvester_coords(*surface_pair(*_maps(n1, n2), variant))[0])
+def _l1(entries) -> int:
+    # the sum of the absolute values of the zeta-coordinates of Polys in x over Z[zeta_5]
+    return sum(abs(v) for e in entries for c in e.c for v in icosa._cyc(c).c)
+
+
+def _bound(n1: str, n2: str, variant: str) -> int:
+    # H = S_G^5 (S_A + S_B)^d for P1 = A + B y^5 and G = P2 of degree d in y
+    p1, p2 = surface_pair(*_maps(n1, n2), variant)
+    return _l1(p2.c) ** 5 * (_l1([p1[0]]) + _l1([p1[5]])) ** p2.degree
 
 
 @pytest.mark.parametrize("n1,n2,variant", LEDGER_PARAMS)
@@ -170,51 +176,66 @@ def test_resultant_matches_bareiss_oracle(n1, n2, variant):
 
 @pytest.mark.parametrize("n1,n2,variant", LEDGER_PARAMS)
 def test_coordinate_bound_holds(n1, n2, variant):
-    # every zeta-coordinate of the exact Sylvester determinant is at most 8H/5
+    # every zeta-coordinate of the exact resultant is at most 8H/5
     divisor = resultant_divisor(*_maps(n1, n2))
     det = _oracle(n1, n2, variant).map(lambda c: c * divisor)
     largest = max(abs(v) for c in det.c for v in c.c)
-    assert 25 * largest * largest <= 64 * _bound_sq(n1, n2, variant)
+    assert 5 * largest <= 8 * _bound(n1, n2, variant)
 
 
 @pytest.mark.parametrize("pair", LEDGER_PAIRS, ids="-".join)
-def test_crt_primes_cover_the_bound(pair):
-    h2 = _bound_sq(*pair)
-    primes = crt_primes(h2)
+def test_crt_primes_cover_the_bound(monkeypatch, pair):
+    # the primes the resultant is lifted from: their product exceeds 16H/5,
+    # so they cover every coordinate, and no prime is spare
+    used = []
+    primes_past = cycres._primes_past
+    monkeypatch.setattr(cycres, "_primes_past", lambda bound: used.append(primes_past(bound)) or used[-1])
+    icosa_resultant(*_maps(*pair[:2]), pair[2])
+    [primes] = used
+    h = _bound(*pair)
     assert primes == sorted(set(primes), reverse=True)
     assert all(p % 5 == 1 and p < 2**31 for p in primes)
-    # the product exceeds 16H/5, and no prime is spare
-    assert 25 * prod(primes) ** 2 > 256 * h2
-    assert 25 * prod(primes[:-1]) ** 2 <= 256 * h2
+    assert 5 * prod(primes) > 16 * h
+    assert 5 * prod(primes[:-1]) <= 16 * h
 
 
-def _random_matrices(rng, p: int, n: int, count: int) -> list[list[list[int]]]:
-    """Random matrices mod p: full ones, singular ones (a row a combination of
-    two others), and the rows of an upper triangular matrix shuffled, so that
-    elimination must swap rows, with a zero on the diagonal in every second one."""
-    mats = []
-    for k in range(count):
-        m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if k % 4 == 1:
-            m[-1] = [(3 * a + b) % p for a, b in zip(m[0], m[-2])] if n > 1 else [0]
-        elif k % 4 >= 2:
-            m = [[0] * i + row[i:] for i, row in enumerate(m)]
-            if k % 4 == 3:
-                m[rng.randrange(n)][rng.randrange(n)] = 0
-                j = rng.randrange(n)
-                m[j][j] = 0
-            rng.shuffle(m)
-        mats.append(m)
-    return mats
+def _entry(rng, zero: float = 0.25) -> Poly:
+    """A random Poly in x of degree <= 2 over Z[zeta_5], zero with probability
+    zero, and each coefficient zero with probability 1/4."""
+    if rng.random() < zero:
+        return Poly()
+    coeffs = [CycNum(*(rng.randint(-3, 3) for _ in range(4))) for _ in range(rng.randint(1, 3))]
+    return Poly([CycNum() if rng.random() < 0.25 else c for c in coeffs])
 
 
-@pytest.mark.parametrize("p", [11, 2147483171, 2147482951])
-def test_det_mod_p_matches_bareiss(p):
-    rng = random.Random(p)
-    for n in (1, 2, 3, 6, 10):
-        mats = _random_matrices(rng, p, n, 24)
-        got = det_mod_p(np.array(mats, dtype=np.int64), p)
-        assert [int(d) for d in got] == [det_bareiss(m) % p for m in mats], n
+def test_resultant_of_random_binomials_matches_bareiss():
+    # P1 = A + B y^5 and G of degree 1..5 in y, with zero coefficients in
+    # y and in x, A = 0 among them
+    rng = random.Random(5)
+    for k in range(40):
+        b = g = Poly()
+        while b.is_zero() or g.is_zero():
+            b, g = _entry(rng, 0), _entry(rng, 0)
+        p1 = Poly([_entry(rng), Poly(), Poly(), Poly(), Poly(), b])
+        p2 = Poly([_entry(rng) for _ in range(k % 5 + 1)] + [g])
+        assert cycres.resultant(p1, p2) == resultant(p1, p2), k
+
+
+@pytest.mark.parametrize("middle", [1, 4])
+def test_resultant_rejects_a_p1_that_is_not_a_binomial(middle):
+    # A + y^middle + B y^5, and A + B y^middle
+    p1, p2 = surface_pair(*_maps("T", "T"))
+    plus = Poly([*p1.c[:middle], Poly([1]), *p1.c[middle + 1 :]])
+    lower = Poly([*p1.c[:middle], p1[5]])
+    for bad in (plus, lower):
+        with pytest.raises(VerificationError, match="not A \\+ B y\\^5"):
+            cycres.resultant(bad, p2)
+
+
+def test_resultant_rejects_polynomials_too_long_for_int64():
+    p1, _ = surface_pair(*_maps("T", "T"))
+    with pytest.raises(VerificationError, match="too long for int64"):
+        cycres.resultant(p1, Poly([Poly([1] * 600)] * 6))
 
 
 def test_fraction_coordinate_is_rejected():
