@@ -50,6 +50,11 @@ So the census is one vectorized Horner sweep of width 2 over P's coefficients,
 P mod Q_a for every a in F_l at once, and one Legendre symbol of
 a^2 - 44a - 16 per hit, for both families.  It raises no polynomial to a
 power.
+
+The same P and the same hits serve ``fricke.verify_fricke``: Y(u) =
+-(u^2 + 4)/(u + 11), the j5* of ``fricke``, takes the value a exactly on the
+roots of Q_a, so the Fricke polynomial's degree and its linear factors are
+counts of sigma-orbits of roots of P, and of hits.
 """
 
 from __future__ import annotations
@@ -197,9 +202,13 @@ def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
 
 def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
     """(P, hits) for a squarefree symmetric f: P = _fold(l, f), and the a in
-    F_l, ascending, with Q_a = u^2 + a u + 11a + 4 an irreducible divisor of
-    P, that is with a^2 - 44a - 16 = disc Q_a a non-residue.  A divisor Q_0
-    proves (x^2 + 1)^2 | f and raises VerificationError."""
+    F_l, ascending, with Q_a = u^2 + a u + 11a + 4 a divisor of P.  A divisor
+    Q_0 proves (x^2 + 1)^2 | f and raises VerificationError.
+
+    Both sweeps read this one pass: the census keeps the hits with
+    a^2 - 44a - 16 = disc Q_a a non-residue, the irreducible Q_a, and
+    ``fricke.verify_fricke`` counts every hit, one sigma-orbit of roots of P
+    on which Y = -(u^2 + 4)/(u + 11) takes the value a."""
     if 3 * l * l >= 2**63:
         raise ValueError(f"l={l} is too large for the int64 divisibility sweep")
     p = _fold(l, f)
@@ -208,7 +217,7 @@ def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
     hits = _divisor_params(p, np.stack([-(11 * a + 4) % l, -a % l]), l)
     if 0 in hits:
         raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
-    return p, [t for t in hits if legendre(t * t - 44 * t - 16, l) == -1]
+    return p, hits
 
 
 def find_g_factors(l: int, f: list[int]) -> list[GShape]:
@@ -245,7 +254,8 @@ def find_g_factors(l: int, f: list[int]) -> list[GShape]:
     if l % 5 not in (2, 3):
         raise ValueError("quartic census needs l = 2, 3 mod 5")
     _, hits = _conic_hits(l, f)
-    return sorted((GShape(l, a) for a in hits), key=GShape.coeffs)
+    irreducible = [a for a in hits if legendre(a * a - 44 * a - 16, l) == -1]
+    return sorted((GShape(l, a) for a in irreducible), key=GShape.coeffs)
 
 
 def find_k_factors(l: int, f: list[int]) -> list[KShape]:
@@ -263,13 +273,14 @@ def find_k_factors(l: int, f: list[int]) -> list[KShape]:
     if l % 5 not in (1, 4):
         raise ValueError("quadratic census needs l = 1, 4 mod 5")
     p, hits = _conic_hits(l, f)
+    irreducible = [a for a in hits if legendre(a * a - 44 * a - 16, l) == -1]
     pair = golden_units(l)
     units = (("eps", pair.eps5), ("epsbar", pair.eps5bar))
     shapes = [KShape(l, 0, 1, "eps")] if mp.deg(f) % 4 == 2 and l % 4 == 3 else []
     for variant, e in units:
         if mp.eval_at(p, 2 * e, l) == 0 and legendre(e * e + 1, l) == -1:
             shapes.append(KShape(l, -2 * e % l, l - 1, variant))
-    for a in hits:
+    for a in irreducible:
         variant, e = next(unit for unit in units if legendre(a * (a + 4 * unit[1]), l) == 1)
         root, inv = sqrt_mod(a * (a + 4 * e), l), pow(2 * e, -1, l)
         for s in ((2 * e + a + root) * inv % l, (2 * e + a - root) * inv % l):

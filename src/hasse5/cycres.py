@@ -146,12 +146,14 @@ def _primes_past(bound: int) -> list[int]:
 
 
 def _root5(p: int) -> int:
-    """A primitive 5th root of unity mod p = 1 mod 5."""
-    for g in range(2, p):
-        r = pow(g, (p - 1) // 5, p)
-        if r != 1:
-            return r
-    raise VerificationError(f"no primitive 5th root of unity mod {p}")
+    """A primitive 5th root of unity mod the prime p, which exists exactly when
+    p = 1 mod 5; VerificationError otherwise.  Then r = g^((p-1)/5) has
+    r^5 = 1, so it is primitive when r != 1, that is when g is not a 5th
+    power.  The 5th powers are (p-1)/5 of the p - 1 units, 1 among them, so
+    some g in 2..p-1 is not one."""
+    if p % 5 != 1:
+        raise VerificationError(f"no primitive 5th root of unity mod {p}")
+    return next(r for g in range(2, p) if (r := pow(g, (p - 1) // 5, p)) != 1)
 
 
 def _conjugates(res: np.ndarray, p: int, r: int) -> np.ndarray:

@@ -19,10 +19,12 @@ icosahedral resultant by Bareiss elimination over Z[zeta_5][x], and
 ``pow_mod_by_squaring``, f^e mod m on lists with a long division after every
 product, and ``k5p_report_by_factoring``, the K_5p verdict by factoring
 H_-20, H_-84 and H_-96 mod p and matching the predicted factor list against
-``build_k5p``'s.  ``class_number_dirichlet`` gives h(D) by Dirichlet's class
-number formula, with no reduced forms.  ``reconstruct`` multiplies a
-factorization back out, and ``companion`` gives the companion of a census
-quadratic.
+``build_k5p``'s, and ``fricke_by_R5_norm``, the Fricke verdict read off
+ss5star_p built as the squarefree part of the norm Res_X(ss_p, R5), which
+the counts on the census's fold replaced.  ``class_number_dirichlet`` gives
+h(D) by Dirichlet's class number formula, with no reduced forms.
+``reconstruct`` multiplies a factorization back out, and ``companion`` gives
+the companion of a census quadratic.
 """
 
 from __future__ import annotations
@@ -516,6 +518,22 @@ def k5p_report_by_factoring(p: int):
         p, flags, tuple(matched), tuple(leftovers), n_p, ap, h, degree,
         ap * h == rhs, not mismatches, tuple(mismatches), tuple(sporadic),
     )
+
+
+def fricke_by_R5_norm(p: int):
+    """``verify_fricke(p)`` from ss5star_p itself, built by ``build_ss5star``
+    as the squarefree part of Res_X(ss_p, R5): its degree, its linear factors
+    as deg gcd(ss5star_p, Y^p - Y), and the check ss5star_p | Y^(p^2) - Y."""
+    from hasse5 import modpoly as mp
+    from hasse5.fricke import FrickeReport, L5star_formula, RootOutsideQuadraticField, build_ss5star, degree_formula
+
+    f = build_ss5star(p)
+    y = mp.rem([0, 1], f, p)
+    yp = mp.pow_mod(y, p, f, p)
+    if mp.pow_mod(yp, p, f, p) != y:
+        raise RootOutsideQuadraticField(f"p={p}: ss5star_p does not divide Y^(p^2) - Y")
+    linear = mp.deg(mp.gcd(f, mp.sub(yp, y, p), p))
+    return FrickeReport(p, mp.deg(f), degree_formula(p), linear, L5star_formula(p))
 
 
 def icosa_resultant_bareiss(m1, m2, variant: str = "eps"):

@@ -58,6 +58,14 @@ def test_predicted_count_cases():
     assert predicted_count(19, h5l(19)) == 5
     assert predicted_count(31, h5l(31)) == 7
     assert predicted_count(151, h5l(151)) == 23
+
+
+@pytest.mark.parametrize("l, h, k", [(13, 3, 4), (43, 3, 2), (29, 3, 2), (41, 3, 2)])
+def test_predicted_count_rejects_an_inexact_division(l, h, k):
+    # one case for each division the formula makes: l = 2, 3 mod 5 with
+    # l = 1 mod 4 and with l = 3 mod 8, l = 4 mod 5 and l = 1 mod 5 with l = 1 mod 4
+    with pytest.raises(VerificationError, match=f"{k} does not divide h\\(-5l\\) = {h} at l={l}"):
+        predicted_count(l, h)
     assert census(101).match  # exceptional-set prime
 
 

@@ -9,6 +9,7 @@ import pytest
 import hasse5
 from hasse5 import VerificationError, census as census_mod, cli, fricke as fricke_mod, icosa, modeq, refdata
 from hasse5.cli import main
+from test_fricke import CUBIC_13, multiply_the_fold
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -322,16 +323,28 @@ def test_failed_verification_is_a_fail_row(tmp_path, capsys, monkeypatch):
 
 
 def test_fricke_field_check_failure_is_a_fail_row(tmp_path, capsys, monkeypatch):
-    # a leading coefficient of (Y^2 + 216Y + 144)^3 that is 1 mod 7, 11 and 17
-    # but 10 mod 13: the resultant is no longer monic at p = 13 only
-    monkeypatch.setattr(fricke_mod, "R5_C", fricke_mod.R5_C[:-1] + (1 + 7 * 11 * 17,))
+    # the fold P times a cubic whose roots lie outside F_(13^2), at p = 13 only
+    multiply_the_fold(monkeypatch, CUBIC_13, 13)
     code, out = run_cli(capsys, "fricke", "7..17", "--format", "json", "--jobs", "1", "--cache", str(tmp_path))
     assert code == 1
     rows = [json.loads(line) for line in out.strip().split("\n")]
     assert [r["p"] for r in rows] == [7, 11, 13, 17]
-    assert rows[2]["error"].startswith("VerificationError: p=13: Res_X(ss_p, R5) is not monic")
+    assert rows[2] == {"p": 13, "error": "RootOutsideQuadraticField: p=13: P does not divide u^(p^2) - u"}
     assert all(r["match"] for i, r in enumerate(rows) if i != 2)
     assert sorted(f.stem for f in (tmp_path / "fricke").glob("*.json")) == ["11", "17", "7"]
+
+
+def test_fricke_formula_failure_is_a_fail_row(capsys, monkeypatch):
+    # h(-65) = 8; an h(-5p) of 6 leaves (1 + (13/5)) h(-13) + h(-65) = 6,
+    # which 4 does not divide
+    h5l = fricke_mod.h5l
+    monkeypatch.setattr(fricke_mod, "h5l", lambda p: 6 if p == 13 else h5l(p))
+    code, out = run_cli(capsys, "fricke", "7..17", "--format", "tsv", "--jobs", "1")
+    assert code == 1
+    rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == ["7", "11", "13", "17"]
+    assert rows[2][-1] == "FAIL: VerificationError: 4 does not divide (1 + (p/5)) h(-p) + h(-5p) = 6 at p=13"
+    assert all(r[-1] == "True" for i, r in enumerate(rows) if i != 2)
 
 
 def test_failed_table_row_is_a_fail_status(capsys, monkeypatch):
@@ -363,6 +376,24 @@ def test_optimized_interpreter_keeps_verifications():
     run = run_subprocess(code, "-O")
     assert run.returncode == 1
     assert run.stdout.split("\n")[1] == "13\t\t\t\tFAIL: VerificationError: L(H) has a nonzero x^1 coefficient at l=13"
+
+
+def test_optimized_interpreter_keeps_the_fricke_containment_check():
+    # the fold P times a cubic whose roots lie outside F_(13^2): python -O
+    # must still raise the containment check as a FAIL row
+    code = (
+        "from hasse5 import fricke, modpoly as mp\n"
+        "conic_hits = fricke._conic_hits\n"
+        "def faulty(l, f):\n"
+        "    P, hits = conic_hits(l, f)\n"
+        f"    return mp.mul(P, {CUBIC_13!r}, l), hits\n"
+        "fricke._conic_hits = faulty\n"
+        "from hasse5.cli import main\n"
+        "raise SystemExit(main(['fricke', '13', '--format', 'tsv']))\n"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stdout.split("\n")[1] == "13\t\t\t\t\tFAIL: RootOutsideQuadraticField: p=13: P does not divide u^(p^2) - u"
 
 
 def test_optimized_interpreter_keeps_k5p_verifications():

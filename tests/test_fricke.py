@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from hasse5 import fricke, modpoly as mp
+from hasse5 import VerificationError, fricke, modpoly as mp
 from hasse5.fp import make_extension
 from hasse5.fricke import (
     FrickeReport,
@@ -18,6 +20,7 @@ from hasse5.fricke import (
     zparam_cross_check,
 )
 from hasse5.intfactor import primes_in
+from oracles import fricke_by_R5_norm
 
 
 def test_degree_formula_examples():
@@ -48,12 +51,74 @@ def test_verify_rows():
         assert rep.match
 
 
+# 2 is not a cube mod 13, so u^3 - 2 is irreducible over F_13 and its roots
+# lie in F_(13^3), not in F_(13^2)
+CUBIC_13 = [11, 0, 0, 1]
+
+
+def multiply_the_fold(monkeypatch, factor, at):
+    """Make ``verify_fricke`` read the census's fold P times factor at p = at,
+    with the conic hits of the true P."""
+    conic_hits = fricke._conic_hits
+
+    def faulty(l, f):
+        P, hits = conic_hits(l, f)
+        return (mp.mul(P, factor, l) if l == at else P), hits
+
+    monkeypatch.setattr(fricke, "_conic_hits", faulty)
+
+
 def test_root_outside_fp2_is_rejected(monkeypatch):
-    # 2 is not a cube mod 7, so x^3 - 2 is irreducible and its roots lie in
-    # F_(7^3), not in F_(7^2)
-    monkeypatch.setattr(fricke, "build_ss5star", lambda p: [5, 0, 0, 1])
-    with pytest.raises(RootOutsideQuadraticField):
-        verify_fricke(7)
+    # the cubic also makes deg P + deg R odd: the containment check must
+    # raise before the parity check does
+    multiply_the_fold(monkeypatch, CUBIC_13, 13)
+    with pytest.raises(RootOutsideQuadraticField, match=re.escape("p=13: P does not divide u^(p^2) - u")):
+        verify_fricke(13)
+    assert verify_fricke(11).match
+
+
+def test_unpaired_root_of_the_fold_is_rejected(monkeypatch):
+    # u = 0 is in F_13 and is no fixed point of sigma, so P u passes the
+    # containment check, and deg P + deg R turns odd
+    multiply_the_fold(monkeypatch, [0, 1], 13)
+    with pytest.raises(VerificationError, match=re.escape("p=13: deg P + deg gcd(P, u^2 + 22u - 4) is odd")):
+        verify_fricke(13)
+
+
+def test_verify_fricke_matches_the_R5_norm_route():
+    for p in primes_in(7, 300):
+        assert verify_fricke(p) == fricke_by_R5_norm(p), p
+
+
+@pytest.mark.heavy
+def test_verify_fricke_matches_the_R5_norm_route_to_1000():
+    for p in primes_in(301, 1000):
+        assert verify_fricke(p) == fricke_by_R5_norm(p), p
+
+
+def test_verify_fricke_builds_no_fricke_polynomial(monkeypatch):
+    expected = fricke_by_R5_norm(383)
+
+    def refuse(p):
+        raise AssertionError(f"the verdict at p={p} built a polynomial it does not need")
+
+    monkeypatch.setattr(fricke, "build_ss5star", refuse)
+    monkeypatch.setattr(fricke, "build_ss", refuse)
+    assert verify_fricke(383) == expected and expected.match
+
+
+@pytest.mark.parametrize(
+    "p, patch, value, message",
+    [
+        (13, "h5l", 6, "4 does not divide (1 + (p/5)) h(-p) + h(-5p) = 6 at p=13"),
+        (29, "h_minus_p", 7, "4 does not divide (1 + (p/5)) h(-p) + h(-5p) = 22 at p=29"),
+        (11, "h5l", 3, "h(-5p) = 3 is odd at p=11"),
+    ],
+)
+def test_L5star_formula_rejects_an_inexact_division(monkeypatch, p, patch, value, message):
+    monkeypatch.setattr(fricke, patch, lambda q: value)
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        L5star_formula(p)
 
 
 def test_root_of_R5_outside_fp2_is_rejected(monkeypatch):
@@ -65,6 +130,15 @@ def test_root_of_R5_outside_fp2_is_rejected(monkeypatch):
     monkeypatch.setattr(fricke, "R5_C", tuple(c))
     with pytest.raises(RootOutsideQuadraticField):
         _fricke_values_from_R5(7, js)
+
+
+def test_build_ss5star_rejects_a_norm_that_is_not_monic(monkeypatch):
+    # a leading coefficient of (Y^2 + 216Y + 144)^3 that is 1 mod 7 but
+    # 10 mod 13: the resultant is no longer monic at p = 13 only
+    monkeypatch.setattr(fricke, "R5_C", fricke.R5_C[:-1] + (1 + 7 * 11 * 17,))
+    assert mp.deg(build_ss5star(7)) == 2
+    with pytest.raises(VerificationError, match=re.escape("p=13: Res_X(ss_p, R5) is not monic")):
+        build_ss5star(13)
 
 
 def test_supersingular_count():

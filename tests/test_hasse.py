@@ -1,6 +1,6 @@
 import pytest
 
-from hasse5 import VerificationError, modpoly as mp
+from hasse5 import VerificationError, hasse, modpoly as mp
 from hasse5.classno import h_minus_p
 from hasse5.hasse import HasseParams, build_hasse, build_ss, deuring_L, hasse_params
 from hasse5.intfactor import primes_in
@@ -121,6 +121,12 @@ def test_deuring_examples():
     assert deuring_L(11) == 2
     assert deuring_L(13) == 1
     assert h_minus_p(13) == 2
+
+
+def test_deuring_rejects_an_odd_class_number(monkeypatch):
+    monkeypatch.setattr(hasse, "h_minus_p", lambda p: 3)
+    with pytest.raises(VerificationError, match="h\\(-p\\) = 3 is odd for p=13 = 1 mod 4"):
+        deuring_L(13)
 
 
 def test_ss_fp_root_count_equals_deuring_sample():

@@ -310,6 +310,12 @@ def test_norm_mutations_fail_the_oracle(monkeypatch, mutation):
     assert norm_to_Q(_norm_input("A")) != _norm_oracle("A")
 
 
+@pytest.mark.parametrize("p", [7, 13])
+def test_root5_rejects_a_prime_without_5th_roots_of_unity(p):
+    with pytest.raises(VerificationError, match=f"no primitive 5th root of unity mod {p}"):
+        cycres._root5(p)
+
+
 def test_norm_rejects_a_polynomial_too_long_for_int64():
     with pytest.raises(VerificationError, match="2\\^16"):
         norm_to_Q(Poly([1] * 2**16))

@@ -126,6 +126,13 @@ def test_a_p():
     assert a_p(13) == 1 and a_p(11) == 2 and a_p(7) == 4
 
 
+def test_a_p_rejects_a_wrong_legendre_symbol(monkeypatch):
+    # (-1/7) = 1 in place of -1 gives a_7 = 1, against 4 for p = 7 mod 8
+    monkeypatch.setattr(modeq, "legendre", lambda a, p: 1)
+    with pytest.raises(VerificationError, match="a_p = 1 disagrees with p mod 8 at p=7"):
+        a_p(7)
+
+
 def test_build_k5p_101():
     from hasse5.classno import h5l
 
