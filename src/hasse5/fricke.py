@@ -17,14 +17,15 @@ p = 3 mod 4), and those with Y = a in F_p are the conics Q_a dividing P.  The
 verdict also checks that P divides u^(p^2) - u, so that every j5* lies in
 F_{p^2}.
 
-Two constructions of ss5star_p itself that do not use H are kept as test
-oracles.  ``build_ss5star`` takes the squarefree part of Res_X(ss_p(X),
-R5(X, Y)) over F_p.  ``zparam_cross_check`` uses the genus-zero
+Two constructions of ss5star_p itself that do not use H serve the tests.
+``build_ss5star`` takes the squarefree part of Res_X(ss_p(X), R5(X, Y)) over
+F_p.  The test oracle ``zparam_cross_check`` uses the genus-zero
 parametrization (j, j5*) = (-(z^2+12z+16)^3/(z+11), -(z^2+4)/(z+11)) of the
-Fricke curve: the same norm, taken of ss_p(j(z)) (cleared of its denominator)
-over the quadratic z^2 + Y z + 11Y + 4 whose roots z have j5*(z) = Y, must
-have ss5star_p as its squarefree part again.  The values j5* found one by one
-in F_{p^2}, from the supersingular j in F_{p^2}, are a test oracle for both.
+Fricke curve (``ZP_JNUM``, ``ZP_LIN``, ``ZP_YNUM``): the same norm, taken of
+ss_p(j(z)) (cleared of its denominator) over the quadratic z^2 + Y z + 11Y + 4
+whose roots z have j5*(z) = Y, must have ss5star_p as its squarefree part
+again.  The values j5* found one by one in F_{p^2}, from the supersingular j
+that ``supersingular_j_fp2`` finds, are a test oracle for both.
 """
 
 from __future__ import annotations
@@ -109,35 +110,6 @@ def supersingular_j_fp2(p: int) -> list[FqElem]:
     return js
 
 
-def _fricke_values_from_R5(p: int, js: list[FqElem]) -> set:
-    """Distinct roots of R5(j, .) over all supersingular j, as F_{p^2} elements.
-
-    Conjugate j-invariants give Frobenius-conjugate root sets, so only one
-    representative per Frobenius orbit is solved directly.
-    """
-    fld = make_extension(p, 2)
-    out = set()
-    seen = set()
-    for j in js:
-        if j.coords in seen:
-            continue
-        jp = j**p
-        seen.add(j.coords)
-        seen.add(jp.coords)
-        f = [fld.embed(c % p) for c in R5_C]
-        for k, b in enumerate(R5_B):
-            f[k] = f[k] - j * b
-        f[0] = f[0] + j * j
-        # containment in F_{p^2}: the roots found, with multiplicity, must
-        # account for the whole (monic) degree
-        found = roots_in(f, p)
-        if sum(m for _, m in found) != len(f) - 1:
-            raise RootOutsideQuadraticField(f"p={p}, j={j}: roots escape F_(p^2)")
-        out.update(r.coords for r, _ in found)
-        if jp != j:
-            out.update((r**p).coords for r, _ in found)
-    return out
-
 
 def _quadratic_norm(f: list[int], B: list[int], C: list[int], p: int) -> list[int]:
     """Res_X(f(X), X^2 - B(Y) X + C(Y)) in F_p[Y], for f in F_p[X].
@@ -210,7 +182,7 @@ def verify_fricke(p: int) -> FrickeReport:
     * The roots of ss5star_p are Y(roots of P), plus Y = 0 exactly when
       x^2 + 1 | H, that is when deg H = 2 mod 4 (n odd in ``census._fold``).
       As deg H = 12 n_p + 4r + 6s (``hasse.build_hasse`` checks it), that
-      is when s = 1, p = 3 mod 4.  ``zparam_cross_check`` builds
+      is when s = 1, p = 3 mod 4.  The test oracle ``zparam_cross_check`` builds
       ss5star_p from S(z), the numerator of ss_p(j(z)), whose roots z are
       the b - 1/b for the supersingular parameters b, the roots of H: at
       z = b - 1/b, j(z) = -(z^2 + 12z + 16)^3/(z + 11) is j(b) of the curve
@@ -249,25 +221,6 @@ def verify_fricke(p: int) -> FrickeReport:
     degree = (mp.deg(P) + fixed) // 2 + zero
     linear = len(hits) + fixed * (legendre(5, p) == 1) + zero
     return FrickeReport(p, degree, degree_formula(p), linear, L5star_formula(p))
-
-
-def zparam_cross_check(p: int) -> bool:
-    """ss5star_p again, through the z-parametrization.
-
-    ss_p(j) = 0 at j = -ZP_JNUM(z) / ZP_LIN(z) exactly when S(z) = 0, S the
-    numerator of ss_p(j(z)), and j5*(z) = Y exactly when z is a root of
-    ZP_YNUM(z) + Y ZP_LIN(z) = z^2 + Y z + 11Y + 4.  (z = -11 never lies on
-    it, as it gives 125 = 0.)  So the j5* values are the roots of
-    Res_z(S(z), z^2 + Y z + 11Y + 4), a norm of degree 6 deg ss_p.
-    """
-    ss = build_ss(p)
-    S = mp.compose_rational(ss, mp.from_int_poly([-c for c in ZP_JNUM], p), list(ZP_LIN), p)
-    B = mp.from_int_poly((-ZP_YNUM[1], -ZP_LIN[1]), p)
-    C = mp.from_int_poly((ZP_YNUM[0], ZP_LIN[0]), p)
-    norm = _quadratic_norm(S, B, C, p)
-    if mp.deg(norm) != 6 * mp.deg(ss):
-        return False
-    return mp.monic(mp.quo(norm, mp.gcd(norm, mp.deriv(norm, p), p), p), p) == build_ss5star(p)
 
 
 def section7_identity_disc() -> bool:

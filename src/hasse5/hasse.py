@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import VerificationError, modpoly as mp
-from .classno import h_minus_p
 from .fp import legendre
 
 # j(b) = C4(b)^3 / (b^5 (1 - 11b - b^2)) and j5(x) = C45(x)^3 / (x (1 - 11x - x^2)^5)
@@ -75,18 +74,6 @@ def build_ss(p: int) -> list[int]:
     if p % 4 == 3:
         out = mp.mul(out, [(-1728) % p, 1], p)
     return out
-
-
-def deuring_L(p: int) -> int:
-    """Count of supersingular j-invariants lying in the prime field F_p."""
-    h = h_minus_p(p)
-    if p % 4 == 1:
-        if h % 2:
-            raise VerificationError(f"h(-p) = {h} is odd for p={p} = 1 mod 4")
-        return h // 2
-    if p % 8 == 3:
-        return 2 * h
-    return h
 
 
 def g_of_xj_coeffs() -> tuple[list[int], list[int]]:

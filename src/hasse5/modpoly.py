@@ -4,19 +4,20 @@ Polynomials are ascending lists of ints in [0, l).  Multiplication goes
 through an int64 numpy convolution whenever the worst-case convolution
 coefficient n*(l-1)^2 fits in a signed 64-bit word (always true for the prime
 ranges this toolkit sweeps); otherwise, and for products of short operands,
-the pure-Python schoolbook path runs.  Division runs numpy's per-step update
-only for a long dividend over a divisor of at least ``_NUMPY_DIVISOR_MIN``
-coefficients; for a shorter divisor the Python loop is faster.
+the pure-Python schoolbook path runs.
 
-``pow_mod`` keeps its operands as numpy arrays from start to end and reduces
-every product by Barrett's method (von zur Gathen & Gerhard, *Modern Computer
-Algebra*, 9.1): with m monic of degree n and inv = rev(m)^-1 mod x^(n-1),
-computed once by Newton iteration, the quotient of a product a of degree
-< 2n-1 is the reversal of rev(a) * inv mod x^(n-1).  Each squaring or
-multiply is then one convolution for the product and two for its remainder,
-with no Python loop over coefficients.  The arrays are int64 when
-``_np_ok(len(m), p)`` holds, which bounds every convolution of the step, and
-hold Python ints (dtype object) otherwise.
+Every remainder is the Python schoolbook loop or Barrett's method (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, 9.1) in ``_barrett``: for a of
+degree < n + k and m monic of degree n, with inv = rev(m)^-1 mod x^k from
+Newton iteration, the quotient q is the reversal of rev(a) * inv mod x^k and
+the remainder is a - q*m.  ``divmod_`` runs it under the int64 guard for a
+quotient of k coefficients and a divisor g of degree >= 1 when
+``_BARRETT_FROM <= k*len(g) < _BARRETT_K_PER_COEFF*len(g)**2``, and the
+schoolbook otherwise.  ``pow_mod`` keeps its operands as numpy arrays and
+reduces every product of two remainders by ``_barrett`` with k = n - 1 and one
+inverse: one convolution for the product and two for its remainder.  Its
+arrays are int64 when ``_np_ok(len(m), p)`` holds, which bounds every
+convolution of the step, and hold Python ints (dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -27,10 +28,15 @@ _I64_MAX = 2**62  # conservative headroom under 2^63 - 1
 # mul runs the Python schoolbook below this many coefficient products: there
 # it beats np.convolve's fixed call cost (the two break even near 25).
 _SCHOOLBOOK_BELOW = 25
-# divmod_ takes the numpy path only for a divisor with at least this many
-# coefficients: below it a few small numpy calls per quotient coefficient cost
-# more than the Python loop.
-_NUMPY_DIVISOR_MIN = 20
+# divmod_'s Barrett range in k*len(g), k the quotient's length.  Medians in us,
+# schoolbook/Barrett (p = 1499, 2-vCPU host, numpy 2.4): they break even near
+# k*len(g) = 400 (k = 50, len(g) = 10: 110/87; k = 100, len(g) = 5: 123/111)
+# and again near k = 120*len(g) (k = 600, len(g) = 5: 881/871), where
+# Barrett's k^2 convolutions catch up.  A quadratic divisor never gains
+# (k = 200: 105/101), and inside a sweep Barrett's fixed cost is higher (k = 135,
+# len(g) = 3: 57 against 95-119), so the cap is k < 40*len(g).
+_BARRETT_FROM = 400
+_BARRETT_K_PER_COEFF = 40
 
 
 def _np_ok(n: int, p: int) -> bool:
@@ -87,28 +93,21 @@ def divmod_(f, g, p):
     if deg(f) < dg:
         return [], list(f)
     inv = pow(g[-1], p - 2, p)
-    if len(f) > 64 and len(g) >= _NUMPY_DIVISOR_MIN and _np_ok(len(g), p):
-        r = np.asarray(f, dtype=np.int64)
-        garr = np.asarray(g[:-1], dtype=np.int64)
-        q = np.zeros(len(f) - dg, dtype=np.int64)
-        for k in range(len(f) - 1, dg - 1, -1):
-            c = r[k] % p
-            if c:
-                t = c * inv % p
-                q[k - dg] = t
-                if dg:
-                    r[k - dg : k] = (r[k - dg : k] - t * garr) % p
-                r[k] = 0
-        return trim(q.tolist()), trim(r[:dg].tolist())
+    k = len(f) - dg
+    # every convolution of the Barrett path sums at most k products
+    if dg and _BARRETT_FROM <= k * len(g) < _BARRETT_K_PER_COEFF * len(g) ** 2 and _np_ok(k, p):
+        mon = np.asarray(monic(g, p), dtype=np.int64)
+        q, r = _barrett(np.asarray(f, dtype=np.int64), mon, _rev_inverse(mon[::-1], k, p), p)
+        return trim((q * inv % p).tolist()), trim(r.tolist())
     r = list(f)
-    q = [0] * (len(f) - dg)
-    for k in range(len(f) - 1, dg - 1, -1):
-        c = r[k] % p
+    q = [0] * k
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = r[i] % p
         if c:
             t = c * inv % p
-            q[k - dg] = t
+            q[i - dg] = t
             for j in range(dg + 1):
-                r[k - dg + j] = (r[k - dg + j] - t * g[j]) % p
+                r[i - dg + j] = (r[i - dg + j] - t * g[j]) % p
     return trim(q), trim(r[:dg])
 
 
@@ -150,6 +149,14 @@ def _rev_inverse(rev_m, k: int, p: int):
     return inv
 
 
+def _barrett(a, mon, inv, p):
+    """Quotient and remainder of the array a by the monic array mon of degree
+    n, for len(a) = n + k and inv = rev(mon)^-1 mod x^k (k = len(inv))."""
+    n, k = len(mon) - 1, len(inv)
+    q = (np.convolve(a[:n - 1:-1], inv)[:k] % p)[::-1]
+    return q, (a[:n] - np.convolve(q, mon[:n])[:n]) % p
+
+
 def pow_mod(f, e: int, m, p):
     """f^e mod m, by square-and-multiply with Barrett remainders."""
     base = rem(f, m, p)
@@ -160,14 +167,10 @@ def pow_mod(f, e: int, m, p):
     mon = np.asarray(monic(m, p), dtype=dtype)
     k = n - 1  # coefficients of the quotient of a product of two remainders
     inv = _rev_inverse(mon[::-1], k, p) if k else None
-    low = mon[:n]
 
     def mulmod(a, b):
         prod = np.convolve(a, b) % p  # 2n - 1 coefficients
-        if not k:
-            return prod
-        q = (np.convolve(prod[:n - 1:-1], inv)[:k] % p)[::-1]
-        return (prod[:n] - np.convolve(q, low)[:n]) % p
+        return _barrett(prod, mon, inv, p)[1] if k else prod
 
     x = np.zeros(n, dtype=dtype)
     x[: len(base)] = base
@@ -188,16 +191,3 @@ def eval_at(f, x: int, p: int) -> int:
 
 def from_int_poly(coeffs, p):
     return trim([c % p for c in coeffs])
-
-
-def compose_rational(F, num, den, p):
-    """den^deg(F) * F(num/den) over F_p."""
-    n = deg(F)
-    if n < 0:
-        return []
-    acc = [F[n] % p]
-    dpow = [1]
-    for k in range(n - 1, -1, -1):
-        dpow = mul(dpow, den, p)
-        acc = add(mul(acc, num, p), scale(dpow, F[k], p), p)
-    return acc

@@ -24,7 +24,12 @@ ss5star_p built as the squarefree part of the norm Res_X(ss_p, R5), which
 the counts on the census's fold replaced.  ``class_number_dirichlet`` gives
 h(D) by Dirichlet's class number formula, with no reduced forms.
 ``reconstruct`` multiplies a factorization back out, and ``companion`` gives
-the companion of a census quadratic.
+the companion of a census quadratic.  Four routes only the tests use live
+here too: ``compose_rational``, den^deg F * F(num/den) over F_p;
+``deuring_L``, the supersingular j in F_p counted from h(-p);
+``fricke_values_from_R5``, the j5* values solved for one by one in F_{p^2};
+and ``zparam_cross_check``, ss5star_p through the z-parametrization of the
+Fricke curve.
 """
 
 from __future__ import annotations
@@ -252,6 +257,35 @@ C65_NEG_FACTOR = [1, -522, -10006, 522, 1]  # x^4 + 522x^3 - 10006x^2 - 522x + 1
 X2P1 = [1, 0, 1]
 
 
+def compose_rational(F, num, den, p: int) -> list[int]:
+    """den^deg(F) * F(num/den) over F_p, by Horner on lists."""
+    from hasse5 import modpoly as mp
+
+    n = mp.deg(F)
+    if n < 0:
+        return []
+    acc = [F[n] % p]
+    dpow = [1]
+    for k in range(n - 1, -1, -1):
+        dpow = mp.mul(dpow, den, p)
+        acc = mp.add(mp.mul(acc, num, p), mp.scale(dpow, F[k], p), p)
+    return acc
+
+
+def deuring_L(p: int) -> int:
+    """Count of supersingular j-invariants lying in the prime field F_p."""
+    from hasse5 import VerificationError, classno
+
+    h = classno.h_minus_p(p)
+    if p % 4 == 1:
+        if h % 2:
+            raise VerificationError(f"h(-p) = {h} is odd for p={p} = 1 mod 4")
+        return h // 2
+    if p % 8 == 3:
+        return 2 * h
+    return h
+
+
 def _den_j5(l: int) -> list[int]:
     """x (1 - 11x - x^2)^5 over F_l, the denominator of j5."""
     from hasse5 import modpoly as mp
@@ -269,7 +303,7 @@ def _expand(J: list[int], num: list[int], den: list[int], quartic: list[int], se
 
     par = hasse_params(l)
     num = mp.from_int_poly(num, l)
-    h = mp.compose_rational(J, mp.mul(mp.mul(num, num, l), num, l), mp.from_int_poly(den, l), l)
+    h = compose_rational(J, mp.mul(mp.mul(num, num, l), num, l), mp.from_int_poly(den, l), l)
     for _ in range(par.r):
         h = mp.mul(h, mp.from_int_poly(quartic, l), l)
     for _ in range(par.s):
@@ -534,6 +568,63 @@ def fricke_by_R5_norm(p: int):
         raise RootOutsideQuadraticField(f"p={p}: ss5star_p does not divide Y^(p^2) - Y")
     linear = mp.deg(mp.gcd(f, mp.sub(yp, y, p), p))
     return FrickeReport(p, mp.deg(f), degree_formula(p), linear, L5star_formula(p))
+
+
+def fricke_values_from_R5(p: int, js) -> set:
+    """Distinct roots of R5(j, .) over the supersingular j in ``js``, as
+    coordinates of F_{p^2} elements.
+
+    Conjugate j-invariants give Frobenius-conjugate root sets, so only one
+    representative per Frobenius orbit is solved directly.
+    """
+    from hasse5 import fricke
+    from hasse5.ffactor import roots_in
+    from hasse5.fp import make_extension
+
+    fld = make_extension(p, 2)
+    out = set()
+    seen = set()
+    for j in js:
+        if j.coords in seen:
+            continue
+        jp = j**p
+        seen.add(j.coords)
+        seen.add(jp.coords)
+        f = [fld.embed(c % p) for c in fricke.R5_C]
+        for k, b in enumerate(fricke.R5_B):
+            f[k] = f[k] - j * b
+        f[0] = f[0] + j * j
+        # containment in F_{p^2}: the roots found, with multiplicity, must
+        # account for the whole (monic) degree
+        found = roots_in(f, p)
+        if sum(m for _, m in found) != len(f) - 1:
+            raise fricke.RootOutsideQuadraticField(f"p={p}, j={j}: roots escape F_(p^2)")
+        out.update(r.coords for r, _ in found)
+        if jp != j:
+            out.update((r**p).coords for r, _ in found)
+    return out
+
+
+def zparam_cross_check(p: int) -> bool:
+    """ss5star_p again, through the z-parametrization.
+
+    ss_p(j) = 0 at j = -ZP_JNUM(z) / ZP_LIN(z) exactly when S(z) = 0, S the
+    numerator of ss_p(j(z)), and j5*(z) = Y exactly when z is a root of
+    ZP_YNUM(z) + Y ZP_LIN(z) = z^2 + Y z + 11Y + 4.  (z = -11 never lies on
+    it, as it gives 125 = 0.)  So the j5* values are the roots of
+    Res_z(S(z), z^2 + Y z + 11Y + 4), a norm of degree 6 deg ss_p.
+    """
+    from hasse5 import fricke, modpoly as mp
+    from hasse5.hasse import build_ss
+
+    ss = build_ss(p)
+    S = compose_rational(ss, mp.from_int_poly([-c for c in fricke.ZP_JNUM], p), list(fricke.ZP_LIN), p)
+    B = mp.from_int_poly((-fricke.ZP_YNUM[1], -fricke.ZP_LIN[1]), p)
+    C = mp.from_int_poly((fricke.ZP_YNUM[0], fricke.ZP_LIN[0]), p)
+    norm = fricke._quadratic_norm(S, B, C, p)
+    if mp.deg(norm) != 6 * mp.deg(ss):
+        return False
+    return mp.monic(mp.quo(norm, mp.gcd(norm, mp.deriv(norm, p), p), p), p) == fricke.build_ss5star(p)
 
 
 def icosa_resultant_bareiss(m1, m2, variant: str = "eps"):

@@ -12,8 +12,8 @@ import pytest
 from hasse5 import modpoly as mp, refdata
 from hasse5.census import census, find_k_factors
 from hasse5.fp import golden_units
-from hasse5.fricke import verify_fricke, zparam_cross_check
-from hasse5.hasse import build_hasse, build_ss, deuring_L, hasse_params
+from hasse5.fricke import verify_fricke
+from hasse5.hasse import build_hasse, build_ss, hasse_params
 from hasse5.icosa import (
     coset_maps,
     equality_ledger,
@@ -40,7 +40,7 @@ from hasse5.modeq import (
     verify_class_equation,
 )
 from hasse5.poly import discriminant
-from oracles import companion, supersingular_poly_fp2_oracle
+from oracles import companion, deuring_L, supersingular_poly_fp2_oracle, zparam_cross_check
 
 
 def _report(n, name, t0):

@@ -15,7 +15,14 @@ from hasse5.fricke import ZP_JNUM, ZP_LIN, verify_fricke
 from hasse5.hasse import build_hasse, build_ss
 from hasse5.intfactor import is_prime, primes_in
 from hasse5.modeq import a_p
-from oracles import census_by_factoring, census_by_h_sweep, companion, is_irreducible, quartic_irreducible_naive
+from oracles import (
+    census_by_factoring,
+    census_by_h_sweep,
+    companion,
+    compose_rational,
+    is_irreducible,
+    quartic_irreducible_naive,
+)
 
 
 def test_find_g_7():
@@ -338,23 +345,29 @@ def _conic_count(l, p):
     return sum(mp.deg(mp.gcd(_q(l, a), p, l)) > 0 for a in range(l))
 
 
-def _check_fricke_linear_count(primes):
-    """The paper's corollary, prime by prime: the linear factors of
-    ss_l^(5*) are counted by the conics Q_a that meet the fold P of H, plus
-    one for l = 3 mod 4.  Observed at every prime to 400; Q_a is the z-fibre
-    z^2 + Y z + 11Y + 4 of ``fricke`` at Y = a."""
+def _check_conic_hits_by_gcd(primes):
+    """``verify_fricke``'s linear count against one gcd per conic on the same
+    fold P of H.  The verdict reads it off ``census._conic_hits``, the a with
+    Q_a | P, and deg R, R = gcd(P, u^2 + 22u - 4).  Here the a counted are
+    those with gcd(Q_a, P) != 1: the roots of Q_a are a sigma-orbit, so it
+    meets P in both (a hit) or, as P is squarefree, only in a fixed point 2e,
+    Q_a = (u - 2e)^2, and 2e is in F_l when (5/l) = 1.  So this checks the
+    2-wide sweep of ``_conic_hits`` and the deg R term on one P, not the
+    verdict against another route; ``tests/test_fricke.py::
+    test_verify_fricke_matches_the_R5_norm_route`` does that.  Q_a is the
+    z-fibre z^2 + Y z + 11Y + 4 of ``fricke`` at Y = a."""
     for l in primes:
         p = census_mod._fold(l, build_hasse(l))
         assert verify_fricke(l).linear_found == _conic_count(l, p) + (l % 4 == 3), l
 
 
-def test_fricke_linear_count_from_the_fold():
-    _check_fricke_linear_count(primes_in(7, 200))
+def test_conic_hits_match_gcds_on_the_fold():
+    _check_conic_hits_by_gcd(primes_in(7, 200))
 
 
 @pytest.mark.heavy
-def test_fricke_linear_count_from_the_fold_to_400():
-    _check_fricke_linear_count(primes_in(201, 400))
+def test_conic_hits_match_gcds_on_the_fold_to_400():
+    _check_conic_hits_by_gcd(primes_in(201, 400))
 
 
 def _sigma_roots(l, p):
@@ -391,7 +404,7 @@ def test_census_counts_the_sigma_roots_of_the_fold_to_1500():
 
 def test_fold_divides_the_z_line_supersingular_polynomial():
     """P divides S(z) = ZP_LIN(z)^(deg ss_l) ss_l(-ZP_JNUM(z) / ZP_LIN(z)),
-    the numerator of ss_l(j(z)) that ``fricke.zparam_cross_check`` builds.
+    the numerator of ss_l(j(z)) that ``oracles.zparam_cross_check`` builds.
 
     Proof.  With z = b - 1/b, C4(b) = b^2 (z^2 + 12z + 16) and
     b^5 (1 - 11b - b^2) = -b^6 (z + 11), so j(b) = C4(b)^3 / (b^5 (1 - 11b -
@@ -407,7 +420,7 @@ def test_fold_divides_the_z_line_supersingular_polynomial():
     """
     for l in primes_in(7, 700):
         p = census_mod._fold(l, census_mod._squarefree_hasse(l))
-        s = mp.compose_rational(build_ss(l), mp.from_int_poly([-c for c in ZP_JNUM], l), list(ZP_LIN), l)
+        s = compose_rational(build_ss(l), mp.from_int_poly([-c for c in ZP_JNUM], l), list(ZP_LIN), l)
         assert mp.deg(p) > 0 and not mp.rem(s, p, l), l
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hasse5 import modpoly as mp
+from hasse5 import VerificationError, fp, modpoly as mp
 from hasse5.ffactor import factor_ff
 from hasse5.fp import NotSplit, golden_units, legendre, make_extension, sqrt_mod
 from hasse5.intfactor import primes_in
@@ -68,6 +68,20 @@ def test_golden_units_11():
 def test_golden_units_not_split():
     with pytest.raises(NotSplit):
         golden_units(7)
+
+
+def test_golden_units_rejects_a_missing_square_root(monkeypatch):
+    monkeypatch.setattr(fp, "sqrt_mod", lambda a, l: None)
+    with pytest.raises(VerificationError, match="5 has no square root mod 19"):
+        golden_units(19)
+
+
+def test_golden_units_rejects_a_wrong_square_root(monkeypatch):
+    # 2^2 != 5 mod 19, and eps = 1/2 gives eps^5 = 3, no root of x^2 + 11x - 1;
+    # at l = 11 any eps would pass, as eps^5 = +-1 are the roots of x^2 - 1
+    monkeypatch.setattr(fp, "sqrt_mod", lambda a, l: 2)
+    with pytest.raises(VerificationError, match=r"golden units are not the roots of x\^2 \+ 11x - 1 mod 19"):
+        golden_units(19)
 
 
 def test_golden_pair_invariants_sample():

@@ -8,7 +8,6 @@ from hasse5.fricke import (
     FrickeReport,
     L5star_formula,
     RootOutsideQuadraticField,
-    _fricke_values_from_R5,
     build_ss5star,
     degree_formula,
     section7_identities,
@@ -17,10 +16,9 @@ from hasse5.fricke import (
     section7_identity_res_z,
     supersingular_j_fp2,
     verify_fricke,
-    zparam_cross_check,
 )
 from hasse5.intfactor import primes_in
-from oracles import fricke_by_R5_norm
+from oracles import fricke_by_R5_norm, fricke_values_from_R5, zparam_cross_check
 
 
 def test_degree_formula_examples():
@@ -129,7 +127,7 @@ def test_root_of_R5_outside_fp2_is_rejected(monkeypatch):
     c = [g + 6 * b for g, b in zip((-36, 0, 0, -2, 0, 0, 1), fricke.R5_B + (0,))]
     monkeypatch.setattr(fricke, "R5_C", tuple(c))
     with pytest.raises(RootOutsideQuadraticField):
-        _fricke_values_from_R5(7, js)
+        fricke_values_from_R5(7, js)
 
 
 def test_build_ss5star_rejects_a_norm_that_is_not_monic(monkeypatch):
@@ -183,7 +181,7 @@ def _check_against_fp2_route(p):
     # linear factors are its roots in F_p
     f = build_ss5star(p)
     fld = make_extension(p, 2)
-    values = _fricke_values_from_R5(p, supersingular_j_fp2(p))
+    values = fricke_values_from_R5(p, supersingular_j_fp2(p))
     assert len(values) == mp.deg(f), p
     for v in values:
         acc = fld.zero()

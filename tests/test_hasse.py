@@ -1,8 +1,8 @@
 import pytest
 
-from hasse5 import VerificationError, hasse, modpoly as mp
+from hasse5 import VerificationError, classno, modpoly as mp
 from hasse5.classno import h_minus_p
-from hasse5.hasse import HasseParams, build_hasse, build_ss, deuring_L, hasse_params
+from hasse5.hasse import HasseParams, build_hasse, build_ss, hasse_params
 from hasse5.intfactor import primes_in
 from oracles import (
     C65_NEG_FACTOR,
@@ -11,6 +11,7 @@ from oracles import (
     build_Jl,
     count_points_fp,
     curve_from_j_fp,
+    deuring_L,
     hasse_by_expansion,
     ss_by_expansion,
     supersingular_js_fp,
@@ -124,7 +125,7 @@ def test_deuring_examples():
 
 
 def test_deuring_rejects_an_odd_class_number(monkeypatch):
-    monkeypatch.setattr(hasse, "h_minus_p", lambda p: 3)
+    monkeypatch.setattr(classno, "h_minus_p", lambda p: 3)
     with pytest.raises(VerificationError, match="h\\(-p\\) = 3 is odd for p=13 = 1 mod 4"):
         deuring_L(13)
 

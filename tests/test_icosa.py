@@ -53,6 +53,18 @@ def test_singular_rejected():
         MobiusMap(1, 1, 1, 1)
 
 
+def test_order_rejects_a_map_of_infinite_order():
+    with pytest.raises(VerificationError, match="order exceeds 60"):
+        icosa._order(MobiusMap(1, 1, 0, 1))  # x -> x + 1
+
+
+def test_key_rejects_a_map_with_all_entries_zero():
+    m = MobiusMap(1, 1, 0, 1)
+    m.a = m.b = m.c = m.d = CycNum(0)  # past the constructor's singularity check
+    with pytest.raises(VerificationError, match="Moebius map with all entries zero"):
+        m.key()
+
+
 def test_theta_identity():
     assert resolvent_theta_identity()
 

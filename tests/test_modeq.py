@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -218,6 +219,20 @@ def test_fd_printed_f24_pipeline():
     A, B = cofactor_remainder(24)
     assert A == Poly([0, -86966784, 36376128, -4646880, 280932, -9050, 150, -1])
     assert B == Poly([43877376, -134106624, 178683408, -31830180, 2295377, -83550, 1525, -11])
+
+
+def test_qd_poly_rejects_a_conjugate_product_that_is_not_integral(monkeypatch):
+    # a = 1/2 + 6 sqrt(-3) in place of -6 + 6 sqrt(-3)
+    monkeypatch.setitem(modeq.GD_PARAM_QUAD, 24, (-3, Fraction(1, 2), 6))
+    with pytest.raises(NonExactSplit, match="the conjugate product of g_24 is not integral"):
+        qd_poly(24)
+
+
+def test_fd_split_rejects_a_q_that_does_not_divide(monkeypatch):
+    # a = -6 + 7 sqrt(-3): Q_24 is still integral but no longer divides F_24
+    monkeypatch.setitem(modeq.GD_PARAM_QUAD, 24, (-3, -6, 7))
+    with pytest.raises(NonExactSplit, match="Q_24 does not divide F_24"):
+        fd_split(24)
 
 
 def test_cofactor_resultants_fast_cases():

@@ -6,7 +6,7 @@ import pytest
 
 from hasse5 import modpoly as mp
 from hasse5.poly import Poly
-from oracles import is_irreducible, pow_mod_by_squaring, quartic_irreducible_naive
+from oracles import compose_rational, is_irreducible, pow_mod_by_squaring, quartic_irreducible_naive
 
 
 def test_basic_ops():
@@ -101,30 +101,56 @@ def test_mul_matches_numpy_across_schoolbook_cutoff(monkeypatch):
             assert bool(calls) == (n * m >= cut and mp._np_ok(min(n, m), p)), (p, n, m)
 
 
+EDGE_PRIME = 151850029  # _np_ok admits at most 199 coefficients here
+
+
+def _divmod_shapes():
+    """(dividend length, divisor length) on both sides of every bound of
+    divmod_'s rule: k*len(g) = _BARRETT_FROM, k = _BARRETT_K_PER_COEFF*len(g)
+    for the quotient length k, and deg g = 0."""
+    lo, per = mp._BARRETT_FROM, mp._BARRETT_K_PER_COEFF
+    shapes = []
+    for ng in (2, 3, 20, 160):
+        k_lo = -(-lo // ng)  # the least k with k*len(g) >= _BARRETT_FROM
+        shapes += [(ng + k - 1, ng) for k in (k_lo - 1, k_lo)]
+    for ng in (3, 10, 20):
+        shapes += [(ng + k - 1, ng) for k in (per * ng - 1, per * ng)]
+    shapes += [(500, 1), (2, 1), (5, 5), (30, 40), (700, 300)]  # constant divisor, deg f < deg g
+    shapes += [(194, 5)]  # k = 190, far past len(rev g): Newton runs to 190 coefficients
+    return shapes
+
+
 def test_divmod_matches_object_reference_across_divisor_cutoff(monkeypatch):
     rng = random.Random(38)
-    real_zeros = np.zeros
+    real_barrett = mp._barrett
     calls = []
 
-    def zeros(*args, **kwargs):  # only divmod_'s numpy path allocates
-        calls.append(args)
-        return real_zeros(*args, **kwargs)
+    def barrett(*args):
+        calls.append(len(args[0]))
+        return real_barrett(*args)
 
-    monkeypatch.setattr(mp.np, "zeros", zeros)
-    cut = mp._NUMPY_DIVISOR_MIN
-    shapes = [(64, 2), (65, 2), (65, 3), (200, cut - 1), (200, cut), (65, cut), (64, cut), (700, 2), (700, 300), (30, 40)]
-    for p in (7, 1499, 2**61 - 1):  # the last fails the int64 guard at every length
-        for nf, ng in shapes:
-            f = [rng.randrange(p) for _ in range(nf - 1)] + [rng.randrange(1, p)]
-            g = [rng.randrange(p) for _ in range(ng - 1)] + [rng.randrange(1, p)]
+    monkeypatch.setattr(mp, "_barrett", barrett)
+    n_max = (mp._I64_MAX - 1) // (EDGE_PRIME - 1) ** 2
+    assert mp._np_ok(n_max, EDGE_PRIME) and not mp._np_ok(n_max + 1, EDGE_PRIME)
+    cases = [(p, nf, ng) for p in (7, 1499, 2**61 - 1) for nf, ng in _divmod_shapes()]  # 2^61 - 1 fails the int64 guard
+    cases += [(EDGE_PRIME, 99 + k, 100) for k in (n_max, n_max + 1, 3000)]  # the guard's last length, and past it
+    for p, nf, ng in cases:
+        for lead in (1, rng.randrange(2, p)):  # monic and not
+            if p == EDGE_PRIME:  # the largest coefficients, for the largest convolution sums
+                f, g = [p - 1] * nf, [p - 1] * (ng - 1) + [lead]
+            else:
+                f = [rng.randrange(p) for _ in range(nf - 1)] + [rng.randrange(1, p)]
+                g = [rng.randrange(p) for _ in range(ng - 1)] + [lead]
             calls.clear()
             q, r = mp.divmod_(f, g, p)
             prod = np.convolve(np.array(q or [0], dtype=object), np.array(g, dtype=object))
-            back = real_zeros(max(len(prod), len(r), nf), dtype=object)
+            back = np.zeros(max(len(prod), len(r), nf), dtype=object)
             back[: len(prod)] += prod
             back[: len(r)] += np.array(r, dtype=object)
-            assert mp.trim((back % p).tolist()) == f and len(r) < ng and (not r or r[-1]), (p, nf, ng)
-            assert bool(calls) == (nf > 64 and ng >= cut and nf >= ng and mp._np_ok(ng, p)), (p, nf, ng)
+            assert mp.trim((back % p).tolist()) == f and len(r) < ng and (not r or r[-1]), (p, nf, ng, lead)
+            k = nf - ng + 1
+            barrett_runs = ng > 1 and k > 0 and mp._BARRETT_FROM <= k * ng < mp._BARRETT_K_PER_COEFF * ng * ng
+            assert calls == ([nf] if barrett_runs and mp._np_ok(k, p) else []), (p, nf, ng, lead)
 
 
 def test_is_irreducible_matches_exhaustive_search_on_quartics():
@@ -141,6 +167,6 @@ def test_eval_and_compose():
     F = [8, 1]  # t + 8
     num = [0, 0, 1]
     den = [1, 1]
-    out = mp.compose_rational(F, num, den, p)
+    out = compose_rational(F, num, den, p)
     # den^1 * F(num/den) = num + 8 den
     assert out == mp.add(num, mp.scale(den, 8, p), p)
