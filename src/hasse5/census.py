@@ -59,7 +59,7 @@ counts of sigma-orbits of roots of P, and of hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,30 +92,6 @@ class KShape:
 
     def coeffs(self) -> tuple[int, ...]:
         return (self.s, self.r, 1)
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    l: int
-    l_mod5: int
-    l_mod8: int
-    h: int
-    found_count: int
-    predicted_count: int
-    match: bool
-    factors: tuple = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "l_mod5": self.l_mod5,
-            "l_mod8": self.l_mod8,
-            "h_minus_5l": self.h,
-            "found": self.found_count,
-            "predicted": self.predicted_count,
-            "match": self.match,
-            "factors": [list(f) for f in self.factors],
-        }
 
 
 # x^2 + 11x - 1: its roots and 0 are the singular points of L below
@@ -321,13 +297,23 @@ def predicted_count(l: int, h: int) -> int:
     return 2 * h - 1
 
 
-def census(l: int) -> CensusReport:
+def census(l: int) -> dict:
+    """The census verdict at l, as the JSON payload that ``hasse5 census``
+    prints: the special factors found, in ascending coefficient order, and
+    their count against ``predicted_count``."""
     if l % 5 == 0:
         raise ValueError("l must be a prime different from 5")
     h = h5l(l)
     find = find_g_factors if l % 5 in (2, 3) else find_k_factors
-    shapes = find(l, _squarefree_hasse(l))
-    facs = tuple(s.coeffs() for s in shapes)
+    factors = [list(s.coeffs()) for s in find(l, _squarefree_hasse(l))]
     pred = predicted_count(l, h)
-    found = len(shapes)
-    return CensusReport(l, l % 5, l % 8, h, found, pred, found == pred, facs)
+    return {
+        "l": l,
+        "l_mod5": l % 5,
+        "l_mod8": l % 8,
+        "h_minus_5l": h,
+        "found": len(factors),
+        "predicted": pred,
+        "match": len(factors) == pred,
+        "factors": factors,
+    }

@@ -55,11 +55,11 @@ def _jobs(text: str) -> int:
 
 
 def _payload(verify: str, p: int) -> dict:
-    """The JSON payload of the report verify(p), for verify a "module.function"
+    """verify(p), the JSON payload of one prime, for verify a "module.function"
     of this package.  The function is looked up at call time, so a wrapper
     installed on it afterwards (as perfbench's tracer does) is the one called."""
     module, name = verify.split(".")
-    return getattr(import_module(f"{__package__}.{module}"), name)(p).to_dict()
+    return getattr(import_module(f"{__package__}.{module}"), name)(p)
 
 
 def _attempt(worker: Callable, *args):

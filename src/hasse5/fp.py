@@ -78,15 +78,19 @@ class GoldenPair:
 
 
 def golden_units(l: int) -> GoldenPair:
-    """eps^5 and epsbar^5 in F_l, using the canonical (smaller) sqrt(5)."""
+    """eps^5 and epsbar^5 in F_l, using the canonical (smaller) sqrt(5).
+
+    eps = (s - 1)/2 for s = sqrt(5) satisfies eps^2 = 1 - eps, so
+    eps^5 = 5 eps - 3 = (5s - 11)/2.  For e5 = (5s - 11)/2 and any s,
+    e5^2 + 11 e5 - 1 = 25 (s^2 - 5)/4, so ``GoldenPair.check`` holds exactly
+    when s^2 = 5: it rejects a wrong root at every l.
+    """
     if l % 5 not in (1, 4):
         raise NotSplit(f"5 is not a quadratic residue mod {l}")
     s5 = sqrt_mod(5, l)
     if s5 is None:
         raise VerificationError(f"5 has no square root mod {l}")
-    inv2 = pow(2, l - 2, l)
-    eps = (s5 - 1) * inv2 % l
-    e5 = pow(eps, 5, l)
+    e5 = (5 * s5 - 11) * pow(2, -1, l) % l
     e5bar = (-11 - e5) % l
     pair = GoldenPair(l, e5, e5bar)
     if not pair.check():

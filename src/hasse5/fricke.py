@@ -30,8 +30,6 @@ that ``supersingular_j_fp2`` finds, are a test oracle for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import VerificationError, modpoly as mp
 from .classno import h5l, h_minus_p
 from .ffactor import factor_ff, roots_in
@@ -57,37 +55,6 @@ SIGMA_FIXED = (-4, 22, 1)
 
 class RootOutsideQuadraticField(VerificationError):
     """A j5* value fell outside F_{p^2}."""
-
-
-@dataclass(frozen=True)
-class FrickeReport:
-    p: int
-    degree_found: int
-    degree_formula: int
-    linear_found: int
-    linear_formula: int
-
-    @property
-    def degree_match(self) -> bool:
-        return self.degree_found == self.degree_formula
-
-    @property
-    def linear_match(self) -> bool:
-        return self.linear_found == self.linear_formula
-
-    @property
-    def match(self) -> bool:
-        return self.degree_match and self.linear_match
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "degree_found": self.degree_found,
-            "degree_formula": self.degree_formula,
-            "linear_found": self.linear_found,
-            "linear_formula": self.linear_formula,
-            "match": self.match,
-        }
 
 
 def supersingular_j_fp2(p: int) -> list[FqElem]:
@@ -165,10 +132,11 @@ def L5star_formula(p: int) -> int:
     return (1 + chi5) // 2 * hp + h5
 
 
-def verify_fricke(p: int) -> FrickeReport:
+def verify_fricke(p: int) -> dict:
     """The degree and the number of linear factors of ss5star_p, read off the
     census's fold P of the Hasse invariant H and its conic hits, with no
-    Fricke polynomial built.
+    Fricke polynomial built, against their formulas: the JSON payload that
+    ``hasse5 fricke`` prints.
 
     Let Y(u) = -(u^2 + 4)/(u + 11) and sigma(u) = (4 - 11u)/(u + 11).  As
     Q_a(u) = u^2 + a u + 11a + 4 = u^2 + 4 + a (u + 11), Y(u) = a exactly when
@@ -220,7 +188,15 @@ def verify_fricke(p: int) -> FrickeReport:
     zero = p % 4 == 3
     degree = (mp.deg(P) + fixed) // 2 + zero
     linear = len(hits) + fixed * (legendre(5, p) == 1) + zero
-    return FrickeReport(p, degree, degree_formula(p), linear, L5star_formula(p))
+    degree_want, linear_want = degree_formula(p), L5star_formula(p)
+    return {
+        "p": p,
+        "degree_found": degree,
+        "degree_formula": degree_want,
+        "linear_found": linear,
+        "linear_formula": linear_want,
+        "match": degree == degree_want and linear == linear_want,
+    }
 
 
 def section7_identity_disc() -> bool:

@@ -27,7 +27,6 @@ Everything is exact; expected values live in :mod:`hasse5.refdata`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -347,12 +346,12 @@ def _hasse_rows(i: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
-    """sum_a row_a(x) X^a mod m over F_p, by Horner in X; the integer rows
-    are reduced mod p by ``mp.add``."""
+    """sum_a row_a(x) X^a mod m over F_p, by Horner in X with one remainder
+    at the end; the integer rows are reduced mod p by ``mp.add``."""
     acc: list[int] = []
     for row in reversed(rows):
-        acc = mp.rem(mp.add(mp.mul(acc, X, p), row, p), m, p)
-    return acc
+        acc = mp.add(mp.mul(acc, X, p), row, p)
+    return mp.rem(acc, m, p)
 
 
 def _certify(g: list[int], X: list[int], p: int) -> list[int]:
@@ -512,38 +511,6 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-@dataclass(frozen=True)
-class K5pReport:
-    p: int
-    eps: dict
-    matched: tuple  # ((coeffs, multiplicity, source_d), ...)
-    leftovers: tuple  # ((a_i, b_i), ...) each of multiplicity 2
-    n_p: int
-    a_p: int
-    h5p: int
-    degree: int
-    identity_holds: bool
-    structure_ok: bool
-    mismatches: tuple = field(default_factory=tuple)
-    sporadic_notes: tuple = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "eps": {str(k): v for k, v in self.eps.items()},
-            "matched": [[list(c), m, d] for c, m, d in self.matched],
-            "leftovers": [list(t) for t in self.leftovers],
-            "N_p": self.n_p,
-            "a_p": self.a_p,
-            "h_minus_5p": self.h5p,
-            "degree": self.degree,
-            "identity_holds": self.identity_holds,
-            "structure_ok": self.structure_ok,
-            "mismatches": list(self.mismatches),
-            "sporadic_notes": list(self.sporadic_notes),
-        }
-
-
 def in_validity_range(p: int) -> bool:
     """The primes where the predicted K_{5p} shape holds: the 22-prime
     exceptional set and p > 379."""
@@ -552,15 +519,16 @@ def in_validity_range(p: int) -> bool:
     return p in S_SET or p > 379
 
 
-def verify_class_equation(p: int) -> K5pReport:
-    """Compare the reconstructed K_{5p} mod p against the predicted shape.
+def verify_class_equation(p: int) -> dict:
+    """Compare the reconstructed K_{5p} mod p against the predicted shape; the
+    result is the JSON payload that ``hasse5 k5p`` prints.
 
     One pass over the factors q of ``build_k5p(p)``, factoring no class
     polynomial: q is credited to every flagged H_{-d} it divides mod p (they
     can share a factor below the Gross-Zagier bound d1 d2 / 4) and matched to
     the last in the order of ``epsilon_flags``; a q dividing none is a
-    leftover X^2 + a X + b.  Discrepancies are reported in the returned
-    ``mismatches``, never raised; they refute the prediction only where
+    leftover X^2 + a X + b.  Discrepancies are reported in the payload's
+    "mismatches", never raised; they refute the prediction only where
     ``in_validity_range(p)`` holds.
     """
     flags = epsilon_flags(p)
@@ -584,7 +552,7 @@ def verify_class_equation(p: int) -> K5pReport:
             want = 2 if d == 20 else 4
             if mult != want:
                 body.append(f"factor {coeffs} (d={d}): expected multiplicity {want}, found {mult}")
-            matched.append((coeffs, mult, d))
+            matched.append([q, mult, d])
             continue
         if len(coeffs) != 3:
             body.append(f"leftover factor {coeffs} is not quadratic")
@@ -594,7 +562,7 @@ def verify_class_equation(p: int) -> K5pReport:
         b_i, a_i, _ = coeffs
         if Q5.eval(a_i, b_i) % p:
             body.append(f"leftover {coeffs}: Q5(a, b) != 0 mod p")
-        leftovers.append((a_i, b_i))
+        leftovers.append([a_i, b_i])
         for d in QUART_D:
             if not flags[d] and not mp.rem(hd[d], q, p):
                 sporadic.append(f"leftover {coeffs} divides H_-{d} mod {p} (sporadic)")
@@ -609,29 +577,26 @@ def verify_class_equation(p: int) -> K5pReport:
             body.append(f"predicted factors of H_-{d} mod {p} absent: degree {sum(degrees)} of {len(HD[d]) - 1} found")
     mismatches = head + body  # the class polynomials' own shape first
 
-    n_p = len(leftovers)
     h = h5l(p)
     ap = a_p(p)
-    rhs = 4 * flags[20] + sum(4 * flags[d] * (len(HD[d]) - 1) for d in T_SET) + 4 * n_p
-    identity = ap * h == rhs
+    rhs = 4 * flags[20] + sum(4 * flags[d] * (len(HD[d]) - 1) for d in T_SET) + 4 * len(leftovers)
     degree = sum((len(c) - 1) * m for c, m in k5p_list)
     if degree != ap * h:
         mismatches.append(f"deg K_5p = {degree} != a_p h(-5p) = {ap * h}")
-
-    return K5pReport(
-        p,
-        flags,
-        tuple(matched),
-        tuple(leftovers),
-        n_p,
-        ap,
-        h,
-        degree,
-        identity,
-        not mismatches,
-        tuple(mismatches),
-        tuple(sporadic),
-    )
+    return {
+        "p": p,
+        "eps": {str(d): flag for d, flag in flags.items()},
+        "matched": matched,
+        "leftovers": leftovers,
+        "N_p": len(leftovers),
+        "a_p": ap,
+        "h_minus_5p": h,
+        "degree": degree,
+        "identity_holds": ap * h == rhs,
+        "structure_ok": not mismatches,
+        "mismatches": mismatches,
+        "sporadic_notes": sporadic,
+    }
 
 
 # ---------------------------------------------------------------------------

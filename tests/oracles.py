@@ -358,13 +358,11 @@ def hasse_by_expansion(l: int) -> list[int]:
 
 
 def census_by_factoring(l: int, hasse=None) -> dict:
-    """``census(l).to_dict()``, read off the full factorization of the Hasse
+    """``census(l)``, read off the full factorization of the Hasse
     invariant (``hasse_by_expansion(l)``, or the injected ``hasse``): the
     special factors are the factors of the right degree and shape, in
     factor_ff's (ascending coefficient) order."""
     from hasse5 import VerificationError
-    from hasse5.census import CensusReport, predicted_count
-    from hasse5.classno import h5l
     from hasse5.ffactor import factor_ff
     from hasse5.fp import golden_units
 
@@ -382,20 +380,17 @@ def census_by_factoring(l: int, hasse=None) -> dict:
             c for c, _ in fl.factors
             if len(c) == 3 and c[1] in (pair.eps5 * (c[0] - 1) % l, pair.eps5bar * (c[0] - 1) % l)
         ]
-    h = h5l(l)
-    pred = predicted_count(l, h)
-    return CensusReport(l, l % 5, l % 8, h, len(facs), pred, len(facs) == pred, tuple(facs)).to_dict()
+    return _census_payload(l, [list(c) for c in facs])
 
 
 def census_by_h_sweep(l: int) -> dict:
-    """``census(l).to_dict()`` by the Horner sweeps over all of H that the fold
+    """``census(l)`` by the Horner sweeps over all of H that the fold
     replaced: a 4-wide sweep for the quartics g_a, kept when a^2 - 44a - 16 is
     a non-residue, and one 2-wide sweep for each golden unit e for the
     quadratics x^2 + e(s-1)x + s, kept when their discriminant is a
     non-residue."""
     from hasse5 import VerificationError
-    from hasse5.census import CensusReport, GShape, KShape, _divisor_params, _squarefree_hasse, predicted_count
-    from hasse5.classno import h5l
+    from hasse5.census import GShape, KShape, _divisor_params, _squarefree_hasse
     from hasse5.fp import golden_units, legendre
 
     f = _squarefree_hasse(l)
@@ -417,10 +412,21 @@ def census_by_h_sweep(l: int) -> dict:
                 if legendre(r * r - 4 * s, l) == -1:
                     found.setdefault((s, r), KShape(l, r, s, variant))
         shapes = sorted(found.values(), key=KShape.coeffs)
+    return _census_payload(l, [list(s.coeffs()) for s in shapes])
+
+
+def _census_payload(l: int, factors: list) -> dict:
+    """The census verdict at l for the special factors ``factors``, with the
+    keys of ``hasse5 census --format json``."""
+    from hasse5.census import predicted_count
+    from hasse5.classno import h5l
+
     h = h5l(l)
     pred = predicted_count(l, h)
-    facs = tuple(s.coeffs() for s in shapes)
-    return CensusReport(l, l % 5, l % 8, h, len(facs), pred, len(facs) == pred, facs).to_dict()
+    return {
+        "l": l, "l_mod5": l % 5, "l_mod8": l % 8, "h_minus_5l": h,
+        "found": len(factors), "predicted": pred, "match": len(factors) == pred, "factors": factors,
+    }
 
 
 def companion(l: int, k):
@@ -472,7 +478,7 @@ def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def k5p_report_by_factoring(p: int):
+def k5p_report_by_factoring(p: int) -> dict:
     """``verify_class_equation(p)``: the predicted factors of K_5p, with
     H_-20, H_-84 and H_-96 factored mod p, matched against ``build_k5p(p)``;
     the factors left over are the quadratics X^2 + a X + b."""
@@ -481,7 +487,7 @@ def k5p_report_by_factoring(p: int):
     from hasse5.ffactor import factor_ff
     from hasse5.fp import legendre
     from hasse5.modeq import (
-        HD, Q5, QUAD_D, QUART_D, T_SET, K5pReport, _disc_hd, a_p, build_k5p, epsilon_flags,
+        HD, Q5, QUAD_D, QUART_D, T_SET, _disc_hd, a_p, build_k5p, epsilon_flags,
     )
 
     flags = epsilon_flags(p)
@@ -521,7 +527,7 @@ def k5p_report_by_factoring(p: int):
             continue
         if got != mult:
             mismatches.append(f"factor {coeffs} (d={d}): expected multiplicity {mult}, found {got}")
-        matched.append((coeffs, got, d))
+        matched.append([list(coeffs), got, d])
 
     leftovers = []
     sporadic = []
@@ -534,40 +540,44 @@ def k5p_report_by_factoring(p: int):
         b_i, a_i, _ = coeffs
         if Q5.eval(a_i, b_i) % p:
             mismatches.append(f"leftover {coeffs}: Q5(a, b) != 0 mod p")
-        leftovers.append((a_i, b_i))
+        leftovers.append([a_i, b_i])
         for d in QUART_D:
             if not flags[d] and not mp.rem(mp.from_int_poly(HD[d], p), list(coeffs), p):
                 sporadic.append(f"leftover {coeffs} divides H_-{d} mod {p} (sporadic)")
         if list(coeffs) == mp.from_int_poly(HD[20], p):
             sporadic.append(f"leftover {coeffs} coincides with H_-20 mod {p}")
 
-    n_p = len(leftovers)
     h = h5l(p)
     ap = a_p(p)
-    rhs = 4 * flags[20] + sum(4 * flags[d] * (len(HD[d]) - 1) for d in T_SET) + 4 * n_p
+    rhs = 4 * flags[20] + sum(4 * flags[d] * (len(HD[d]) - 1) for d in T_SET) + 4 * len(leftovers)
     degree = sum((len(c) - 1) * m for c, m in k5p_list)
     if degree != ap * h:
         mismatches.append(f"deg K_5p = {degree} != a_p h(-5p) = {ap * h}")
-    return K5pReport(
-        p, flags, tuple(matched), tuple(leftovers), n_p, ap, h, degree,
-        ap * h == rhs, not mismatches, tuple(mismatches), tuple(sporadic),
-    )
+    return {
+        "p": p, "eps": {str(d): flag for d, flag in flags.items()}, "matched": matched, "leftovers": leftovers,
+        "N_p": len(leftovers), "a_p": ap, "h_minus_5p": h, "degree": degree, "identity_holds": ap * h == rhs,
+        "structure_ok": not mismatches, "mismatches": mismatches, "sporadic_notes": sporadic,
+    }
 
 
-def fricke_by_R5_norm(p: int):
+def fricke_by_R5_norm(p: int) -> dict:
     """``verify_fricke(p)`` from ss5star_p itself, built by ``build_ss5star``
     as the squarefree part of Res_X(ss_p, R5): its degree, its linear factors
     as deg gcd(ss5star_p, Y^p - Y), and the check ss5star_p | Y^(p^2) - Y."""
     from hasse5 import modpoly as mp
-    from hasse5.fricke import FrickeReport, L5star_formula, RootOutsideQuadraticField, build_ss5star, degree_formula
+    from hasse5.fricke import L5star_formula, RootOutsideQuadraticField, build_ss5star, degree_formula
 
     f = build_ss5star(p)
     y = mp.rem([0, 1], f, p)
     yp = mp.pow_mod(y, p, f, p)
     if mp.pow_mod(yp, p, f, p) != y:
         raise RootOutsideQuadraticField(f"p={p}: ss5star_p does not divide Y^(p^2) - Y")
-    linear = mp.deg(mp.gcd(f, mp.sub(yp, y, p), p))
-    return FrickeReport(p, mp.deg(f), degree_formula(p), linear, L5star_formula(p))
+    degree, linear = mp.deg(f), mp.deg(mp.gcd(f, mp.sub(yp, y, p), p))
+    want = degree_formula(p), L5star_formula(p)
+    return {
+        "p": p, "degree_found": degree, "degree_formula": want[0], "linear_found": linear,
+        "linear_formula": want[1], "match": (degree, linear) == want,
+    }
 
 
 def fricke_values_from_R5(p: int, js) -> set:

@@ -54,9 +54,9 @@ def test_criterion_1_census_tables():
     for table in (6, 7, 8, 9):
         for l, n_expected, h_expected in refdata.CENSUS_TABLES[table]:
             rep = census(l)
-            assert rep.found_count == n_expected, (l, rep.found_count, n_expected)
-            assert rep.h == h_expected, (l, rep.h, h_expected)
-            assert rep.match
+            assert rep["found"] == n_expected, (l, rep["found"], n_expected)
+            assert rep["h_minus_5l"] == h_expected, (l, rep["h_minus_5l"], h_expected)
+            assert rep["match"]
             rows += 1
     assert rows == 50
     assert time.time() - t0 < 120
@@ -68,8 +68,8 @@ def test_criterion_2_fricke_table():
     t0 = time.time()
     for p, deg_expected, lin_expected in refdata.FRICKE_TABLE:
         rep = verify_fricke(p)
-        assert rep.degree_found == deg_expected == rep.degree_formula, (p, rep)
-        assert rep.linear_found == lin_expected == rep.linear_formula, (p, rep)
+        assert rep["degree_found"] == deg_expected == rep["degree_formula"], (p, rep)
+        assert rep["linear_found"] == lin_expected == rep["linear_formula"], (p, rep)
     assert time.time() - t0 < 30
     _report(2, "Fricke table, 22 primes", t0)
 
@@ -81,13 +81,13 @@ def test_criterion_3_class_equation_suite():
     t0 = time.time()
     for p in sorted(refdata.S_SET):
         rep = verify_class_equation(p)
-        assert rep.structure_ok and rep.identity_holds, (p, rep.mismatches)
+        assert rep["structure_ok"] and rep["identity_holds"], (p, rep["mismatches"])
     for p in primes_in(380, 600):
         rep = verify_class_equation(p)
-        assert rep.structure_ok and rep.identity_holds, (p, rep.mismatches)
+        assert rep["structure_ok"] and rep["identity_holds"], (p, rep["mismatches"])
     rep379 = verify_class_equation(379)
-    assert not rep379.structure_ok and not rep379.identity_holds
-    assert any("(51, 114, 1)" in m and "found 6" in m for m in rep379.mismatches)
+    assert not rep379["structure_ok"] and not rep379["identity_holds"]
+    assert any("(51, 114, 1)" in m and "found 6" in m for m in rep379["mismatches"])
     assert dict(build_k5p(379)) == dict(refdata.K379_FACTORS)
     assert time.time() - t0 < 600
     _report(3, "class equation, S + (379, 600] + sharp bound at 379", t0)
@@ -196,7 +196,7 @@ def test_criterion_7_extended_census():
     chosen = rng.sample(pool, 100)
     for l in sorted(chosen):
         rep = census(l)
-        assert rep.match, (l, rep.found_count, rep.predicted_count)
+        assert rep["match"], (l, rep["found"], rep["predicted"])
     assert time.time() - t0 < 1200
     _report(7, "extended census, 100 primes in (379, 1500]", t0)
 
@@ -208,8 +208,8 @@ def test_criterion_8_split_prime_scan():
     split = []
     for p in primes_in(7, 1000):
         rep = verify_fricke(p)
-        assert rep.match, p
-        if rep.linear_found == rep.degree_found:
+        assert rep["match"], p
+        if rep["linear_found"] == rep["degree_found"]:
             split.append(p)
     assert tuple(split) == refdata.SPLIT_PRIMES
     _report(8, "split-prime scan to 1000", t0)

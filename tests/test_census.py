@@ -73,20 +73,19 @@ def test_predicted_count_rejects_an_inexact_division(l, h, k):
     # l = 1 mod 4 and with l = 3 mod 8, l = 4 mod 5 and l = 1 mod 5 with l = 1 mod 4
     with pytest.raises(VerificationError, match=f"{k} does not divide h\\(-5l\\) = {h} at l={l}"):
         predicted_count(l, h)
-    assert census(101).match  # exceptional-set prime
+    assert census(101)["match"]  # exceptional-set prime
 
 
 def test_census_examples():
     r = census(17)
-    assert (r.found_count, r.predicted_count, r.match) == (1, 1, True)
+    assert (r["found"], r["predicted"], r["match"]) == (1, 1, True)
     r = census(131)
-    assert (r.found_count, r.predicted_count, r.match) == (11, 11, True)
+    assert (r["found"], r["predicted"], r["match"]) == (11, 11, True)
 
 
 def test_census_report_fields():
-    r = census(13)
-    assert r.l_mod5 == 3 and r.l_mod8 == 5 and r.h == 8
-    d = r.to_dict()
+    d = census(13)
+    assert d["l_mod5"] == 3 and d["l_mod8"] == 5 and d["h_minus_5l"] == 8
     assert d["found"] == d["predicted"] == 2 and d["match"]
 
 
@@ -133,7 +132,7 @@ def test_gshape_coeffs():
 def test_census_matches_factoring_oracle():
     for l in primes_in(7, 199):
         if l % 5:
-            assert census(l).to_dict() == census_by_factoring(l), l
+            assert census(l) == census_by_factoring(l), l
 
 
 @pytest.mark.heavy
@@ -142,7 +141,7 @@ def test_census_matches_factoring_oracle_to_1500():
     # oracle takes about 9 minutes over every prime up to 1500, 1 minute here
     for l in primes_in(200, 1500)[::10] + [1499]:
         if l % 5:
-            assert census(l).to_dict() == census_by_factoring(l), l
+            assert census(l) == census_by_factoring(l), l
 
 
 def _g(l, a):
@@ -199,8 +198,8 @@ def test_quartic_census_raises_no_power(monkeypatch):
     monkeypatch.setattr(mp, "pow_mod", no_power)
     for l in primes:
         report = census(l)
-        assert report.found_count and report.match, l
-        assert report.to_dict() == expected[l], l
+        assert report["found"] and report["match"], l
+        assert report == expected[l], l
 
 
 def test_g0_hit_rejected_as_not_squarefree():
@@ -298,7 +297,7 @@ def test_census_matches_h_sweep_oracle_to_1500():
     # one 2-wide sweep per golden unit for the quadratics
     for l in primes_in(7, 1500):
         if l % 5:
-            assert census(l).to_dict() == census_by_h_sweep(l), l
+            assert census(l) == census_by_h_sweep(l), l
 
 
 def _q(l, a):
@@ -358,7 +357,7 @@ def _check_conic_hits_by_gcd(primes):
     z-fibre z^2 + Y z + 11Y + 4 of ``fricke`` at Y = a."""
     for l in primes:
         p = census_mod._fold(l, build_hasse(l))
-        assert verify_fricke(l).linear_found == _conic_count(l, p) + (l % 4 == 3), l
+        assert verify_fricke(l)["linear_found"] == _conic_count(l, p) + (l % 4 == 3), l
 
 
 def test_conic_hits_match_gcds_on_the_fold():
@@ -390,7 +389,7 @@ def _check_census_by_sigma_roots(primes):
         if l % 5 not in (2, 3):
             continue
         g = _sigma_roots(l, census_mod._fold(l, build_hasse(l)))
-        assert 2 * census(l).found_count == mp.deg(g), l
+        assert 2 * census(l)["found"] == mp.deg(g), l
 
 
 def test_census_counts_the_sigma_roots_of_the_fold():

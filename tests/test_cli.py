@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import hasse5
 from hasse5 import VerificationError, census as census_mod, cli, fricke as fricke_mod, icosa, modeq, refdata
 from hasse5.cli import main
 from test_fricke import CUBIC_13, multiply_the_fold
+from test_modeq import move_sporadic_point, perturb_F_off_the_integers
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -29,6 +31,22 @@ def test_census_single_json(capsys):
     assert code == 0
     doc = json.loads(out.strip())
     assert doc["l"] == 13 and doc["found"] == 2 and doc["match"]
+
+
+@pytest.mark.parametrize(
+    "verify, primes",
+    [
+        (census_mod.census, [7, 11, 13, 19, 31]),
+        (modeq.verify_class_equation, [43, 101, 379, 401]),
+        (fricke_mod.verify_fricke, [7, 13, 23, 97]),
+    ],
+    ids=["census", "k5p", "fricke"],
+)
+def test_verdict_is_its_json_payload(verify, primes):
+    # lists and string keys only, so a fresh payload equals a cached one
+    for p in primes:
+        v = verify(p)
+        assert json.loads(json.dumps(v)) == v, p
 
 
 def test_census_rejects_composite(capsys):
@@ -196,6 +214,25 @@ def test_charzero_reports_a_raising_check_as_a_row(capsys, monkeypatch):
     assert status["gcd(D1,D2) at H_-24"] == "FAIL: VerificationError: Q5 or a first derivative is nonzero at H_-24"
     assert status["disc(H_-24)"] == status["disc_y(Phi5) identity"] == "FAIL"
     assert len(status) == 54 and code == 1
+
+
+@pytest.mark.parametrize(
+    "fault, rows, error",
+    [
+        (perturb_F_off_the_integers, ["H_-20 root A, B", "H_-20 root A^2-5B^2"], "F(t) != 0 at the H_-20 root"),
+        (
+            lambda monkeypatch: move_sporadic_point(monkeypatch, (84, 3)),
+            ["sporadic d=84 case 3"],
+            "Q5 or a first derivative is nonzero at sporadic d=84 case 3",
+        ),
+    ],
+    ids=["h20-root", "sporadic-84-3"],
+)
+def test_charzero_reports_a_point_off_the_curve_as_a_row(capsys, monkeypatch, fault, rows, error):
+    fault(monkeypatch)
+    code, status = _charzero_status(capsys, "fast")
+    assert [name for name, st in status.items() if st != "PASS"] == rows
+    assert all(status[name] == f"FAIL: VerificationError: {error}" for name in rows) and code == 1
 
 
 def test_nonexact_split_is_a_verification_error():
@@ -469,6 +506,14 @@ def test_optimized_interpreter_keeps_the_k5p_degree_certificate():
     assert run.stdout.split("\n")[1] == (
         "383\t\t\t\t\t\tFAIL: VerificationError: gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p=383"
     )
+
+
+def test_package_has_no_assert_statement():
+    # python -O removes assert statements, so no check of the package may be one
+    for path in sorted(Path(hasse5.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
 def test_jobs_parallel(capsys):

@@ -77,11 +77,13 @@ def test_golden_units_rejects_a_missing_square_root(monkeypatch):
 
 
 def test_golden_units_rejects_a_wrong_square_root(monkeypatch):
-    # 2^2 != 5 mod 19, and eps = 1/2 gives eps^5 = 3, no root of x^2 + 11x - 1;
-    # at l = 11 any eps would pass, as eps^5 = +-1 are the roots of x^2 - 1
-    monkeypatch.setattr(fp, "sqrt_mod", lambda a, l: 2)
-    with pytest.raises(VerificationError, match=r"golden units are not the roots of x\^2 \+ 11x - 1 mod 19"):
-        golden_units(19)
+    # e5 = (5s - 11)/2 is a root of x^2 + 11x - 1 exactly when s^2 = 5, so a
+    # wrong s fails at every l, also at l = 11, where every eps^5 is +-1, a
+    # root of x^2 + 11x - 1 = x^2 - 1: 2^2 != 5 mod 19 and 3^2 != 5 mod 11
+    for l, s in ((19, 2), (11, 3)):
+        monkeypatch.setattr(fp, "sqrt_mod", lambda a, q: s)
+        with pytest.raises(VerificationError, match=rf"golden units are not the roots of x\^2 \+ 11x - 1 mod {l}"):
+            golden_units(l)
 
 
 def test_golden_pair_invariants_sample():

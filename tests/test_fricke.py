@@ -3,9 +3,9 @@ import re
 import pytest
 
 from hasse5 import VerificationError, fricke, modpoly as mp
+from hasse5.ffactor import FactorList, roots_in
 from hasse5.fp import make_extension
 from hasse5.fricke import (
-    FrickeReport,
     L5star_formula,
     RootOutsideQuadraticField,
     build_ss5star,
@@ -45,8 +45,8 @@ def test_build_ss5star_small():
 def test_verify_rows():
     for p, deg, lin in ((7, 2, 2), (11, 4, 4), (19, 6, 6), (23, 6, 2), (97, 25, 5)):
         rep = verify_fricke(p)
-        assert rep.degree_found == deg and rep.linear_found == lin
-        assert rep.match
+        assert rep["degree_found"] == deg and rep["linear_found"] == lin
+        assert rep["match"]
 
 
 # 2 is not a cube mod 13, so u^3 - 2 is irreducible over F_13 and its roots
@@ -72,7 +72,7 @@ def test_root_outside_fp2_is_rejected(monkeypatch):
     multiply_the_fold(monkeypatch, CUBIC_13, 13)
     with pytest.raises(RootOutsideQuadraticField, match=re.escape("p=13: P does not divide u^(p^2) - u")):
         verify_fricke(13)
-    assert verify_fricke(11).match
+    assert verify_fricke(11)["match"]
 
 
 def test_unpaired_root_of_the_fold_is_rejected(monkeypatch):
@@ -102,7 +102,7 @@ def test_verify_fricke_builds_no_fricke_polynomial(monkeypatch):
 
     monkeypatch.setattr(fricke, "build_ss5star", refuse)
     monkeypatch.setattr(fricke, "build_ss", refuse)
-    assert verify_fricke(383) == expected and expected.match
+    assert verify_fricke(383) == expected and expected["match"]
 
 
 @pytest.mark.parametrize(
@@ -139,6 +139,30 @@ def test_build_ss5star_rejects_a_norm_that_is_not_monic(monkeypatch):
         build_ss5star(13)
 
 
+# ss_37 = (j + 29)(j^2 + 31j + 31) over F_37: one linear and one quadratic factor
+SS_37 = (((29, 1), 1), ((31, 31, 1), 1))
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("factor_ff", lambda f, p: FactorList(p, 1, (((29, 1), 2),) + SS_37[1:]), "repeated factor at p=37"),
+        ("roots_in", lambda f, p: [(r, 2) for r, _ in roots_in(f, p)], "repeated root of supersingular factor"),
+        (
+            "factor_ff",
+            lambda f, p: FactorList(p, 1, ((tuple(mp.mul([29, 1], [31, 31, 1], p)), 1),)),
+            "supersingular factor of degree > 2 at p=37",
+        ),
+    ],
+    ids=["repeated-factor", "repeated-root", "cubic"],
+)
+def test_supersingular_j_fp2_rejects_a_wrong_factorization(monkeypatch, name, fake, message):
+    assert fricke.factor_ff(fricke.build_ss(37), 37).factors == SS_37
+    monkeypatch.setattr(fricke, name, fake)
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        supersingular_j_fp2(37)
+
+
 def test_supersingular_count():
     from hasse5.hasse import build_ss
 
@@ -169,9 +193,7 @@ def test_section7_identities():
 
 
 def test_report_fields():
-    rep = verify_fricke(13)
-    assert isinstance(rep, FrickeReport)
-    d = rep.to_dict()
+    d = verify_fricke(13)
     assert d["degree_found"] == 4 and d["linear_found"] == 2 and d["match"]
 
 
@@ -189,7 +211,7 @@ def _check_against_fp2_route(p):
             acc = acc * fld.elem(v) + c
         assert acc.is_zero(), (p, v)
     linear = sum(1 for x in range(p) if mp.eval_at(f, x, p) == 0)
-    assert verify_fricke(p).linear_found == linear, p
+    assert verify_fricke(p)["linear_found"] == linear, p
 
 
 def test_ss5star_matches_fp2_route():

@@ -111,6 +111,36 @@ def test_sporadic_norms():
         assert sporadic_case(*key) == refdata.SPORADIC_GCD[key]
 
 
+def perturb_F_off_the_integers(monkeypatch):
+    """Make ``diag_derivs`` return F(t) + 1 at every t outside Z, as at the
+    H_-20 root 632000 + 282880 sqrt(5); the integer roots keep their values."""
+    real = modeq.diag_derivs
+
+    def faulty(t):
+        F, F1, F2 = real(t)
+        return (F if isinstance(t, int) else F + 1), F1, F2
+
+    monkeypatch.setattr(modeq, "diag_derivs", faulty)
+
+
+def move_sporadic_point(monkeypatch, key):
+    """Shift u of the printed sporadic point (u, v) of ``key`` by 1, off Q5 = 0."""
+    u, v = modeq._SPORADIC_UV[key]
+    monkeypatch.setitem(modeq._SPORADIC_UV, key, (u + 1, v))
+
+
+def test_h20_root_data_rejects_a_point_where_F_is_not_zero(monkeypatch):
+    perturb_F_off_the_integers(monkeypatch)
+    with pytest.raises(VerificationError, match=r"F\(t\) != 0 at the H_-20 root"):
+        h20_root_data()
+
+
+def test_sporadic_case_3_rejects_a_point_off_the_curve(monkeypatch):
+    move_sporadic_point(monkeypatch, (84, 3))
+    with pytest.raises(VerificationError, match="nonzero at sporadic d=84 case 3"):
+        sporadic_case(84, 3)
+
+
 def test_epsilon_examples():
     assert epsilon_flags(7)[4] == 1  # 7 = 3 mod 4
     assert epsilon_flags(19)[20] == 1
@@ -157,19 +187,19 @@ def test_build_k5p_multiplicity_search_is_bounded(monkeypatch):
 
 def test_verify_101():
     rep = verify_class_equation(101)
-    assert rep.structure_ok and rep.identity_holds
-    assert rep.degree == rep.a_p * rep.h5p
+    assert rep["structure_ok"] and rep["identity_holds"]
+    assert rep["degree"] == rep["a_p"] * rep["h_minus_5p"]
 
 
 def test_verify_383():
     rep = verify_class_equation(383)
-    assert rep.structure_ok and rep.identity_holds
+    assert rep["structure_ok"] and rep["identity_holds"]
 
 
 def test_379_anomaly():
     rep = verify_class_equation(379)
-    assert not rep.structure_ok and not rep.identity_holds
-    assert any("(51, 114, 1)" in m and "found 6" in m for m in rep.mismatches)
+    assert not rep["structure_ok"] and not rep["identity_holds"]
+    assert any("(51, 114, 1)" in m and "found 6" in m for m in rep["mismatches"])
     assert dict(build_k5p(379)) == dict(refdata.K379_FACTORS)
 
 
@@ -288,15 +318,15 @@ def test_sporadic_factors_detected_at_predicted_primes():
     expect96 = {397, 401, 421, 449}
     for p in sorted(expect84 | expect96):
         rep = verify_class_equation(p)
-        assert rep.structure_ok and rep.identity_holds
-        notes = " ".join(rep.sporadic_notes)
+        assert rep["structure_ok"] and rep["identity_holds"]
+        notes = " ".join(rep["sporadic_notes"])
         assert ("H_-84" in notes) == (p in expect84), (p, notes)
         assert ("H_-96" in notes) == (p in expect96), (p, notes)
 
 
 def test_verify_matches_factoring_oracle():
     for p in sorted(refdata.S_SET) + [379] + primes_in(380, 700):
-        assert verify_class_equation(p).to_dict() == k5p_report_by_factoring(p).to_dict(), p
+        assert verify_class_equation(p) == k5p_report_by_factoring(p), p
 
 
 def test_verify_outside_validity_range_matches_factoring_oracle():
@@ -305,39 +335,39 @@ def test_verify_outside_validity_range_matches_factoring_oracle():
     fields = ("structure_ok", "identity_holds", "matched", "leftovers", "sporadic_notes")
     for p in primes_in(23, 378):
         if p not in refdata.S_SET:
-            new, old = verify_class_equation(p).to_dict(), k5p_report_by_factoring(p).to_dict()
+            new, old = verify_class_equation(p), k5p_report_by_factoring(p)
             assert [new[f] for f in fields] == [old[f] for f in fields], p
 
 
 @pytest.mark.heavy
 def test_verify_matches_factoring_oracle_to_2000():
     for p in primes_in(701, 2000):
-        assert verify_class_equation(p).to_dict() == k5p_report_by_factoring(p).to_dict(), p
+        assert verify_class_equation(p) == k5p_report_by_factoring(p), p
 
 
 def test_every_mismatch_kind_fires(monkeypatch):
     # outside the validity range, at 43: H_-84 = H_-96 = (x + 2)^2 (x^2 + 19x + 16) mod 43
-    assert verify_class_equation(43).mismatches[:2] == (
+    assert verify_class_equation(43)["mismatches"][:2] == [
         "H_-84 mod 43 is not a product of two irreducible quadratics",
         "H_-96 mod 43 is not a product of two irreducible quadratics",
-    )
+    ]
     # at 499, where H_-20, H_-4 and the quadratic H_-24..H_-91 are flagged: drop one factor
     # of H_-20, give one of H_-4 multiplicity 6 and a leftover multiplicity 4,
     # add a cubic and a quadratic off Q5 = 0, and zero every discriminant
     p = 499
     real = build_k5p(p)
     rep = verify_class_equation(p)
-    h20 = next(c for c, _, d in rep.matched if d == 20)
-    h4 = next(c for c, _, d in rep.matched if d == 4)
-    left = (rep.leftovers[0][1], rep.leftovers[0][0], 1)
+    h20 = next(tuple(c) for c, _, d in rep["matched"] if d == 20)
+    h4 = next(tuple(c) for c, _, d in rep["matched"] if d == 4)
+    left = (rep["leftovers"][0][1], rep["leftovers"][0][0], 1)
     bent = {c: 6 if c == h4 else 4 if c == left else m for c, m in real if c != h20}
     bent.update({(1, 0, 0, 1): 2, (1, 1, 1): 2})
     monkeypatch.setattr(modeq, "build_k5p", lambda p: sorted(bent.items(), key=lambda t: (len(t[0]), t[0])))
     flags = epsilon_flags(p)
     monkeypatch.setattr(modeq, "epsilon_flags", lambda p: flags)
     monkeypatch.setattr(modeq, "_disc_hd", lambda: dict.fromkeys(HD, 0))
-    got = verify_class_equation(p).mismatches
-    assert got == (
+    got = verify_class_equation(p)["mismatches"]
+    assert got == [
         "H_-20 mod 499 did not split into distinct linears",
         *(f"H_-{d} mod 499 unexpectedly reducible" for d in (24, 36, 51, 64, 91)),
         f"factor {h4} (d=4): expected multiplicity 4, found 6",
@@ -345,8 +375,8 @@ def test_every_mismatch_kind_fires(monkeypatch):
         f"leftover {left}: multiplicity 4 != 2",
         "leftover factor (1, 0, 0, 1) is not quadratic",
         "predicted factors of H_-20 mod 499 absent: degree 1 of 2 found",
-        f"deg K_5p = {rep.degree - 2 + 2 + 4 + 6 + 4} != a_p h(-5p) = {rep.degree}",
-    )
+        f"deg K_5p = {rep['degree'] - 2 + 2 + 4 + 6 + 4} != a_p h(-5p) = {rep['degree']}",
+    ]
 
 
 def test_verify_factors_g_only(monkeypatch):
@@ -362,7 +392,7 @@ def test_verify_factors_g_only(monkeypatch):
 
     primes = [379, 383, 389, 397, 401, 409, 421, 449]
     assert all(any(epsilon_flags(p)[d] for p in primes) for d in (20, 84, 96))
-    want = {p: k5p_report_by_factoring(p).to_dict() for p in primes}
+    want = {p: k5p_report_by_factoring(p) for p in primes}
     pieces = []
     real = modeq._split
     monkeypatch.setattr(modeq, "_split", lambda ps, d, X, p, shifts: pieces.extend(ps) or real(ps, d, X, p, shifts))
@@ -370,7 +400,7 @@ def test_verify_factors_g_only(monkeypatch):
     assert not hasattr(modeq, "factor_ff")
     for p in primes:
         pieces.clear()
-        assert verify_class_equation(p).to_dict() == want[p], p
+        assert verify_class_equation(p) == want[p], p
         assert _product(pieces, p) == mp.gcd(build_ss(p), phi5_xp_x(p), p), p
 
 
