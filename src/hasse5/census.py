@@ -67,6 +67,7 @@ from . import VerificationError, modpoly as mp
 from .classno import h5l
 from .fp import golden_units, legendre, sqrt_mod
 from .hasse import build_hasse
+from .modpoly import _divisor_params
 
 
 @dataclass(frozen=True)
@@ -156,24 +157,6 @@ def _fold(l: int, f: list[int]) -> list[int]:
         b1, b2, b3 = b % l, b1, b2
     # b1, b2, b3 = b_0, b_1, b_2
     return mp.trim(((b2 if n % 2 else b1 + b3) % l).tolist())
-
-
-def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
-    """Column indices t with f = 0 mod m_t, where m_t = x^k - sum_i red[i, t] x^i.
-
-    Horner over f's coefficients from the top, for every column at once: the
-    k-wide state holds f's prefix mod m_t, and x^k is replaced by red[:, t].
-    Only the outgoing top slot is reduced mod l.  A slot takes at most k
-    products below l^2 on its way to the top, so every entry stays below
-    (k+1) l^2, which the caller checks fits in int64.
-    """
-    state = np.zeros_like(red)
-    for c in reversed(f):
-        top = state[-1] % l
-        state[1:] = state[:-1]
-        state[0] = c
-        state += top * red
-    return np.flatnonzero(~(state % l).any(axis=0)).tolist()
 
 
 def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:

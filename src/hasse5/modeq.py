@@ -11,9 +11,9 @@ Central objects:
   factors of Phi5(x^p, x), each with twice its multiplicity there: their
   product g is certified squarefree with factors of degree 1 and 2 by two
   Frobenius tests, stratified by multiplicity with one gcd ladder over the
-  Hasse derivatives of Phi5 evaluated at x^p, and split by deterministic
-  shifts, (x + c)^((p-1)/2) for the linear factors and the norm
-  ((x + c)(x^p + c))^((p-1)/2) for the quadratic ones;
+  Hasse derivatives of Phi5 evaluated at x^p, and split with no gcd: the
+  linear factors by one root sweep over F_p, the quadratic ones read off
+  their traces and norms, x + x^p and x^(p+1), by Newton's identities;
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from . import VerificationError, modpoly as mp
 from .classno import h5l
@@ -386,66 +388,121 @@ def _certify(g: list[int], X: list[int], p: int) -> list[int]:
     return lin
 
 
-def _split(pieces: list[list[int]], d: int, X: list[int], p: int, shifts) -> list[list[list[int]]]:
+def _split(pieces: list[list[int]], d: int, X: list[int], p: int) -> list[list[list[int]]]:
     """The monic irreducible factors of each piece, a monic squarefree product
-    of irreducibles of degree d = 1 or 2 over F_p (p > 9), for X = x^p mod
-    the product of the pieces; raises ``VerificationError`` when the
-    ``shifts`` run out first (``build_k5p`` passes range(p)).
+    of irreducibles of degree d = 1 or 2 over F_p (p odd), for X = x^p mod
+    the product of the pieces; raises ``VerificationError`` when a piece is
+    found not to be one.  A piece of degree d is taken as a factor unchecked,
+    and one of degree < d has none.
 
-    For each shift c, one power is raised modulo the product m of the pieces
-    still unsplit: a_c^((p-1)/2) with a_c = x + c for d = 1, and for d = 2
-    the norm a_c = (x + c)(X + c) = x X + c (x + X) + c^2 mod m.  At a root r
-    of a linear factor that power is chi(r + c), the Legendre symbol; at a
-    root alpha of a quadratic factor it is
-    chi(N(alpha + c)) = (alpha + c)^((p^2-1)/2) = +-1, the same at alpha and
-    alpha^p.  So gcd(piece, power - 1) collects the factors whose value is 1,
-    and each piece is refined by it at every shift.
+    Linear (d = 1): the factors x - r of f are read off the roots r of f, by
+    one Horner sweep over all of F_p (``mp._divisor_params``); f is their
+    product exactly when deg f distinct roots are found.
 
-    Every pair of factors is separated by some c in F_p, so range(p) splits
-    every piece completely.  Linear: for roots r != s,
-    sum_c chi((r + c)(s + c)) = -1, and the two zero terms leave p - 2, so
-    chi(r + c) chi(s + c) = -1 for (p - 1)/2 values of c.  Quadratic: for
-    non-conjugate roots alpha, beta with minimal polynomials q_alpha, q_beta,
-    N(alpha + c) = q_alpha(-c), so f(c) = N(alpha + c) N(beta + c) is a
-    product of two distinct irreducible quadratics, with no root in F_p and
-    not a constant times a square.  By Weil's bound
-    |sum_c chi(f(c))| <= (deg f - 1) sqrt(p) = 3 sqrt(p) < p for p > 9, so
-    chi(f(c)) = -1 for some c, and that shift separates the two.
+    Quadratic (d = 2), f = prod_i q_i of degree 2m, q_i = x^2 - c_i x + b_i:
+    each q_i is fixed by its trace c_i and norm b_i, read off with no
+    splitting.  With Xf = x^p mod f, T = x + Xf and W = x Xf mod f take the
+    values c_i and b_i at both roots beta, beta^p of q_i, as beta^p is the
+    other root.  Let s_j be the power sums of the 2m roots of f, from
+    Newton's identities (sum_(j>=1) s_j t^(j-1) = -rev(f)'/rev(f)); then
+    Tr(U) = sum_j U_j s_j, the sum of U over the roots of f, also for an
+    unreduced U.  For V = T + lambda W, with the values v_i = c_i + lambda b_i,
+    Tr(V^k)/2 = sum_i v_i^k (p is odd), and Newton's identities give
+    R_V = prod_i (t - v_i) from these m power sums (k <= m < p).  When the
+    sweep finds m distinct roots of R_V, put
+    S_U = R_V(t) sum_i u_i / (t - v_i) = sum_i u_i prod_(j != i) (t - v_j),
+    the polynomial part of R_V(t) sum_(k<m) (Tr(U V^k)/2) t^(-k-1); then
+    S_U(v_i) = u_i R_V'(v_i), so c_i = S_T(v_i)/R_V'(v_i) and
+    b_i = S_W(v_i)/R_V'(v_i).  The q_i are distinct, so the pairs (c_i, b_i)
+    are, and two of them have v_i = v_j for at most one lambda: of
+    m(m-1)/2 + 1 values of lambda one separates every pair, as long as p
+    exceeds m(m-1)/2.  Up to min(p, m(m-1)/2 + 1) values are tried, and the
+    q_i found must multiply to f.
     """
-    out: list[list[list[int]]] = [[] for _ in pieces]
-    todo = []
-    for k, f in enumerate(pieces):
+    out = []
+    for f in pieces:
         if len(f) == d + 1:
-            out[k].append(f)
-        elif len(f) > d + 1:
-            todo.append((k, f))
-    e = (p - 1) // 2
-    m = None  # the product of the pieces in todo; None after one of them left
-    for c in shifts:
-        if not todo:
-            break
-        if m is None:
-            m = [1]
-            for _, f in todo:
-                m = mp.mul(m, f, p)
-            if d == 2:
-                Xm = mp.rem(X, m, p)
-                xX, xpX = mp.rem(mp.mul([0, 1], Xm, p), m, p), mp.add([0, 1], Xm, p)
-        a = [c, 1] if d == 1 else mp.add(mp.add(xX, mp.scale(xpX, c, p), p), [c * c % p], p)
-        power = mp.pow_mod(a, e, m, p)
-        left = []
-        for k, f in todo:
-            h = mp.gcd(f, mp.sub(mp.rem(power, f, p), [1], p), p)
-            for part in [h, mp.quo(f, h, p)] if 0 < mp.deg(h) < mp.deg(f) else [f]:
-                if len(part) == d + 1:
-                    out[k].append(part)
-                    m = None
-                else:
-                    left.append((k, part))
-        todo = left
-    if todo:
-        raise VerificationError(f"the shifts ran out before splitting the degree-{d} factors at p={p}")
+            out.append([f])
+        elif len(f) <= d:
+            out.append([])
+        elif d == 1:
+            out.append(_linear_factors(f, p))
+        else:
+            out.append(_quadratic_factors(f, mp.rem(X, f, p), p))
     return out
+
+
+def _roots(f: list[int], p: int) -> list[int]:
+    """The distinct roots of f in F_p, ascending, by one Horner sweep over all
+    of F_p; its int64 entries stay below 2 p^2."""
+    return mp._divisor_params(f, np.arange(p)[None, :], p)
+
+
+def _linear_factors(f: list[int], p: int) -> list[list[int]]:
+    roots = _roots(f, p)
+    if len(roots) != mp.deg(f):
+        raise VerificationError(f"a product of linear factors of degree {mp.deg(f)} has {len(roots)} roots in F_p at p={p}")
+    return [[-r % p, 1] for r in roots]
+
+
+def _from_power_sums(sums: list[int], p: int) -> list[int]:
+    """prod_i (t - v_i), ascending, from sums[k] = sum_i v_i^k for k <= m < p,
+    by Newton's identities: c_k = (-1)^k e_k, the coefficient of t^(m-k),
+    has k c_k = -sum_(j=1..k) c_(k-j) sums[j]."""
+    c = [1]
+    for k in range(1, len(sums)):
+        c.append(-sum(c[k - j] * sums[j] for j in range(1, k + 1)) * pow(k, p - 2, p) % p)
+    return c[::-1]
+
+
+def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
+    """The quadratic factors of f, for Xf = x^p mod f; see ``_split``."""
+    n = mp.deg(f)
+    m = n // 2
+    mulmod, dtype = mp.mulmod_by(f, p)
+
+    def row(u):
+        a = np.zeros(n, dtype=dtype)
+        a[: len(u)] = u
+        return a
+
+    def hankel(s, u):
+        """sum_k s[j + k] u[k] mod p, for j < len(u)."""
+        return np.convolve(s, u[::-1])[len(u) - 1 : 2 * len(u) - 1] % p
+
+    # the power sums s_0, ..., s_(2n-2) of the roots of f: n, then -rev(f)'/rev(f)
+    rev = np.asarray(f[::-1], dtype=dtype)
+    drev = np.arange(1, n + 1) * rev[1:] % p
+    s = np.concatenate(([n % p], -np.convolve(drev, mp._rev_inverse(rev, 2 * n - 2, p))[: 2 * n - 2] % p))
+    T = row(mp.add([0, 1], Xf, p))
+    W = mulmod(row([0, 1]), row(Xf))
+    half = (p + 1) // 2
+    tries = min(p, m * (m - 1) // 2 + 1)
+    for lam in range(tries):
+        V = (T + lam * W) % p
+        powers = [row([1])]
+        for _ in range(m):
+            powers.append(mulmod(powers[-1], V))
+        P = np.array(powers)  # the rows V^0, ..., V^m
+        R = _from_power_sums((P @ s[:n] % p * half % p).tolist(), p)  # from Tr(V^k)/2
+        v = _roots(R, p)
+        if len(v) == m:
+            break
+    else:
+        raise VerificationError(f"no lambda < {tries} separates the quadratic factors of a degree-{n} piece at p={p}")
+    dR, top = mp.deriv(R, p), np.asarray(R[1:], dtype=dtype)
+    # S_U from sum_i u_i v_i^k = Tr(U V^k)/2, k < m, where Tr(U V^k) = V^k . hankel(s, U)
+    S_T, S_W = (hankel(top, P[:m] @ hankel(s, U) % p * half % p).tolist() for U in (T, W))
+    factors = []
+    for t in v:
+        inv_d = pow(mp.eval_at(dR, t, p), p - 2, p)
+        factors.append([mp.eval_at(S_W, t, p) * inv_d % p, -mp.eval_at(S_T, t, p) * inv_d % p, 1])
+    prod = [1]
+    for q in factors:
+        prod = mp.mul(prod, q, p)
+    if prod != f:
+        raise VerificationError(f"the quadratic factors found do not multiply to the degree-{n} piece at p={p}")
+    return factors
 
 
 def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
@@ -481,7 +538,11 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
        D_0 = 0 and G_1 = g.
 
     3. ``_split`` splits the linear and the quadratic part of each stratum
-       into its factors, by the shifts c = 0, 1, ..., p - 1.
+       into its factors: the linear ones from the roots found by one Horner
+       sweep over F_p, the quadratic ones x^2 - c x + b from their traces
+       c = x + x^p and norms b = x^(p+1), which are constant on the two roots
+       of each factor; power sums and Newton's identities read the pairs
+       (c, b) off, and their product must give back the piece.
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
@@ -505,7 +566,7 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     quads = [mp.quo(s, sl, p) for (_, s), sl in zip(strata, lins)]
     out = []
     for d, pieces in ((1, lins), (2, quads)):
-        for (i, _), factors in zip(strata, _split(pieces, d, Xg, p, range(p))):
+        for (i, _), factors in zip(strata, _split(pieces, d, Xg, p)):
             out += [(tuple(q), 2 * i) for q in factors]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out

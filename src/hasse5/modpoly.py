@@ -13,11 +13,16 @@ Newton iteration, the quotient q is the reversal of rev(a) * inv mod x^k and
 the remainder is a - q*m.  ``divmod_`` runs it under the int64 guard for a
 quotient of k coefficients and a divisor g of degree >= 1 when
 ``_BARRETT_FROM <= k*len(g) < _BARRETT_K_PER_COEFF*len(g)**2``, and the
-schoolbook otherwise.  ``pow_mod`` keeps its operands as numpy arrays and
-reduces every product of two remainders by ``_barrett`` with k = n - 1 and one
+schoolbook otherwise.  ``mulmod_by(m, p)`` multiplies remainders mod m kept
+as numpy arrays, reducing each product by ``_barrett`` with k = n - 1 and one
 inverse: one convolution for the product and two for its remainder.  Its
 arrays are int64 when ``_np_ok(len(m), p)`` holds, which bounds every
 convolution of the step, and hold Python ints (dtype object) otherwise.
+``pow_mod`` and the K_5p split in ``modeq`` run on it.
+
+``_divisor_params`` tests f against a whole family of monic divisors at once,
+one Horner sweep with one column per divisor: the census and Fricke sweeps
+over the conics, and the root sweep over all of F_p in ``modeq``.
 """
 
 from __future__ import annotations
@@ -157,12 +162,13 @@ def _barrett(a, mon, inv, p):
     return q, (a[:n] - np.convolve(q, mon[:n])[:n]) % p
 
 
-def pow_mod(f, e: int, m, p):
-    """f^e mod m, by square-and-multiply with Barrett remainders."""
-    base = rem(f, m, p)
+def mulmod_by(m, p):
+    """(mulmod, dtype) for m of degree n >= 1 over F_p: mulmod(a, b) is a*b
+    mod m for arrays a, b of n coefficients of that dtype, by one convolution
+    and a Barrett remainder; the inverse of rev(m) is taken once, here.  The
+    dtype is int64 when ``_np_ok(len(m), p)`` bounds every convolution of the
+    step, and object (Python ints) otherwise."""
     n = deg(m)
-    if e == 0 or n < 1:
-        return rem([1], m, p)
     dtype = np.int64 if _np_ok(len(m), p) else object
     mon = np.asarray(monic(m, p), dtype=dtype)
     k = n - 1  # coefficients of the quotient of a product of two remainders
@@ -172,6 +178,16 @@ def pow_mod(f, e: int, m, p):
         prod = np.convolve(a, b) % p  # 2n - 1 coefficients
         return _barrett(prod, mon, inv, p)[1] if k else prod
 
+    return mulmod, dtype
+
+
+def pow_mod(f, e: int, m, p):
+    """f^e mod m, by square-and-multiply with Barrett remainders."""
+    base = rem(f, m, p)
+    n = deg(m)
+    if e == 0 or n < 1:
+        return rem([1], m, p)
+    mulmod, dtype = mulmod_by(m, p)
     x = np.zeros(n, dtype=dtype)
     x[: len(base)] = base
     out = x
@@ -180,6 +196,24 @@ def pow_mod(f, e: int, m, p):
         if bit == "1":
             out = mulmod(out, x)
     return trim(out.tolist())
+
+
+def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
+    """Column indices t with f = 0 mod m_t, where m_t = x^k - sum_i red[i, t] x^i.
+
+    Horner over f's coefficients from the top, for every column at once: the
+    k-wide state holds f's prefix mod m_t, and x^k is replaced by red[:, t].
+    Only the outgoing top slot is reduced mod l.  A slot takes at most k
+    products below l^2 on its way to the top, so every entry stays below
+    (k+1) l^2, which the caller checks fits in int64.
+    """
+    state = np.zeros_like(red)
+    for c in reversed(f):
+        top = state[-1] % l
+        state[1:] = state[:-1]
+        state[0] = c
+        state += top * red
+    return np.flatnonzero(~(state % l).any(axis=0)).tolist()
 
 
 def eval_at(f, x: int, p: int) -> int:

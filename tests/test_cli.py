@@ -508,6 +508,21 @@ def test_optimized_interpreter_keeps_the_k5p_degree_certificate():
     )
 
 
+def test_optimized_interpreter_keeps_the_k5p_split_checks():
+    # a certificate that finds no linear factor sends the linear factors of
+    # g to the quadratic split; python -O must still reject its result as a
+    # FAIL row
+    code = (
+        "from hasse5 import modeq; modeq._certify = lambda g, X, p: [1]; "
+        "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stdout.split("\n")[1] == (
+        "383\t\t\t\t\t\tFAIL: VerificationError: the quadratic factors found do not multiply to the degree-3 piece at p=383"
+    )
+
+
 def test_package_has_no_assert_statement():
     # python -O removes assert statements, so no check of the package may be one
     for path in sorted(Path(hasse5.__file__).parent.glob("*.py")):

@@ -250,6 +250,14 @@ def test_resultant_rejects_polynomials_too_long_for_int64():
         cycres.resultant(p1, Poly([Poly([1] * 600)] * 6))
 
 
+def test_resultant_rejects_a_coordinate_that_is_not_an_integer():
+    # G = y + zeta/2: the CRT route works over Z[zeta_5] only
+    p1, _ = surface_pair(*_maps("T", "T"))
+    p2 = Poly([Poly([CycNum(0, Fraction(1, 2))]), Poly([1])])
+    with pytest.raises(VerificationError, match=r"resultant coordinate \(0, Fraction\(1, 2\), 0, 0\) is not an integer"):
+        cycres.resultant(p1, p2)
+
+
 def test_fraction_coordinate_is_rejected():
     m = MobiusMap(CycNum(Fraction(1, 3)), 1, 0, 1)
     with pytest.raises(VerificationError):

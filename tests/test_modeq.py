@@ -395,7 +395,7 @@ def test_verify_factors_g_only(monkeypatch):
     want = {p: k5p_report_by_factoring(p) for p in primes}
     pieces = []
     real = modeq._split
-    monkeypatch.setattr(modeq, "_split", lambda ps, d, X, p, shifts: pieces.extend(ps) or real(ps, d, X, p, shifts))
+    monkeypatch.setattr(modeq, "_split", lambda ps, d, X, p: pieces.extend(ps) or real(ps, d, X, p))
     monkeypatch.setattr(ffactor, "factor_ff", no_factoring)
     assert not hasattr(modeq, "factor_ff")
     for p in primes:
@@ -439,7 +439,7 @@ def _irreducible_quadratics(p: int, n: int, rng) -> list[list[int]]:
 @pytest.mark.parametrize("p", [23, 101, 379, 1999])
 def test_split_matches_factor_ff(p):
     # synthetic products of distinct monic linear and irreducible quadratic
-    # factors, in several pieces that share one power per shift
+    # factors, in pieces of one, four and seven factors and an empty piece
     import random
 
     from hasse5.ffactor import factor_ff
@@ -450,20 +450,72 @@ def test_split_matches_factor_ff(p):
     for d, factors in ((1, lins), (2, quads)):
         pieces = [_product(chunk, p) for chunk in (factors[:1], factors[1:5], factors[5:], [])]
         X = mp.pow_mod([0, 1], p, _product(pieces, p), p)
-        got = modeq._split(pieces, d, X, p, range(p))
+        got = modeq._split(pieces, d, X, p)
         assert got[-1] == []  # the empty piece
         for piece, split in zip(pieces, got):
             want = factor_ff(piece, p).factors
             assert sorted(split) == [list(c) for c, m in want] and all(m == 1 for _, m in want), (p, d, piece)
 
 
-def test_split_raises_when_the_shifts_run_out():
+def _quadratic(c: int, b: int, p: int) -> list[int]:
+    """x^2 - c x + b, irreducible over F_p."""
+    assert legendre(c * c - 4 * b, p) == -1, (c, b, p)
+    return [b, -c % p, 1]
+
+
+@pytest.mark.parametrize(
+    "pairs, sweeps",
+    [
+        ([(1, 1), (1, 2)], 2),  # one trace: lambda = 0 leaves v_1 = v_2
+        ([(1, 2), (4, 2)], 1),  # one norm: lambda = 0 separates the traces
+        ([(1, 1), (1, 2), (4, 2), (3, 3)], 3),  # c + b = 6 twice as well: lambda = 2
+    ],
+    ids=["one-trace", "one-norm", "lambda-2"],
+)
+def test_split_separates_quadratics_of_one_trace_or_one_norm(monkeypatch, pairs, sweeps):
+    # the factors x^2 - c x + b take the values v = c + lambda b; every lambda
+    # tried sweeps R_V once, and a lambda with a repeated v is passed over
     p = 101
-    piece = _product([[1, 1], [2, 1], [3, 1]], p)
-    X = mp.pow_mod([0, 1], p, piece, p)
-    assert sorted(modeq._split([piece], 1, X, p, range(p))[0]) == [[1, 1], [2, 1], [3, 1]]
-    with pytest.raises(VerificationError, match="shifts ran out before splitting the degree-1 factors at p=101"):
-        modeq._split([piece], 1, X, p, range(1))
+    quads = [_quadratic(c, b, p) for c, b in pairs]
+    piece = _product(quads, p)
+    calls = []
+    roots = modeq._roots
+    monkeypatch.setattr(modeq, "_roots", lambda f, p: calls.append(f) or roots(f, p))
+    assert sorted(modeq._split([piece], 2, mp.pow_mod([0, 1], p, piece, p), p)[0]) == sorted(quads)
+    assert len(calls) == sweeps
+
+
+def test_split_runs_no_pow_mod_and_no_gcd(monkeypatch):
+    p = 379
+    lins = [[1, 1], [2, 1], [3, 1]]
+    quads = [_quadratic(c, b, p) for c, b in ((1, 5), (2, 2), (3, 7))]
+    X = mp.pow_mod([0, 1], p, _product(lins + quads, p), p)
+
+    def forbidden(*args):
+        raise AssertionError("pow_mod or gcd called")
+
+    monkeypatch.setattr(mp, "pow_mod", forbidden)
+    monkeypatch.setattr(mp, "gcd", forbidden)
+    assert sorted(modeq._split([_product(lins, p)], 1, X, p)[0]) == sorted(lins)
+    assert sorted(modeq._split([_product(quads, p)], 2, X, p)[0]) == sorted(quads)
+
+
+@pytest.mark.parametrize(
+    "factors, d, error",
+    [
+        ([[2, 0, 1], [1, 1]], 1, "linear factors of degree 3 has 1 roots in F_p at p=101"),
+        ([[2, 0, 0, 0, 1]], 2, "no lambda < 2 separates the quadratic factors of a degree-4 piece at p=101"),
+        ([[1, 1], [2, 1], [3, 1], [4, 1]], 2, "quadratic factors found do not multiply to the degree-4 piece at p=101"),
+    ],
+    ids=["too-few-roots", "no-separating-lambda", "no-product-match"],
+)
+def test_split_rejects_a_piece_that_is_not_a_product_of_degree_d_factors(factors, d, error):
+    # (x^2 + 2)(x + 1) with d = 1; x^4 + 2, irreducible over F_101, and
+    # (x + 1)(x + 2)(x + 3)(x + 4), both with d = 2
+    p = 101
+    piece = _product(factors, p)
+    with pytest.raises(VerificationError, match=error):
+        modeq._split([piece], d, mp.pow_mod([0, 1], p, piece, p), p)
 
 
 # A cubic factor of Phi5(x^383, x), irreducible over F_383.
