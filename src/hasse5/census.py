@@ -59,8 +59,6 @@ counts of sigma-orbits of roots of P, and of hits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import VerificationError, modpoly as mp
@@ -68,31 +66,6 @@ from .classno import h5l
 from .fp import golden_units, legendre, sqrt_mod
 from .hasse import build_hasse
 from .modpoly import _divisor_params
-
-
-@dataclass(frozen=True)
-class GShape:
-    """x^4 + a x^3 + (11a+2) x^2 - a x + 1 over F_l."""
-
-    l: int
-    a: int
-
-    def coeffs(self) -> tuple[int, ...]:
-        l, a = self.l, self.a
-        return (1, (-a) % l, (11 * a + 2) % l, a % l, 1)
-
-
-@dataclass(frozen=True)
-class KShape:
-    """x^2 + r x + s over F_l with r = e5 (s-1) (variant 'eps') or ebar5 (s-1)."""
-
-    l: int
-    r: int
-    s: int
-    variant: str
-
-    def coeffs(self) -> tuple[int, ...]:
-        return (self.s, self.r, 1)
 
 
 # x^2 + 11x - 1: its roots and 0 are the singular points of L below
@@ -164,10 +137,10 @@ def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
     F_l, ascending, with Q_a = u^2 + a u + 11a + 4 a divisor of P.  A divisor
     Q_0 proves (x^2 + 1)^2 | f and raises VerificationError.
 
-    Both sweeps read this one pass: the census keeps the hits with
-    a^2 - 44a - 16 = disc Q_a a non-residue, the irreducible Q_a, and
-    ``fricke.verify_fricke`` counts every hit, one sigma-orbit of roots of P
-    on which Y = -(u^2 + 4)/(u + 11) takes the value a."""
+    Both sweeps read this one pass: the census keeps the hits with Q_a
+    irreducible (``_irreducible_hits``), and ``fricke.verify_fricke`` counts
+    every hit, one sigma-orbit of roots of P on which
+    Y = -(u^2 + 4)/(u + 11) takes the value a."""
     if 3 * l * l >= 2**63:
         raise ValueError(f"l={l} is too large for the int64 divisibility sweep")
     p = _fold(l, f)
@@ -179,10 +152,17 @@ def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
     return p, hits
 
 
-def find_g_factors(l: int, f: list[int]) -> list[GShape]:
+def _irreducible_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
+    """(P, the hits a of ``_conic_hits`` with Q_a irreducible, that is with
+    a^2 - 44a - 16 = disc Q_a a non-residue mod l)."""
+    p, hits = _conic_hits(l, f)
+    return p, [a for a in hits if legendre(a * a - 44 * a - 16, l) == -1]
+
+
+def find_g_factors(l: int, f: list[int]) -> list[list[int]]:
     """Irreducible quartic factors g_a = x^4 + a x^3 + (11a+2) x^2 - a x + 1
-    of a squarefree f invariant under x -> -1/x, in ascending coefficient
-    order: one g_a for each irreducible Q_a dividing the fold of f.
+    of a squarefree f invariant under x -> -1/x, as sorted ascending
+    coefficient lists: one g_a for each irreducible Q_a dividing the fold of f.
 
     A divisor g_a of f is irreducible exactly when a^2 - 44a - 16 is a
     non-residue mod l.  This is the finite-field case of Kappe and Warren's
@@ -212,15 +192,14 @@ def find_g_factors(l: int, f: list[int]) -> list[GShape]:
     """
     if l % 5 not in (2, 3):
         raise ValueError("quartic census needs l = 2, 3 mod 5")
-    _, hits = _conic_hits(l, f)
-    irreducible = [a for a in hits if legendre(a * a - 44 * a - 16, l) == -1]
-    return sorted((GShape(l, a) for a in irreducible), key=GShape.coeffs)
+    _, hits = _irreducible_hits(l, f)
+    return sorted([1, -a % l, (11 * a + 2) % l, a, 1] for a in hits)
 
 
-def find_k_factors(l: int, f: list[int]) -> list[KShape]:
+def find_k_factors(l: int, f: list[int]) -> list[list[int]]:
     """Irreducible quadratic factors x^2 + rx + s of a squarefree f invariant
-    under x -> -1/x, with r = e(s-1) for e = e5 or ebar5, in ascending
-    coefficient order; x^2 + 1 satisfies both and is counted once.
+    under x -> -1/x, with r = e(s-1) for e = e5 or ebar5, as sorted ascending
+    coefficient lists [s, r, 1]; x^2 + 1 satisfies both and is counted once.
 
     Each irreducible Q_a dividing the fold of f gives the pair K_s, K_(1/s):
     s + 1/s = a/e + 2, so s and 1/s are the roots of e s^2 - (2e + a) s + e,
@@ -231,20 +210,19 @@ def find_k_factors(l: int, f: list[int]) -> list[KShape]:
     """
     if l % 5 not in (1, 4):
         raise ValueError("quadratic census needs l = 1, 4 mod 5")
-    p, hits = _conic_hits(l, f)
-    irreducible = [a for a in hits if legendre(a * a - 44 * a - 16, l) == -1]
+    p, hits = _irreducible_hits(l, f)
     pair = golden_units(l)
-    units = (("eps", pair.eps5), ("epsbar", pair.eps5bar))
-    shapes = [KShape(l, 0, 1, "eps")] if mp.deg(f) % 4 == 2 and l % 4 == 3 else []
-    for variant, e in units:
+    units = (pair.eps5, pair.eps5bar)
+    factors = [[1, 0, 1]] if mp.deg(f) % 4 == 2 and l % 4 == 3 else []
+    for e in units:
         if mp.eval_at(p, 2 * e, l) == 0 and legendre(e * e + 1, l) == -1:
-            shapes.append(KShape(l, -2 * e % l, l - 1, variant))
-    for a in irreducible:
-        variant, e = next(unit for unit in units if legendre(a * (a + 4 * unit[1]), l) == 1)
+            factors.append([l - 1, -2 * e % l, 1])
+    for a in hits:
+        e = next(e for e in units if legendre(a * (a + 4 * e), l) == 1)
         root, inv = sqrt_mod(a * (a + 4 * e), l), pow(2 * e, -1, l)
         for s in ((2 * e + a + root) * inv % l, (2 * e + a - root) * inv % l):
-            shapes.append(KShape(l, e * (s - 1) % l, s, variant))
-    return sorted(shapes, key=KShape.coeffs)
+            factors.append([s, e * (s - 1) % l, 1])
+    return sorted(factors)
 
 
 def _check_divides(k: int, h: int, l: int) -> None:
@@ -288,7 +266,7 @@ def census(l: int) -> dict:
         raise ValueError("l must be a prime different from 5")
     h = h5l(l)
     find = find_g_factors if l % 5 in (2, 3) else find_k_factors
-    factors = [list(s.coeffs()) for s in find(l, _squarefree_hasse(l))]
+    factors = find(l, _squarefree_hasse(l))
     pred = predicted_count(l, h)
     return {
         "l": l,

@@ -12,8 +12,9 @@ Central objects:
   product g is certified squarefree with factors of degree 1 and 2 by two
   Frobenius tests, stratified by multiplicity with one gcd ladder over the
   Hasse derivatives of Phi5 evaluated at x^p, and split with no gcd: the
-  linear factors by one root sweep over F_p, the quadratic ones read off
-  their traces and norms, x + x^p and x^(p+1), by Newton's identities;
+  linear factors by one root sweep over F_p (``_linear_factors``), the
+  quadratic ones read off their traces and norms, x + x^p and x^(p+1), by
+  Newton's identities (``_quadratic_factors``);
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -388,50 +389,6 @@ def _certify(g: list[int], X: list[int], p: int) -> list[int]:
     return lin
 
 
-def _split(pieces: list[list[int]], d: int, X: list[int], p: int) -> list[list[list[int]]]:
-    """The monic irreducible factors of each piece, a monic squarefree product
-    of irreducibles of degree d = 1 or 2 over F_p (p odd), for X = x^p mod
-    the product of the pieces; raises ``VerificationError`` when a piece is
-    found not to be one.  A piece of degree d is taken as a factor unchecked,
-    and one of degree < d has none.
-
-    Linear (d = 1): the factors x - r of f are read off the roots r of f, by
-    one Horner sweep over all of F_p (``mp._divisor_params``); f is their
-    product exactly when deg f distinct roots are found.
-
-    Quadratic (d = 2), f = prod_i q_i of degree 2m, q_i = x^2 - c_i x + b_i:
-    each q_i is fixed by its trace c_i and norm b_i, read off with no
-    splitting.  With Xf = x^p mod f, T = x + Xf and W = x Xf mod f take the
-    values c_i and b_i at both roots beta, beta^p of q_i, as beta^p is the
-    other root.  Let s_j be the power sums of the 2m roots of f, from
-    Newton's identities (sum_(j>=1) s_j t^(j-1) = -rev(f)'/rev(f)); then
-    Tr(U) = sum_j U_j s_j, the sum of U over the roots of f, also for an
-    unreduced U.  For V = T + lambda W, with the values v_i = c_i + lambda b_i,
-    Tr(V^k)/2 = sum_i v_i^k (p is odd), and Newton's identities give
-    R_V = prod_i (t - v_i) from these m power sums (k <= m < p).  When the
-    sweep finds m distinct roots of R_V, put
-    S_U = R_V(t) sum_i u_i / (t - v_i) = sum_i u_i prod_(j != i) (t - v_j),
-    the polynomial part of R_V(t) sum_(k<m) (Tr(U V^k)/2) t^(-k-1); then
-    S_U(v_i) = u_i R_V'(v_i), so c_i = S_T(v_i)/R_V'(v_i) and
-    b_i = S_W(v_i)/R_V'(v_i).  The q_i are distinct, so the pairs (c_i, b_i)
-    are, and two of them have v_i = v_j for at most one lambda: of
-    m(m-1)/2 + 1 values of lambda one separates every pair, as long as p
-    exceeds m(m-1)/2.  Up to min(p, m(m-1)/2 + 1) values are tried, and the
-    q_i found must multiply to f.
-    """
-    out = []
-    for f in pieces:
-        if len(f) == d + 1:
-            out.append([f])
-        elif len(f) <= d:
-            out.append([])
-        elif d == 1:
-            out.append(_linear_factors(f, p))
-        else:
-            out.append(_quadratic_factors(f, mp.rem(X, f, p), p))
-    return out
-
-
 def _roots(f: list[int], p: int) -> list[int]:
     """The distinct roots of f in F_p, ascending, by one Horner sweep over all
     of F_p; its int64 entries stay below 2 p^2."""
@@ -439,6 +396,16 @@ def _roots(f: list[int], p: int) -> list[int]:
 
 
 def _linear_factors(f: list[int], p: int) -> list[list[int]]:
+    """The factors x - r of f, a monic squarefree product of linear factors
+    over F_p; raises ``VerificationError`` when f is found not to be one.  A
+    constant f has no factor, and a linear f is its own.
+
+    The factors are read off the roots r of f, by one Horner sweep over all
+    of F_p (``mp._divisor_params``); f is their product exactly when deg f
+    distinct roots are found.
+    """
+    if len(f) < 3:
+        return [f] if len(f) == 2 else []
     roots = _roots(f, p)
     if len(roots) != mp.deg(f):
         raise VerificationError(f"a product of linear factors of degree {mp.deg(f)} has {len(roots)} roots in F_p at p={p}")
@@ -456,8 +423,37 @@ def _from_power_sums(sums: list[int], p: int) -> list[int]:
 
 
 def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
-    """The quadratic factors of f, for Xf = x^p mod f; see ``_split``."""
+    """The irreducible quadratic factors of f, a monic squarefree product of
+    them over F_p (p odd), for Xf = x^p mod f; raises ``VerificationError``
+    when f is found not to be one, so also when deg f is odd.  A constant f
+    has no factor, and a quadratic f is its own (``_certify`` proves it
+    irreducible in ``build_k5p``).
+
+    For f = prod_i q_i of degree 2m, q_i = x^2 - c_i x + b_i, each q_i is
+    fixed by its trace c_i and norm b_i, read off with no splitting.
+    T = x + Xf and W = x Xf mod f take the values c_i and b_i at both roots
+    beta, beta^p of q_i, as beta^p is the other root.  Let s_j be the power
+    sums of the 2m roots of f, from Newton's identities
+    (sum_(j>=1) s_j t^(j-1) = -rev(f)'/rev(f)); then Tr(U) = sum_j U_j s_j,
+    the sum of U over the roots of f, also for an unreduced U.  For
+    V = T + lambda W, with the values v_i = c_i + lambda b_i,
+    Tr(V^k)/2 = sum_i v_i^k (p is odd), and Newton's identities give
+    R_V = prod_i (t - v_i) from these m power sums (k <= m < p).  When the
+    sweep finds m distinct roots of R_V, put
+    S_U = R_V(t) sum_i u_i / (t - v_i) = sum_i u_i prod_(j != i) (t - v_j),
+    the polynomial part of R_V(t) sum_(k<m) (Tr(U V^k)/2) t^(-k-1); then
+    S_U(v_i) = u_i R_V'(v_i), so c_i = S_T(v_i)/R_V'(v_i) and
+    b_i = S_W(v_i)/R_V'(v_i).  The q_i are distinct, so the pairs (c_i, b_i)
+    are, and two of them have v_i = v_j for at most one lambda: of
+    m(m-1)/2 + 1 values of lambda one separates every pair, as long as p
+    exceeds m(m-1)/2.  Up to min(p, m(m-1)/2 + 1) values are tried, and the
+    q_i found must multiply to f.
+    """
     n = mp.deg(f)
+    if n % 2:  # no product of quadratics has odd degree
+        raise VerificationError(f"the quadratic factors found do not multiply to the degree-{n} piece at p={p}")
+    if n < 3:
+        return [f] if n == 2 else []
     m = n // 2
     mulmod, dtype = mp.mulmod_by(f, p)
 
@@ -537,12 +533,14 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
        cannot fail: g divides Phi5(X, x) mod ss_p, and Xg = X mod g, so
        D_0 = 0 and G_1 = g.
 
-    3. ``_split`` splits the linear and the quadratic part of each stratum
-       into its factors: the linear ones from the roots found by one Horner
-       sweep over F_p, the quadratic ones x^2 - c x + b from their traces
-       c = x + x^p and norms b = x^(p+1), which are constant on the two roots
-       of each factor; power sums and Newton's identities read the pairs
-       (c, b) off, and their product must give back the piece.
+    3. Each stratum s splits into its linear part gcd(s, L) and its
+       quadratic part q = s / gcd(s, L), and each part into its factors:
+       ``_linear_factors`` reads the linear ones off the roots found by one
+       Horner sweep over F_p, and ``_quadratic_factors`` the quadratic ones
+       x^2 - c x + b off their traces c = x + x^p and norms b = x^(p+1),
+       which are constant on the two roots of each factor; power sums and
+       Newton's identities read the pairs (c, b) off, and their product must
+       give back q.
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
@@ -562,12 +560,11 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
         G = above
     if mp.deg(G) > 0:
         raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
-    lins = [mp.gcd(s, lin, p) for _, s in strata]
-    quads = [mp.quo(s, sl, p) for (_, s), sl in zip(strata, lins)]
     out = []
-    for d, pieces in ((1, lins), (2, quads)):
-        for (i, _), factors in zip(strata, _split(pieces, d, Xg, p)):
-            out += [(tuple(q), 2 * i) for q in factors]
+    for i, s in strata:
+        sl = mp.gcd(s, lin, p)
+        q = mp.quo(s, sl, p)
+        out += [(tuple(f), 2 * i) for f in _linear_factors(sl, p) + _quadratic_factors(q, mp.rem(Xg, q, p), p)]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 

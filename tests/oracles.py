@@ -199,7 +199,7 @@ def supersingular_poly_fp2_oracle(p: int) -> list[int]:
     return [c[0] for c in prod]
 
 
-def quartic_irreducible_naive(coeffs: tuple[int, ...], p: int) -> bool:
+def quartic_irreducible_naive(coeffs: list[int], p: int) -> bool:
     """Monic quartic irreducibility by exhaustive root and quadratic-divisor search."""
     assert len(coeffs) == 5 and coeffs[4] == 1
 
@@ -390,7 +390,7 @@ def census_by_h_sweep(l: int) -> dict:
     quadratics x^2 + e(s-1)x + s, kept when their discriminant is a
     non-residue."""
     from hasse5 import VerificationError
-    from hasse5.census import GShape, KShape, _divisor_params, _squarefree_hasse
+    from hasse5.census import _divisor_params, _squarefree_hasse
     from hasse5.fp import golden_units, legendre
 
     f = _squarefree_hasse(l)
@@ -401,18 +401,18 @@ def census_by_h_sweep(l: int) -> dict:
         hits = _divisor_params(f, red, l)
         if 0 in hits:
             raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
-        shapes = sorted((GShape(l, a) for a in hits if legendre(a * a - 44 * a - 16, l) == -1), key=GShape.coeffs)
+        factors = sorted([1, -a % l, (11 * a + 2) % l, a, 1] for a in hits if legendre(a * a - 44 * a - 16, l) == -1)
     else:
         pair = golden_units(l)
-        found: dict[tuple[int, int], KShape] = {}
-        for variant, e in (("eps", pair.eps5), ("epsbar", pair.eps5bar)):
+        found: set[tuple[int, int, int]] = set()
+        for e in (pair.eps5, pair.eps5bar):
             # x^2 = -s - e(s-1) x mod x^2 + e(s-1) x + s
             for s in _divisor_params(f, np.stack([-t % l, -e * (t - 1) % l]), l):
                 r = e * (s - 1) % l
                 if legendre(r * r - 4 * s, l) == -1:
-                    found.setdefault((s, r), KShape(l, r, s, variant))
-        shapes = sorted(found.values(), key=KShape.coeffs)
-    return _census_payload(l, [list(s.coeffs()) for s in shapes])
+                    found.add((s, r, 1))
+        factors = [list(k) for k in sorted(found)]
+    return _census_payload(l, factors)
 
 
 def _census_payload(l: int, factors: list) -> dict:
@@ -429,12 +429,12 @@ def _census_payload(l: int, factors: list) -> dict:
     }
 
 
-def companion(l: int, k):
-    """kbar(x) = s^{-1} x^2 k(-1/x) = x^2 - (r/s) x + 1/s, for a census ``KShape`` k."""
-    from hasse5.census import KShape
-
-    sinv = pow(k.s, l - 2, l)
-    return KShape(l, (-k.r * sinv) % l, sinv, k.variant)
+def companion(l: int, k: list[int]) -> list[int]:
+    """kbar(x) = s^{-1} x^2 k(-1/x) = x^2 - (r/s) x + 1/s, for a census
+    factor k = [s, r, 1]."""
+    s, r, _ = k
+    sinv = pow(s, l - 2, l)
+    return [sinv, (-r * sinv) % l, 1]
 
 
 def pow_mod_by_squaring(f, e: int, m, p: int) -> list[int]:

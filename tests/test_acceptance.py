@@ -176,9 +176,9 @@ def test_criterion_6_property_suites():
         assert zparam_cross_check(p)
     for l in (11, 19, 29, 31, 41, 61, 71, 79):
         shapes = find_k_factors(l, build_hasse(l))
-        coeffs = {s.coeffs() for s in shapes}
-        for s in shapes:
-            assert companion(l, s).coeffs() in coeffs
+        coeffs = {tuple(k) for k in shapes}
+        for k in shapes:
+            assert tuple(companion(l, k)) in coeffs
     assert orbit_property()
     assert resolvent_identities()
     for l in primes_in(7, 10**4):

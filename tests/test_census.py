@@ -2,8 +2,6 @@ import pytest
 
 from hasse5 import VerificationError, census as census_mod, modpoly as mp
 from hasse5.census import (
-    GShape,
-    KShape,
     census,
     find_g_factors,
     find_k_factors,
@@ -14,7 +12,7 @@ from hasse5.fp import golden_units, legendre
 from hasse5.fricke import ZP_JNUM, ZP_LIN, verify_fricke
 from hasse5.hasse import build_hasse, build_ss
 from hasse5.intfactor import is_prime, primes_in
-from hasse5.modeq import a_p
+from hasse5.modeq import a_p, build_k5p
 from oracles import (
     census_by_factoring,
     census_by_h_sweep,
@@ -27,8 +25,8 @@ from oracles import (
 
 def test_find_g_7():
     shapes = find_g_factors(7, build_hasse(7))
-    assert [s.a for s in shapes] == [4]
-    assert shapes[0].coeffs() == (1, 3, 4, 4, 1)
+    assert [g[3] for g in shapes] == [4]
+    assert shapes == [[1, 3, 4, 4, 1]]
 
 
 def test_find_g_13():
@@ -54,7 +52,7 @@ def test_x2_plus_1_counted_once():
     # at l = 19, x^2 + 1 divides the Hasse invariant (s = 1) and has s-parameter 1,
     # so the relation degenerates; the census counts it exactly once
     shapes = find_k_factors(19, build_hasse(19))
-    ones = [s for s in shapes if (s.r, s.s) == (0, 1)]
+    ones = [k for k in shapes if k[:2] == [1, 0]]
     assert len(ones) == 1
 
 
@@ -92,10 +90,9 @@ def test_census_report_fields():
 def test_g_shape_reversal_closure():
     # x^4 g(-1/x) = g(x) for every found shape
     for l in (7, 13, 23, 43):
-        for s in find_g_factors(l, build_hasse(l)):
-            c = s.coeffs()
+        for c in find_g_factors(l, build_hasse(l)):
             # x^4 g(-1/x) has coefficients c_{4-k} (-1)^(4-k); normalize lead
-            rev = tuple(c[4 - k] * (-1) ** (4 - k) % l for k in range(5))
+            rev = [c[4 - k] * (-1) ** (4 - k) % l for k in range(5)]
             assert rev == c
 
 
@@ -103,30 +100,24 @@ def test_k_factor_companion_pairing():
     # companions {k, kbar} both occur; self-paired ones have s = +-1
     for l in (11, 19, 29, 31, 41, 61):
         shapes = find_k_factors(l, build_hasse(l))
-        coeff_set = {s.coeffs() for s in shapes}
-        for s in shapes:
-            cb = companion(l, s)
-            assert cb.coeffs() in coeff_set
-            if cb.coeffs() == s.coeffs():
-                assert s.s in (1, l - 1)
+        coeff_set = {tuple(k) for k in shapes}
+        for k in shapes:
+            cb = companion(l, k)
+            assert tuple(cb) in coeff_set
+            if cb == k:
+                assert k[0] in (1, l - 1)
 
 
 def test_companion_product_has_g_shape():
     # for non-self-paired k, the product k * kbar is a quartic of the g-shape
     for l in (11, 19, 31):
-        pair = golden_units(l)
-        for s in find_k_factors(l, build_hasse(l)):
-            cb = companion(l, s)
-            if cb.coeffs() == s.coeffs():
+        for k in find_k_factors(l, build_hasse(l)):
+            cb = companion(l, k)
+            if cb == k:
                 continue
-            prod = mp.mul(list(s.coeffs()), list(cb.coeffs()), l)
+            prod = mp.mul(k, cb, l)
             a = prod[3]
             assert prod == [1, (-a) % l, (11 * a + 2) % l, a, 1]
-
-
-def test_gshape_coeffs():
-    g = GShape(7, 4)
-    assert g.coeffs() == (1, 3, 4, 4, 1)
 
 
 def test_census_matches_factoring_oracle():
@@ -145,7 +136,7 @@ def test_census_matches_factoring_oracle_to_1500():
 
 
 def _g(l, a):
-    return list(GShape(l, a).coeffs())
+    return [1, -a % l, (11 * a + 2) % l, a % l, 1]
 
 
 def _k(l, e, s):
@@ -158,15 +149,15 @@ def _factors(l, h):
 
 def test_reducible_g_divisor_not_counted():
     l = 13
-    reducible = [a for a in range(l) if not quartic_irreducible_naive(GShape(l, a).coeffs(), l)]
-    irreducible = [a for a in range(l) if quartic_irreducible_naive(GShape(l, a).coeffs(), l)]
+    reducible = [a for a in range(l) if not quartic_irreducible_naive(_g(l, a), l)]
+    irreducible = [a for a in range(l) if quartic_irreducible_naive(_g(l, a), l)]
     for a in reducible:
         h = mp.mul(_g(l, a), _g(l, irreducible[0]), l)
         if mp.deg(mp.gcd(h, mp.deriv(h, l), l)):
             continue  # g_a shares a factor with g_b; not a squarefree H
         shapes = find_g_factors(l, h)
-        assert shapes == [GShape(l, irreducible[0])]
-        assert [list(g.coeffs()) for g in shapes] == _factors(l, h)
+        assert shapes == [_g(l, irreducible[0])]
+        assert shapes == _factors(l, h)
         break
     else:
         pytest.fail("no reducible g_a coprime to an irreducible g_b at l=13")
@@ -180,11 +171,11 @@ def test_quartic_criterion_matches_irreducibility_oracles():
         if l % 5 not in (2, 3):
             continue
         for a in range(1, l):
-            g = GShape(l, a)
-            irreducible = is_irreducible(g.coeffs(), l)
+            g = _g(l, a)
+            irreducible = is_irreducible(g, l)
             if l < 60:
-                assert irreducible == quartic_irreducible_naive(g.coeffs(), l), (l, a)
-            assert find_g_factors(l, list(g.coeffs())) == ([g] if irreducible else []), (l, a)
+                assert irreducible == quartic_irreducible_naive(g, l), (l, a)
+            assert find_g_factors(l, g) == ([g] if irreducible else []), (l, a)
 
 
 def test_quartic_census_raises_no_power(monkeypatch):
@@ -224,14 +215,14 @@ def test_square_discriminant_k_divisor_not_counted():
         h = mp.mul(h, k, l)
     assert mp.deg(mp.gcd(h, mp.deriv(h, l), l)) == 0
     shapes = find_k_factors(l, h)
-    assert shapes == sorted((KShape(l, k[1], k[0], "eps") for k in ks[2:]), key=KShape.coeffs)
-    assert [list(k.coeffs()) for k in shapes] == _factors(l, h)
+    assert shapes == sorted(ks[2:])
+    assert shapes == _factors(l, h)
 
 
 def test_x2_plus_1_counted_once_in_injected_hasse():
     # at l = 19 (= 3 mod 4) x^2 + 1 is irreducible and satisfies both relations
     h = [1, 0, 1]
-    assert find_k_factors(19, h) == [KShape(19, 0, 1, "eps")]
+    assert find_k_factors(19, h) == [[1, 0, 1]]
     assert _factors(19, h) == [[1, 0, 1]]
 
 
@@ -439,3 +430,31 @@ def test_sigma_roots_of_the_fold_count_k5p():
 @pytest.mark.heavy
 def test_sigma_roots_of_the_fold_count_k5p_to_900():
     _check_sigma_roots_against_k5p(primes_in(701, 900))
+
+
+def _check_sigma_roots_against_k5p_of_j(primes):
+    """G, the sigma-roots of P, divides the numerator of K_5p(j(u)), with
+    j(u) = -(u^2 + 12u + 16)^3 / (u + 11) as in
+    ``test_fold_divides_the_z_line_supersingular_polynomial`` and
+    K_5p = prod q^m over ``build_k5p(l)``; and deg K_5p = 2 deg G +
+    4 [l = 3 mod 4].  So the j-images of the sigma-roots are roots of K_5p,
+    which ties the census, the Fricke verdict and K_5p to one P.  Observed
+    at every prime 380..1000; no proof is at hand."""
+    for l in primes:
+        g = _sigma_roots(l, census_mod._conic_hits(l, census_mod._squarefree_hasse(l))[0])
+        k5p = [1]
+        for q, m in build_k5p(l):
+            for _ in range(m):
+                k5p = mp.mul(k5p, list(q), l)
+        num = compose_rational(k5p, mp.from_int_poly([-c for c in ZP_JNUM], l), list(ZP_LIN), l)
+        assert mp.deg(g) > 0 and not mp.rem(num, g, l), l
+        assert mp.deg(k5p) == 2 * mp.deg(g) + 4 * (l % 4 == 3), l
+
+
+def test_sigma_roots_of_the_fold_divide_k5p_of_j():
+    _check_sigma_roots_against_k5p_of_j([383, 389, 401, 439, 503, 599, 601])
+
+
+@pytest.mark.heavy
+def test_sigma_roots_of_the_fold_divide_k5p_of_j_to_1000():
+    _check_sigma_roots_against_k5p_of_j(primes_in(380, 1000))

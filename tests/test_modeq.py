@@ -394,8 +394,9 @@ def test_verify_factors_g_only(monkeypatch):
     assert all(any(epsilon_flags(p)[d] for p in primes) for d in (20, 84, 96))
     want = {p: k5p_report_by_factoring(p) for p in primes}
     pieces = []
-    real = modeq._split
-    monkeypatch.setattr(modeq, "_split", lambda ps, d, X, p: pieces.extend(ps) or real(ps, d, X, p))
+    linear, quadratic = modeq._linear_factors, modeq._quadratic_factors
+    monkeypatch.setattr(modeq, "_linear_factors", lambda f, p: pieces.append(f) or linear(f, p))
+    monkeypatch.setattr(modeq, "_quadratic_factors", lambda f, Xf, p: pieces.append(f) or quadratic(f, Xf, p))
     monkeypatch.setattr(ffactor, "factor_ff", no_factoring)
     assert not hasattr(modeq, "factor_ff")
     for p in primes:
@@ -427,6 +428,13 @@ def _product(factors, p: int) -> list[int]:
     return out
 
 
+def _split(piece: list[int], d: int, X: list[int], p: int) -> list[list[int]]:
+    """The factors of degree d of a piece, for X = x^p mod a multiple of it."""
+    if d == 1:
+        return modeq._linear_factors(piece, p)
+    return modeq._quadratic_factors(piece, mp.rem(X, piece, p), p)
+
+
 def _irreducible_quadratics(p: int, n: int, rng) -> list[list[int]]:
     out = set()
     while len(out) < n:
@@ -450,7 +458,7 @@ def test_split_matches_factor_ff(p):
     for d, factors in ((1, lins), (2, quads)):
         pieces = [_product(chunk, p) for chunk in (factors[:1], factors[1:5], factors[5:], [])]
         X = mp.pow_mod([0, 1], p, _product(pieces, p), p)
-        got = modeq._split(pieces, d, X, p)
+        got = [_split(piece, d, X, p) for piece in pieces]
         assert got[-1] == []  # the empty piece
         for piece, split in zip(pieces, got):
             want = factor_ff(piece, p).factors
@@ -481,7 +489,7 @@ def test_split_separates_quadratics_of_one_trace_or_one_norm(monkeypatch, pairs,
     calls = []
     roots = modeq._roots
     monkeypatch.setattr(modeq, "_roots", lambda f, p: calls.append(f) or roots(f, p))
-    assert sorted(modeq._split([piece], 2, mp.pow_mod([0, 1], p, piece, p), p)[0]) == sorted(quads)
+    assert sorted(modeq._quadratic_factors(piece, mp.pow_mod([0, 1], p, piece, p), p)) == sorted(quads)
     assert len(calls) == sweeps
 
 
@@ -496,8 +504,8 @@ def test_split_runs_no_pow_mod_and_no_gcd(monkeypatch):
 
     monkeypatch.setattr(mp, "pow_mod", forbidden)
     monkeypatch.setattr(mp, "gcd", forbidden)
-    assert sorted(modeq._split([_product(lins, p)], 1, X, p)[0]) == sorted(lins)
-    assert sorted(modeq._split([_product(quads, p)], 2, X, p)[0]) == sorted(quads)
+    assert sorted(_split(_product(lins, p), 1, X, p)) == sorted(lins)
+    assert sorted(_split(_product(quads, p), 2, X, p)) == sorted(quads)
 
 
 @pytest.mark.parametrize(
@@ -506,16 +514,18 @@ def test_split_runs_no_pow_mod_and_no_gcd(monkeypatch):
         ([[2, 0, 1], [1, 1]], 1, "linear factors of degree 3 has 1 roots in F_p at p=101"),
         ([[2, 0, 0, 0, 1]], 2, "no lambda < 2 separates the quadratic factors of a degree-4 piece at p=101"),
         ([[1, 1], [2, 1], [3, 1], [4, 1]], 2, "quadratic factors found do not multiply to the degree-4 piece at p=101"),
+        ([[5, 1]], 2, "quadratic factors found do not multiply to the degree-1 piece at p=101"),
+        ([[2, 0, 1], [1, 1]], 2, "quadratic factors found do not multiply to the degree-3 piece at p=101"),
     ],
-    ids=["too-few-roots", "no-separating-lambda", "no-product-match"],
+    ids=["too-few-roots", "no-separating-lambda", "no-product-match", "odd-degree-1", "odd-degree-3"],
 )
 def test_split_rejects_a_piece_that_is_not_a_product_of_degree_d_factors(factors, d, error):
-    # (x^2 + 2)(x + 1) with d = 1; x^4 + 2, irreducible over F_101, and
-    # (x + 1)(x + 2)(x + 3)(x + 4), both with d = 2
+    # (x^2 + 2)(x + 1) with d = 1; x^4 + 2, irreducible over F_101,
+    # (x + 1)(x + 2)(x + 3)(x + 4), x + 5 and (x^2 + 2)(x + 1), all with d = 2
     p = 101
     piece = _product(factors, p)
     with pytest.raises(VerificationError, match=error):
-        modeq._split([piece], d, mp.pow_mod([0, 1], p, piece, p), p)
+        _split(piece, d, mp.pow_mod([0, 1], p, piece, p), p)
 
 
 # A cubic factor of Phi5(x^383, x), irreducible over F_383.
