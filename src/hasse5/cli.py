@@ -184,11 +184,21 @@ SWEEPS = {
 }
 
 
+def _reads(sweep: Sweep, p: int, payload: dict) -> bool:
+    """Does payload hold every key that the sweep's row and verdict read?"""
+    try:
+        sweep.row(payload), sweep.ok(p, payload)
+    except (KeyError, TypeError):
+        return False
+    return True
+
+
 def cmd_sweep(args) -> int:
     """One per-prime command over the range, reusing cached payloads.
 
-    A prime that fails a verification gets a FAIL row carrying the error
-    text; it is never cached and makes the exit status 1.
+    A cached payload lacking a key the command reads is a miss.  A prime
+    that fails a verification gets a FAIL row carrying the error text; it
+    is never cached and makes the exit status 1.
     """
     sweep = SWEEPS[args.command]
     primes = _parse_range(args.range)
@@ -207,14 +217,14 @@ def cmd_sweep(args) -> int:
             if not primes:
                 raise SystemExit(f"error: no prime of S in range {args.range!r}")
     cache = Cache(args.cache, args.command)
-    cached = {p: cache.load(p) for p in primes}
-    todo = [p for p in primes if cached[p] is None]
+    cached = {p: d for p in primes if (d := cache.load(p)) is not None and _reads(sweep, p, d)}
+    todo = [p for p in primes if p not in cached]
     fresh = dict(zip(todo, _run_parallel(partial(_attempt, sweep.worker), todo, args.jobs)))
     key, last = sweep.columns[0], sweep.columns[-1]
     rows = []
     ok = True
     for p in primes:
-        payload = cached[p] or fresh[p]
+        payload = fresh[p] if p in fresh else cached[p]
         error = payload.get("error")
         if error:
             ok = False

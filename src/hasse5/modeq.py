@@ -10,11 +10,12 @@ Central objects:
 * ``build_k5p`` -- reconstruction of K_{5p} mod p from the supersingular
   factors of Phi5(x^p, x), each with twice its multiplicity there: their
   product g is certified squarefree with factors of degree 1 and 2 by two
-  Frobenius tests, stratified by multiplicity with one gcd ladder over the
-  Hasse derivatives of Phi5 evaluated at x^p, and split with no gcd: the
-  linear factors by one root sweep over F_p (``_linear_factors``), the
-  quadratic ones read off their traces and norms, x + x^p and x^(p+1), by
-  Newton's identities (``_quadratic_factors``);
+  Frobenius tests and split once with no gcd: the linear factors by one root
+  sweep over F_p (``_linear_factors``), the quadratic ones read off their
+  traces and norms, x + x^p and x^(p+1), by Newton's identities
+  (``_quadratic_factors``); the multiplicity of each factor is the order of
+  the first Hasse derivative of Phi5 in its second variable, evaluated at
+  (x^p, x), that does not vanish at the factor's root;
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -357,11 +358,11 @@ def _eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
     return mp.rem(acc, m, p)
 
 
-def _certify(g: list[int], X: list[int], p: int) -> list[int]:
-    """L, the product of the linear factors of g, for g monic and X = x^p
-    mod g, once g = L Q is proved squarefree with L | x^p - x and
-    Q | x^(p^2) - x coprime to x^p - x; raises ``VerificationError`` when
-    it is not.
+def _certify(g: list[int], X: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
+    """(L, Q, X mod Q) for g monic and X = x^p mod g: L the product of the
+    linear factors of g and Q = g / L the product of its quadratic ones, once
+    g = L Q is proved squarefree with L | x^p - x and Q | x^(p^2) - x coprime
+    to x^p - x; raises ``VerificationError`` when it is not.
 
     L = gcd(g, x^p - x) and Q = g / L.  If gcd(Q, x^p - x) = 1 and
     (x^p)^p = x mod Q, then L is squarefree, Q is squarefree with no linear
@@ -374,9 +375,9 @@ def _certify(g: list[int], X: list[int], p: int) -> list[int]:
     x = [0, 1]
     lin = mp.gcd(g, mp.sub(X, x, p), p)
     quad = mp.quo(g, lin, p)
-    if mp.deg(quad) < 1:
-        return lin
     XQ = mp.rem(X, quad, p)
+    if mp.deg(quad) < 1:
+        return lin, quad, XQ
     if mp.deg(mp.gcd(quad, mp.sub(XQ, x, p), p)) > 0:
         raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
     XQp = mp.pow_mod(XQ, p, quad, p)
@@ -386,7 +387,7 @@ def _certify(g: list[int], X: list[int], p: int) -> list[int]:
         if mp.deg(mp.gcd(mp.quo(quad, once, p), once, p)) > 0:
             raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
         raise VerificationError(f"gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p={p}")
-    return lin
+    return lin, quad, XQ
 
 
 def _roots(f: list[int], p: int) -> list[int]:
@@ -507,64 +508,51 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     (degree, coefficient tuple).
 
     With X = x^p mod ss_p, gcd(ss_p, F) is taken as g = gcd(ss_p, Phi5(X, x)
-    mod ss_p), and Xg = X mod g.  Three steps follow, none of them a general
-    factorization.
+    mod ss_p).  Three steps follow, none of them a general factorization.
 
     1. ``_certify`` proves g squarefree with factors of degree 1 and 2 only,
-       and returns the product L of the linear ones.  Every root
-       of g is a supersingular j, which lies in F_(p^2) (Deuring), so this
-       holds unless ss_p or g is wrong.
+       and returns the product L of the linear ones, the product Q of the
+       quadratic ones and X mod Q.  Every root of g is a supersingular j,
+       which lies in F_(p^2) (Deuring), so this holds unless ss_p or g is
+       wrong.
 
-    2. One gcd ladder stratifies g by multiplicity.  With G_0 = g,
-       D_i = (D_Y^i Phi5)(Xg mod G_i, x) mod G_i and G_(i+1) = gcd(G_i, D_i),
-       where D_Y^i is the i-th Hasse derivative in the second variable
-       (``_hasse_rows``), G_i is the product of the factors of g of
-       multiplicity >= i in F, and the stratum G_i / G_(i+1) holds exactly
-       those of multiplicity i.  Proof: the i-th Hasse derivative of
-       x^(pa+b) is C(pa+b, i) x^(pa+b-i), and by Lucas C(pa+b, i) = C(b, i)
-       mod p for b, i <= 6 < p, so the i-th Hasse derivative of F is
-       (D_Y^i Phi5)(x^p, x), and modulo G_i (which divides g) that is D_i.
-       If F = q^k u with q not dividing u, the Leibniz rule gives
-       q^(k-i) | D^(i) F for i < k and D^(k) F = (q')^k u mod q; q is
-       irreducible over the perfect field F_p, hence separable, so q does not
-       divide q'.  So a factor q of G_i, where k >= i, divides D_i exactly
-       when k > i, and G_i is squarefree.  Phi5 is monic of degree 6 in Y, so
-       D_Y^6 Phi5 = 1 and G_7 = 1.  The ladder starts at i = 1, as rung 0
-       cannot fail: g divides Phi5(X, x) mod ss_p, and Xg = X mod g, so
-       D_0 = 0 and G_1 = g.
+    2. L and Q split into their factors, once: ``_linear_factors`` reads the
+       linear ones off the roots found by one Horner sweep over F_p, and
+       ``_quadratic_factors`` the quadratic ones x^2 - c x + b off their
+       traces c = x + x^p and norms b = x^(p+1), which are constant on the
+       two roots of each factor; power sums and Newton's identities read the
+       pairs (c, b) off, and their product must give back Q.
 
-    3. Each stratum s splits into its linear part gcd(s, L) and its
-       quadratic part q = s / gcd(s, L), and each part into its factors:
-       ``_linear_factors`` reads the linear ones off the roots found by one
-       Horner sweep over F_p, and ``_quadratic_factors`` the quadratic ones
-       x^2 - c x + b off their traces c = x + x^p and norms b = x^(p+1),
-       which are constant on the two roots of each factor; power sums and
-       Newton's identities read the pairs (c, b) off, and their product must
-       give back q.
+    3. The multiplicity of each factor q in F is the least i with
+       D_i = (D_Y^i Phi5)(x^p, x) mod q nonzero, where D_Y^i is the i-th
+       Hasse derivative in the second variable (``_hasse_rows``).  x^p mod q
+       is read off q: it is r for q = x - r, and c - x for
+       q = x^2 - c x + b, as the two roots beta, beta^p of q add up to c.
+       Proof: the i-th Hasse derivative of x^(pa+b) is C(pa+b, i) x^(pa+b-i),
+       and by Lucas C(pa+b, i) = C(b, i) mod p for b, i <= 6 < p, so the i-th
+       Hasse derivative D^(i) F of F is (D_Y^i Phi5)(x^p, x).  q is
+       irreducible, so it divides D^(i) F exactly when D^(i) F vanishes at a
+       root beta of q, where it is (D_Y^i Phi5)(beta^p, beta).  If F = q^k u
+       with q not dividing u, the Leibniz rule gives q^(k-i) | D^(i) F for
+       i < k and D^(k) F = (q')^k u mod q; q is irreducible over the perfect
+       field F_p, hence separable, so q does not divide q'.  So q divides D_i
+       exactly when i < k, and the least i is k.  Phi5 is monic of degree 6
+       in Y, so D_Y^6 Phi5 = 1 and k <= 6; a q dividing every D_i up to
+       i = 6 raises ``VerificationError``.
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
     ss = build_ss(p)
     X = mp.pow_mod([0, 1], p, ss, p)
     g = mp.gcd(ss, _eval_rows(_hasse_rows(0), X, ss, p), p)
-    Xg = mp.rem(X, g, p)
-    lin = _certify(g, Xg, p)
-    strata = []  # (i, the product of the factors of g of multiplicity i in F)
-    G = g
-    for i in range(1, 7):
-        if mp.deg(G) < 1:
-            break
-        above = mp.gcd(G, _eval_rows(_hasse_rows(i), mp.rem(Xg, G, p), G, p), p)
-        if mp.deg(above) < mp.deg(G):
-            strata.append((i, mp.quo(G, above, p)))
-        G = above
-    if mp.deg(G) > 0:
-        raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
+    lin, quad, XQ = _certify(g, mp.rem(X, g, p), p)
     out = []
-    for i, s in strata:
-        sl = mp.gcd(s, lin, p)
-        q = mp.quo(s, sl, p)
-        out += [(tuple(f), 2 * i) for f in _linear_factors(sl, p) + _quadratic_factors(q, mp.rem(Xg, q, p), p)]
+    for q in _linear_factors(lin, p) + _quadratic_factors(quad, XQ, p):
+        Xq = mp.trim([-q[0] % p]) if len(q) == 2 else [-q[1] % p, p - 1]  # x^p mod q
+        k = next((i for i in range(1, 7) if _eval_rows(_hasse_rows(i), Xq, q, p)), 0)
+        if not k:
+            raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
+        out.append((tuple(q), 2 * k))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 

@@ -30,7 +30,7 @@ class DivisionByZeroPoly(ZeroDivisionError):
 
 
 class NotSkewPalindromic(ValueError):
-    """Input to detilde does not satisfy x^n f(-1/x) = f(x)."""
+    """Input to detilde does not satisfy x^n f(-1/x) = (-1)^(n/2) f(x) with n = deg f even."""
 
 
 def exact_div(a, b):
@@ -302,8 +302,8 @@ def compose_rational(F: Poly, num: Poly, den: Poly) -> Poly:
 def detilde(f: Poly) -> Poly:
     """Inverse of the palindromic substitution: find g with f(x) = x^(n/2) g(x - 1/x).
 
-    Exists exactly when x^n f(-1/x) = f(x) with n = deg f even; otherwise
-    raises NotSkewPalindromic.
+    Exists exactly when x^n f(-1/x) = (-1)^(n/2) f(x) with n = deg f even;
+    otherwise raises NotSkewPalindromic.
     """
     n = f.degree
     if n < 0 or n % 2:

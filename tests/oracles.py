@@ -14,8 +14,10 @@ and with j5, ``census_by_factoring``, the census by a full Cantor-Zassenhaus
 factorization of that invariant, ``census_by_h_sweep``, the census by
 Horner sweeps over all of H rather than over its fold,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
-Phi5(x^p, x) by repeated division, ``icosa_resultant_bareiss``, the
-icosahedral resultant by Bareiss elimination over Z[zeta_5][x], and
+Phi5(x^p, x) by repeated division, ``k5p_by_census_hits``, K_5p mod p as
+the j-images of the census's conic hits, with no Phi5 and no ss_p,
+``icosa_resultant_bareiss``, the icosahedral resultant by Bareiss
+elimination over Z[zeta_5][x], and
 ``pow_mod_by_squaring``, f^e mod m on lists with a long division after every
 product, and ``k5p_report_by_factoring``, the K_5p verdict by factoring
 H_-20, H_-84 and H_-96 mod p and matching the predicted factor list against
@@ -475,6 +477,50 @@ def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:
             cur, mult = quot, mult + 1
         out.append((coeffs, 2 * mult))
     out.sort(key=lambda t: (len(t[0]) - 1, t[0]))
+    return out
+
+
+def _j_on_conic(a: int, p: int) -> list[int]:
+    """The characteristic polynomial over F_p, ascending, of j(u0) for
+    j(u) = -(u^2 + 12u + 16)^3 / (u + 11) and u0 a root of an irreducible
+    Q_a = u^2 + a u + 11a + 4: (X - j(u0)) (X - j(u0')), u0' = -a - u0 the
+    other root.  It is the minimal polynomial of j(u0) when j(u0) is not in
+    F_p, and its square otherwise, as at a = 0 (j(2i) = 1728).
+
+    j(u0) = c0 + c1 u0 in F_p[u]/Q_a.  (u0 + 11)(u0' + 11) = 121 - 11a +
+    11a + 4 = 125, so 1/(u0 + 11) = (11 - a - u0)/125, and the polynomial
+    is X^2 - (2 c0 - a c1) X + c0^2 - a c0 c1 + (11a + 4) c1^2."""
+    b = (11 * a + 4) % p
+
+    def mul(x, y):  # in F_p[u]/(u^2 + a u + b)
+        top = x[1] * y[1]
+        return ((x[0] * y[0] - b * top) % p, (x[0] * y[1] + x[1] * y[0] - a * top) % p)
+
+    w = ((16 - b) % p, (12 - a) % p)  # u^2 + 12u + 16
+    c0, c1 = mul(mul(mul(w, w), w), ((a - 11) % p, 1))  # -w^3 (11 - a - u)
+    inv = pow(125, -1, p)
+    c0, c1 = c0 * inv % p, c1 * inv % p
+    return [(c0 * c0 - a * c0 * c1 + b * c1 * c1) % p, -(2 * c0 - a * c1) % p, 1]
+
+
+def k5p_by_census_hits(p: int) -> list[int]:
+    """K_5p mod p, ascending, from the census's conics on the fold P, with no
+    Phi5, no ss_p and no gcd past the census's squarefree certificate of H:
+    the product of m_a^2 over the irreducible hits a of
+    ``census._irreducible_hits``, of m_0^2 for p = 3 mod 4 (Q_0 = u^2 + 4),
+    and of (X - j(2e))^2 for each root 2e in F_p of P and of u^2 + 22u - 4,
+    whose roots are the fixed points of the Fricke involution.  m_a is the
+    characteristic polynomial of j at a root of Q_a (``_j_on_conic``)."""
+    from hasse5 import census, modpoly as mp
+
+    P, hits = census._irreducible_hits(p, census._squarefree_hasse(p))
+    parts = [_j_on_conic(a, p) for a in hits + [0] * (p % 4 == 3)]
+    for t in ((r - 11) % p for r in sqrts_naive(125, p)):  # u^2 + 22u - 4 = (u + 11)^2 - 125
+        if mp.eval_at(P, t, p) == 0:
+            parts.append([(t * t + 12 * t + 16) ** 3 * pow(t + 11, -1, p) % p, 1])  # X - j(t)
+    out = [1]
+    for m in parts:
+        out = mp.mul(out, mp.mul(m, m, p), p)
     return out
 
 

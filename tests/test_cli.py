@@ -285,10 +285,11 @@ def test_cache_entry_from_other_sources_is_recomputed(tmp_path, capsys):
     assert code == 0 and out2 == out1
     assert json.loads(path.read_text())["digest"] == digest
     # valid JSON that is not a cache document is a miss too, and so is a
-    # current document whose payload is missing or not an object
+    # current document whose payload is missing, not an object, or lacks a
+    # key the sweep reads (all of them, or "match")
     good = json.loads(path.read_text())
     no_payload = {k: v for k, v in good.items() if k != "payload"}
-    for text in ("[]", json.dumps(no_payload), json.dumps({**good, "payload": [1]})):
+    for text in ("[]", json.dumps(no_payload), *(json.dumps({**good, "payload": x}) for x in ([1], {}, {"l": 11}))):
         path.write_text(text)
         code, out3 = run_cli(capsys, "census", "11", "--format", "json", "--cache", str(tmp_path))
         assert code == 0 and out3 == out1
@@ -509,17 +510,17 @@ def test_optimized_interpreter_keeps_the_k5p_degree_certificate():
 
 
 def test_optimized_interpreter_keeps_the_k5p_split_checks():
-    # a certificate that finds no linear factor sends the linear factors of
-    # g to the quadratic split; python -O must still reject its result as a
+    # a certificate that finds no linear factor sends all of g, of degree 9,
+    # to the quadratic split; python -O must still reject its result as a
     # FAIL row
     code = (
-        "from hasse5 import modeq; modeq._certify = lambda g, X, p: [1]; "
+        "from hasse5 import modeq; modeq._certify = lambda g, X, p: ([1], g, X); "
         "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
     )
     run = run_subprocess(code, "-O")
     assert run.returncode == 1 and "Traceback" not in run.stderr
     assert run.stdout.split("\n")[1] == (
-        "383\t\t\t\t\t\tFAIL: VerificationError: the quadratic factors found do not multiply to the degree-3 piece at p=383"
+        "383\t\t\t\t\t\tFAIL: VerificationError: the quadratic factors found do not multiply to the degree-9 piece at p=383"
     )
 
 

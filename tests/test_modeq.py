@@ -34,7 +34,7 @@ from hasse5.modeq import (
     verify_class_equation,
 )
 from hasse5.poly import Poly, discriminant
-from oracles import k5p_by_division, k5p_report_by_factoring
+from oracles import k5p_by_census_hits, k5p_by_division, k5p_report_by_factoring
 
 
 def test_q5_constant_term():
@@ -381,7 +381,7 @@ def test_every_mismatch_kind_fires(monkeypatch):
 
 def test_verify_factors_g_only(monkeypatch):
     # no factorization runs (factor_ff raises if called): the split sees the
-    # strata of g = gcd(ss_p, Phi5(x^p, x)) and nothing else, no class
+    # parts L and Q of g = gcd(ss_p, Phi5(x^p, x)) and nothing else, no class
     # polynomial is factored, also where H_-20, H_-84 or H_-96 is flagged, and
     # the reports still match the factor-and-match oracle
     from hasse5 import ffactor
@@ -405,20 +405,22 @@ def test_verify_factors_g_only(monkeypatch):
         assert _product(pieces, p) == mp.gcd(build_ss(p), phi5_xp_x(p), p), p
 
 
-def test_build_k5p_ladder_runs_modulo_each_level(monkeypatch):
-    # _eval_rows runs modulo ss_p once, then once for each level of the gcd
-    # ladder, modulo G_i, the product of the factors of multiplicity >= i in
-    # Phi5(x^p, x), for i = 1 (G_1 = g) up to the last nonempty stratum
+def test_build_k5p_evaluates_each_factor_up_to_its_multiplicity(monkeypatch):
+    # _eval_rows runs modulo ss_p once, then modulo each factor q of g once
+    # for each i from 1 up to its multiplicity m/2 in Phi5(x^p, x): the search
+    # stops at the first Hasse derivative that does not vanish at q's root
+    from collections import Counter
+
     from hasse5.hasse import build_ss
 
     moduli = []
     real = modeq._eval_rows
-    monkeypatch.setattr(modeq, "_eval_rows", lambda rows, X, m, p: moduli.append(m) or real(rows, X, m, p))
+    monkeypatch.setattr(modeq, "_eval_rows", lambda rows, X, m, p: moduli.append(tuple(m)) or real(rows, X, m, p))
     for p in (379, 383, 389):
         moduli.clear()
         k5p = build_k5p(p)
-        levels = [_product([c for c, e in k5p if e // 2 >= i], p) for i in range(1, max(e for _, e in k5p) // 2 + 1)]
-        assert moduli == [build_ss(p)] + levels, p
+        assert moduli[0] == tuple(build_ss(p)), p
+        assert Counter(moduli[1:]) == Counter({q: m // 2 for q, m in k5p}), p
 
 
 def _product(factors, p: int) -> list[int]:
@@ -552,6 +554,24 @@ def test_build_k5p_certifies_g(monkeypatch, p, extra, error):
     monkeypatch.setattr(modeq, "build_ss", lambda p: mp.mul(build_ss(p), extra, p))
     with pytest.raises(VerificationError, match=error):
         build_k5p(p)
+
+
+def _check_k5p_against_census_hits(primes):
+    """prod q^m over build_k5p against the j-images of the census's conic
+    hits on the fold, which use no Phi5 and no ss_p: every factor and every
+    multiplicity."""
+    for p in primes:
+        assert _product([q for q, m in build_k5p(p) for _ in range(m)], p) == k5p_by_census_hits(p), p
+
+
+def test_build_k5p_matches_census_hits_oracle():
+    # every prime 23..1000, the anomaly at 379 included
+    _check_k5p_against_census_hits(primes_in(23, 1000))
+
+
+@pytest.mark.heavy
+def test_build_k5p_matches_census_hits_oracle_to_2000():
+    _check_k5p_against_census_hits(primes_in(1001, 2000))
 
 
 @pytest.mark.heavy

@@ -118,6 +118,11 @@ def test_detilde_examples():
     assert detilde(f11) == Poly([-7424, 128, 304, 32, 1])
     # degree-2 base case: x^2 + cx - 1 -> x + c
     assert detilde(Poly([-1, 7, 1])) == Poly([7, 1])
+    # n/2 odd: x^2 - 1 = x (x - 1/x), although x^2 f(-1/x) = -f, and x^2 + 1,
+    # with x^2 f(-1/x) = f, has no expansion
+    assert detilde(Poly([-1, 0, 1])) == Poly([0, 1])
+    with pytest.raises(NotSkewPalindromic):
+        detilde(Poly([1, 0, 1]))
 
 
 def test_detilde_roundtrip():
