@@ -46,10 +46,11 @@ z-fibre of ``fricke`` at Y = a, of discriminant a^2 - 44a - 16.
   divides H exactly when n is odd, and x^2 - 2e x - 1 = x (u - 2e) exactly
   when P(2e) = 0, at a fixed point of sigma.
 
-So the census is one vectorized Horner sweep of width 2 over P's coefficients,
-P mod Q_a for every a in F_l at once, and one Legendre symbol of
-a^2 - 44a - 16 per hit, for both families.  It raises no polynomial to a
-power.
+So the census is one blocked divisor sweep of width 2 over P's coefficients
+(``modpoly._divisor_params``: baby steps x^j mod Q_a, then Horner in x^b over
+P's blocks of b coefficients), P mod Q_a for every a in F_l at once, and one
+Legendre symbol of a^2 - 44a - 16 per hit, for both families.  It raises no
+polynomial to a power.
 
 The same P and the same hits serve ``fricke.verify_fricke``: Y(u) =
 -(u^2 + 4)/(u + 11), the j5* of ``fricke``, takes the value a exactly on the
@@ -141,6 +142,7 @@ def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
     irreducible (``_irreducible_hits``), and ``fricke.verify_fricke`` counts
     every hit, one sigma-orbit of roots of P on which
     Y = -(u^2 + 4)/(u + 11) takes the value a."""
+    # the sweep is exact in int64 when (k+1) l^2 < 2^63 for its width k = 2
     if 3 * l * l >= 2**63:
         raise ValueError(f"l={l} is too large for the int64 divisibility sweep")
     p = _fold(l, f)

@@ -391,8 +391,9 @@ def _certify(g: list[int], X: list[int], p: int) -> tuple[list[int], list[int], 
 
 
 def _roots(f: list[int], p: int) -> list[int]:
-    """The distinct roots of f in F_p, ascending, by one Horner sweep over all
-    of F_p; its int64 entries stay below 2 p^2."""
+    """The distinct roots of f in F_p, ascending, by one blocked sweep over all
+    of F_p (``mp._divisor_params``, width 1), exact in int64 while
+    2 p^2 < 2^63."""
     return mp._divisor_params(f, np.arange(p)[None, :], p)
 
 
@@ -401,8 +402,8 @@ def _linear_factors(f: list[int], p: int) -> list[list[int]]:
     over F_p; raises ``VerificationError`` when f is found not to be one.  A
     constant f has no factor, and a linear f is its own.
 
-    The factors are read off the roots r of f, by one Horner sweep over all
-    of F_p (``mp._divisor_params``); f is their product exactly when deg f
+    The factors are read off the roots r of f, found by one blocked sweep
+    over all of F_p (``_roots``); f is their product exactly when deg f
     distinct roots are found.
     """
     if len(f) < 3:
@@ -517,7 +518,7 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
        wrong.
 
     2. L and Q split into their factors, once: ``_linear_factors`` reads the
-       linear ones off the roots found by one Horner sweep over F_p, and
+       linear ones off the roots found by one blocked sweep over F_p, and
        ``_quadratic_factors`` the quadratic ones x^2 - c x + b off their
        traces c = x + x^p and norms b = x^(p+1), which are constant on the
        two roots of each factor; power sums and Newton's identities read the

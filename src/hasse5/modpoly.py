@@ -20,12 +20,19 @@ arrays are int64 when ``_np_ok(len(m), p)`` holds, which bounds every
 convolution of the step, and hold Python ints (dtype object) otherwise.
 ``pow_mod`` and the K_5p split in ``modeq`` run on it.
 
-``_divisor_params`` tests f against a whole family of monic divisors at once,
-one Horner sweep with one column per divisor: the census and Fricke sweeps
-over the conics, and the root sweep over all of F_p in ``modeq``.
+``_divisor_params`` tests f against a whole family of monic divisors m_t of
+degree k at once, one column per divisor: the census and Fricke sweeps over
+the conics, and the root sweep over all of F_p in ``modeq``.  It is Horner in
+x^b over f's blocks of b = isqrt(len f) coefficients (Paterson-Stockmeyer),
+so about 2 sqrt(len f) numpy steps, not one per coefficient.  Every int64
+entry it forms is a sum of at most b + k products of residues in [0, l), so
+it stays below (b + k) l^2; b is capped so that this is below 2^63, and
+b >= 1 keeps the bound (k+1) l^2 < 2^63 that the callers check.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -199,21 +206,40 @@ def pow_mod(f, e: int, m, p):
 
 
 def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
-    """Column indices t with f = 0 mod m_t, where m_t = x^k - sum_i red[i, t] x^i.
+    """Column indices t with f = 0 mod m_t, where m_t = x^k - sum_i red[i, t] x^i
+    and red's entries lie in [0, l).
 
-    Horner over f's coefficients from the top, for every column at once: the
-    k-wide state holds f's prefix mod m_t, and x^k is replaced by red[:, t].
-    Only the outgoing top slot is reduced mod l.  A slot takes at most k
-    products below l^2 on its way to the top, so every entry stays below
-    (k+1) l^2, which the caller checks fits in int64.
+    Horner in x^b over f's blocks of b coefficients, for every column at
+    once (baby steps, giant steps: Paterson and Stockmeyer, SIAM J. Comput.
+    2, 1973).  The baby steps build U_j = x^j mod m_t for j < b + k, each
+    from U_(j-1) by one shift and one reduction of the top slot.  Each giant
+    step takes the state, f's prefix mod m_t, to
+        state * x^b + F_i = sum_(j<b) F_i[j] U_j + sum_(r<k) state_r U_(b+r),
+    one vector-matrix product and k multiply-adds, and reduces it mod l.  All
+    entries of F_i, U and the state lie in [0, l), so each new entry is a sum
+    of at most b + k products below l^2.  b = isqrt(len f), capped so that
+    (b + k) l^2 < 2^63, is at least 1 whenever (k+1) l^2 < 2^63, which the
+    caller checks; every int64 sum is then exact.
     """
-    state = np.zeros_like(red)
-    for c in reversed(f):
-        top = state[-1] % l
-        state[1:] = state[:-1]
-        state[0] = c
-        state += top * red
-    return np.flatnonzero(~(state % l).any(axis=0)).tolist()
+    k, ncols = red.shape
+    b = max(1, min(isqrt(len(f)), (2**63 - 1) // (l * l) - k))
+    u = np.zeros((b + k, k, ncols), dtype=np.int64)
+    for j in range(k):
+        u[j, j] = 1
+    for j in range(k, b + k):
+        u[j, 1:] = u[j - 1, :-1]
+        u[j] += u[j - 1, -1] * red
+        u[j] %= l
+    blocks = np.zeros(-(-len(f) // b) * b, dtype=np.int64)
+    blocks[: len(f)] = f
+    baby = u[:b].reshape(b, k * ncols)
+    state = np.zeros((k, ncols), dtype=np.int64)
+    for c in blocks.reshape(-1, b)[::-1]:
+        acc = (c @ baby).reshape(k, ncols)
+        for r in range(k):
+            acc += state[r] * u[b + r]
+        state = acc % l
+    return np.flatnonzero(~state.any(axis=0)).tolist()
 
 
 def eval_at(f, x: int, p: int) -> int:

@@ -13,6 +13,8 @@ polynomial from Deuring's J_l (``build_Jl``) expanded about t = 1728,
 and with j5, ``census_by_factoring``, the census by a full Cantor-Zassenhaus
 factorization of that invariant, ``census_by_h_sweep``, the census by
 Horner sweeps over all of H rather than over its fold,
+``divisor_params_by_horner``, the divisor sweep by Horner one coefficient at
+a time, which the blocked sweep of ``modpoly._divisor_params`` replaced,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
 Phi5(x^p, x) by repeated division, ``k5p_by_census_hits``, K_5p mod p as
 the j-images of the census's conic hits, with no Phi5 and no ss_p,
@@ -385,6 +387,24 @@ def census_by_factoring(l: int, hasse=None) -> dict:
     return _census_payload(l, [list(c) for c in facs])
 
 
+def divisor_params_by_horner(f: list[int], red: np.ndarray, l: int) -> list[int]:
+    """Column indices t with f = 0 mod m_t, where m_t = x^k - sum_i red[i, t] x^i.
+
+    Horner over f's coefficients from the top, for every column at once: the
+    k-wide state holds f's prefix mod m_t, and x^k is replaced by red[:, t].
+    Only the outgoing top slot is reduced mod l.  A slot takes at most k
+    products below l^2 on its way to the top, so every entry stays below
+    (k+1) l^2, which the caller checks fits in int64.
+    """
+    state = np.zeros_like(red)
+    for c in reversed(f):
+        top = state[-1] % l
+        state[1:] = state[:-1]
+        state[0] = c
+        state += top * red
+    return np.flatnonzero(~(state % l).any(axis=0)).tolist()
+
+
 def census_by_h_sweep(l: int) -> dict:
     """``census(l)`` by the Horner sweeps over all of H that the fold
     replaced: a 4-wide sweep for the quartics g_a, kept when a^2 - 44a - 16 is
@@ -392,7 +412,7 @@ def census_by_h_sweep(l: int) -> dict:
     quadratics x^2 + e(s-1)x + s, kept when their discriminant is a
     non-residue."""
     from hasse5 import VerificationError
-    from hasse5.census import _divisor_params, _squarefree_hasse
+    from hasse5.census import _squarefree_hasse
     from hasse5.fp import golden_units, legendre
 
     f = _squarefree_hasse(l)
@@ -400,7 +420,7 @@ def census_by_h_sweep(l: int) -> dict:
     if l % 5 in (2, 3):
         # x^4 = -1 + a x - (11a+2) x^2 - a x^3 mod g_a
         red = np.stack([np.full(l, l - 1, dtype=np.int64), t, -(11 * t + 2) % l, -t % l])
-        hits = _divisor_params(f, red, l)
+        hits = divisor_params_by_horner(f, red, l)
         if 0 in hits:
             raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
         factors = sorted([1, -a % l, (11 * a + 2) % l, a, 1] for a in hits if legendre(a * a - 44 * a - 16, l) == -1)
@@ -409,7 +429,7 @@ def census_by_h_sweep(l: int) -> dict:
         found: set[tuple[int, int, int]] = set()
         for e in (pair.eps5, pair.eps5bar):
             # x^2 = -s - e(s-1) x mod x^2 + e(s-1) x + s
-            for s in _divisor_params(f, np.stack([-t % l, -e * (t - 1) % l]), l):
+            for s in divisor_params_by_horner(f, np.stack([-t % l, -e * (t - 1) % l]), l):
                 r = e * (s - 1) % l
                 if legendre(r * r - 4 * s, l) == -1:
                     found.add((s, r, 1))

@@ -274,7 +274,8 @@ def test_each_certificate_check_is_needed(monkeypatch, fault, message):
 
 
 def test_primes_past_the_int64_sweep_rejected():
-    # the sweep state stays below (k+1) l^2, which must fit in int64
+    # a giant step of the sweep sums b + k >= k + 1 products below l^2, so
+    # (k+1) l^2 must fit in int64
     big = [p for p in range(2**31, 2**31 + 200) if is_prime(p)]
     for find in (find_g_factors, find_k_factors):
         l = next(p for p in big if (find is find_g_factors) == (p % 5 in (2, 3)))

@@ -1,12 +1,21 @@
 import itertools
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from hasse5 import modpoly as mp
+from hasse5.census import _fold, _squarefree_hasse
+from hasse5.intfactor import is_prime, primes_in
 from hasse5.poly import Poly
-from oracles import compose_rational, is_irreducible, pow_mod_by_squaring, quartic_irreducible_naive
+from oracles import (
+    compose_rational,
+    divisor_params_by_horner,
+    is_irreducible,
+    pow_mod_by_squaring,
+    quartic_irreducible_naive,
+)
 
 
 def test_basic_ops():
@@ -151,6 +160,92 @@ def test_divmod_matches_object_reference_across_divisor_cutoff(monkeypatch):
             k = nf - ng + 1
             barrett_runs = ng > 1 and k > 0 and mp._BARRETT_FROM <= k * ng < mp._BARRETT_K_PER_COEFF * ng * ng
             assert calls == ([nf] if barrett_runs and mp._np_ok(k, p) else []), (p, nf, ng, lead)
+
+
+def _check_divisor_params(f, red, l):
+    """``_divisor_params`` against the Horner sweep and against one remainder
+    per column; returns the hits."""
+    hits = mp._divisor_params(f, red, l)
+    assert hits == divisor_params_by_horner(f, red, l), (l, len(f), red.shape)
+    want = [t for t in range(red.shape[1]) if not mp.rem(mp.trim(list(f)), [-int(c) % l for c in red[:, t]] + [1], l)]
+    assert hits == want, (l, len(f), red.shape)
+    return hits
+
+
+def _check_sweeps_against_horner(primes):
+    """The census's 2-wide sweep of the fold P over the conics Q_a, and the
+    1-wide root sweep of H over all of F_l, against the Horner sweep."""
+    for l in primes:
+        h = _squarefree_hasse(l)
+        a = np.arange(l, dtype=np.int64)
+        conics = np.stack([-(11 * a + 4) % l, -a % l])
+        folded = _fold(l, h)
+        assert mp._divisor_params(folded, conics, l) == divisor_params_by_horner(folded, conics, l), l
+        assert mp._divisor_params(h, a[None, :], l) == divisor_params_by_horner(h, a[None, :], l), l
+
+
+def test_divisor_params_matches_horner_on_the_sweeps():
+    _check_sweeps_against_horner(primes_in(7, 400))
+
+
+@pytest.mark.heavy
+def test_divisor_params_matches_horner_on_the_sweeps_sampled_to_10000():
+    _check_sweeps_against_horner(primes_in(401, 1500))
+    _check_sweeps_against_horner(sorted(random.Random(40).sample(primes_in(1501, 10**4), 20)))
+
+
+def test_divisor_params_at_block_boundaries():
+    # n = b^2 - 1, b^2, b^2 + 1 moves the block size isqrt(n) and leaves f's
+    # top block full or partial; the columns are all one divisor (so every
+    # one divides f, or none does), or distinct, with f divisible by all of
+    # them, by two or by none
+    rng = random.Random(41)
+    for l in (7, 101, 40961):
+        for k in range(1, 5):
+            for b in (1, 2, 3, 5):
+                for n in sorted({0, 1, 2, b * b - 1, b * b, b * b + 1}):
+                    same = np.array([rng.randrange(l) for _ in range(k)], dtype=np.int64)[:, None]
+                    distinct = np.array([[rng.randrange(l) for _ in range(5)] for _ in range(k)], dtype=np.int64)
+                    for red in (np.repeat(same, 3, axis=1), distinct):
+                        ms = [[-int(c) % l for c in red[:, t]] + [1] for t in range(red.shape[1])]
+                        fs = [[rng.randrange(l) for _ in range(n)], [0] * n]
+                        for keep in (list(range(len(ms))), rng.sample(range(len(ms)), 2), []):
+                            f = [1]
+                            for t in keep:
+                                f = mp.mul(f, ms[t], l)
+                            if len(f) <= n:
+                                f = mp.mul(f, [rng.randrange(l) for _ in range(n - len(f))] + [rng.randrange(1, l)], l)
+                                fs.append(f)
+                        for f in fs:
+                            _check_divisor_params(f, red, l)
+
+
+def test_divisor_params_at_the_int64_limit():
+    # every entry l - 1, at the largest prime l with (b + k) l^2 < 2^63, so
+    # each giant step's sums of b + k products reach toward 2^63; at
+    # n = 144 b^2 the cap holds the block at b, where isqrt(n) = 12 b would
+    # sum 12 b / (k + 1) products (l - 1)^2 and overflow
+    for k, b in ((1, 2), (2, 3), (3, 5)):
+        l = isqrt((2**63 - 1) // (b + k))
+        while not is_prime(l):
+            l -= 1
+        assert (b + k) * l * l < 2**63 <= (b + k + 1) * l * l
+        for ncols in (1, 2, 3):
+            red = np.full((k, ncols), l - 1, dtype=np.int64)
+            for n in (b * b, b * b + 1, b * b + b, 144 * b * b):
+                _check_divisor_params([l - 1] * n, red, l)
+
+
+def test_divisor_params_caps_the_block_near_2_30():
+    # (10 + 2) l^2 > 2^63, so the block is capped below isqrt(100) = 10
+    l = next(p for p in range(2**30 + 1, 2**30 + 200) if is_prime(p))
+    assert (2**63 - 1) // (l * l) - 2 < isqrt(100)
+    rng = random.Random(42)
+    red = np.array([[l - 1] * 3 + [rng.randrange(l)] for _ in range(2)], dtype=np.int64)
+    m = [-int(c) % l for c in red[:, 3]] + [1]
+    _check_divisor_params([l - 1] * 100, red, l)
+    _check_divisor_params([rng.randrange(l) for _ in range(100)], red, l)
+    assert 3 in _check_divisor_params(mp.mul(m, [rng.randrange(l) for _ in range(98)] + [1], l), red, l)
 
 
 def test_is_irreducible_matches_exhaustive_search_on_quartics():
