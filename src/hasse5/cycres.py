@@ -1,15 +1,15 @@
 """Resultants and norms over Z[zeta_5][x], multimodularly.
 
 Both are computed modulo primes p = 1 mod 5 below 2^31, at the four
-embeddings zeta -> r^k (k = 1..4, r a primitive 5th root of unity mod p), by
-int64 convolution, and lifted by a symmetric CRT from primes whose product
-exceeds twice a bound on every coordinate.  For a polynomial F over
-Z[zeta_5], let S_F be the sum of the absolute values of all its
-zeta-coordinates.  For a coefficient c = sum_m c_m zeta^m,
-|sigma_k(c)| <= sum_m |c_m|, so the l1 norm (the sum of the absolute values
-of the coefficients) of each embedding sigma_k(F) is at most S_F.  The l1
-norm is subadditive and submultiplicative, and it bounds the largest
-coefficient.
+embeddings zeta -> r^k (k = 1..4, r a primitive 5th root of unity mod p), in
+int64 arrays, and lifted by a symmetric CRT from primes whose product exceeds
+twice a bound on every coordinate.  The primes and their roots are found once
+per process.  For a polynomial F over Z[zeta_5], let S_F be the sum of the
+absolute values of all its zeta-coordinates.  For a coefficient
+c = sum_m c_m zeta^m, |sigma_k(c)| <= sum_m |c_m|, so the l1 norm (the sum of
+the absolute values of the coefficients) of each embedding sigma_k(F) is at
+most S_F.  The l1 norm is subadditive and submultiplicative, and it bounds
+the largest coefficient.
 
 Resultants.  Every resultant here is taken against P1 = A + B y^5, with A, B
 in Z[zeta_5][x] and B nonzero.  Let G = P2, of degree d in y.  The roots of
@@ -21,12 +21,30 @@ of -A/B, and Res_y(P1, G) = lc(P1)^d prod G(root), so
 where N(y^5) = prod_{i=0..4} G(w^i y) = sum_m N_m y^(5m): the product is
 unchanged by y -> w y, so only the powers y^(5m) are left.  The identity is
 polynomial in the coefficients of A, B and G, so it holds modulo p with
-w = r.  Modulo p, each embedding of G is packed into one array (Kronecker:
-y^j x^i at j W + i, with W above the x-degree of N), its five rotations
-y -> r^i y are multiplied by convolution, and the sum is taken by Horner in
--A and B.  The inverse of the embeddings,
-5 c_m = sum_k sigma_k(c) (r^(-km) - r^(-4k)) for m = 0..3, gives the
-zeta-coordinates mod p.
+w = r, and it holds at every value of x.  With A and B of degree at most
+e_A in x and the y-coefficients G_j of degree at most e_G, the resultant
+has x-degree at most D = 5 e_G + d e_A, so it is the polynomial of degree
+<= D with its values at x = 0..D.  At each point t, for every prime and every
+embedding in the same arrays, A(t), B(t) and G_j(t) are residues; N is the
+product of the five rotations G(r^i y), polynomials in y whose coefficients
+are G_j(t) r^(ij), and the sum is taken by Horner in -A(t) and B(t).  The
+inverse of the embeddings, 5 c_m = sum_k sigma_k(c) (r^(-km) - r^(-4k)) for
+m = 0..3, gives the zeta-coordinates of the values mod p, and the Lagrange
+table of the points 0..D mod p (the inverse of their Vandermonde matrix,
+(D + 1)^2 words, cached per D + 1 and p) interpolates them.  No Sylvester
+matrix is eliminated.
+
+The int64 sums.  Every residue is below p < 2^31, and a product of two
+residues, below 2^62, is reduced mod p before it is added, so a sum of k
+such terms is below k 2^31.  Horner's step at t <= D gives at most
+(p - 1) t + p - 1 < (D + 1) 2^31; a y-coefficient of a product of rotations
+sums at most d + 1 reduced products, the embeddings and their inverse 4.
+The interpolation splits each value v into v mod 2^16 and v >> 16, both
+below 2^16, so each of its sums over the D + 1 points is below
+(D + 1) 2^31 2^16, and the halves recombine below 2^47.  So D + 1 <= 2^16
+and d + 1 <= 2^16 keep every sum below 2^63; ``resultant`` checks both
+from the lengths of its inputs, before it reads a coordinate or builds an
+array.
 
 Bound: the rotations keep the l1 norm, so each embedding of N has l1 norm at
 most S_G^5, and each embedding of the resultant at most
@@ -48,6 +66,7 @@ product exceeds 2 S_F^4 determine it by the symmetric lift.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 
 import numpy as np
@@ -65,23 +84,31 @@ def resultant(p1: Poly, p2: Poly) -> Poly:
     Z[zeta_5].  See the module docstring.
 
     A p1 of another shape, a coordinate that is not an integer, or a
-    resultant too long for the int64 convolutions raises VerificationError."""
+    resultant too long for the int64 sums raises VerificationError."""
     if p1.degree != 5 or any(not p1[i] == 0 for i in range(1, 5)):
         raise VerificationError("resultant over Z[zeta_5][x]: p1 is not A + B y^5")
     if p2.is_zero():
         raise ZeroInput("resultant of zero polynomial")
-    a, b = _int_coords(p1[0]), _int_coords(p1[5])
-    g = [_int_coords(c) for c in p2.c]
-    size, w = max(len(a), len(b)), max(len(t) for t in g)
-    a, b = (c + [(0, 0, 0, 0)] * (size - len(c)) for c in (a, b))
-    g = [t + [(0, 0, 0, 0)] * (w - len(t)) for t in g]
-    d, width = len(g) - 1, 5 * w - 4  # width: the x-length of N's coefficients
-    if (5 * d + 1) * width >= 2**16 or width + d * size >= 2**16:
+    size, w, d = max(_x_len(p1[0]), _x_len(p1[5])), max(_x_len(c) for c in p2.c), p2.degree
+    if 5 * (w - 1) + d * (size - 1) + 1 > 2**16 or d + 1 > 2**16:
         raise VerificationError(f"resultant over Z[zeta_5][x]: degrees {d} in y and {w - 1} in x, too long for int64")
+    a, b = (c + [(0, 0, 0, 0)] * (size - len(c)) for c in (_int_coords(p1[0]), _int_coords(p1[5])))
+    g = [t + [(0, 0, 0, 0)] * (w - len(t)) for t in map(_int_coords, p2.c)]
     s_a, s_b, s_g = (sum(abs(v) for t in c for v in t) for c in (a, b, sum(g, [])))
     primes = _primes_past(16 * s_g**5 * (s_a + s_b) ** d // 5)
-    coords = _crt_symmetric([_resultant_mod(a, b, g, p) for p in primes], primes)
+    images = [img for i in range(0, len(primes), _CHUNK) for img in _resultant_mod(a, b, g, primes[i : i + _CHUNK])]
+    coords = _crt_symmetric(images, primes)
     return Poly([CycNum(*coords[i : i + 4]) for i in range(0, len(coords), 4)])
+
+
+# Primes per _resultant_mod call.  Its arrays of N hold up to 6d + 1 rows of
+# 4 (D + 1) words per prime: under 0.6 MB in all for the ledger's d = 5,
+# D = 50 at 3 primes, against 1.5 MB with 9 primes in one call.
+_CHUNK = 3
+
+
+def _x_len(entry) -> int:
+    return len(entry.c) if isinstance(entry, Poly) else 1
 
 
 def _int_coords(entry) -> list[tuple[int, int, int, int]]:
@@ -95,56 +122,95 @@ def _int_coords(entry) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _resultant_mod(a: list, b: list, g: list, p: int) -> np.ndarray:
-    """The resultant mod p, as its zeta-coordinates indexed
-    [x-degree][zeta-power], from the coordinates of A, B (of one length) and
-    of the y-coefficients of G (of one length w)."""
-    r = _root5(p)
-    d, w = len(g) - 1, len(g[0])
-    width = 5 * w - 4
-    emb_a, emb_b = (_conjugates(_residues(c, p), p, r) for c in (a, b))  # [k-1][x-degree]
-    emb_g = np.zeros((4, d + 1, width), dtype=np.int64)
-    emb_g[:, :, :w] = _conjugates(_residues(g, p), p, r)  # [k-1][y-degree][x-degree]
-    rotations = [np.array([pow(r, i * j, p) for j in range(d + 1)], dtype=np.int64)[:, None] for i in range(1, 5)]
-    out = []
-    for ak, bk, gk in zip(emb_a, emb_b, emb_g):
-        n = gk.ravel()[: d * width + w]  # y^j x^i at j * width + i
-        for rot in rotations:
-            n = _mul_mod(n, (gk * rot % p).ravel()[: d * width + w], p)
-        res, b_pow, neg_a = n[5 * d * width :], bk, -ak % p  # N_d
-        for m in range(d - 1, -1, -1):  # res <- res (-A) + N_m B^(d-m)
-            res = (_mul_mod(res, neg_a, p) + _mul_mod(n[5 * m * width : (5 * m + 1) * width], b_pow, p)) % p
-            b_pow = _mul_mod(b_pow, bk, p)
-        out.append(res)
-    return _coordinates(np.array(out), p, r).T
+def _resultant_mod(a: list, b: list, g: list, primes: list[int]) -> np.ndarray:
+    """The resultant modulo each prime, as its zeta-coordinates indexed
+    [prime][x-degree][zeta-power], from the coordinates of A, B (of one
+    length) and of the y-coefficients of G (of one length), by its values at
+    x = 0..D (see the module docstring)."""
+    d = len(g) - 1
+    n = 5 * (len(g[0]) - 1) + d * (len(a) - 1) + 1  # D + 1 points
+    p = np.array(primes, dtype=np.int64)[:, None, None]  # against [prime][embedding][point]
+    size = max(len(a), len(g[0]))
+    res = _residues([c + [(0, 0, 0, 0)] * (size - len(c)) for c in (a, b, *g)], primes)
+    t, vals = np.arange(n), np.zeros((*res.shape[:3], n), dtype=np.int64)  # [prime][zeta-power][A, B, G_j][point]
+    for i in range(size - 1, -1, -1):
+        vals = (vals * t + res[..., i : i + 1]) % p[..., None]
+    emb = np.moveaxis(_conjugates(vals, primes), 2, 0)  # [A, B, G_j][prime][embedding][point]
+    roots = np.array([[pow(_root5(q), e, q) for e in range(5)] for q in primes], dtype=np.int64)[:, :, None, None]
+    n_y = emb[2:]  # N, as the product of the rotations G(r^i y) so far
+    for i in range(1, 5):
+        rot = [emb[2 + j] * roots[:, i * j % 5] % p for j in range(d + 1)]
+        if i < 4:
+            out = np.zeros((len(n_y) + d, *n_y.shape[1:]), dtype=np.int64)
+            for j, c in enumerate(rot):
+                out[j : j + len(n_y)] += n_y * c % p
+        else:  # only N_m, the coefficient of y^(5m): the sum of n_y[5m - j] rot[j]
+            pad = np.zeros((d, *n_y.shape[1:]), dtype=np.int64)
+            n_y, out = np.concatenate([pad, n_y, pad]), np.zeros((d + 1, *n_y.shape[1:]), dtype=np.int64)
+            for j, c in enumerate(rot):
+                out += n_y[d - j : 6 * d + 1 - j : 5] * c % p
+        n_y = out % p
+    total, b_pow, neg_a = n_y[d], emb[1], -emb[0] % p
+    for m in range(d - 1, -1, -1):  # total <- total (-A) + N_m B^(d-m)
+        total = (total * neg_a % p + n_y[m] * b_pow % p) % p
+        b_pow = b_pow * emb[1] % p
+    vals = np.swapaxes(_coordinates(total, primes), 1, 2)  # [prime][point][zeta-power]
+    table = np.stack([_lagrange(n, q) for q in primes])
+    lo, hi = (table @ h % p for h in (vals & 0xFFFF, vals >> 16))
+    return (hi * 2**16 + lo) % p
 
 
-def _residues(coords: list, p: int) -> np.ndarray:
-    """Nested integer coordinates, the zeta-power innermost, reduced mod p,
-    with the zeta-power axis moved first."""
-    return np.moveaxis((np.array(coords, dtype=object) % p).astype(np.int64), -1, 0)
+@lru_cache(maxsize=32)
+def _lagrange(n: int, p: int) -> np.ndarray:
+    """The inverse of the Vandermonde matrix of the points 0..n-1 mod p:
+    out[i, t] is the x^i coefficient of l_t(x) = prod_{s != t} (x - s)/(t - s),
+    so out @ v holds the coefficients of the polynomial of degree < n with
+    the values v at x = 0..n-1.  l_t is M(x)/(x - t), M = prod_s (x - s),
+    divided by M'(t) = (-1)^(n-1-t) t! (n-1-t)!.  For n <= 2^16, every
+    product below is under 2^16 p."""
+    m = np.zeros(n + 1, dtype=np.int64)  # M, ascending
+    m[0] = 1
+    for s in range(n):
+        m[1:], m[0] = (m[:-1] - s * m[1:]) % p, -s * m[0] % p
+    t, out = np.arange(n), np.zeros((n, n), dtype=np.int64)
+    out[n - 1] = 1
+    for i in range(n - 1, 0, -1):  # synthetic division by x - t, every t at once
+        out[i - 1] = (m[i] + t * out[i]) % p
+    fact = [1]
+    for k in range(1, n):
+        fact.append(fact[-1] * k % p)
+    scale = [pow((-1) ** (n - 1 - s) * fact[s] * fact[n - 1 - s], -1, p) for s in range(n)]
+    out = out * np.array(scale, dtype=np.int64) % p
+    out.flags.writeable = False
+    return out
 
 
-def _primes_1_mod_5():
-    # below 2^31, so that a product of two residues fits in an int64
-    n = 2**31 - 7  # the largest n < 2^31 with n = 1 mod 10
-    while True:
-        if is_prime(n):
-            yield n
-        n -= 10
+def _residues(coords: list, primes: list[int]) -> np.ndarray:
+    """Nested integer coordinates, the zeta-power innermost, reduced modulo
+    each prime: out[prime][zeta-power][...]."""
+    arr = np.moveaxis(np.array(coords, dtype=object), -1, 0)
+    return np.stack([(arr % q).astype(np.int64) for q in primes])
+
+
+_PRIMES: list[int] = []  # the primes p = 1 mod 5 below 2^31, from the top down, as far as any bound has asked
 
 
 def _primes_past(bound: int) -> list[int]:
-    """Primes p = 1 mod 5 below 2^31, from the top down, until their product
-    exceeds bound."""
+    """Primes p = 1 mod 5 below 2^31 (so that a product of two residues fits
+    in an int64), from the top down, until their product exceeds bound."""
     primes, modulus = [], 1
-    gen = _primes_1_mod_5()
     while modulus <= bound:
-        primes.append(next(gen))
+        if len(primes) == len(_PRIMES):
+            q = _PRIMES[-1] - 10 if _PRIMES else 2**31 - 7  # the largest q < 2^31 with q = 1 mod 10
+            while not is_prime(q):
+                q -= 10
+            _PRIMES.append(q)
+        primes.append(_PRIMES[len(primes)])
         modulus *= primes[-1]
     return primes
 
 
+@lru_cache(maxsize=None)
 def _root5(p: int) -> int:
     """A primitive 5th root of unity mod the prime p, which exists exactly when
     p = 1 mod 5; VerificationError otherwise.  Then r = g^((p-1)/5) has
@@ -156,27 +222,38 @@ def _root5(p: int) -> int:
     return next(r for g in range(2, p) if (r := pow(g, (p - 1) // 5, p)) != 1)
 
 
-def _conjugates(res: np.ndarray, p: int, r: int) -> np.ndarray:
-    """out[k-1] = sum_m res[m] r^(km) mod p for k = 1..4: the images under
-    zeta -> r^k of the numbers whose zeta-coordinates, in [0, p), are res[m]."""
-    return _combine([[pow(r, k * m, p) for m in range(4)] for k in range(1, 5)], res, p)
+def _conjugates(res: np.ndarray, primes: list[int]) -> np.ndarray:
+    """out[i][k-1] = sum_m res[i][m] r^(km) mod p for k = 1..4, p = primes[i]
+    and r = _root5(p): the images under zeta -> r^k of the numbers whose
+    zeta-coordinates, in [0, p), are res[i][m]."""
+    mats = [[[pow(r, k * m, p) for m in range(4)] for k in range(1, 5)] for p, r in _with_roots(primes)]
+    return _combine(mats, res, primes)
 
 
-def _coordinates(emb: np.ndarray, p: int, r: int) -> np.ndarray:
-    """The inverse of ``_conjugates``: out[m] = c_m mod p from the images
-    emb[k-1], by 5 c_m = sum_k emb[k-1] (r^(-km) - r^(-4k))."""
-    inv5 = pow(5, -1, p)
-    return _combine([[(pow(r, -k * m, p) - pow(r, -4 * k, p)) * inv5 % p for k in range(1, 5)] for m in range(4)], emb, p)
+def _coordinates(emb: np.ndarray, primes: list[int]) -> np.ndarray:
+    """The inverse of ``_conjugates``: out[i][m] = c_m mod p from the images
+    emb[i][k-1], by 5 c_m = sum_k emb[i][k-1] (r^(-km) - r^(-4k))."""
+    mats = [
+        [[(pow(r, -k * m, p) - pow(r, -4 * k, p)) * pow(5, -1, p) % p for k in range(1, 5)] for m in range(4)]
+        for p, r in _with_roots(primes)
+    ]
+    return _combine(mats, emb, primes)
 
 
-def _combine(mat: list[list[int]], res: np.ndarray, p: int) -> np.ndarray:
-    """out[i] = sum_j mat[i][j] res[j] mod p, for entries in [0, p)."""
-    out = np.zeros((4, *res.shape[1:]), dtype=np.int64)
-    for i, row in enumerate(mat):
-        for j, c in enumerate(row):
-            out[i] += res[j] * c % p
-        out[i] %= p
-    return out
+def _with_roots(primes: list[int]) -> list[tuple[int, int]]:
+    return [(p, _root5(p)) for p in primes]
+
+
+def _combine(mats: list, res: np.ndarray, primes: list[int]) -> np.ndarray:
+    """out[i][j] = sum_l mats[i][j][l] res[i][l] mod primes[i], for entries in
+    [0, primes[i])."""
+    tail = (1,) * (res.ndim - 2)
+    mat = np.array(mats, dtype=np.int64).reshape(len(primes), 4, 4, *tail)
+    p = np.array(primes, dtype=np.int64).reshape(-1, 1, *tail)
+    out = np.zeros((len(primes), 4, *res.shape[2:]), dtype=np.int64)
+    for l in range(4):
+        out += mat[:, :, l] * res[:, l : l + 1] % p
+    return out % p
 
 
 def _crt_symmetric(images: list[np.ndarray], primes: list[int]) -> list[int]:
@@ -231,7 +308,7 @@ def _norm_mod(coords: list[list[int]], p: int) -> np.ndarray:
     zeta -> r^k, k = 1..4."""
     n = len(coords)
     res = np.fromiter((v % p for t in coords for v in t), dtype=np.int64, count=4 * n)
-    emb = _conjugates(res.reshape(n, 4).T, p, _root5(p))  # [k-1][x-degree]
+    emb = _conjugates(res.reshape(1, n, 4).transpose(0, 2, 1), [p])[0]  # [k-1][x-degree]
     out = emb[0]
     for e in emb[1:]:
         out = _mul_mod(out, e, p)

@@ -17,7 +17,8 @@ Each resultant is taken over Z[zeta_5][x], after clearing the single
 denominator 2, multimodularly by :mod:`hasse5.cycres`.  The surface
 polynomial is the binomial A + B y^5 in y, so against G of degree d in y the
 resultant is sum_m N_m (-A)^m B^(d-m), with N(y^5) = prod_i G(zeta^i y), and
-no Sylvester matrix is eliminated.
+no Sylvester matrix is eliminated.  Modulo each prime that sum is taken at
+the points x = 0..D, D the resultant's degree bound, and interpolated.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ Everything is exact; expected values live in :mod:`hasse5.refdata`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from itertools import count, islice
+from math import comb, prod
 
 import numpy as np
 
@@ -184,19 +185,32 @@ def check_phi5_diagonal() -> bool:
     return phi5_diag() == rhs
 
 
-def check_discy() -> Poly | None:
-    """disc_y(Phi5(x,y)) - 5^5 x^4 (x-1728)^4 prod_{d != 4} H_{-d}(x)^2;
-    returns None on success, the nonzero difference polynomial on failure."""
-    ph = phi5().g
-    ncols = len(ph[0])
-    ypoly = Poly([Poly([row[j] for row in ph]) for j in range(ncols)])
-    lhs = discriminant(ypoly)  # a Poly in x: entries of the Sylvester matrix were x-polys
-    rhs = Poly([0, 0, 0, 0, 5**5]) * Poly([-1728, 1]) ** 4
-    for d in T_SET:
-        if d != 4:
-            rhs = rhs * hd_poly(d) ** 2
-    diff = lhs - rhs
-    return None if diff.is_zero() else diff
+def check_discy() -> tuple[int, int, int] | None:
+    """disc_y(Phi5(x, y)) = 5^5 x^4 (x - 1728)^4 prod_{d != 4} H_{-d}(x)^2,
+    checked at integer points x0.  Returns None when it holds, and otherwise
+    the first point where it fails with its two sides:
+    (x0, disc(Phi5(x0, y)), the right side at x0).
+
+    The points suffice.  Write Phi5 = sum_j c_j(x) y^j, of degree n in y,
+    with every c_j of degree <= e in x.  disc_y(Phi5) is
+    +-Res_y(Phi5, dPhi5/dy) / c_n, and that Sylvester matrix has 2n - 1
+    rows of entries of x-degree <= e, so deg_x disc_y(Phi5) <= (2n - 1) e
+    (66 for Phi5, monic of degree 6 in y and in x).  Where c_n(x0) != 0,
+    x -> x0 keeps both degrees in y, so it maps that Sylvester matrix to the
+    one of Phi5(x0, y): disc_y commutes with x -> x0.  Two polynomials of
+    degree <= N = max((2n - 1) e, deg of the right side) that agree at
+    N + 1 points are equal, as in ``phi5_resultant_definition_holds``."""
+    rows = phi5().g  # rows[i][j]: the coefficient of x^i y^j
+    c = [Poly([row[j] for row in rows]) for j in range(len(rows[0]))]
+    n, e = len(c) - 1, len(rows) - 1
+    factors = [(Poly([0, 1]), 4), (Poly([-1728, 1]), 4)] + [(hd_poly(d), 2) for d in T_SET if d != 4]
+    points = (x0 for x0 in count() if c[n](x0) != 0)
+    for x0 in islice(points, max((2 * n - 1) * e, sum(f.degree * k for f, k in factors)) + 1):
+        lhs = discriminant(Poly([cj(x0) for cj in c]))
+        rhs = 5**5 * prod(f(x0) ** k for f, k in factors)
+        if lhs != rhs:
+            return x0, lhs, rhs
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ a time, which the blocked sweep of ``modpoly._divisor_params`` replaced,
 Phi5(x^p, x) by repeated division, ``k5p_by_census_hits``, K_5p mod p as
 the j-images of the census's conic hits, with no Phi5 and no ss_p,
 ``icosa_resultant_bareiss``, the icosahedral resultant by Bareiss
-elimination over Z[zeta_5][x], and
+elimination over Z[zeta_5][x], ``resultant_mod_by_kronecker``, that
+resultant's images mod p by convolution of Kronecker-packed arrays, which
+the values at points of ``cycres._resultant_mod`` replaced, and
 ``pow_mod_by_squaring``, f^e mod m on lists with a long division after every
 product, and ``k5p_report_by_factoring``, the K_5p verdict by factoring
 H_-20, H_-84 and H_-96 mod p and matching the predicted factor list against
@@ -713,3 +715,33 @@ def icosa_resultant_bareiss(m1, m2, variant: str = "eps"):
     divisor = resultant_divisor(m1, m2)
     det = resultant(*surface_pair(m1, m2, variant))
     return det.map(lambda c: (c if isinstance(c, CycNum) else CycNum(c)) / divisor)
+
+
+def resultant_mod_by_kronecker(a: list, b: list, g: list, p: int) -> np.ndarray:
+    """``cycres._resultant_mod`` at the one prime p, as [x-degree][zeta-power],
+    by convolution in place of values at points: each embedding of G is
+    packed into one array (Kronecker: y^j x^i at j W + i, W the x-length of
+    N's coefficients), its five rotations y -> r^i y are multiplied by int64
+    convolution, and the sum is taken by Horner in -A and B over polynomials
+    in x.  ``cycres._mul_mod`` needs every convolved array shorter than
+    2^16, so (5d + 1) W < 2^16 and W + d len(a) < 2^16."""
+    from hasse5.cycres import _conjugates, _coordinates, _mul_mod, _residues, _root5
+
+    r = _root5(p)
+    d, w = len(g) - 1, len(g[0])
+    width = 5 * w - 4  # the x-length of N's coefficients
+    emb_a, emb_b = (_conjugates(_residues(c, [p]), [p])[0] for c in (a, b))  # [k-1][x-degree]
+    emb_g = np.zeros((4, d + 1, width), dtype=np.int64)
+    emb_g[:, :, :w] = _conjugates(_residues(g, [p]), [p])[0]  # [k-1][y-degree][x-degree]
+    rotations = [np.array([pow(r, i * j, p) for j in range(d + 1)], dtype=np.int64)[:, None] for i in range(1, 5)]
+    out = []
+    for ak, bk, gk in zip(emb_a, emb_b, emb_g):
+        n = gk.ravel()[: d * width + w]
+        for rot in rotations:
+            n = _mul_mod(n, (gk * rot % p).ravel()[: d * width + w], p)
+        res, b_pow, neg_a = n[5 * d * width :], bk, -ak % p  # N_d
+        for m in range(d - 1, -1, -1):  # res <- res (-A) + N_m B^(d-m)
+            res = (_mul_mod(res, neg_a, p) + _mul_mod(n[5 * m * width : (5 * m + 1) * width], b_pow, p)) % p
+            b_pow = _mul_mod(b_pow, bk, p)
+        out.append(res)
+    return _coordinates(np.array(out)[None], [p])[0].T

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
+import numpy as np
 import pytest
 
 from hasse5 import VerificationError, cycres, icosa
@@ -29,7 +30,7 @@ from hasse5.icosa import (
 )
 from hasse5.numfield import CycNum
 from hasse5.poly import Poly, galois_norm, resultant
-from oracles import icosa_resultant_bareiss
+from oracles import icosa_resultant_bareiss, resultant_mod_by_kronecker
 
 
 def test_group_relations():
@@ -220,17 +221,44 @@ def _entry(rng, zero: float = 0.25) -> Poly:
     return Poly([CycNum() if rng.random() < 0.25 else c for c in coeffs])
 
 
-def test_resultant_of_random_binomials_matches_bareiss():
-    # P1 = A + B y^5 and G of degree 1..5 in y, with zero coefficients in
-    # y and in x, A = 0 among them
+def _random_binomials(count: int):
+    """count pairs P1 = A + B y^5 and G of degree 1..5 in y, from _entry,
+    with zero coefficients in y and in x, A = 0 among them."""
     rng = random.Random(5)
-    for k in range(40):
+    for k in range(count):
         b = g = Poly()
         while b.is_zero() or g.is_zero():
             b, g = _entry(rng, 0), _entry(rng, 0)
         p1 = Poly([_entry(rng), Poly(), Poly(), Poly(), Poly(), b])
-        p2 = Poly([_entry(rng) for _ in range(k % 5 + 1)] + [g])
+        yield p1, Poly([_entry(rng) for _ in range(k % 5 + 1)] + [g])
+
+
+def test_resultant_of_random_binomials_matches_bareiss():
+    for k, (p1, p2) in enumerate(_random_binomials(40)):
         assert cycres.resultant(p1, p2) == resultant(p1, p2), k
+
+
+def _images_and_kronecker(monkeypatch, p1, p2) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each prime of cycres.resultant(p1, p2): the images mod p that the
+    values at points gave, and those of the Kronecker oracle."""
+    calls, route = [], cycres._resultant_mod
+    monkeypatch.setattr(cycres, "_resultant_mod", lambda *args: calls.append((args, route(*args))) or calls[-1][1])
+    cycres.resultant(p1, p2)
+    return [(image, resultant_mod_by_kronecker(a, b, g, p)) for (a, b, g, primes), images in calls for p, image in zip(primes, images)]
+
+
+@pytest.mark.parametrize("n1,n2,variant", LEDGER_PARAMS)
+def test_resultant_mod_matches_kronecker_oracle(monkeypatch, n1, n2, variant):
+    pairs = _images_and_kronecker(monkeypatch, *surface_pair(*_maps(n1, n2), variant))
+    assert len(pairs) >= 4
+    for got, want in pairs:
+        assert got.shape == want.shape == (51, 4) and (got == want).all()
+
+
+def test_resultant_mod_of_random_binomials_matches_kronecker_oracle(monkeypatch):
+    for k, (p1, p2) in enumerate(_random_binomials(60)):
+        for got, want in _images_and_kronecker(monkeypatch, p1, p2):
+            assert got.shape == want.shape and (got == want).all(), k
 
 
 @pytest.mark.parametrize("middle", [1, 4])
@@ -244,10 +272,20 @@ def test_resultant_rejects_a_p1_that_is_not_a_binomial(middle):
             cycres.resultant(bad, p2)
 
 
-def test_resultant_rejects_polynomials_too_long_for_int64():
+def test_resultant_rejects_polynomials_too_long_for_int64(monkeypatch):
+    # D + 1 = 5 * 13199 + 5 * 5 + 1 = 66021 points, over 2^16; the lengths
+    # are checked before any coordinate is read or array built
     p1, _ = surface_pair(*_maps("T", "T"))
+    monkeypatch.setattr(cycres, "_int_coords", lambda entry: pytest.fail("coordinates read before the length check"))
     with pytest.raises(VerificationError, match="too long for int64"):
-        cycres.resultant(p1, Poly([Poly([1] * 600)] * 6))
+        cycres.resultant(p1, Poly([Poly([1] * 13200)] * 6))
+
+
+def test_resultant_rejects_a_y_degree_too_long_for_int64(monkeypatch):
+    # d + 1 = 2^16 + 1 y-coefficients of G, with A and B constants: D = 0
+    monkeypatch.setattr(cycres, "_int_coords", lambda entry: pytest.fail("coordinates read before the length check"))
+    with pytest.raises(VerificationError, match="too long for int64"):
+        cycres.resultant(Poly([1, 0, 0, 0, 0, 1]), Poly([1] * (2**16 + 1)))
 
 
 def test_resultant_rejects_a_coordinate_that_is_not_an_integer():

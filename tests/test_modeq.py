@@ -33,7 +33,7 @@ from hasse5.modeq import (
     table5_value,
     verify_class_equation,
 )
-from hasse5.poly import Poly, discriminant
+from hasse5.poly import BiPoly, Poly, discriminant
 from oracles import k5p_by_census_hits, k5p_by_division, k5p_report_by_factoring
 
 
@@ -58,6 +58,45 @@ def test_phi5_diagonal_identity():
 
 def test_discy_identity():
     assert check_discy() is None
+
+
+# One coefficient +1: of Phi5 at x^i y^j (x^1 y^6 makes the y-leading
+# coefficient 1 + x), or of H_-d at x^i.
+DISCY_FAULTS = {"Phi5 x^2 y^3": ("phi5", 2, 3), "Phi5 x^1 y^6": ("phi5", 1, 6), "H_-11 x^0": ("HD", 11, 0), "H_-84 x^3": ("HD", 84, 3)}
+
+
+@pytest.mark.parametrize("fault", DISCY_FAULTS)
+def test_discy_fails_a_wrong_coefficient(monkeypatch, fault):
+    # the failure value is a point x0 and the two sides there: the left one
+    # is the exact disc_y of the faulty Phi5 (Bareiss over Z[x]) at x0
+    where, a, b = DISCY_FAULTS[fault]
+    if where == "phi5":
+        grid = [row[:] for row in phi5().g]
+        grid[a][b] += 1
+        monkeypatch.setattr(modeq, "phi5", lambda: BiPoly(grid))
+    else:
+        monkeypatch.setitem(HD, a, tuple(c + (i == b) for i, c in enumerate(HD[a])))
+    got = check_discy()
+    assert got is not None
+    x0, lhs, rhs = got
+    disc = discriminant(Poly([Poly([row[j] for row in modeq.phi5().g]) for j in range(7)]))
+    assert lhs == disc(x0) != rhs and 0 <= x0 <= 66
+
+
+@pytest.mark.parametrize(
+    "inject",
+    [
+        "from hasse5.poly import BiPoly; grid = [row[:] for row in modeq.phi5().g]; grid[2][3] += 1; "
+        "modeq.phi5 = lambda: BiPoly(grid)",
+        "modeq.HD[11] = (modeq.HD[11][0] + 1, 1)",
+    ],
+    ids=["Phi5", "H_-11"],
+)
+def test_optimized_interpreter_keeps_the_discy_check(inject):
+    from test_cli import run_subprocess
+
+    run = run_subprocess(f"from hasse5 import modeq; {inject}; print(modeq.check_discy() is not None)", "-O")
+    assert run.returncode == 0 and run.stdout == "True\n"
 
 
 def test_disc_hd_printed():
