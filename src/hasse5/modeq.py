@@ -9,11 +9,12 @@ Central objects:
   (p = 3 mod 4) modulo p;
 * ``build_k5p`` -- reconstruction of K_{5p} mod p from the supersingular
   factors of Phi5(x^p, x), each with twice its multiplicity there: their
-  product g is certified squarefree with factors of degree 1 and 2 by two
-  Frobenius tests and split once with no gcd: the linear factors by one root
-  sweep over F_p (``_linear_factors``), the quadratic ones read off their
-  traces and norms, x + x^p and x^(p+1), by Newton's identities
-  (``_quadratic_factors``); the multiplicity of each factor is the order of
+  product g is split once with no gcd and certified squarefree with factors
+  of degree 1 and 2 (``_certify``): the linear factors by one root sweep of g
+  over F_p, the quadratic ones, whose product Q has no root at them and
+  satisfies x^(p^2) = x mod Q, read off their traces and norms, x + x^p and
+  x^(p+1), by Newton's identities (``_quadratic_factors``); the
+  multiplicity of each factor is the order of
   the first Hasse derivative of Phi5 in its second variable, evaluated at
   (x^p, x), that does not vanish at the factor's root;
 * ``verify_class_equation`` -- the structural comparison of that
@@ -372,27 +373,35 @@ def _eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
     return mp.rem(acc, m, p)
 
 
-def _certify(g: list[int], X: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """(L, Q, X mod Q) for g monic and X = x^p mod g: L the product of the
-    linear factors of g and Q = g / L the product of its quadratic ones, once
-    g = L Q is proved squarefree with L | x^p - x and Q | x^(p^2) - x coprime
-    to x^p - x; raises ``VerificationError`` when it is not.
+def _certify(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """(the factors x - r of g, Q, X mod Q) for g monic and X = x^p mod g,
+    where the r are the roots of g in F_p, ascending, and Q = g / prod(x - r)
+    is the product of the quadratic factors of g, once g is proved squarefree
+    with factors of degree 1 and 2 only; raises ``VerificationError`` when it
+    is not.
 
-    L = gcd(g, x^p - x) and Q = g / L.  If gcd(Q, x^p - x) = 1 and
-    (x^p)^p = x mod Q, then L is squarefree, Q is squarefree with no linear
-    factor, and the two are coprime, so g is squarefree and its irreducible
-    factors are the linear ones of L and the quadratic ones of Q.  Conversely
-    a linear factor of g that is repeated leaves a copy in Q, and a repeated
-    quadratic factor or one of degree > 2 keeps Q from dividing the
+    The r come from one blocked sweep over all of F_p (``_roots``), so they
+    are every root of g in F_p, and they are distinct, so L = prod(x - r) is
+    squarefree and divides g exactly.  Every root of Q in F_p is a root of g,
+    so if Q(r) != 0 for each r, checked by one sweep over the r alone, Q has
+    no linear factor and is coprime to L.  If also (x^p)^p = x mod Q, then Q
+    divides the squarefree x^(p^2) - x, so it is a product of distinct
+    irreducible quadratics, and g = L Q is squarefree.  Conversely a linear
+    factor x - r of g that is repeated leaves a copy in Q, so Q(r) = 0, and a
+    repeated quadratic factor or one of degree > 2 keeps Q from dividing the
     squarefree x^(p^2) - x.
     """
     x = [0, 1]
-    lin = mp.gcd(g, mp.sub(X, x, p), p)
+    roots = _roots(g, p)
+    lins = [[-r % p, 1] for r in roots]
+    lin = [1]
+    for q in lins:
+        lin = mp.mul(lin, q, p)
     quad = mp.quo(g, lin, p)
     XQ = mp.rem(X, quad, p)
     if mp.deg(quad) < 1:
-        return lin, quad, XQ
-    if mp.deg(mp.gcd(quad, mp.sub(XQ, x, p), p)) > 0:
+        return lins, quad, XQ
+    if roots and mp._divisor_params(quad, np.array([roots]), p):
         raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
     XQp = mp.pow_mod(XQ, p, quad, p)
     if XQp != x:
@@ -401,7 +410,7 @@ def _certify(g: list[int], X: list[int], p: int) -> tuple[list[int], list[int], 
         if mp.deg(mp.gcd(mp.quo(quad, once, p), once, p)) > 0:
             raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
         raise VerificationError(f"gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p={p}")
-    return lin, quad, XQ
+    return lins, quad, XQ
 
 
 def _roots(f: list[int], p: int) -> list[int]:
@@ -409,23 +418,6 @@ def _roots(f: list[int], p: int) -> list[int]:
     of F_p (``mp._divisor_params``, width 1), exact in int64 while
     2 p^2 < 2^63."""
     return mp._divisor_params(f, np.arange(p)[None, :], p)
-
-
-def _linear_factors(f: list[int], p: int) -> list[list[int]]:
-    """The factors x - r of f, a monic squarefree product of linear factors
-    over F_p; raises ``VerificationError`` when f is found not to be one.  A
-    constant f has no factor, and a linear f is its own.
-
-    The factors are read off the roots r of f, found by one blocked sweep
-    over all of F_p (``_roots``); f is their product exactly when deg f
-    distinct roots are found.
-    """
-    if len(f) < 3:
-        return [f] if len(f) == 2 else []
-    roots = _roots(f, p)
-    if len(roots) != mp.deg(f):
-        raise VerificationError(f"a product of linear factors of degree {mp.deg(f)} has {len(roots)} roots in F_p at p={p}")
-    return [[-r % p, 1] for r in roots]
 
 
 def _from_power_sums(sums: list[int], p: int) -> list[int]:
@@ -526,17 +518,16 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     mod ss_p).  Three steps follow, none of them a general factorization.
 
     1. ``_certify`` proves g squarefree with factors of degree 1 and 2 only,
-       and returns the product L of the linear ones, the product Q of the
-       quadratic ones and X mod Q.  Every root of g is a supersingular j,
-       which lies in F_(p^2) (Deuring), so this holds unless ss_p or g is
-       wrong.
+       and returns the linear ones x - r, read off the roots r of g found by
+       one blocked sweep over F_p, the product Q of the quadratic ones and
+       X mod Q.  Every root of g is a supersingular j, which lies in F_(p^2)
+       (Deuring), so this holds unless ss_p or g is wrong.
 
-    2. L and Q split into their factors, once: ``_linear_factors`` reads the
-       linear ones off the roots found by one blocked sweep over F_p, and
-       ``_quadratic_factors`` the quadratic ones x^2 - c x + b off their
-       traces c = x + x^p and norms b = x^(p+1), which are constant on the
-       two roots of each factor; power sums and Newton's identities read the
-       pairs (c, b) off, and their product must give back Q.
+    2. Q splits into its factors, once: ``_quadratic_factors`` reads the
+       quadratic ones x^2 - c x + b off their traces c = x + x^p and norms
+       b = x^(p+1), which are constant on the two roots of each factor;
+       power sums and Newton's identities read the pairs (c, b) off, and
+       their product must give back Q.
 
     3. The multiplicity of each factor q in F is the least i with
        D_i = (D_Y^i Phi5)(x^p, x) mod q nonzero, where D_Y^i is the i-th
@@ -560,9 +551,9 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     ss = build_ss(p)
     X = mp.pow_mod([0, 1], p, ss, p)
     g = mp.gcd(ss, _eval_rows(_hasse_rows(0), X, ss, p), p)
-    lin, quad, XQ = _certify(g, mp.rem(X, g, p), p)
+    lins, quad, XQ = _certify(g, mp.rem(X, g, p), p)
     out = []
-    for q in _linear_factors(lin, p) + _quadratic_factors(quad, XQ, p):
+    for q in lins + _quadratic_factors(quad, XQ, p):
         Xq = mp.trim([-q[0] % p]) if len(q) == 2 else [-q[1] % p, p - 1]  # x^p mod q
         k = next((i for i in range(1, 7) if _eval_rows(_hasse_rows(i), Xq, q, p)), 0)
         if not k:

@@ -16,7 +16,9 @@ Horner sweeps over all of H rather than over its fold,
 ``divisor_params_by_horner``, the divisor sweep by Horner one coefficient at
 a time, which the blocked sweep of ``modpoly._divisor_params`` replaced,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
-Phi5(x^p, x) by repeated division, ``k5p_by_census_hits``, K_5p mod p as
+Phi5(x^p, x) by repeated division, ``certify_by_gcd``, K_5p's certificate
+and linear factors by two gcds with x^p - x, which one root sweep of g in
+``modeq._certify`` replaced, ``k5p_by_census_hits``, K_5p mod p as
 the j-images of the census's conic hits, with no Phi5 and no ss_p,
 ``icosa_resultant_bareiss``, the icosahedral resultant by Bareiss
 elimination over Z[zeta_5][x], ``resultant_mod_by_kronecker``, that
@@ -500,6 +502,32 @@ def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:
         out.append((coeffs, 2 * mult))
     out.sort(key=lambda t: (len(t[0]) - 1, t[0]))
     return out
+
+
+def certify_by_gcd(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """``modeq._certify(g, X, p)`` by two Euclid chains: L = gcd(g, x^p - x),
+    Q = g / L, then gcd(Q, x^p - x) = 1 and x^(p^2) = x mod Q, which prove g
+    squarefree with its linear factors in L and quadratic ones in Q.  L is
+    split by Cantor-Zassenhaus, and its factors come in the order of their
+    roots; raises ``VerificationError`` where ``_certify`` does."""
+    from hasse5 import VerificationError, modpoly as mp
+    from hasse5.ffactor import factor_ff
+
+    x = [0, 1]
+    lin = mp.gcd(g, mp.sub(X, x, p), p)
+    quad = mp.quo(g, lin, p)
+    XQ = mp.rem(X, quad, p)
+    if mp.deg(quad) > 0:
+        if mp.deg(mp.gcd(quad, mp.sub(XQ, x, p), p)) > 0:
+            raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
+        XQp = mp.pow_mod(XQ, p, quad, p)
+        if XQp != x:
+            once = mp.gcd(quad, mp.sub(XQp, x, p), p)
+            if mp.deg(mp.gcd(mp.quo(quad, once, p), once, p)) > 0:
+                raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
+            raise VerificationError(f"gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p={p}")
+    lins = [list(c) for c, _ in factor_ff(lin, p).factors] if mp.deg(lin) > 0 else []
+    return sorted(lins, key=lambda q: -q[0] % p), quad, XQ
 
 
 def _j_on_conic(a: int, p: int) -> list[int]:

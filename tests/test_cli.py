@@ -509,12 +509,27 @@ def test_optimized_interpreter_keeps_the_k5p_degree_certificate():
     )
 
 
+def test_optimized_interpreter_keeps_the_k5p_repeated_factor_check():
+    # ss_p times x + 6, a linear factor of Phi5(x^383, x) that g already has:
+    # g takes it twice, and python -O must still reject it as a FAIL row
+    code = (
+        "from hasse5 import modeq, modpoly as mp; build = modeq.build_ss; "
+        "modeq.build_ss = lambda p: mp.mul(build(p), [6, 1], p); "
+        "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stdout.split("\n")[1] == (
+        "383\t\t\t\t\t\tFAIL: VerificationError: supersingular polynomial has a repeated factor at p=383"
+    )
+
+
 def test_optimized_interpreter_keeps_the_k5p_split_checks():
     # a certificate that finds no linear factor sends all of g, of degree 9,
     # to the quadratic split; python -O must still reject its result as a
     # FAIL row
     code = (
-        "from hasse5 import modeq; modeq._certify = lambda g, X, p: ([1], g, X); "
+        "from hasse5 import modeq; modeq._certify = lambda g, X, p: ([], g, X); "
         "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
     )
     run = run_subprocess(code, "-O")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -34,7 +35,7 @@ from hasse5.modeq import (
     verify_class_equation,
 )
 from hasse5.poly import BiPoly, Poly, discriminant
-from oracles import k5p_by_census_hits, k5p_by_division, k5p_report_by_factoring
+from oracles import certify_by_gcd, k5p_by_census_hits, k5p_by_division, k5p_report_by_factoring
 
 
 def test_q5_constant_term():
@@ -220,7 +221,8 @@ def test_build_k5p_multiplicity_search_is_bounded(monkeypatch):
     # with every derivative past D_0 zero, no i <= 6 leaves a factor: an error, not a loop
     rows = modeq._hasse_rows
     monkeypatch.setattr(modeq, "_hasse_rows", lambda i: rows(i) if i == 0 else ())
-    with pytest.raises(VerificationError, match="divides D_Y\\^6"):
+    error = "a factor of gcd(ss_p, Phi5(x^p, x)) divides D_Y^6 Phi5(x^p, x) = 1 at p=383"
+    with pytest.raises(VerificationError, match=re.escape(error)):
         build_k5p(383)
 
 
@@ -420,7 +422,8 @@ def test_every_mismatch_kind_fires(monkeypatch):
 
 def test_verify_factors_g_only(monkeypatch):
     # no factorization runs (factor_ff raises if called): the split sees the
-    # parts L and Q of g = gcd(ss_p, Phi5(x^p, x)) and nothing else, no class
+    # linear factors of g = gcd(ss_p, Phi5(x^p, x)) that _certify returns and
+    # its quadratic part Q, and nothing else, no class
     # polynomial is factored, also where H_-20, H_-84 or H_-96 is flagged, and
     # the reports still match the factor-and-match oracle
     from hasse5 import ffactor
@@ -433,8 +436,14 @@ def test_verify_factors_g_only(monkeypatch):
     assert all(any(epsilon_flags(p)[d] for p in primes) for d in (20, 84, 96))
     want = {p: k5p_report_by_factoring(p) for p in primes}
     pieces = []
-    linear, quadratic = modeq._linear_factors, modeq._quadratic_factors
-    monkeypatch.setattr(modeq, "_linear_factors", lambda f, p: pieces.append(f) or linear(f, p))
+    certify, quadratic = modeq._certify, modeq._quadratic_factors
+
+    def certify_and_record(g, X, p):
+        lins, quad, XQ = certify(g, X, p)
+        pieces.extend(lins)
+        return lins, quad, XQ
+
+    monkeypatch.setattr(modeq, "_certify", certify_and_record)
     monkeypatch.setattr(modeq, "_quadratic_factors", lambda f, Xf, p: pieces.append(f) or quadratic(f, Xf, p))
     monkeypatch.setattr(ffactor, "factor_ff", no_factoring)
     assert not hasattr(modeq, "factor_ff")
@@ -470,9 +479,13 @@ def _product(factors, p: int) -> list[int]:
 
 
 def _split(piece: list[int], d: int, X: list[int], p: int) -> list[list[int]]:
-    """The factors of degree d of a piece, for X = x^p mod a multiple of it."""
+    """The factors of degree d of a piece, for X = x^p mod a multiple of it:
+    for d = 1 the linear factors that ``_certify`` returns, with no quadratic
+    part left."""
     if d == 1:
-        return modeq._linear_factors(piece, p)
+        lins, quad, _ = modeq._certify(piece, mp.rem(X, piece, p), p)
+        assert quad == [1], (piece, quad)
+        return lins
     return modeq._quadratic_factors(piece, mp.rem(X, piece, p), p)
 
 
@@ -552,17 +565,16 @@ def test_split_runs_no_pow_mod_and_no_gcd(monkeypatch):
 @pytest.mark.parametrize(
     "factors, d, error",
     [
-        ([[2, 0, 1], [1, 1]], 1, "linear factors of degree 3 has 1 roots in F_p at p=101"),
         ([[2, 0, 0, 0, 1]], 2, "no lambda < 2 separates the quadratic factors of a degree-4 piece at p=101"),
         ([[1, 1], [2, 1], [3, 1], [4, 1]], 2, "quadratic factors found do not multiply to the degree-4 piece at p=101"),
         ([[5, 1]], 2, "quadratic factors found do not multiply to the degree-1 piece at p=101"),
         ([[2, 0, 1], [1, 1]], 2, "quadratic factors found do not multiply to the degree-3 piece at p=101"),
     ],
-    ids=["too-few-roots", "no-separating-lambda", "no-product-match", "odd-degree-1", "odd-degree-3"],
+    ids=["no-separating-lambda", "no-product-match", "odd-degree-1", "odd-degree-3"],
 )
 def test_split_rejects_a_piece_that_is_not_a_product_of_degree_d_factors(factors, d, error):
-    # (x^2 + 2)(x + 1) with d = 1; x^4 + 2, irreducible over F_101,
-    # (x + 1)(x + 2)(x + 3)(x + 4), x + 5 and (x^2 + 2)(x + 1), all with d = 2
+    # x^4 + 2, irreducible over F_101, (x + 1)(x + 2)(x + 3)(x + 4), x + 5 and
+    # (x^2 + 2)(x + 1), all with d = 2
     p = 101
     piece = _product(factors, p)
     with pytest.raises(VerificationError, match=error):
@@ -593,6 +605,88 @@ def test_build_k5p_certifies_g(monkeypatch, p, extra, error):
     monkeypatch.setattr(modeq, "build_ss", lambda p: mp.mul(build_ss(p), extra, p))
     with pytest.raises(VerificationError, match=error):
         build_k5p(p)
+
+
+@pytest.mark.parametrize(
+    "p, factors, error",
+    [
+        (101, [[1, 1], [1, 1], [2, 1]], "repeated factor at p=101"),  # (x + 1)^2 (x + 2)
+        (101, [[1, 1], [1, 1], [2, 0, 1]], "repeated factor at p=101"),  # (x + 1)^2 (x^2 + 2)
+        (101, [[2, 0, 1], [2, 0, 1], [1, 1]], "repeated factor at p=101"),  # (x^2 + 2)^2 (x + 1)
+        (383, [CUBIC_383, [1, 1]], "factor of degree > 2 at p=383"),
+    ],
+    ids=["linear-squared", "linear-squared-with-quadratic", "quadratic-squared", "cubic"],
+)
+def test_certify_rejects_what_the_gcd_oracle_rejects(p, factors, error):
+    # a repeated linear factor leaves a root of g in Q; a repeated quadratic
+    # or a cubic keeps Q from dividing x^(p^2) - x
+    g = _product(factors, p)
+    X = mp.pow_mod([0, 1], p, g, p)
+    for certify in (modeq._certify, certify_by_gcd):
+        with pytest.raises(VerificationError, match=error):
+            certify(g, X, p)
+
+
+def _check_certify_against_gcd_oracle(monkeypatch, primes):
+    """_certify on the g and x^p mod g that build_k5p passes it, against the
+    two gcds with x^p - x that its root sweep replaced: the same linear
+    factors in the same order, the same Q and the same x^p mod Q."""
+    args = []
+    certify = modeq._certify
+    monkeypatch.setattr(modeq, "_certify", lambda g, X, p: args.append((g, X)) or certify(g, X, p))
+    for p in primes:
+        args.clear()
+        build_k5p(p)
+        ((g, X),) = args
+        assert certify(g, X, p) == certify_by_gcd(g, X, p), p
+
+
+def test_certify_matches_gcd_oracle(monkeypatch):
+    # every prime 23..700, so S's primes > 20, the anomaly at 379 and k5p-700's range
+    _check_certify_against_gcd_oracle(monkeypatch, primes_in(23, 700))
+
+
+@pytest.mark.heavy
+def test_certify_matches_gcd_oracle_to_2000(monkeypatch):
+    _check_certify_against_gcd_oracle(monkeypatch, primes_in(701, 2000))
+
+
+@pytest.mark.parametrize("p", [379, 383, 389, 401])
+def test_build_k5p_runs_one_gcd_and_sweeps_g_for_its_roots(monkeypatch, p):
+    # g = gcd(ss_p, Phi5(X, x)) is the only Euclid chain of a prime that
+    # passes, and its linear factors come from one root sweep of g itself
+    gcds, swept = [], []
+    gcd, roots = mp.gcd, modeq._roots
+    monkeypatch.setattr(mp, "gcd", lambda f, g, p: gcds.append(gcd(f, g, p)) or gcds[-1])
+    monkeypatch.setattr(modeq, "_roots", lambda f, p: swept.append(f) or roots(f, p))
+    build_k5p(p)
+    assert len(gcds) == 1
+    assert swept[0] == gcds[0]
+
+
+def test_every_raise_message_of_modeq_is_in_a_test():
+    # the constant head of each VerificationError or NonExactSplit message in
+    # modeq appears in a test, so no check is one that no test names
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(modeq.__file__).read_text())
+    heads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
+            continue
+        call = node.exc
+        if not (isinstance(call.func, ast.Name) and call.func.id in ("VerificationError", "NonExactSplit")):
+            continue
+        msg = call.args[0]
+        if isinstance(msg, ast.JoinedStr):
+            msg = msg.values[0]
+        assert isinstance(msg, ast.Constant) and isinstance(msg.value, str), f"line {node.lineno}: no constant message head"
+        heads.append((node.lineno, msg.value))
+    assert len(heads) >= 10
+    tests = "".join(path.read_text() for path in sorted(Path(__file__).parent.glob("test_*.py")))
+    missing = [(line, head) for line, head in heads if head not in tests]
+    assert not missing, f"raise messages of modeq that no test names: {missing}"
 
 
 def _check_k5p_against_census_hits(primes):
