@@ -180,7 +180,7 @@ def verify_fricke(p: int) -> dict:
     """
     P, hits = _conic_hits(p, _squarefree_hasse(p))
     u = mp.rem([0, 1], P, p)
-    if mp.pow_mod(mp.pow_mod(u, p, P, p), p, P, p) != u:
+    if mp.pow_mod(u, p * p, P, p) != u:
         raise RootOutsideQuadraticField(f"p={p}: P does not divide u^(p^2) - u")
     fixed = mp.deg(mp.gcd(P, mp.from_int_poly(SIGMA_FIXED, p), p))
     if (mp.deg(P) + fixed) % 2:

@@ -81,9 +81,6 @@ class Poly:
             return not self.c
         return len(self.c) == 1 and self.c[0] == other
 
-    def __hash__(self):
-        return hash(tuple(self.c))
-
     def __neg__(self) -> "Poly":
         return Poly([-a for a in self.c])
 
@@ -98,9 +95,6 @@ class Poly:
         other = _as_poly(other)
         n = max(len(self.c), len(other.c))
         return Poly([self[k] - other[k] for k in range(n)])
-
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -152,12 +146,6 @@ class Poly:
                 r[k - d + j] = r[k - d + j] - t * other.c[j]
         return Poly(q), Poly(r)
 
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Poly":
-        return divmod(self, other)[1]
-
     def __truediv__(self, other) -> "Poly":
         """Exact division (scalar or polynomial); raises if the remainder is nonzero."""
         if isinstance(other, Poly):
@@ -180,12 +168,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([k * a for k, a in enumerate(self.c)][1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.lc()
-        return Poly([a / lead for a in self.c])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""

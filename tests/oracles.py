@@ -581,10 +581,7 @@ def k5p_report_by_factoring(p: int) -> dict:
     from hasse5 import modpoly as mp
     from hasse5.classno import h5l
     from hasse5.ffactor import factor_ff
-    from hasse5.fp import legendre
-    from hasse5.modeq import (
-        HD, Q5, QUAD_D, QUART_D, T_SET, _disc_hd, a_p, build_k5p, epsilon_flags,
-    )
+    from hasse5.modeq import HD, Q5, QUAD_D, QUART_D, T_SET, a_p, build_k5p, epsilon_flags
 
     flags = epsilon_flags(p)
     k5p_list = build_k5p(p)
@@ -598,15 +595,9 @@ def k5p_report_by_factoring(p: int) -> dict:
                 mismatches.append(f"H_-20 mod {p} did not split into distinct linears")
                 continue
             expected[coeffs] = (2, 20)
-    for d in (4, 11, 16, 19):
+    for d in (4, 11, 16, 19, *QUAD_D):  # e_d for d in QUAD_D already requires H_-d irreducible mod p
         if flags[d]:
             expected[tuple(mp.from_int_poly(HD[d], p))] = (4, d)
-    for d in QUAD_D:
-        if flags[d]:
-            q = tuple(mp.from_int_poly(HD[d], p))
-            if legendre(_disc_hd()[d], p) != -1:
-                mismatches.append(f"H_-{d} mod {p} unexpectedly reducible")
-            expected[q] = (4, d)
     for d in QUART_D:
         if flags[d]:
             pieces = factor_ff(mp.from_int_poly(HD[d], p), p).factors

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +546,68 @@ def test_package_has_no_assert_statement():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+# raise sites whose message is all variable, each with the test that reaches it
+RAISE_SITES_NAMED_BY_TEST = {("icosa.py", "req"): "test_group_relations_fail_on_a_wrong_S"}
+
+
+def _verification_raise_sites():
+    """(module, enclosing function, line, constant pieces of the message) of
+    every raise of VerificationError or a subclass of it in the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(hasse5.__file__).parent.glob("*.py"))}
+    family = {"VerificationError"}
+    while True:
+        grown = family | {
+            node.name
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", getattr(b, "attr", None)) in family for b in node.bases)
+        }
+        if grown == family:
+            break
+        family = grown
+    sites = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
+                continue
+            called = node.exc.func
+            if getattr(called, "id", getattr(called, "attr", None)) not in family:
+                continue
+            func = node.parent
+            while not isinstance(func, (ast.FunctionDef, ast.Module)):
+                func = func.parent
+            msg = node.exc.args[0]
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            pieces = [v.value for v in parts if isinstance(v, ast.Constant) and isinstance(v.value, str)]
+            sites.append((name, getattr(func, "name", None), node.lineno, pieces))
+    return sites
+
+
+def test_every_verification_raise_message_is_in_a_test():
+    # every check of the package that raises VerificationError or a subclass
+    # of it is named by a test: the constant pieces of its message, in order,
+    # on one line of a tests/test_*.py (oracles.py's copies do not count), or,
+    # for a message with no constant piece, the test listed for it above
+    sites = _verification_raise_sites()
+    assert len(sites) >= 40 and {s[0] for s in sites} >= {"census.py", "cycres.py", "fricke.py", "icosa.py", "modeq.py"}
+    lines = [line for path in sorted(Path(__file__).parent.glob("test_*.py")) for line in path.read_text().splitlines()]
+    source = "\n".join(lines)
+    missing = []
+    for module, func, lineno, pieces in sites:
+        if not pieces:
+            test = RAISE_SITES_NAMED_BY_TEST.get((module, func))
+            if test is None or f"def {test}(" not in source:
+                missing.append((module, lineno, test))
+            continue
+        pattern = re.compile(".*".join(map(re.escape, pieces)))
+        if not any(pattern.search(line) for line in lines):
+            missing.append((module, lineno, pieces))
+    assert not missing, f"raise messages that no test names: {missing}"
 
 
 def test_jobs_parallel(capsys):

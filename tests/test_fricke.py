@@ -79,7 +79,7 @@ def test_unpaired_root_of_the_fold_is_rejected(monkeypatch):
     # u = 0 is in F_13 and is no fixed point of sigma, so P u passes the
     # containment check, and deg P + deg R turns odd
     multiply_the_fold(monkeypatch, [0, 1], 13)
-    with pytest.raises(VerificationError, match=re.escape("p=13: deg P + deg gcd(P, u^2 + 22u - 4) is odd")):
+    with pytest.raises(VerificationError, match=re.escape("p=13: deg P + deg gcd(P, u^2 + 22u - 4) is odd: sigma does not pair the roots of P")):
         verify_fricke(13)
 
 
@@ -135,7 +135,7 @@ def test_build_ss5star_rejects_a_norm_that_is_not_monic(monkeypatch):
     # 10 mod 13: the resultant is no longer monic at p = 13 only
     monkeypatch.setattr(fricke, "R5_C", fricke.R5_C[:-1] + (1 + 7 * 11 * 17,))
     assert mp.deg(build_ss5star(7)) == 2
-    with pytest.raises(VerificationError, match=re.escape("p=13: Res_X(ss_p, R5) is not monic")):
+    with pytest.raises(VerificationError, match=re.escape("p=13: Res_X(ss_p, R5) is not monic of degree 6 deg ss_p")):
         build_ss5star(13)
 
 
@@ -146,8 +146,8 @@ SS_37 = (((29, 1), 1), ((31, 31, 1), 1))
 @pytest.mark.parametrize(
     "name, fake, message",
     [
-        ("factor_ff", lambda f, p: FactorList(p, 1, (((29, 1), 2),) + SS_37[1:]), "repeated factor at p=37"),
-        ("roots_in", lambda f, p: [(r, 2) for r, _ in roots_in(f, p)], "repeated root of supersingular factor"),
+        ("factor_ff", lambda f, p: FactorList(p, 1, (((29, 1), 2),) + SS_37[1:]), "supersingular polynomial has a repeated factor at p=37"),
+        ("roots_in", lambda f, p: [(r, 2) for r, _ in roots_in(f, p)], "repeated root of supersingular factor (31, 31, 1) at p=37"),
         (
             "factor_ff",
             lambda f, p: FactorList(p, 1, ((tuple(mp.mul([29, 1], [31, 31, 1], p)), 1),)),

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -35,6 +36,16 @@ from oracles import icosa_resultant_bareiss, resultant_mod_by_kronecker
 
 def test_group_relations():
     assert verify_group_relations()
+
+
+def test_group_relations_fail_on_a_wrong_S(monkeypatch):
+    # S = A has order 3, so the first relation fails, before any closure is taken
+    wrong = {**generators(), "S": generators()["A"]}
+    monkeypatch.setattr(icosa, "generators", lambda: wrong)
+    monkeypatch.setattr(icosa, "closure", lambda gens: pytest.fail("closure taken before S^5 = 1 was checked"))
+    with pytest.raises(RelationFailure, match=re.escape("S^5 = 1")) as e:
+        verify_group_relations()
+    assert str(e.value) == "S^5 = 1"
 
 
 def test_group_orders():
@@ -268,7 +279,7 @@ def test_resultant_rejects_a_p1_that_is_not_a_binomial(middle):
     plus = Poly([*p1.c[:middle], Poly([1]), *p1.c[middle + 1 :]])
     lower = Poly([*p1.c[:middle], p1[5]])
     for bad in (plus, lower):
-        with pytest.raises(VerificationError, match="not A \\+ B y\\^5"):
+        with pytest.raises(VerificationError, match=re.escape("resultant over Z[zeta_5][x]: p1 is not A + B y^5")):
             cycres.resultant(bad, p2)
 
 
@@ -277,14 +288,14 @@ def test_resultant_rejects_polynomials_too_long_for_int64(monkeypatch):
     # are checked before any coordinate is read or array built
     p1, _ = surface_pair(*_maps("T", "T"))
     monkeypatch.setattr(cycres, "_int_coords", lambda entry: pytest.fail("coordinates read before the length check"))
-    with pytest.raises(VerificationError, match="too long for int64"):
+    with pytest.raises(VerificationError, match=re.escape("resultant over Z[zeta_5][x]: degrees 5 in y and 13199 in x, too long for int64")):
         cycres.resultant(p1, Poly([Poly([1] * 13200)] * 6))
 
 
 def test_resultant_rejects_a_y_degree_too_long_for_int64(monkeypatch):
     # d + 1 = 2^16 + 1 y-coefficients of G, with A and B constants: D = 0
     monkeypatch.setattr(cycres, "_int_coords", lambda entry: pytest.fail("coordinates read before the length check"))
-    with pytest.raises(VerificationError, match="too long for int64"):
+    with pytest.raises(VerificationError, match=re.escape("resultant over Z[zeta_5][x]: degrees 65536 in y and 0 in x, too long for int64")):
         cycres.resultant(Poly([1, 0, 0, 0, 0, 1]), Poly([1] * (2**16 + 1)))
 
 
@@ -375,5 +386,5 @@ def test_root5_rejects_a_prime_without_5th_roots_of_unity(p):
 
 
 def test_norm_rejects_a_polynomial_too_long_for_int64():
-    with pytest.raises(VerificationError, match="2\\^16"):
+    with pytest.raises(VerificationError, match=re.escape("norm over Q(zeta_5): 65536 coefficients, the int64 products allow < 2^16")):
         norm_to_Q(Poly([1] * 2**16))
