@@ -13,10 +13,13 @@ Central objects:
   of degree 1 and 2 (``_certify``): the linear factors by one root sweep of g
   over F_p, the quadratic ones, whose product Q has no root at them and
   satisfies x^(p^2) = x mod Q, read off their traces and norms, x + x^p and
-  x^(p+1), by Newton's identities (``_quadratic_factors``); the
-  multiplicity of each factor is the order of
+  x^(p+1), by Newton's identities (``_quadratic_factors``); g comes from
+  Phi5(x^p, x) mod ss_p by Horner in x^p mod ss_p over Phi5's rows reduced
+  mod p (``_phi5_mod``), and the multiplicity of each factor is the order of
   the first Hasse derivative of Phi5 in its second variable, evaluated at
-  (x^p, x), that does not vanish at the factor's root;
+  (x^p, x), that does not vanish at the factor's root, read for every factor
+  at once off one table of those derivatives at the roots, as pairs over
+  F_p[beta]/(q) (``_hasse_nonzero``);
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -370,13 +373,73 @@ def _hasse_rows(i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
-    """sum_a row_a(x) X^a mod m over F_p, by Horner in X with one remainder
-    at the end; the integer rows are reduced mod p by ``mp.add``."""
-    acc: list[int] = []
-    for row in reversed(rows):
-        acc = mp.add(mp.mul(acc, X, p), row, p)
-    return mp.rem(acc, m, p)
+def _phi5_mod(X: list[int], m: list[int], p: int) -> list[int]:
+    """Phi5(X, x) mod m over F_p, for m of degree >= 1 and X reduced mod m.
+    Phi5's rows (``_hasse_rows(0)``) are reduced mod p and mod m once; then
+    Horner in X takes one ``mulmod`` mod m a step."""
+    mulmod, dtype = mp.mulmod_by(m, p)
+    n = mp.deg(m)
+
+    def row(f):
+        a = np.zeros(n, dtype=dtype)
+        a[: len(f)] = f
+        return a
+
+    rows = [row(mp.rem(mp.from_int_poly(r, p), m, p)) for r in _hasse_rows(0)]
+    Xa, acc = row(X), rows[-1]
+    for r in reversed(rows[:-1]):
+        acc = (mulmod(acc, Xa) + r) % p
+    return mp.trim(acc.tolist())
+
+
+def _pair_mul(u0, u1, v0, v1, c, b, p: int):
+    """(u0 + u1 beta)(v0 + v1 beta) in F_p[beta]/(beta^2 - c beta + b), as
+    its pair of coefficients, for arrays with entries in [0, p); every term
+    formed is below p^2."""
+    t = u1 * v1 % p
+    return (u0 * v0 - b * t) % p, (u0 * v1 + u1 * v0 + c * t) % p
+
+
+def _hasse_nonzero(factors: list[list[int]], p: int) -> np.ndarray:
+    """The (7, len(factors)) bool table of D_i = (D_Y^i Phi5)(x^p, x) mod q
+    != 0, for i <= 6 and each monic irreducible q = x - r or x^2 - c x + b.
+
+    At a root beta of q, in F_p[beta]/(q) as pairs u0 + u1 beta, x^p is r or
+    c - beta (the two roots of q add up to c), and x is beta (r for a linear
+    q, with c = b = 0).  Six pair products give the powers 0..6 of both, one
+    broadcast product the 49 monomials (x^p)^a x^j, and D = H @ M the values
+    D_i(beta^p, beta), where H[i, 7a + j] is the coefficient of X^a Y^j in
+    D_Y^i Phi5 mod p, read off ``_hasse_rows`` at each call.  Each entry of
+    H @ M sums 49 products below p^2: int64 while ``mp._np_ok(49, p)``,
+    Python ints (dtype object) otherwise.
+    """
+    dtype = np.int64 if mp._np_ok(49, p) else object
+    H = np.zeros(7 * 49, dtype=dtype)
+    at, coeffs = [], []
+    for i in range(7):
+        for a, row in enumerate(_hasse_rows(i)):
+            at.extend(range(49 * i + 7 * a, 49 * i + 7 * a + len(row)))
+            coeffs.extend(c % p for c in row)
+    H[at] = coeffs
+    cols = []  # per factor: u0 of x^p and of x, u1 of x^p and of x, c, b
+    for q in factors:
+        if len(q) == 2:
+            r = -q[0] % p
+            cols.append((r, r, 0, 0, 0, 0))
+        else:
+            c = -q[1] % p
+            cols.append((c, 0, p - 1, 1, c, q[0]))
+    T = np.array(cols, dtype=dtype).reshape(len(factors), 6).T
+    u0, u1, c, b = T[0:2], T[2:4], T[4], T[5]
+    pow0, pow1 = [np.ones_like(u0)], [np.zeros_like(u0)]
+    for _ in range(6):
+        v0, v1 = _pair_mul(pow0[-1], pow1[-1], u0, u1, c, b, p)
+        pow0.append(v0)
+        pow1.append(v1)
+    P0, P1 = np.stack(pow0), np.stack(pow1)  # (exponent, x^p or x, factor)
+    M = _pair_mul(P0[:, None, 0], P1[:, None, 0], P0[None, :, 1], P1[None, :, 1], c, b, p)
+    D = H.reshape(7, 49) @ np.stack(M).reshape(2, 49, len(factors)) % p
+    return (D != 0).any(axis=0)
 
 
 def _certify(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[int], list[int]]:
@@ -521,7 +584,9 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     (degree, coefficient tuple).
 
     With X = x^p mod ss_p, gcd(ss_p, F) is taken as g = gcd(ss_p, Phi5(X, x)
-    mod ss_p).  Three steps follow, none of them a general factorization.
+    mod ss_p), where ``_phi5_mod`` reduces Phi5's rows mod p and mod ss_p
+    once and runs Horner in X, one ``mulmod`` mod ss_p a step.  Three steps
+    follow, none of them a general factorization.
 
     1. ``_certify`` proves g squarefree with factors of degree 1 and 2 only,
        and returns the linear ones x - r, read off the roots r of g found by
@@ -537,9 +602,13 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
 
     3. The multiplicity of each factor q in F is the least i with
        D_i = (D_Y^i Phi5)(x^p, x) mod q nonzero, where D_Y^i is the i-th
-       Hasse derivative in the second variable (``_hasse_rows``).  x^p mod q
-       is read off q: it is r for q = x - r, and c - x for
-       q = x^2 - c x + b, as the two roots beta, beta^p of q add up to c.
+       Hasse derivative in the second variable (``_hasse_rows``).  One table
+       (``_hasse_nonzero``) holds D_0, ..., D_6 for every factor at once:
+       q is irreducible (step 1 certifies it), so F_p[x]/(q) is a field,
+       F_p[beta] for a root beta of q, and q divides D_i exactly when
+       D_i(beta^p, beta) = 0.  Its elements are pairs u0 + u1 beta;
+       beta^p is r for q = x - r, and c - beta for q = x^2 - c x + b, as
+       the two roots beta, beta^p of q add up to c.
        Proof: the i-th Hasse derivative of x^(pa+b) is C(pa+b, i) x^(pa+b-i),
        and by Lucas C(pa+b, i) = C(b, i) mod p for b, i <= 6 < p, so the i-th
        Hasse derivative D^(i) F of F is (D_Y^i Phi5)(x^p, x).  q is
@@ -550,21 +619,23 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
        field F_p, hence separable, so q does not divide q'.  So q divides D_i
        exactly when i < k, and the least i is k.  Phi5 is monic of degree 6
        in Y, so D_Y^6 Phi5 = 1 and k <= 6; a q dividing every D_i up to
-       i = 6 raises ``VerificationError``.
+       i = 6 raises ``VerificationError``.  q divides g, so D_0 = F mod q
+       must vanish: a q where it does not, as a wrong root beta^p would give,
+       raises ``VerificationError`` too.
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
     ss = build_ss(p)
     X = mp.pow_mod([0, 1], p, ss, p)
-    g = mp.gcd(ss, _eval_rows(_hasse_rows(0), X, ss, p), p)
+    g = mp.gcd(ss, _phi5_mod(X, ss, p), p)
     lins, quad, XQ = _certify(g, mp.rem(X, g, p), p)
-    out = []
-    for q in lins + _quadratic_factors(quad, XQ, p):
-        Xq = mp.trim([-q[0] % p]) if len(q) == 2 else [-q[1] % p, p - 1]  # x^p mod q
-        k = next((i for i in range(1, 7) if _eval_rows(_hasse_rows(i), Xq, q, p)), 0)
-        if not k:
-            raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
-        out.append((tuple(q), 2 * k))
+    factors = lins + _quadratic_factors(quad, XQ, p)
+    nonzero = _hasse_nonzero(factors, p)
+    if nonzero[0].any():
+        raise VerificationError(f"Phi5(x^p, x) does not vanish at a root of a factor of gcd(ss_p, Phi5(x^p, x)) at p={p}")
+    if not nonzero.any(axis=0).all():
+        raise VerificationError(f"a factor of gcd(ss_p, Phi5(x^p, x)) divides D_Y^6 Phi5(x^p, x) = 1 at p={p}")
+    out = [(tuple(q), 2 * int(k)) for q, k in zip(factors, nonzero.argmax(axis=0))]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 

@@ -18,7 +18,11 @@ a time, which the blocked sweep of ``modpoly._divisor_params`` replaced,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
 Phi5(x^p, x) by repeated division, ``certify_by_gcd``, K_5p's certificate
 and linear factors by two gcds with x^p - x, which one root sweep of g in
-``modeq._certify`` replaced, ``k5p_by_census_hits``, K_5p mod p as
+``modeq._certify`` replaced, ``eval_rows``, Phi5(X, x) mod ss_p by
+Horner over Phi5's integer rows on lists, and ``k5p_multiplicities_by_rows``
+and ``hasse_nonzero_by_rows``, K_5p's multiplicities by ``eval_rows`` per
+factor, which the Horner mod ss_p of ``modeq._phi5_mod`` and the table of
+``modeq._hasse_nonzero`` replaced, ``k5p_by_census_hits``, K_5p mod p as
 the j-images of the census's conic hits, with no Phi5 and no ss_p,
 ``icosa_resultant_bareiss``, the icosahedral resultant by Bareiss
 elimination over Z[zeta_5][x], ``resultant_mod_by_kronecker``, that
@@ -528,6 +532,50 @@ def certify_by_gcd(g: list[int], X: list[int], p: int) -> tuple[list[list[int]],
             raise VerificationError(f"gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p={p}")
     lins = [list(c) for c, _ in factor_ff(lin, p).factors] if mp.deg(lin) > 0 else []
     return sorted(lins, key=lambda q: -q[0] % p), quad, XQ
+
+
+def eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:
+    """sum_a row_a(x) X^a mod m over F_p for integer rows, by Horner in X on
+    lists with one remainder at the end; the rows are reduced mod p by
+    ``mp.add`` at every step.  Phi5(X, x) mod ss_p is
+    ``eval_rows(modeq._hasse_rows(0), X, ss_p, p)``, the route that
+    ``modeq._phi5_mod`` replaced."""
+    from hasse5 import modpoly as mp
+
+    acc: list[int] = []
+    for row in reversed(rows):
+        acc = mp.add(mp.mul(acc, X, p), row, p)
+    return mp.rem(acc, m, p)
+
+
+def _x_p_mod(q: list[int], p: int) -> list[int]:
+    """x^p mod a monic irreducible q: r for q = x - r, and c - x for
+    q = x^2 - c x + b, whose roots add up to c."""
+    from hasse5 import modpoly as mp
+
+    return mp.trim([-q[0] % p]) if len(q) == 2 else [-q[1] % p, p - 1]
+
+
+def hasse_nonzero_by_rows(factors: list[list[int]], p: int) -> list[list[bool]]:
+    """``modeq._hasse_nonzero(factors, p)`` as lists: whether
+    D_i = (D_Y^i Phi5)(x^p, x) mod q is nonzero, for i <= 6 and each factor
+    q, one ``eval_rows`` per i and q."""
+    from hasse5.modeq import _hasse_rows
+
+    return [[bool(eval_rows(_hasse_rows(i), _x_p_mod(q, p), q, p)) for q in factors] for i in range(7)]
+
+
+def k5p_multiplicities_by_rows(factors: list[list[int]], p: int) -> list[int]:
+    """The multiplicity in K_5p, twice the one in Phi5(x^p, x), of each factor
+    q of gcd(ss_p, Phi5(x^p, x)): 2k for the least k in 1..6 with D_k mod q
+    nonzero, found per factor by one ``eval_rows`` for each i up to k, the
+    search that the table of ``modeq._hasse_nonzero`` replaced; 0 where every
+    D_k vanishes."""
+    from hasse5.modeq import _hasse_rows
+
+    return [
+        2 * next((i for i in range(1, 7) if eval_rows(_hasse_rows(i), _x_p_mod(q, p), q, p)), 0) for q in factors
+    ]
 
 
 def _j_on_conic(a: int, p: int) -> list[int]:

@@ -540,6 +540,22 @@ def test_optimized_interpreter_keeps_the_k5p_split_checks():
     )
 
 
+def test_optimized_interpreter_keeps_the_k5p_vanishing_check():
+    # a split that adds x^2 + x + 1, which does not divide g: python -O must
+    # still reject it where Phi5(x^p, x) does not vanish, as a FAIL row
+    code = (
+        "from hasse5 import modeq; quadratic = modeq._quadratic_factors; "
+        "modeq._quadratic_factors = lambda f, Xf, p: quadratic(f, Xf, p) + [[1, 1, 1]]; "
+        "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stdout.split("\n")[1] == (
+        "383\t\t\t\t\t\tFAIL: VerificationError: "
+        "Phi5(x^p, x) does not vanish at a root of a factor of gcd(ss_p, Phi5(x^p, x)) at p=383"
+    )
+
+
 def test_package_has_no_assert_statement():
     # python -O removes assert statements, so no check of the package may be one
     for path in sorted(Path(hasse5.__file__).parent.glob("*.py")):

@@ -35,7 +35,15 @@ from hasse5.modeq import (
     verify_class_equation,
 )
 from hasse5.poly import BiPoly, Poly, discriminant
-from oracles import certify_by_gcd, k5p_by_census_hits, k5p_by_division, k5p_report_by_factoring
+from oracles import (
+    certify_by_gcd,
+    eval_rows,
+    hasse_nonzero_by_rows,
+    k5p_by_census_hits,
+    k5p_by_division,
+    k5p_multiplicities_by_rows,
+    k5p_report_by_factoring,
+)
 
 
 def test_q5_constant_term():
@@ -457,22 +465,94 @@ def test_verify_factors_g_only(monkeypatch):
         assert _product(pieces, p) == mp.gcd(build_ss(p), phi5_xp_x(p), p), p
 
 
-def test_build_k5p_evaluates_each_factor_up_to_its_multiplicity(monkeypatch):
-    # _eval_rows runs modulo ss_p once, then modulo each factor q of g once
-    # for each i from 1 up to its multiplicity m/2 in Phi5(x^p, x): the search
-    # stops at the first Hasse derivative that does not vanish at q's root
-    from collections import Counter
-
+def test_build_k5p_runs_one_horner_and_one_table_per_prime(monkeypatch):
+    # Phi5(X, x) is reduced mod ss_p by one Horner in X, and every factor's
+    # multiplicity is read off one table of D_0, ..., D_6 at the factors'
+    # roots; the per-factor evaluations of Phi5's rows are a test oracle only
     from hasse5.hasse import build_ss
 
-    moduli = []
-    real = modeq._eval_rows
-    monkeypatch.setattr(modeq, "_eval_rows", lambda rows, X, m, p: moduli.append(tuple(m)) or real(rows, X, m, p))
+    moduli, tables = [], []
+    phi5_mod, table = modeq._phi5_mod, modeq._hasse_nonzero
+    monkeypatch.setattr(modeq, "_phi5_mod", lambda X, m, p: moduli.append(tuple(m)) or phi5_mod(X, m, p))
+    monkeypatch.setattr(modeq, "_hasse_nonzero", lambda fs, p: tables.append(sorted(map(tuple, fs))) or table(fs, p))
+    assert not hasattr(modeq, "_eval_rows")
     for p in (379, 383, 389):
         moduli.clear()
+        tables.clear()
         k5p = build_k5p(p)
-        assert moduli[0] == tuple(build_ss(p)), p
-        assert Counter(moduli[1:]) == Counter({q: m // 2 for q, m in k5p}), p
+        assert moduli == [tuple(build_ss(p))], p
+        assert tables == [sorted(q for q, _ in k5p)], p
+
+
+def _check_k5p_against_row_oracle(primes):
+    """build_k5p's multiplicities against one evaluation of Phi5's rows per
+    factor and per Hasse derivative, and Phi5(X, x) mod ss_p against Horner
+    over Phi5's integer rows on lists."""
+    from hasse5.hasse import build_ss
+
+    for p in primes:
+        k5p = build_k5p(p)
+        assert [m for _, m in k5p] == k5p_multiplicities_by_rows([list(q) for q, _ in k5p], p), p
+        ss = build_ss(p)
+        X = mp.pow_mod([0, 1], p, ss, p)
+        assert modeq._phi5_mod(X, ss, p) == eval_rows(modeq._hasse_rows(0), X, ss, p), p
+
+
+def test_build_k5p_matches_row_oracle():
+    # S's primes > 20, the anomaly at 379 and every prime of k5p-700's range
+    _check_k5p_against_row_oracle(sorted(p for p in refdata.S_SET if p > 20) + [379] + primes_in(380, 700))
+
+
+@pytest.mark.heavy
+def test_build_k5p_matches_row_oracle_to_2000():
+    _check_k5p_against_row_oracle(primes_in(701, 2000))
+
+
+# the primes on either side of mp._np_ok(49, p), where the table of
+# _hasse_nonzero leaves int64 for Python ints
+NP_OK_49_LAST, NP_OK_49_FIRST_NOT = 306783353, 306783397
+
+
+def test_np_ok_49_boundary_primes():
+    from hasse5.intfactor import is_prime
+
+    assert is_prime(NP_OK_49_LAST) and is_prime(NP_OK_49_FIRST_NOT)
+    assert not any(map(is_prime, range(NP_OK_49_LAST + 1, NP_OK_49_FIRST_NOT)))
+    assert mp._np_ok(49, NP_OK_49_LAST) and not mp._np_ok(49, NP_OK_49_FIRST_NOT)
+
+
+@pytest.mark.parametrize("p", [7, 1499, NP_OK_49_LAST, NP_OK_49_FIRST_NOT, 2**61 - 1])
+def test_hasse_table_and_horner_match_row_oracle_on_both_dtypes(p):
+    # synthetic factors, as build_k5p needs p > 20 and ss_p of degree about
+    # p/12: H_-4, H_-11, H_-16, H_-19, and the H_-d of QUAD_D irreducible mod
+    # p, where D_0 = Phi5(beta^p, beta) vanishes, and random linear and
+    # irreducible quadratic factors, where it need not
+    import random
+
+    rng = random.Random(p)
+    cm = [mp.from_int_poly(HD[d], p) for d in (4, 11, 16, 19)]
+    cm += [mp.from_int_poly(HD[d], p) for d in modeq.QUAD_D if legendre(discriminant(hd_poly(d)), p) == -1]
+    factors = cm + [[rng.randrange(p), 1] for _ in range(4)] + _irreducible_quadratics(p, 4, rng)
+    got = modeq._hasse_nonzero(factors, p)
+    assert got.tolist() == hasse_nonzero_by_rows(factors, p)
+    assert got[0].any() and not got[0].all()
+    # Phi5(X, x) mod m, also for a modulus of degree below Phi5's 7 rows
+    for n in (3, 12):
+        m = [rng.randrange(p) for _ in range(n)] + [1]
+        X = mp.trim([rng.randrange(p) for _ in range(n)])
+        assert modeq._phi5_mod(X, m, p) == eval_rows(modeq._hasse_rows(0), X, m, p), n
+
+
+def test_build_k5p_rejects_a_factor_where_phi5_does_not_vanish(monkeypatch):
+    # x^2 + x + 1, irreducible mod 383, does not divide Phi5(x^383, x), so it
+    # is no factor of g: D_0 = Phi5(beta^p, beta) is nonzero at its root
+    p = 383
+    assert legendre(-3, p) == -1 and mp.rem(phi5_xp_x(p), [1, 1, 1], p)
+    quadratic = modeq._quadratic_factors
+    monkeypatch.setattr(modeq, "_quadratic_factors", lambda f, Xf, p: quadratic(f, Xf, p) + [[1, 1, 1]])
+    error = "Phi5(x^p, x) does not vanish at a root of a factor of gcd(ss_p, Phi5(x^p, x)) at p=383"
+    with pytest.raises(VerificationError, match=re.escape(error)):
+        build_k5p(p)
 
 
 def _product(factors, p: int) -> list[int]:
