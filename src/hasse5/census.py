@@ -66,7 +66,7 @@ from . import VerificationError, modpoly as mp
 from .classno import h5l
 from .fp import golden_units, legendre, sqrt_mod
 from .hasse import build_hasse
-from .modpoly import _divisor_params
+from .modpoly import _check_sweep, _divisor_params
 
 
 # x^2 + 11x - 1: its roots and 0 are the singular points of L below
@@ -142,9 +142,7 @@ def _conic_hits(l: int, f: list[int]) -> tuple[list[int], list[int]]:
     irreducible (``_irreducible_hits``), and ``fricke.verify_fricke`` counts
     every hit, one sigma-orbit of roots of P on which
     Y = -(u^2 + 4)/(u + 11) takes the value a."""
-    # the sweep is exact in int64 when (k+1) l^2 < 2^63 for its width k = 2
-    if 3 * l * l >= 2**63:
-        raise ValueError(f"l={l} is too large for the int64 divisibility sweep")
+    _check_sweep(2, l)  # before the sweep's arrays of length l are made
     p = _fold(l, f)
     a = np.arange(l, dtype=np.int64)
     # u^2 = -(11a + 4) - a u mod Q_a

@@ -9,17 +9,17 @@ Central objects:
   (p = 3 mod 4) modulo p;
 * ``build_k5p`` -- reconstruction of K_{5p} mod p from the supersingular
   factors of Phi5(x^p, x), each with twice its multiplicity there: their
-  product g is split once with no gcd and certified squarefree with factors
-  of degree 1 and 2 (``_certify``): the linear factors by one root sweep of g
-  over F_p, the quadratic ones, whose product Q has no root at them and
-  satisfies x^(p^2) = x mod Q, read off their traces and norms, x + x^p and
-  x^(p+1), by Newton's identities (``_quadratic_factors``); g comes from
-  Phi5(x^p, x) mod ss_p by Horner in x^p mod ss_p over Phi5's rows reduced
-  mod p (``_phi5_mod``), and the multiplicity of each factor is the order of
-  the first Hasse derivative of Phi5 in its second variable, evaluated at
-  (x^p, x), that does not vanish at the factor's root, read for every factor
-  at once off one table of those derivatives at the roots, as pairs over
-  F_p[beta]/(q) (``_hasse_nonzero``);
+  product g is split once with no gcd, its factors certifying it squarefree
+  with factors of degree 1 and 2: the linear ones by one root sweep of g
+  over F_p, their cofactor Q with no root at them (``_certify``), the
+  quadratic ones, distinct and multiplying to Q, read off their traces and
+  norms, x + x^p and x^(p+1), by Newton's identities (``_quadratic_factors``);
+  g comes from Phi5(x^p, x) mod ss_p by Horner in x^p mod ss_p over Phi5's
+  rows reduced mod p (``_phi5_mod``), and the multiplicity of each factor is
+  the order of the first Hasse derivative of Phi5 in its second variable,
+  evaluated at (x^p, x), that does not vanish at the factor's root, read for
+  every factor at once off one table of those derivatives at the roots, as
+  pairs over F_p[beta]/(q) (``_hasse_nonzero``);
 * ``verify_class_equation`` -- the structural comparison of that
   reconstruction against the predicted product
   H_{-20}^(2 e20) * prod H_{-d}^(4 e_d) * prod (X^2 + a_i X + b_i)^2
@@ -373,23 +373,19 @@ def _hasse_rows(i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _phi5_mod(X: list[int], m: list[int], p: int) -> list[int]:
-    """Phi5(X, x) mod m over F_p, for m of degree >= 1 and X reduced mod m.
-    Phi5's rows (``_hasse_rows(0)``) are reduced mod p and mod m once; then
-    Horner in X takes one ``mulmod`` mod m a step."""
+def _phi5_mod(m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(X, Phi5(X, x) mod m) over F_p for X = x^p mod m and m of degree
+    >= 1, both on one ``mulmod`` mod m: X by one square-and-multiply
+    (``mp._power``), then Horner in X over Phi5's rows (``_hasse_rows(0)``),
+    reduced mod p and mod m once, one ``mulmod`` a step."""
     mulmod, dtype = mp.mulmod_by(m, p)
     n = mp.deg(m)
-
-    def row(f):
-        a = np.zeros(n, dtype=dtype)
-        a[: len(f)] = f
-        return a
-
-    rows = [row(mp.rem(mp.from_int_poly(r, p), m, p)) for r in _hasse_rows(0)]
-    Xa, acc = row(X), rows[-1]
+    X = mp._power(mulmod, mp.pad(mp.rem([0, 1], m, p), n, dtype), p)
+    rows = [mp.pad(mp.rem(mp.from_int_poly(r, p), m, p), n, dtype) for r in _hasse_rows(0)]
+    acc = rows[-1]
     for r in reversed(rows[:-1]):
-        acc = (mulmod(acc, Xa) + r) % p
-    return mp.trim(acc.tolist())
+        acc = (mulmod(acc, X) + r) % p
+    return mp.trim(X.tolist()), mp.trim(acc.tolist())
 
 
 def _pair_mul(u0, u1, v0, v1, c, b, p: int):
@@ -445,47 +441,30 @@ def _hasse_nonzero(factors: list[list[int]], p: int) -> np.ndarray:
 def _certify(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[int], list[int]]:
     """(the factors x - r of g, Q, X mod Q) for g monic and X = x^p mod g,
     where the r are the roots of g in F_p, ascending, and Q = g / prod(x - r)
-    is the product of the quadratic factors of g, once g is proved squarefree
-    with factors of degree 1 and 2 only; raises ``VerificationError`` when it
-    is not.
+    has no root in F_p; raises ``VerificationError`` when it has one.
 
     The r come from one blocked sweep over all of F_p (``_roots``), so they
     are every root of g in F_p, and they are distinct, so L = prod(x - r) is
     squarefree and divides g exactly.  Every root of Q in F_p is a root of g,
     so if Q(r) != 0 for each r, checked by one sweep over the r alone, Q has
-    no linear factor and is coprime to L.  If also (x^p)^p = x mod Q, then Q
-    divides the squarefree x^(p^2) - x, so it is a product of distinct
-    irreducible quadratics, and g = L Q is squarefree.  Conversely a linear
-    factor x - r of g that is repeated leaves a copy in Q, so Q(r) = 0, and a
-    repeated quadratic factor or one of degree > 2 keeps Q from dividing the
-    squarefree x^(p^2) - x.
+    no root in F_p and is coprime to L; a repeated linear factor of g leaves
+    a copy in Q, so Q(r) = 0.  ``_quadratic_factors`` ends the certificate
+    (``build_k5p``, step 2), and no step of it reads X mod Q.
     """
-    x = [0, 1]
     roots = _roots(g, p)
     lins = [[-r % p, 1] for r in roots]
     lin = [1]
     for q in lins:
         lin = mp.mul(lin, q, p)
     quad = mp.quo(g, lin, p)
-    XQ = mp.rem(X, quad, p)
-    if mp.deg(quad) < 1:
-        return lins, quad, XQ
     if roots and mp._divisor_params(quad, np.array([roots]), p):
         raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
-    XQp = mp.pow_mod(XQ, p, quad, p)
-    if XQp != x:
-        # the quadratic factors of Q, each once: a second copy of one of them is the fault
-        once = mp.gcd(quad, mp.sub(XQp, x, p), p)
-        if mp.deg(mp.gcd(mp.quo(quad, once, p), once, p)) > 0:
-            raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
-        raise VerificationError(f"gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p={p}")
-    return lins, quad, XQ
+    return lins, quad, mp.rem(X, quad, p)
 
 
 def _roots(f: list[int], p: int) -> list[int]:
     """The distinct roots of f in F_p, ascending, by one blocked sweep over all
-    of F_p (``mp._divisor_params``, width 1), exact in int64 while
-    2 p^2 < 2^63."""
+    of F_p (``mp._divisor_params``, width 1, which needs 2 p^2 < 2^63)."""
     return mp._divisor_params(f, np.arange(p)[None, :], p)
 
 
@@ -501,10 +480,10 @@ def _from_power_sums(sums: list[int], p: int) -> list[int]:
 
 def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     """The irreducible quadratic factors of f, a monic squarefree product of
-    them over F_p (p odd), for Xf = x^p mod f; raises ``VerificationError``
+    them over F_p (p odd), for Xf = x^p mod f and f with no root in F_p
+    (``_certify`` checks it in ``build_k5p``); raises ``VerificationError``
     when f is found not to be one, so also when deg f is odd.  A constant f
-    has no factor, and a quadratic f is its own (``_certify`` proves it
-    irreducible in ``build_k5p``).
+    has no factor, and a quadratic f is its own.
 
     For f = prod_i q_i of degree 2m, q_i = x^2 - c_i x + b_i, each q_i is
     fixed by its trace c_i and norm b_i, read off with no splitting.
@@ -524,7 +503,9 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     are, and two of them have v_i = v_j for at most one lambda: of
     m(m-1)/2 + 1 values of lambda one separates every pair, as long as p
     exceeds m(m-1)/2.  Up to min(p, m(m-1)/2 + 1) values are tried, and the
-    q_i found must multiply to f.
+    q_i found must be distinct and multiply to f (a repeated factor of f
+    fails every lambda).  Then, f having no root in F_p, each q_i is
+    irreducible and f squarefree, whether or not Xf is right.
     """
     n = mp.deg(f)
     if n % 2:  # no product of quadratics has odd degree
@@ -534,11 +515,6 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     m = n // 2
     mulmod, dtype = mp.mulmod_by(f, p)
 
-    def row(u):
-        a = np.zeros(n, dtype=dtype)
-        a[: len(u)] = u
-        return a
-
     def hankel(s, u):
         """sum_k s[j + k] u[k] mod p, for j < len(u)."""
         return np.convolve(s, u[::-1])[len(u) - 1 : 2 * len(u) - 1] % p
@@ -547,13 +523,13 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     rev = np.asarray(f[::-1], dtype=dtype)
     drev = np.arange(1, n + 1) * rev[1:] % p
     s = np.concatenate(([n % p], -np.convolve(drev, mp._rev_inverse(rev, 2 * n - 2, p))[: 2 * n - 2] % p))
-    T = row(mp.add([0, 1], Xf, p))
-    W = mulmod(row([0, 1]), row(Xf))
+    T = mp.pad(mp.add([0, 1], Xf, p), n, dtype)
+    W = mulmod(mp.pad([0, 1], n, dtype), mp.pad(Xf, n, dtype))
     half = (p + 1) // 2
     tries = min(p, m * (m - 1) // 2 + 1)
     for lam in range(tries):
         V = (T + lam * W) % p
-        powers = [row([1])]
+        powers = [mp.pad([1], n, dtype)]
         for _ in range(m):
             powers.append(mulmod(powers[-1], V))
         P = np.array(powers)  # the rows V^0, ..., V^m
@@ -570,6 +546,8 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     for t in v:
         inv_d = pow(mp.eval_at(dR, t, p), p - 2, p)
         factors.append([mp.eval_at(S_W, t, p) * inv_d % p, -mp.eval_at(S_T, t, p) * inv_d % p, 1])
+    if len(set(map(tuple, factors))) < m:
+        raise VerificationError(f"the quadratic factors found for the degree-{n} piece are not distinct at p={p}")
     prod = [1]
     for q in factors:
         prod = mp.mul(prod, q, p)
@@ -584,27 +562,32 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     (degree, coefficient tuple).
 
     With X = x^p mod ss_p, gcd(ss_p, F) is taken as g = gcd(ss_p, Phi5(X, x)
-    mod ss_p), where ``_phi5_mod`` reduces Phi5's rows mod p and mod ss_p
-    once and runs Horner in X, one ``mulmod`` mod ss_p a step.  Three steps
-    follow, none of them a general factorization.
+    mod ss_p), where ``_phi5_mod`` finds X and Phi5(X, x) mod ss_p on one
+    Barrett context for ss_p: one square-and-multiply, then Horner in X over
+    Phi5's rows reduced mod p and mod ss_p once.  Three steps follow, none
+    of them a general factorization.
 
-    1. ``_certify`` proves g squarefree with factors of degree 1 and 2 only,
-       and returns the linear ones x - r, read off the roots r of g found by
-       one blocked sweep over F_p, the product Q of the quadratic ones and
-       X mod Q.  Every root of g is a supersingular j, which lies in F_(p^2)
-       (Deuring), so this holds unless ss_p or g is wrong.
+    1. ``_certify`` returns the linear factors x - r of g, read off the
+       roots r of g found by one blocked sweep over F_p, their cofactor Q
+       and X mod Q, and checks that Q has no root in F_p.  Every root of g
+       is a supersingular j, which lies in F_(p^2) (Deuring), so Q is a
+       product of distinct irreducible quadratics unless ss_p or g is wrong.
 
     2. Q splits into its factors, once: ``_quadratic_factors`` reads the
        quadratic ones x^2 - c x + b off their traces c = x + x^p and norms
        b = x^(p+1), which are constant on the two roots of each factor;
-       power sums and Newton's identities read the pairs (c, b) off, and
-       their product must give back Q.
+       power sums and Newton's identities read the pairs (c, b) off.  They
+       must be distinct and multiply back to Q.  With step 1 this certifies
+       g squarefree with factors of degree 1 and 2 only, by no power and no
+       gcd: a monic quadratic with no root in F_p is irreducible, distinct
+       irreducible factors make Q squarefree, and Q is coprime to the
+       squarefree L = prod(x - r).
 
     3. The multiplicity of each factor q in F is the least i with
        D_i = (D_Y^i Phi5)(x^p, x) mod q nonzero, where D_Y^i is the i-th
        Hasse derivative in the second variable (``_hasse_rows``).  One table
        (``_hasse_nonzero``) holds D_0, ..., D_6 for every factor at once:
-       q is irreducible (step 1 certifies it), so F_p[x]/(q) is a field,
+       q is irreducible (steps 1 and 2 certify it), so F_p[x]/(q) is a field,
        F_p[beta] for a root beta of q, and q divides D_i exactly when
        D_i(beta^p, beta) = 0.  Its elements are pairs u0 + u1 beta;
        beta^p is r for q = x - r, and c - beta for q = x^2 - c x + b, as
@@ -626,8 +609,8 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
     ss = build_ss(p)
-    X = mp.pow_mod([0, 1], p, ss, p)
-    g = mp.gcd(ss, _phi5_mod(X, ss, p), p)
+    X, phi = _phi5_mod(ss, p)
+    g = mp.gcd(ss, phi, p)
     lins, quad, XQ = _certify(g, mp.rem(X, g, p), p)
     factors = lins + _quadratic_factors(quad, XQ, p)
     nonzero = _hasse_nonzero(factors, p)

@@ -18,7 +18,7 @@ as numpy arrays, reducing each product by ``_barrett`` with k = n - 1 and one
 inverse: one convolution for the product and two for its remainder.  Its
 arrays are int64 when ``_np_ok(len(m), p)`` holds, which bounds every
 convolution of the step, and hold Python ints (dtype object) otherwise.
-``pow_mod`` and the K_5p split in ``modeq`` run on it.
+``pow_mod`` (by ``_power``) and ``modeq``'s K_5p steps run on it, via ``pad``.
 
 ``_divisor_params`` tests f against a whole family of monic divisors m_t of
 degree k at once, one column per divisor: the census and Fricke sweeps over
@@ -27,7 +27,7 @@ x^b over f's blocks of b = isqrt(len f) coefficients (Paterson-Stockmeyer),
 so about 2 sqrt(len f) numpy steps, not one per coefficient.  Every int64
 entry it forms is a sum of at most b + k products of residues in [0, l), so
 it stays below (b + k) l^2; b is capped so that this is below 2^63, and
-b >= 1 keeps the bound (k+1) l^2 < 2^63 that the callers check.
+b >= 1 needs (k+1) l^2 < 2^63, which ``_check_sweep`` checks.
 """
 
 from __future__ import annotations
@@ -188,6 +188,23 @@ def mulmod_by(m, p):
     return mulmod, dtype
 
 
+def pad(f, n: int, dtype):
+    """f as an array of n coefficients of dtype, zero past len(f) <= n."""
+    a = np.zeros(n, dtype=dtype)
+    a[: len(f)] = f
+    return a
+
+
+def _power(mulmod, x, e: int):
+    """x^e, e >= 1, under a ``mulmod_by`` product, by square-and-multiply."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, x)
+    return out
+
+
 def pow_mod(f, e: int, m, p):
     """f^e mod m, by square-and-multiply with Barrett remainders."""
     base = rem(f, m, p)
@@ -195,14 +212,13 @@ def pow_mod(f, e: int, m, p):
     if e == 0 or n < 1:
         return rem([1], m, p)
     mulmod, dtype = mulmod_by(m, p)
-    x = np.zeros(n, dtype=dtype)
-    x[: len(base)] = base
-    out = x
-    for bit in bin(e)[3:]:
-        out = mulmod(out, out)
-        if bit == "1":
-            out = mulmod(out, x)
-    return trim(out.tolist())
+    return trim(_power(mulmod, pad(base, n, dtype), e).tolist())
+
+
+def _check_sweep(k: int, l: int) -> None:
+    """Raise ``ValueError`` unless (k+1) l^2 < 2^63, as a sweep of width k needs."""
+    if (k + 1) * l * l >= 2**63:
+        raise ValueError(f"l={l} is too large for the int64 divisibility sweep of width {k}")
 
 
 def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
@@ -218,10 +234,11 @@ def _divisor_params(f: list[int], red: np.ndarray, l: int) -> list[int]:
     one vector-matrix product and k multiply-adds, and reduces it mod l.  All
     entries of F_i, U and the state lie in [0, l), so each new entry is a sum
     of at most b + k products below l^2.  b = isqrt(len f), capped so that
-    (b + k) l^2 < 2^63, is at least 1 whenever (k+1) l^2 < 2^63, which the
-    caller checks; every int64 sum is then exact.
+    (b + k) l^2 < 2^63, is at least 1 whenever (k+1) l^2 < 2^63, so every
+    int64 sum is exact; a larger l raises ``ValueError`` (``_check_sweep``).
     """
     k, ncols = red.shape
+    _check_sweep(k, l)
     b = max(1, min(isqrt(len(f)), (2**63 - 1) // (l * l) - k))
     u = np.zeros((b + k, k, ncols), dtype=np.int64)
     for j in range(k):

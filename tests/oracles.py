@@ -17,8 +17,9 @@ Horner sweeps over all of H rather than over its fold,
 a time, which the blocked sweep of ``modpoly._divisor_params`` replaced,
 ``k5p_by_division``, K_5p mod p read off the degree-6p polynomial
 Phi5(x^p, x) by repeated division, ``certify_by_gcd``, K_5p's certificate
-and linear factors by two gcds with x^p - x, which one root sweep of g in
-``modeq._certify`` replaced, ``eval_rows``, Phi5(X, x) mod ss_p by
+and linear factors by two gcds with x^p - x and the power x^(p^2) mod Q,
+which one root sweep of g in ``modeq._certify`` and the factors found by
+``modeq._quadratic_factors`` replaced, ``eval_rows``, Phi5(X, x) mod ss_p by
 Horner over Phi5's integer rows on lists, and ``k5p_multiplicities_by_rows``
 and ``hasse_nonzero_by_rows``, K_5p's multiplicities by ``eval_rows`` per
 factor, which the Horner mod ss_p of ``modeq._phi5_mod`` and the table of
@@ -513,7 +514,9 @@ def certify_by_gcd(g: list[int], X: list[int], p: int) -> tuple[list[list[int]],
     Q = g / L, then gcd(Q, x^p - x) = 1 and x^(p^2) = x mod Q, which prove g
     squarefree with its linear factors in L and quadratic ones in Q.  L is
     split by Cantor-Zassenhaus, and its factors come in the order of their
-    roots; raises ``VerificationError`` where ``_certify`` does."""
+    roots.  Raises ``VerificationError`` where ``_certify`` and then
+    ``_quadratic_factors`` do, with a message of its own for a repeated
+    quadratic factor or one of degree > 2."""
     from hasse5 import VerificationError, modpoly as mp
     from hasse5.ffactor import factor_ff
 

@@ -506,7 +506,8 @@ def test_optimized_interpreter_keeps_the_k5p_degree_certificate():
     run = run_subprocess(code, "-O")
     assert run.returncode == 1 and "Traceback" not in run.stderr
     assert run.stdout.split("\n")[1] == (
-        "383\t\t\t\t\t\tFAIL: VerificationError: gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p=383"
+        "383\t\t\t\t\t\tFAIL: VerificationError: "
+        "the quadratic factors found do not multiply to the degree-9 piece at p=383"
     )
 
 
@@ -537,6 +538,24 @@ def test_optimized_interpreter_keeps_the_k5p_split_checks():
     assert run.returncode == 1 and "Traceback" not in run.stderr
     assert run.stdout.split("\n")[1] == (
         "383\t\t\t\t\t\tFAIL: VerificationError: the quadratic factors found do not multiply to the degree-9 piece at p=383"
+    )
+
+
+def test_optimized_interpreter_keeps_the_k5p_distinct_factors_check():
+    # a sweep that reports the first root of R_V for every root makes the
+    # quadratic split return one factor m times (g has no root in F_389, so
+    # its own sweep is left as it is); python -O must still reject it as a
+    # FAIL row
+    code = (
+        "from hasse5 import modeq; roots = modeq._roots; "
+        "modeq._roots = lambda f, p: (lambda r: r[:1] * len(r))(roots(f, p)); "
+        "from hasse5.cli import main; raise SystemExit(main(['k5p', '389', '--format', 'tsv']))"
+    )
+    run = run_subprocess(code, "-O")
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stdout.split("\n")[1] == (
+        "389\t\t\t\t\t\tFAIL: VerificationError: "
+        "the quadratic factors found for the degree-8 piece are not distinct at p=389"
     )
 
 

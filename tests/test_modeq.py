@@ -43,6 +43,7 @@ from oracles import (
     k5p_by_division,
     k5p_multiplicities_by_rows,
     k5p_report_by_factoring,
+    pow_mod_by_squaring,
 )
 
 
@@ -468,34 +469,42 @@ def test_verify_factors_g_only(monkeypatch):
 def test_build_k5p_runs_one_horner_and_one_table_per_prime(monkeypatch):
     # Phi5(X, x) is reduced mod ss_p by one Horner in X, and every factor's
     # multiplicity is read off one table of D_0, ..., D_6 at the factors'
-    # roots; the per-factor evaluations of Phi5's rows are a test oracle only
+    # roots; the per-factor evaluations of Phi5's rows are a test oracle only.
+    # X = x^p mod ss_p is the one square-and-multiply of a prime, on the same
+    # Barrett context for ss_p as the Horner; the certificate runs no power
+    # (the quadratic split builds its own context, mod Q)
     from hasse5.hasse import build_ss
 
-    moduli, tables = [], []
+    moduli, tables, contexts, powers = [], [], [], []
     phi5_mod, table = modeq._phi5_mod, modeq._hasse_nonzero
-    monkeypatch.setattr(modeq, "_phi5_mod", lambda X, m, p: moduli.append(tuple(m)) or phi5_mod(X, m, p))
+    mulmod_by, power = mp.mulmod_by, mp._power
+    monkeypatch.setattr(modeq, "_phi5_mod", lambda m, p: moduli.append(tuple(m)) or phi5_mod(m, p))
     monkeypatch.setattr(modeq, "_hasse_nonzero", lambda fs, p: tables.append(sorted(map(tuple, fs))) or table(fs, p))
+    monkeypatch.setattr(mp, "mulmod_by", lambda m, p: contexts.append(list(m)) or mulmod_by(m, p))
+    monkeypatch.setattr(mp, "_power", lambda mulmod, x, e: powers.append(e) or power(mulmod, x, e))
     assert not hasattr(modeq, "_eval_rows")
-    for p in (379, 383, 389):
-        moduli.clear()
-        tables.clear()
+    for p in (379, 383, 389, 401):
+        for calls in (moduli, tables, contexts, powers):
+            calls.clear()
         k5p = build_k5p(p)
         assert moduli == [tuple(build_ss(p))], p
         assert tables == [sorted(q for q, _ in k5p)], p
+        assert contexts.count(build_ss(p)) == 1 and powers == [p], p
 
 
 def _check_k5p_against_row_oracle(primes):
     """build_k5p's multiplicities against one evaluation of Phi5's rows per
-    factor and per Hasse derivative, and Phi5(X, x) mod ss_p against Horner
-    over Phi5's integer rows on lists."""
+    factor and per Hasse derivative, and x^p and Phi5(x^p, x) mod ss_p
+    against list square-and-multiply and Horner over Phi5's integer rows on
+    lists."""
     from hasse5.hasse import build_ss
 
     for p in primes:
         k5p = build_k5p(p)
         assert [m for _, m in k5p] == k5p_multiplicities_by_rows([list(q) for q, _ in k5p], p), p
         ss = build_ss(p)
-        X = mp.pow_mod([0, 1], p, ss, p)
-        assert modeq._phi5_mod(X, ss, p) == eval_rows(modeq._hasse_rows(0), X, ss, p), p
+        X = pow_mod_by_squaring([0, 1], p, ss, p)
+        assert modeq._phi5_mod(ss, p) == (X, eval_rows(modeq._hasse_rows(0), X, ss, p)), p
 
 
 def test_build_k5p_matches_row_oracle():
@@ -536,11 +545,11 @@ def test_hasse_table_and_horner_match_row_oracle_on_both_dtypes(p):
     got = modeq._hasse_nonzero(factors, p)
     assert got.tolist() == hasse_nonzero_by_rows(factors, p)
     assert got[0].any() and not got[0].all()
-    # Phi5(X, x) mod m, also for a modulus of degree below Phi5's 7 rows
+    # x^p and Phi5(x^p, x) mod m, also for a modulus of degree below Phi5's 7 rows
     for n in (3, 12):
         m = [rng.randrange(p) for _ in range(n)] + [1]
-        X = mp.trim([rng.randrange(p) for _ in range(n)])
-        assert modeq._phi5_mod(X, m, p) == eval_rows(modeq._hasse_rows(0), X, m, p), n
+        X = pow_mod_by_squaring([0, 1], p, m, p)
+        assert modeq._phi5_mod(m, p) == (X, eval_rows(modeq._hasse_rows(0), X, m, p)), n
 
 
 def test_build_k5p_rejects_a_factor_where_phi5_does_not_vanish(monkeypatch):
@@ -644,6 +653,9 @@ def test_split_runs_no_pow_mod_and_no_gcd(monkeypatch):
     monkeypatch.setattr(mp, "gcd", forbidden)
     assert sorted(_split(_product(lins, p), 1, X, p)) == sorted(lins)
     assert sorted(_split(_product(quads, p), 2, X, p)) == sorted(quads)
+    # the certificate of a piece with both shapes runs neither either
+    got_lins, quad, _ = modeq._certify(_product(lins + quads, p), X, p)
+    assert sorted(got_lins) == sorted(lins) and quad == _product(quads, p)
 
 
 @pytest.mark.parametrize(
@@ -677,9 +689,11 @@ def test_cubic_383_is_an_irreducible_factor_of_phi5_xp_x():
 @pytest.mark.parametrize(
     "p, extra, error",
     [
-        (383, [6, 1], "repeated factor at p=383"),  # a linear factor of multiplicity 4 in K_5p
-        (379, [51, 114, 1], "repeated factor at p=379"),  # the quadratic of multiplicity 6
-        (383, CUBIC_383, "factor of degree > 2 at p=383"),
+        # a linear factor of multiplicity 4 in K_5p
+        (383, [6, 1], "repeated factor at p=383"),
+        # the quadratic of multiplicity 6
+        (379, [51, 114, 1], "no lambda < 79 separates the quadratic factors of a degree-26 piece at p=379"),
+        (383, CUBIC_383, "the quadratic factors found do not multiply to the degree-9 piece at p=383"),
     ],
 )
 def test_build_k5p_certifies_g(monkeypatch, p, extra, error):
@@ -687,33 +701,63 @@ def test_build_k5p_certifies_g(monkeypatch, p, extra, error):
     from hasse5.hasse import build_ss
 
     monkeypatch.setattr(modeq, "build_ss", lambda p: mp.mul(build_ss(p), extra, p))
-    with pytest.raises(VerificationError, match=error):
+    with pytest.raises(VerificationError, match=re.escape(error)):
         build_k5p(p)
 
 
 @pytest.mark.parametrize(
-    "p, factors, error",
+    "p, factors, error, oracle_error",
     [
-        (101, [[1, 1], [1, 1], [2, 1]], "repeated factor at p=101"),  # (x + 1)^2 (x + 2)
-        (101, [[1, 1], [1, 1], [2, 0, 1]], "repeated factor at p=101"),  # (x + 1)^2 (x^2 + 2)
-        (101, [[2, 0, 1], [2, 0, 1], [1, 1]], "repeated factor at p=101"),  # (x^2 + 2)^2 (x + 1)
-        (383, [CUBIC_383, [1, 1]], "factor of degree > 2 at p=383"),
+        # (x + 1)^2 (x + 2)
+        (101, [[1, 1], [1, 1], [2, 1]], "repeated factor at p=101", "repeated factor at p=101"),
+        # (x + 1)^2 (x^2 + 2)
+        (101, [[1, 1], [1, 1], [2, 0, 1]], "repeated factor at p=101", "repeated factor at p=101"),
+        # (x^2 + 2)^2 (x + 1)
+        (
+            101,
+            [[2, 0, 1], [2, 0, 1], [1, 1]],
+            "no lambda < 2 separates the quadratic factors of a degree-4 piece at p=101",
+            "repeated factor at p=101",
+        ),
+        (
+            383,
+            [CUBIC_383, [1, 1]],
+            "the quadratic factors found do not multiply to the degree-3 piece at p=383",
+            "factor of degree > 2 at p=383",
+        ),
     ],
     ids=["linear-squared", "linear-squared-with-quadratic", "quadratic-squared", "cubic"],
 )
-def test_certify_rejects_what_the_gcd_oracle_rejects(p, factors, error):
+def test_certify_rejects_what_the_gcd_oracle_rejects(p, factors, error, oracle_error):
     # a repeated linear factor leaves a root of g in Q; a repeated quadratic
-    # or a cubic keeps Q from dividing x^(p^2) - x
+    # leaves R_V a repeated root at every lambda, and a cubic Q has odd
+    # degree; the oracle finds both by Q not dividing x^(p^2) - x
     g = _product(factors, p)
     X = mp.pow_mod([0, 1], p, g, p)
-    for certify in (modeq._certify, certify_by_gcd):
-        with pytest.raises(VerificationError, match=error):
-            certify(g, X, p)
+    with pytest.raises(VerificationError, match=re.escape(error)):
+        # the certificate as build_k5p runs it
+        lins, quad, XQ = modeq._certify(g, X, p)
+        modeq._quadratic_factors(quad, XQ, p)
+    with pytest.raises(VerificationError, match=re.escape(oracle_error)):
+        certify_by_gcd(g, X, p)
+
+
+def test_quadratic_split_rejects_a_repeated_factor_found(monkeypatch):
+    # a sweep that reports the first root of R_V for every root gives the
+    # same quadratic m times; g has no root in F_389, so its own sweep is
+    # left as it is
+    p = 389
+    roots = modeq._roots
+    monkeypatch.setattr(modeq, "_roots", lambda f, p: (lambda r: r[:1] * len(r))(roots(f, p)))
+    error = "the quadratic factors found for the degree-8 piece are not distinct at p=389"
+    with pytest.raises(VerificationError, match=re.escape(error)):
+        build_k5p(p)
 
 
 def _check_certify_against_gcd_oracle(monkeypatch, primes):
     """_certify on the g and x^p mod g that build_k5p passes it, against the
-    two gcds with x^p - x that its root sweep replaced: the same linear
+    two gcds with x^p - x that its root sweep replaced and the power
+    x^(p^2) mod Q that its certificate no longer takes: the same linear
     factors in the same order, the same Q and the same x^p mod Q."""
     args = []
     certify = modeq._certify

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import isqrt
 
 import numpy as np
@@ -265,3 +266,15 @@ def test_eval_and_compose():
     out = compose_rational(F, num, den, p)
     # den^1 * F(num/den) = num + 8 den
     assert out == mp.add(num, mp.scale(den, 8, p), p)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_divisor_params_rejects_an_l_past_the_int64_bound(k):
+    # (k+1) l^2 < 2^63 keeps the block b >= 1; the first l past it raises
+    # before any array is made, and the last l inside it still sweeps
+    l = isqrt((2**63 - 1) // (k + 1))
+    assert (k + 1) * l * l < 2**63 <= (k + 1) * (l + 1) ** 2
+    red = np.ones((k, 1), dtype=np.int64)
+    assert mp._divisor_params([1, 2], red, l) == divisor_params_by_horner([1, 2], red, l)
+    with pytest.raises(ValueError, match=re.escape(f"l={l + 1} is too large for the int64 divisibility sweep of width {k}")):
+        mp._divisor_params([1, 2], red, l + 1)
