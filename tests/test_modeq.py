@@ -695,6 +695,12 @@ def test_cubic_383_is_an_irreducible_factor_of_phi5_xp_x():
         (379, [51, 114, 1], "no lambda < 79 separates the quadratic factors of a degree-26 piece at p=379"),
         (383, CUBIC_383, "the quadratic factors found do not multiply to the degree-9 piece at p=383"),
     ],
+    # each id names the factor planted in ss_p, not the message it raises
+    ids=[
+        "383-extra0-repeated factor at p=383",
+        "379-extra1-repeated factor at p=379",
+        "383-extra2-factor of degree > 2 at p=383",
+    ],
 )
 def test_build_k5p_certifies_g(monkeypatch, p, extra, error):
     # ss_p times a factor of Phi5(x^p, x): g takes it too, squared or cubic
