@@ -211,8 +211,7 @@ def find_k_factors(l: int, f: list[int]) -> list[list[int]]:
     if l % 5 not in (1, 4):
         raise ValueError("quadratic census needs l = 1, 4 mod 5")
     p, hits = _irreducible_hits(l, f)
-    pair = golden_units(l)
-    units = (pair.eps5, pair.eps5bar)
+    units = golden_units(l)
     factors = [[1, 0, 1]] if mp.deg(f) % 4 == 2 and l % 4 == 3 else []
     for e in units:
         if mp.eval_at(p, 2 * e, l) == 0 and legendre(e * e + 1, l) == -1:

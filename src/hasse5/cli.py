@@ -361,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("range", help="prime or inclusive range lo..hi")
             p.add_argument("--cache", default=os.environ.get("HASSE5_CACHE"))
         p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
-        # charzero runs serially but accepts --jobs, so scripts can pass it to every command
+        # census, k5p, fricke and charzero take --jobs (tables does not);
+        # charzero runs serially and accepts it only so that scripts can pass it
         p.add_argument("--jobs", type=_jobs, default=1)
 
     pc = sub.add_parser("census", help="special-factor counts of the Hasse invariant vs. h(-5l)")

@@ -64,26 +64,16 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
-class GoldenPair:
-    """The two roots of x^2 + 11x - 1 over F_l: the 5th powers of (-1 +- sqrt5)/2."""
-
-    l: int
-    eps5: int
-    eps5bar: int
-
-    def check(self) -> bool:
-        l = self.l
-        return (self.eps5 + self.eps5bar + 11) % l == 0 and (self.eps5 * self.eps5bar + 1) % l == 0
-
-
-def golden_units(l: int) -> GoldenPair:
-    """eps^5 and epsbar^5 in F_l, using the canonical (smaller) sqrt(5).
+def golden_units(l: int) -> tuple[int, int]:
+    """(e5, e5bar), the two roots of x^2 + 11x - 1 over F_l: eps^5 and
+    epsbar^5 for eps, epsbar = (-1 +- sqrt5)/2, using the canonical (smaller)
+    sqrt(5).
 
     eps = (s - 1)/2 for s = sqrt(5) satisfies eps^2 = 1 - eps, so
     eps^5 = 5 eps - 3 = (5s - 11)/2.  For e5 = (5s - 11)/2 and any s,
-    e5^2 + 11 e5 - 1 = 25 (s^2 - 5)/4, so ``GoldenPair.check`` holds exactly
-    when s^2 = 5: it rejects a wrong root at every l.
+    e5^2 + 11 e5 - 1 = 25 (s^2 - 5)/4, so the check that e5 + e5bar = -11
+    and e5 e5bar = -1 holds exactly when s^2 = 5: it rejects a wrong root at
+    every l.
     """
     if l % 5 not in (1, 4):
         raise NotSplit(f"5 is not a quadratic residue mod {l}")
@@ -92,10 +82,9 @@ def golden_units(l: int) -> GoldenPair:
         raise VerificationError(f"5 has no square root mod {l}")
     e5 = (5 * s5 - 11) * pow(2, -1, l) % l
     e5bar = (-11 - e5) % l
-    pair = GoldenPair(l, e5, e5bar)
-    if not pair.check():
+    if (e5 + e5bar + 11) % l or (e5 * e5bar + 1) % l:
         raise VerificationError(f"golden units are not the roots of x^2 + 11x - 1 mod {l}")
-    return pair
+    return e5, e5bar
 
 
 @dataclass(frozen=True)

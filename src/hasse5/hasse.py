@@ -16,8 +16,6 @@ test suite checks it against Deuring's expansion of J_p about t = 1728.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import VerificationError, modpoly as mp
 from .fp import legendre
 
@@ -27,21 +25,13 @@ DEN_J = [0, 0, 0, 0, 0, 1, -11, -1]  # b^5 (1 - 11b - b^2)
 C45 = [1, 228, 494, -228, 1]  # x^4 - 228x^3 + 494x^2 + 228x + 1
 
 
-@dataclass(frozen=True)
-class HasseParams:
-    l: int
-    n_l: int
-    r: int
-    s: int
-
-
-def hasse_params(l: int) -> HasseParams:
+def hasse_params(l: int) -> tuple[int, int, int]:
+    """(n_l, r, s) for a prime l > 5, with n_l = l // 12, r = 1 iff l = 2 mod 3
+    and s = 1 iff l = 3 mod 4: the Hasse invariant over F_l has degree
+    12 n_l + 4r + 6s."""
     if l <= 5:
         raise ValueError("need a prime l > 5")
-    n = l // 12
-    r = (1 - legendre(-3, l)) // 2
-    s = (1 - legendre(-4, l)) // 2
-    return HasseParams(l, n, r, s)
+    return l // 12, (1 - legendre(-3, l)) // 2, (1 - legendre(-4, l)) // 2
 
 
 def build_hasse(l: int) -> list[int]:
@@ -50,12 +40,12 @@ def build_hasse(l: int) -> list[int]:
     (n+1)^2 A_{n+1} = (11n^2 + 11n + 3) A_n + n^2 A_{n-1}.
     A wrong degree raises VerificationError.
     """
-    par = hasse_params(l)
+    n_l, r, s = hasse_params(l)
     h = [1, 3]
     for n in range(1, l - 1):
         h.append(((11 * n * n + 11 * n + 3) * h[n] + n * n * h[n - 1]) * pow(n + 1, -2, l) % l)
     h = mp.from_int_poly(h, l)
-    if mp.deg(h) != 12 * par.n_l + 4 * par.r + 6 * par.s:
+    if mp.deg(h) != 12 * n_l + 4 * r + 6 * s:
         raise VerificationError(f"Hasse invariant has degree {mp.deg(h)} != 12n + 4r + 6s at l={l}")
     return h
 
@@ -65,8 +55,7 @@ def build_ss(p: int) -> list[int]:
     with rho = 1 iff p = 2 mod 3 and sigma = s = 1 iff p = 3 mod 4, and
     J_p = sum_{k<=n} c_k X^(n-k), X^n 2F1(a, a + 1/3; 1; 1728/X) truncated at
     a = 1/12 + s/2: c_0 = 1, c_{k+1} = 12 (12k+1+6s)(12k+5+6s) c_k / (k+1)^2."""
-    par = hasse_params(p)
-    n, s = par.n_l, par.s
+    n, _, s = hasse_params(p)
     c = [1]
     for k in range(n):
         c.append(12 * (12 * k + 1 + 6 * s) * (12 * k + 5 + 6 * s) * c[k] * pow(k + 1, -2, p) % p)

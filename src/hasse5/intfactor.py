@@ -1,22 +1,13 @@
-"""Integer helpers: primality, prime ranges, and factored reference constants.
+"""Integer helpers: primality and prime ranges.
 
 Arbitrary-precision integers and rationals are Python's built-in ``int`` and
-``fractions.Fraction``; this module only adds primality by Miller-Rabin, a
-sieve for prime ranges, and the rebuild of constants that are stored in
-factored form.
+``fractions.Fraction``; this module only adds primality by Miller-Rabin and a
+sieve for prime ranges.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-
-def from_factors(unit: int, factors: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> int:
-    """Rebuild an integer from a unit and (prime, exponent) pairs."""
-    n = unit
-    for p, e in factors:
-        n *= p**e
-    return n
 
 
 def is_prime(n: int) -> bool:

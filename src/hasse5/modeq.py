@@ -13,7 +13,8 @@ Central objects:
   with factors of degree 1 and 2: the linear ones by one root sweep of g
   over F_p, their cofactor Q with no root at them (``_certify``), the
   quadratic ones, distinct and multiplying to Q, read off their traces and
-  norms, x + x^p and x^(p+1), by Newton's identities (``_quadratic_factors``);
+  norms, x + x^p and x^(p+1) mod Q from x^p mod ss_p reduced mod Q once, by
+  Newton's identities (``_quadratic_factors``);
   g comes from Phi5(x^p, x) mod ss_p by Horner in x^p mod ss_p over Phi5's
   rows reduced mod p (``_phi5_mod``), and the multiplicity of each factor is
   the order of the first Hasse derivative of Phi5 in its second variable,
@@ -438,10 +439,10 @@ def _hasse_nonzero(factors: list[list[int]], p: int) -> np.ndarray:
     return (D != 0).any(axis=0)
 
 
-def _certify(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """(the factors x - r of g, Q, X mod Q) for g monic and X = x^p mod g,
-    where the r are the roots of g in F_p, ascending, and Q = g / prod(x - r)
-    has no root in F_p; raises ``VerificationError`` when it has one.
+def _certify(g: list[int], p: int) -> tuple[list[list[int]], list[int]]:
+    """(the factors x - r of g, Q) for g monic, where the r are the roots of
+    g in F_p, ascending, and Q = g / prod(x - r) has no root in F_p; raises
+    ``VerificationError`` when it has one.
 
     The r come from one blocked sweep over all of F_p (``_roots``), so they
     are every root of g in F_p, and they are distinct, so L = prod(x - r) is
@@ -449,7 +450,7 @@ def _certify(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[
     so if Q(r) != 0 for each r, checked by one sweep over the r alone, Q has
     no root in F_p and is coprime to L; a repeated linear factor of g leaves
     a copy in Q, so Q(r) = 0.  ``_quadratic_factors`` ends the certificate
-    (``build_k5p``, step 2), and no step of it reads X mod Q.
+    (``build_k5p``, step 2).
     """
     roots = _roots(g, p)
     lins = [[-r % p, 1] for r in roots]
@@ -459,7 +460,7 @@ def _certify(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[
     quad = mp.quo(g, lin, p)
     if roots and mp._divisor_params(quad, np.array([roots]), p):
         raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
-    return lins, quad, mp.rem(X, quad, p)
+    return lins, quad
 
 
 def _roots(f: list[int], p: int) -> list[int]:
@@ -568,15 +569,16 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     of them a general factorization.
 
     1. ``_certify`` returns the linear factors x - r of g, read off the
-       roots r of g found by one blocked sweep over F_p, their cofactor Q
-       and X mod Q, and checks that Q has no root in F_p.  Every root of g
-       is a supersingular j, which lies in F_(p^2) (Deuring), so Q is a
-       product of distinct irreducible quadratics unless ss_p or g is wrong.
+       roots r of g found by one blocked sweep over F_p, and their cofactor
+       Q, and checks that Q has no root in F_p.  Every root of g is a
+       supersingular j, which lies in F_(p^2) (Deuring), so Q is a product
+       of distinct irreducible quadratics unless ss_p or g is wrong.
 
     2. Q splits into its factors, once: ``_quadratic_factors`` reads the
        quadratic ones x^2 - c x + b off their traces c = x + x^p and norms
-       b = x^(p+1), which are constant on the two roots of each factor;
-       power sums and Newton's identities read the pairs (c, b) off.  They
+       b = x^(p+1), which are constant on the two roots of each factor; x^p
+       mod Q is X mod Q, as Q divides ss_p, the one remainder of X taken.
+       Power sums and Newton's identities read the pairs (c, b) off.  They
        must be distinct and multiply back to Q.  With step 1 this certifies
        g squarefree with factors of degree 1 and 2 only, by no power and no
        gcd: a monic quadratic with no root in F_p is irreducible, distinct
@@ -611,8 +613,8 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     ss = build_ss(p)
     X, phi = _phi5_mod(ss, p)
     g = mp.gcd(ss, phi, p)
-    lins, quad, XQ = _certify(g, mp.rem(X, g, p), p)
-    factors = lins + _quadratic_factors(quad, XQ, p)
+    lins, quad = _certify(g, p)
+    factors = lins + _quadratic_factors(quad, mp.rem(X, quad, p), p)
     nonzero = _hasse_nonzero(factors, p)
     if nonzero[0].any():
         raise VerificationError(f"Phi5(x^p, x) does not vanish at a root of a factor of gcd(ss_p, Phi5(x^p, x)) at p={p}")

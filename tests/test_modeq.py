@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -451,10 +452,10 @@ def test_verify_factors_g_only(monkeypatch):
     pieces = []
     certify, quadratic = modeq._certify, modeq._quadratic_factors
 
-    def certify_and_record(g, X, p):
-        lins, quad, XQ = certify(g, X, p)
+    def certify_and_record(g, p):
+        lins, quad = certify(g, p)
         pieces.extend(lins)
-        return lins, quad, XQ
+        return lins, quad
 
     monkeypatch.setattr(modeq, "_certify", certify_and_record)
     monkeypatch.setattr(modeq, "_quadratic_factors", lambda f, Xf, p: pieces.append(f) or quadratic(f, Xf, p))
@@ -472,24 +473,39 @@ def test_build_k5p_runs_one_horner_and_one_table_per_prime(monkeypatch):
     # roots; the per-factor evaluations of Phi5's rows are a test oracle only.
     # X = x^p mod ss_p is the one square-and-multiply of a prime, on the same
     # Barrett context for ss_p as the Horner; the certificate runs no power
-    # (the quadratic split builds its own context, mod Q)
+    # (the quadratic split builds its own context, mod Q), and the one
+    # remainder that K_5p's stages take by any modulus but ss_p is X mod Q
     from hasse5.hasse import build_ss
 
-    moduli, tables, contexts, powers = [], [], [], []
+    moduli, tables, contexts, powers, xs, rems = [], [], [], [], [], []
     phi5_mod, table = modeq._phi5_mod, modeq._hasse_nonzero
-    mulmod_by, power = mp.mulmod_by, mp._power
-    monkeypatch.setattr(modeq, "_phi5_mod", lambda m, p: moduli.append(tuple(m)) or phi5_mod(m, p))
+    mulmod_by, power, rem = mp.mulmod_by, mp._power, mp.rem
+
+    def phi5_mod_and_record(m, p):
+        moduli.append(list(m))
+        out = phi5_mod(m, p)
+        xs.append(out[0])
+        return out
+
+    def rem_and_record(a, b, p):
+        if sys._getframe(1).f_globals is modeq.__dict__ and list(b) != moduli[-1]:
+            rems.append(list(a))
+        return rem(a, b, p)
+
+    monkeypatch.setattr(modeq, "_phi5_mod", phi5_mod_and_record)
     monkeypatch.setattr(modeq, "_hasse_nonzero", lambda fs, p: tables.append(sorted(map(tuple, fs))) or table(fs, p))
     monkeypatch.setattr(mp, "mulmod_by", lambda m, p: contexts.append(list(m)) or mulmod_by(m, p))
     monkeypatch.setattr(mp, "_power", lambda mulmod, x, e: powers.append(e) or power(mulmod, x, e))
+    monkeypatch.setattr(mp, "rem", rem_and_record)
     assert not hasattr(modeq, "_eval_rows")
     for p in (379, 383, 389, 401):
-        for calls in (moduli, tables, contexts, powers):
+        for calls in (moduli, tables, contexts, powers, xs, rems):
             calls.clear()
         k5p = build_k5p(p)
-        assert moduli == [tuple(build_ss(p))], p
+        assert moduli == [build_ss(p)], p
         assert tables == [sorted(q for q, _ in k5p)], p
         assert contexts.count(build_ss(p)) == 1 and powers == [p], p
+        assert rems == xs, p
 
 
 def _check_k5p_against_row_oracle(primes):
@@ -576,7 +592,7 @@ def _split(piece: list[int], d: int, X: list[int], p: int) -> list[list[int]]:
     for d = 1 the linear factors that ``_certify`` returns, with no quadratic
     part left."""
     if d == 1:
-        lins, quad, _ = modeq._certify(piece, mp.rem(X, piece, p), p)
+        lins, quad = modeq._certify(piece, p)
         assert quad == [1], (piece, quad)
         return lins
     return modeq._quadratic_factors(piece, mp.rem(X, piece, p), p)
@@ -654,7 +670,7 @@ def test_split_runs_no_pow_mod_and_no_gcd(monkeypatch):
     assert sorted(_split(_product(lins, p), 1, X, p)) == sorted(lins)
     assert sorted(_split(_product(quads, p), 2, X, p)) == sorted(quads)
     # the certificate of a piece with both shapes runs neither either
-    got_lins, quad, _ = modeq._certify(_product(lins + quads, p), X, p)
+    got_lins, quad = modeq._certify(_product(lins + quads, p), p)
     assert sorted(got_lins) == sorted(lins) and quad == _product(quads, p)
 
 
@@ -742,8 +758,8 @@ def test_certify_rejects_what_the_gcd_oracle_rejects(p, factors, error, oracle_e
     X = mp.pow_mod([0, 1], p, g, p)
     with pytest.raises(VerificationError, match=re.escape(error)):
         # the certificate as build_k5p runs it
-        lins, quad, XQ = modeq._certify(g, X, p)
-        modeq._quadratic_factors(quad, XQ, p)
+        lins, quad = modeq._certify(g, p)
+        modeq._quadratic_factors(quad, mp.rem(X, quad, p), p)
     with pytest.raises(VerificationError, match=re.escape(oracle_error)):
         certify_by_gcd(g, X, p)
 
@@ -761,18 +777,23 @@ def test_quadratic_split_rejects_a_repeated_factor_found(monkeypatch):
 
 
 def _check_certify_against_gcd_oracle(monkeypatch, primes):
-    """_certify on the g and x^p mod g that build_k5p passes it, against the
-    two gcds with x^p - x that its root sweep replaced and the power
-    x^(p^2) mod Q that its certificate no longer takes: the same linear
-    factors in the same order, the same Q and the same x^p mod Q."""
+    """_certify on the g that build_k5p passes it, against the two gcds with
+    x^p - x that its root sweep replaced and the power x^(p^2) mod Q that its
+    certificate no longer takes, on x^p mod g found here by ``pow_mod``: the
+    same linear factors in the same order and the same Q, and the x^p mod Q
+    that build_k5p passes to _quadratic_factors."""
     args = []
-    certify = modeq._certify
-    monkeypatch.setattr(modeq, "_certify", lambda g, X, p: args.append((g, X)) or certify(g, X, p))
+    certify, quadratic = modeq._certify, modeq._quadratic_factors
+    monkeypatch.setattr(modeq, "_certify", lambda g, p: args.append(g) or certify(g, p))
+    monkeypatch.setattr(modeq, "_quadratic_factors", lambda f, Xf, p: args.append(Xf) or quadratic(f, Xf, p))
     for p in primes:
         args.clear()
         build_k5p(p)
-        ((g, X),) = args
-        assert certify(g, X, p) == certify_by_gcd(g, X, p), p
+        g, XQ = args
+        X = mp.pow_mod([0, 1], p, g, p)
+        lins, quad = certify_by_gcd(g, X, p)
+        assert certify(g, p) == (lins, quad), p
+        assert XQ == mp.rem(X, quad, p), p
 
 
 def test_certify_matches_gcd_oracle(monkeypatch):
