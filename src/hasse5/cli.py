@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from importlib import import_module
 from pathlib import Path
@@ -121,6 +120,8 @@ class Cache:
 def _run_parallel(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # here, not at the top: serial runs skip it
+
     # under fork the pool starts all max_workers processes on the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items, chunksize=1))

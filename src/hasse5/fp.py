@@ -70,9 +70,10 @@ def golden_units(l: int) -> tuple[int, int]:
     sqrt(5).
 
     eps = (s - 1)/2 for s = sqrt(5) satisfies eps^2 = 1 - eps, so
-    eps^5 = 5 eps - 3 = (5s - 11)/2.  For e5 = (5s - 11)/2 and any s,
-    e5^2 + 11 e5 - 1 = 25 (s^2 - 5)/4, so the check that e5 + e5bar = -11
-    and e5 e5bar = -1 holds exactly when s^2 = 5: it rejects a wrong root at
+    eps^5 = 5 eps - 3 = (5s - 11)/2.  e5bar = -11 - e5 makes the sum -11 by
+    construction, so the check is on the product: for e5 = (5s - 11)/2 and
+    any s, e5 e5bar + 1 = -(e5^2 + 11 e5 - 1) = -25 (s^2 - 5)/4, so
+    e5 e5bar = -1 holds exactly when s^2 = 5: it rejects a wrong root at
     every l.
     """
     if l % 5 not in (1, 4):
@@ -82,7 +83,7 @@ def golden_units(l: int) -> tuple[int, int]:
         raise VerificationError(f"5 has no square root mod {l}")
     e5 = (5 * s5 - 11) * pow(2, -1, l) % l
     e5bar = (-11 - e5) % l
-    if (e5 + e5bar + 11) % l or (e5 * e5bar + 1) % l:
+    if (e5 * e5bar + 1) % l:
         raise VerificationError(f"golden units are not the roots of x^2 + 11x - 1 mod {l}")
     return e5, e5bar
 

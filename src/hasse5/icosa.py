@@ -347,7 +347,11 @@ def icosa_resultant(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> Poly:
     from . import cycres  # here, not at the top: only the ledger needs it, so CLI startup skips it
 
     divisor = resultant_divisor(m1, m2)
-    return cycres.resultant(*surface_pair(m1, m2, variant)).map(lambda c: c / divisor)
+    # c / divisor = c cof / N(divisor), cof the product of divisor's other
+    # conjugates: both taken once, not once per coefficient
+    cof = divisor._cofactor()
+    n = (divisor * cof).rational()
+    return cycres.resultant(*surface_pair(m1, m2, variant)).map(lambda c: c * cof / n)
 
 
 def norm_to_Q(f: Poly) -> Poly:

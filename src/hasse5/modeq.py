@@ -377,11 +377,12 @@ def _hasse_rows(i: int) -> tuple[tuple[int, ...], ...]:
 def _phi5_mod(m: list[int], p: int) -> tuple[list[int], list[int]]:
     """(X, Phi5(X, x) mod m) over F_p for X = x^p mod m and m of degree
     >= 1, both on one ``mulmod`` mod m: X by one square-and-multiply
-    (``mp._power``), then Horner in X over Phi5's rows (``_hasse_rows(0)``),
-    reduced mod p and mod m once, one ``mulmod`` a step."""
-    mulmod, dtype = mp.mulmod_by(m, p)
+    (``mp._power``, each multiply by x a shift), then Horner in X over
+    Phi5's rows (``_hasse_rows(0)``), reduced mod p and mod m once, one
+    ``mulmod`` a step."""
+    mulmod, times_x, dtype = mp.mulmod_by(m, p)
     n = mp.deg(m)
-    X = mp._power(mulmod, mp.pad(mp.rem([0, 1], m, p), n, dtype), p)
+    X = mp._power(mulmod, times_x, mp.pad(mp.rem([0, 1], m, p), n, dtype), p)
     rows = [mp.pad(mp.rem(mp.from_int_poly(r, p), m, p), n, dtype) for r in _hasse_rows(0)]
     acc = rows[-1]
     for r in reversed(rows[:-1]):
@@ -514,7 +515,7 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     if n < 3:
         return [f] if n == 2 else []
     m = n // 2
-    mulmod, dtype = mp.mulmod_by(f, p)
+    mulmod, times_x, dtype = mp.mulmod_by(f, p)
 
     def hankel(s, u):
         """sum_k s[j + k] u[k] mod p, for j < len(u)."""
@@ -525,7 +526,7 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     drev = np.arange(1, n + 1) * rev[1:] % p
     s = np.concatenate(([n % p], -np.convolve(drev, mp._rev_inverse(rev, 2 * n - 2, p))[: 2 * n - 2] % p))
     T = mp.pad(mp.add([0, 1], Xf, p), n, dtype)
-    W = mulmod(mp.pad([0, 1], n, dtype), mp.pad(Xf, n, dtype))
+    W = times_x(mp.pad(Xf, n, dtype))
     half = (p + 1) // 2
     tries = min(p, m * (m - 1) // 2 + 1)
     for lam in range(tries):

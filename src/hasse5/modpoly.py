@@ -1,10 +1,27 @@
 """Dense polynomial arithmetic over F_l with a vectorized fast path.
 
 Polynomials are ascending lists of ints in [0, l).  Multiplication goes
-through an int64 numpy convolution whenever the worst-case convolution
-coefficient n*(l-1)^2 fits in a signed 64-bit word (always true for the prime
-ranges this toolkit sweeps); otherwise, and for products of short operands,
-the pure-Python schoolbook path runs.
+through a numpy convolution whenever the worst-case convolution coefficient
+n*(l-1)^2 fits in a signed 64-bit word (always true for the prime ranges this
+toolkit sweeps); otherwise, and for products of short operands, the
+pure-Python schoolbook path runs.
+
+Every convolution of residues here (``mul``, ``_rev_inverse``, ``_barrett``
+and ``mulmod_by``'s product) goes through ``_convolve``, which runs in
+float64 when both operands have at least ``_FLOAT_FROM`` coefficients and
+    min(len a, len b) * (p-1)^2 < 2^53,
+and on the operands' own dtype (int64, or Python ints) otherwise.  The float64
+product is exact.  Every operand entry is an integer in [0, p), which float64
+holds exactly.  Each coefficient of the convolution is a sum of at most
+s = min(len a, len b) products, each an integer in [0, (p-1)^2].  The terms
+are nonnegative, so every partial sum, of any subset of them, in any order,
+lies in [0, s*(p-1)^2] and is an integer below 2^53.  Every integer of
+magnitude at most 2^53 is a float64, and a correctly rounded operation whose
+exact result is a float64 returns it.  So every product, every addition and
+every fused multiply-add that numpy or its SIMD lanes may perform, in
+whatever order it sums, returns the exact integer, and the cast back to int64
+is exact.  Below ``_FLOAT_FROM`` coefficients the casts cost more than they
+save.  Outside ``_convolve`` the arrays stay int64 (or object).
 
 Every remainder is the Python schoolbook loop or Barrett's method (von zur
 Gathen & Gerhard, *Modern Computer Algebra*, 9.1) in ``_barrett``: for a of
@@ -17,8 +34,11 @@ schoolbook otherwise.  ``mulmod_by(m, p)`` multiplies remainders mod m kept
 as numpy arrays, reducing each product by ``_barrett`` with k = n - 1 and one
 inverse: one convolution for the product and two for its remainder.  Its
 arrays are int64 when ``_np_ok(len(m), p)`` holds, which bounds every
-convolution of the step, and hold Python ints (dtype object) otherwise.
-``pow_mod`` (by ``_power``) and ``modeq``'s K_5p steps run on it, via ``pad``.
+convolution of the step, and hold Python ints (dtype object) otherwise.  It
+also multiplies by x alone as a shift and one row update, since
+x^n = -m[:n] mod a monic m of degree n.  ``pow_mod`` (by ``_power``) and
+``modeq``'s K_5p steps run on it, via ``pad``; ``_power`` raises the variable
+x by shifts, and any other base by ``mulmod``.
 
 ``_divisor_params`` tests f against a whole family of monic divisors m_t of
 degree k at once, one column per divisor: the census and Fricke sweeps over
@@ -37,6 +57,13 @@ from math import isqrt
 import numpy as np
 
 _I64_MAX = 2**62  # conservative headroom under 2^63 - 1
+_F64_EXACT = 2**53  # every integer of magnitude <= 2^53 is a float64
+# _convolve runs in float64 once both operands have this many coefficients.
+# Best of 3 alternations in us, int64/float64 with the casts, p = 997 (shared
+# 2-vCPU host, numpy 2.4): n by n coefficients 72: 9.8/10.8, 80: 11.1/11.6,
+# 88: 12.7/12.1, 96: 14.5/13.0; a mulmod_by product of degree 72: 18.4/19.6,
+# 88: 22.9/20.8.  Lopsided shapes cross earlier (48 by 288: 18.2/15.3).
+_FLOAT_FROM = 80
 # mul runs the Python schoolbook below this many coefficient products: there
 # it beats np.convolve's fixed call cost (the two break even near 25).
 _SCHOOLBOOK_BELOW = 25
@@ -53,6 +80,21 @@ _BARRETT_K_PER_COEFF = 40
 
 def _np_ok(n: int, p: int) -> bool:
     return n * (p - 1) * (p - 1) < _I64_MAX
+
+
+def _convolve(a, b, p: int):
+    """np.convolve(a, b) for arrays a, b of one dtype with entries in [0, p):
+    in float64 when both have at least ``_FLOAT_FROM`` entries and the
+    module docstring's bound min(len a, len b) (p-1)^2 < 2^53 holds, which
+    makes every sum exact, and on their dtype otherwise."""
+    if (
+        len(a) >= _FLOAT_FROM
+        and len(b) >= _FLOAT_FROM
+        and min(len(a), len(b)) * (p - 1) * (p - 1) < _F64_EXACT
+        and a.dtype != object
+    ):
+        return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    return np.convolve(a, b)
 
 
 def trim(f: list[int]) -> list[int]:
@@ -87,7 +129,7 @@ def mul(f, g, p):
         return []
     n = len(f) + len(g) - 1
     if len(f) * len(g) >= _SCHOOLBOOK_BELOW and _np_ok(min(len(f), len(g)), p):
-        out = np.convolve(np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64))
+        out = _convolve(np.asarray(f, dtype=np.int64), np.asarray(g, dtype=np.int64), p)
         return trim((out % p).tolist())
     out = [0] * n
     for i, a in enumerate(f):
@@ -155,9 +197,9 @@ def _rev_inverse(rev_m, k: int, p: int):
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
-        err = np.convolve(rev_m[:prec], inv)[:prec] % p  # 1 mod x^(previous prec)
-        err[0] -= 2
-        inv = -np.convolve(inv, err)[:prec] % p  # inv (2 - rev_m inv)
+        err = _convolve(rev_m[:prec], inv, p)[:prec] % p  # 1 mod x^(previous prec)
+        err[0] = (err[0] - 2) % p
+        inv = -_convolve(inv, err, p)[:prec] % p  # inv (2 - rev_m inv)
     return inv
 
 
@@ -165,16 +207,18 @@ def _barrett(a, mon, inv, p):
     """Quotient and remainder of the array a by the monic array mon of degree
     n, for len(a) = n + k and inv = rev(mon)^-1 mod x^k (k = len(inv))."""
     n, k = len(mon) - 1, len(inv)
-    q = (np.convolve(a[:n - 1:-1], inv)[:k] % p)[::-1]
-    return q, (a[:n] - np.convolve(q, mon[:n])[:n]) % p
+    q = (_convolve(a[:n - 1:-1], inv, p)[:k] % p)[::-1]
+    return q, (a[:n] - _convolve(q, mon[:n], p)[:n]) % p
 
 
 def mulmod_by(m, p):
-    """(mulmod, dtype) for m of degree n >= 1 over F_p: mulmod(a, b) is a*b
-    mod m for arrays a, b of n coefficients of that dtype, by one convolution
-    and a Barrett remainder; the inverse of rev(m) is taken once, here.  The
-    dtype is int64 when ``_np_ok(len(m), p)`` bounds every convolution of the
-    step, and object (Python ints) otherwise."""
+    """(mulmod, times_x, dtype) for m of degree n >= 1 over F_p: mulmod(a, b)
+    is a*b mod m for arrays a, b of n coefficients of that dtype, by one
+    convolution and a Barrett remainder; the inverse of rev(m) is taken once,
+    here.  times_x(a) is x*a mod m, by a shift and one row update: the top
+    coefficient c of a moves to x^n = -m[:n] (m made monic).  The dtype is
+    int64 when ``_np_ok(len(m), p)`` bounds every convolution of the step,
+    and object (Python ints) otherwise."""
     n = deg(m)
     dtype = np.int64 if _np_ok(len(m), p) else object
     mon = np.asarray(monic(m, p), dtype=dtype)
@@ -182,10 +226,15 @@ def mulmod_by(m, p):
     inv = _rev_inverse(mon[::-1], k, p) if k else None
 
     def mulmod(a, b):
-        prod = np.convolve(a, b) % p  # 2n - 1 coefficients
+        prod = _convolve(a, b, p) % p  # 2n - 1 coefficients
         return _barrett(prod, mon, inv, p)[1] if k else prod
 
-    return mulmod, dtype
+    def times_x(a):
+        out = -a[-1] * mon[:n]
+        out[1:] += a[:-1]
+        return out % p
+
+    return mulmod, times_x, dtype
 
 
 def pad(f, n: int, dtype):
@@ -195,13 +244,20 @@ def pad(f, n: int, dtype):
     return a
 
 
-def _power(mulmod, x, e: int):
-    """x^e, e >= 1, under a ``mulmod_by`` product, by square-and-multiply."""
+def _power(mulmod, times_x, x, e: int):
+    """x^e, e >= 1, for x of n coefficients, under a ``mulmod_by`` context by
+    square-and-multiply: each multiply by x is times_x, a shift, when x is
+    the variable x (n >= 2), and mulmod otherwise."""
+    if len(x) > 1 and x[1] == 1 and not x[0] and not x[2:].any():
+        step = times_x
+    else:
+        def step(a):
+            return mulmod(a, x)
     out = x
     for bit in bin(e)[3:]:
         out = mulmod(out, out)
         if bit == "1":
-            out = mulmod(out, x)
+            out = step(out)
     return out
 
 
@@ -211,8 +267,8 @@ def pow_mod(f, e: int, m, p):
     n = deg(m)
     if e == 0 or n < 1:
         return rem([1], m, p)
-    mulmod, dtype = mulmod_by(m, p)
-    return trim(_power(mulmod, pad(base, n, dtype), e).tolist())
+    mulmod, times_x, dtype = mulmod_by(m, p)
+    return trim(_power(mulmod, times_x, pad(base, n, dtype), e).tolist())
 
 
 def _check_sweep(k: int, l: int) -> None:

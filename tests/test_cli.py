@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 import hasse5
 from hasse5 import VerificationError, census as census_mod, cli, fricke as fricke_mod, icosa, modeq, refdata
 from hasse5.cli import main
-from test_fricke import CUBIC_13, multiply_the_fold
+from test_fricke import CUBIC_13, CUBIC_383, multiply_the_fold
 from test_modeq import move_sporadic_point, perturb_F_off_the_integers
 
 
@@ -318,6 +319,12 @@ def run_subprocess(code: str, *flags: str, hashseed: str = "0") -> subprocess.Co
     return subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=600)
 
 
+def test_cli_import_leaves_the_process_pool_out():
+    # serial runs never import concurrent.futures (nor multiprocessing): only --jobs > 1 does
+    run = run_subprocess("import sys, hasse5.cli; print('concurrent.futures' in sys.modules)")
+    assert run.returncode == 0 and run.stdout == "False\n", run.stderr
+
+
 def test_determinism_two_runs():
     code = "from hasse5.cli import main; raise SystemExit(main(['census', '7..31', '--format', 'json']))"
     run1 = run_subprocess(code, hashseed="1")
@@ -417,22 +424,34 @@ def test_optimized_interpreter_keeps_verifications():
     assert run.stdout.split("\n")[1] == "13\t\t\t\tFAIL: VerificationError: L(H) has a nonzero x^1 coefficient at l=13"
 
 
-def test_optimized_interpreter_keeps_the_fricke_containment_check():
-    # the fold P times a cubic whose roots lie outside F_(13^2): python -O
-    # must still raise the containment check as a FAIL row
+def _fricke_with_the_fold_times(cubic: list[int], p: int) -> subprocess.CompletedProcess:
+    """``fricke p --format tsv`` under python -O, with the fold P times cubic."""
     code = (
         "from hasse5 import fricke, modpoly as mp\n"
         "conic_hits = fricke._conic_hits\n"
         "def faulty(l, f):\n"
         "    P, hits = conic_hits(l, f)\n"
-        f"    return mp.mul(P, {CUBIC_13!r}, l), hits\n"
+        f"    return mp.mul(P, {cubic!r}, l), hits\n"
         "fricke._conic_hits = faulty\n"
         "from hasse5.cli import main\n"
-        "raise SystemExit(main(['fricke', '13', '--format', 'tsv']))\n"
+        f"raise SystemExit(main(['fricke', '{p}', '--format', 'tsv']))\n"
     )
-    run = run_subprocess(code, "-O")
+    return run_subprocess(code, "-O")
+
+
+def test_optimized_interpreter_keeps_the_fricke_containment_check():
+    # the fold P times a cubic whose roots lie outside F_(13^2): python -O
+    # must still raise the containment check as a FAIL row
+    run = _fricke_with_the_fold_times(CUBIC_13, 13)
     assert run.returncode == 1 and "Traceback" not in run.stderr
     assert run.stdout.split("\n")[1] == "13\t\t\t\t\tFAIL: RootOutsideQuadraticField: p=13: P does not divide u^(p^2) - u"
+
+
+def test_optimized_interpreter_keeps_the_fricke_containment_check_on_float_products():
+    # as at 13, at a prime where u^(p^2) mod P runs on shifts and float64 products
+    run = _fricke_with_the_fold_times(CUBIC_383, 383)
+    assert run.returncode == 1 and "Traceback" not in run.stderr
+    assert run.stdout.split("\n")[1] == "383\t\t\t\t\tFAIL: RootOutsideQuadraticField: p=383: P does not divide u^(p^2) - u"
 
 
 def test_optimized_interpreter_keeps_k5p_verifications():
@@ -677,7 +696,7 @@ def test_jobs_starts_no_more_workers_than_primes(monkeypatch, capsys):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     code, out = run_cli(capsys, "census", "7..13", "--jobs", "5000", "--format", "json")
     assert code == 0 and workers == [3]
     assert out == run_cli(capsys, "census", "7..13", "--format", "json")[1]

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from hasse5 import VerificationError, fricke, modpoly as mp
+from hasse5.census import _squarefree_hasse
 from hasse5.ffactor import FactorList, roots_in
 from hasse5.fp import make_extension
 from hasse5.fricke import (
@@ -52,6 +53,7 @@ def test_verify_rows():
 # 2 is not a cube mod 13, so u^3 - 2 is irreducible over F_13 and its roots
 # lie in F_(13^3), not in F_(13^2)
 CUBIC_13 = [11, 0, 0, 1]
+CUBIC_383 = [3, 1, 0, 1]  # no root in F_383, so irreducible: its roots lie in F_(383^3)
 
 
 def multiply_the_fold(monkeypatch, factor, at):
@@ -73,6 +75,20 @@ def test_root_outside_fp2_is_rejected(monkeypatch):
     with pytest.raises(RootOutsideQuadraticField, match=re.escape("p=13: P does not divide u^(p^2) - u")):
         verify_fricke(13)
     assert verify_fricke(11)["match"]
+
+
+def test_root_outside_fp2_is_rejected_on_float_products(monkeypatch):
+    # deg P = 190 at 383, past the float threshold: u^(p^2) mod P runs by
+    # shifts and float64 products, and must still reject the cubic's roots
+    P = fricke._conic_hits(383, _squarefree_hasse(383))[0]
+    assert len(P) >= mp._FLOAT_FROM and len(P) * 382**2 < mp._F64_EXACT
+    assert all(mp.eval_at(CUBIC_383, x, 383) for x in range(383))
+    multiply_the_fold(monkeypatch, CUBIC_383, 383)
+    convolve, dtypes = mp.np.convolve, set()
+    monkeypatch.setattr(mp.np, "convolve", lambda a, b: dtypes.add(a.dtype.name) or convolve(a, b))
+    with pytest.raises(RootOutsideQuadraticField, match=re.escape("p=383: P does not divide u^(p^2) - u")):
+        verify_fricke(383)
+    assert "float64" in dtypes
 
 
 def test_unpaired_root_of_the_fold_is_rejected(monkeypatch):

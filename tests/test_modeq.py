@@ -495,7 +495,7 @@ def test_build_k5p_runs_one_horner_and_one_table_per_prime(monkeypatch):
     monkeypatch.setattr(modeq, "_phi5_mod", phi5_mod_and_record)
     monkeypatch.setattr(modeq, "_hasse_nonzero", lambda fs, p: tables.append(sorted(map(tuple, fs))) or table(fs, p))
     monkeypatch.setattr(mp, "mulmod_by", lambda m, p: contexts.append(list(m)) or mulmod_by(m, p))
-    monkeypatch.setattr(mp, "_power", lambda mulmod, x, e: powers.append(e) or power(mulmod, x, e))
+    monkeypatch.setattr(mp, "_power", lambda mulmod, times_x, x, e: powers.append(e) or power(mulmod, times_x, x, e))
     monkeypatch.setattr(mp, "rem", rem_and_record)
     assert not hasattr(modeq, "_eval_rows")
     for p in (379, 383, 389, 401):

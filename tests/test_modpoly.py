@@ -46,34 +46,86 @@ def test_pow_mod_zero_exponent_is_one_mod_m():
         mp.pow_mod([0, 1], 0, [], 7)
 
 
-def _check_pow_mod_against_oracle(primes, degrees, seed):
+def _check_pow_mod_against_oracle(primes, degrees, seed, monkeypatch):
+    """pow_mod against list square-and-multiply with every product on int64
+    or Python ints (no float64), for f longer than m, shorter, 0, and the
+    variable x, which ``_power`` raises by shifts."""
     rng = random.Random(seed)
     for p in primes:
         exps = (0, 1, 2, p, p * p, (p * p - 1) // 2, rng.getrandbits(200) | 1 << 199)
         for n in degrees:
             for lead in (1, rng.randrange(2, p)):  # monic and not
                 m = [rng.randrange(p) for _ in range(n)] + [lead]
-                for flen in (2 * n + 3, (n + 1) // 2, 0):  # longer than m, shorter, f = 0
-                    f = [rng.randrange(p) for _ in range(flen)]
+                fs = [[rng.randrange(p) for _ in range(flen)] for flen in (2 * n + 3, (n + 1) // 2, 0)]
+                for f in fs + [[0, 1]]:
                     for e in exps:
-                        assert mp.pow_mod(f, e, m, p) == pow_mod_by_squaring(f, e, m, p), (p, n, lead, flen, e)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(mp, "_FLOAT_FROM", float("inf"))
+                            want = pow_mod_by_squaring(f, e, m, p)
+                        assert mp.pow_mod(f, e, m, p) == want, (p, n, lead, f, e)
 
 
 INT64_PRIMES = (7, 1499, 40961)
 OBJECT_PRIME = 2**61 - 1  # fails the int64 guard, so pow_mod runs on Python ints
 
 
-def test_pow_mod_matches_squaring_oracle():
+def test_pow_mod_matches_squaring_oracle(monkeypatch):
     assert all(mp._np_ok(301, p) for p in INT64_PRIMES) and not mp._np_ok(2, OBJECT_PRIME)
-    _check_pow_mod_against_oracle(INT64_PRIMES, (*range(1, 9), 19, 20, 24), 34)
-    _check_pow_mod_against_oracle((OBJECT_PRIME,), (*range(1, 9), 20), 35)
+    _check_pow_mod_against_oracle(INT64_PRIMES, (*range(1, 9), 19, 20, 24), 34, monkeypatch)
+    _check_pow_mod_against_oracle((OBJECT_PRIME,), (*range(1, 9), 20), 35, monkeypatch)
+    # products with operands on both sides of _FLOAT_FROM
+    _check_pow_mod_against_oracle((1499,), (mp._FLOAT_FROM - 1, mp._FLOAT_FROM, mp._FLOAT_FROM + 1), 39, monkeypatch)
 
 
 @pytest.mark.heavy
-def test_pow_mod_matches_squaring_oracle_long_moduli():
-    _check_pow_mod_against_oracle(INT64_PRIMES, (64,), 36)
-    _check_pow_mod_against_oracle((1499,), (300,), 37)  # deg ss_p at p near 3600
-    _check_pow_mod_against_oracle((OBJECT_PRIME,), (32,), 38)
+def test_pow_mod_matches_squaring_oracle_long_moduli(monkeypatch):
+    _check_pow_mod_against_oracle(INT64_PRIMES, (64,), 36, monkeypatch)
+    _check_pow_mod_against_oracle((1499,), (300,), 37, monkeypatch)  # deg ss_p at p near 3600
+    _check_pow_mod_against_oracle((OBJECT_PRIME,), (32,), 38, monkeypatch)
+
+
+def test_power_of_x_squares_and_shifts(monkeypatch):
+    # x^e takes one mulmod per squaring, and its 1-bits are shifts; any other
+    # base, x mod a modulus of degree 1 included, takes one mulmod more a 1-bit
+    rng = random.Random(47)
+    p, e = 1499, rng.getrandbits(200) | 1 << 199
+    squarings, ones = e.bit_length() - 1, bin(e).count("1") - 1
+    mulmod_by, calls = mp.mulmod_by, []
+
+    def counted(m, p):
+        mulmod, times_x, dtype = mulmod_by(m, p)
+        return (lambda a, b: calls.append(1) or mulmod(a, b)), times_x, dtype
+
+    monkeypatch.setattr(mp, "mulmod_by", counted)
+    for n in (1, 2, 5, mp._FLOAT_FROM + 20):
+        m = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        for f in ([0, 1], [1, 1]):
+            calls.clear()
+            mp.pow_mod(f, e, m, p)
+            assert len(calls) == squarings + (0 if f == [0, 1] and n > 1 else ones), (n, f)
+
+
+# the bound min(len a, len b) (p-1)^2 < 2^53 admits at most 200 coefficients here
+FLOAT_EDGE_PRIME = 6710863
+
+
+def test_float_convolution_is_exact_at_the_bound(monkeypatch):
+    p = FLOAT_EDGE_PRIME
+    s_max = (mp._F64_EXACT - 1) // (p - 1) ** 2
+    assert is_prime(p) and s_max >= mp._FLOAT_FROM and s_max * (p - 1) ** 2 < mp._F64_EXACT <= (s_max + 1) * (p - 1) ** 2
+    assert s_max * (p - 1) ** 2 > 2**52  # the largest coefficient fills all 53 bits of the significand
+    convolve, dtypes = np.convolve, []
+    monkeypatch.setattr(mp.np, "convolve", lambda a, b: dtypes.append(a.dtype.name) or convolve(a, b))
+    for short, floats in ((mp._FLOAT_FROM - 1, False), (mp._FLOAT_FROM, True), (s_max, True), (s_max + 1, False)):
+        for long_ in (short, short + 1, 3 * short):
+            a = np.full(short, p - 1, dtype=np.int64)
+            b = np.full(long_, p - 1, dtype=np.int64)
+            want = convolve(a.astype(object), b.astype(object))
+            for x, y in ((a, b), (b, a)):
+                dtypes.clear()
+                got = mp._convolve(x, y, p)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist(), (short, long_)
+                assert dtypes == (["float64"] if floats else ["int64"]), (short, long_)
 
 
 def test_large_poly_numpy_path_matches_schoolbook():
