@@ -95,19 +95,34 @@ def equal_degree(f, d: int, p: int, draws) -> list[list]:
     non-square mod another; its power is 1 mod the first and -1 mod the
     second, so it splits h.  The pieces share the iterator, so no element is
     drawn twice, not even one that already failed on an earlier piece.
+
+    The same argument bounds the draws.  Let m >= n be the first degree
+    whose polynomials, every t in [p^m, p^(m+1)), a piece's consecutive
+    draws cover whole.  A piece still unsplit after them can only mean a
+    wrong ``pow_mod`` or ``gcd``, and it raises ValueError rather than
+    drawing forever.
     """
     n = mp.deg(f)
     if n == d:
         return [f]
     e = (p**d - 1) // 2
+    last = None
     for t in draws:
+        if last is None:
+            m = n
+            while p**m < t:
+                m += 1
+            last = p ** (m + 1) - 1
         a = []
-        while t:
-            t, c = divmod(t, p)
+        s = t
+        while s:
+            s, c = divmod(s, p)
             a.append(c)
         g = mp.gcd(f, mp.sub(mp.pow_mod(a, e, f, p), [1], p), p)
         if 0 < mp.deg(g) < n:
             return equal_degree(g, d, p, draws) + equal_degree(mp.quo(f, g, p), d, p, draws)
+        if t >= last:
+            raise ValueError(f"every polynomial of degree {m} failed to split a degree-{n} product of degree-{d} factors")
     raise ValueError(f"the draws ran out before splitting a degree-{n} product of degree-{d} factors")
 
 

@@ -398,18 +398,23 @@ def expected_R_TT() -> Poly:
     return out.map(_cyc)
 
 
-def expected_R_TTA2() -> Poly:
-    out = Poly([CycNum.eps5() ** 5 * 5**15])
+def _tta2_block() -> Poly:
+    """5^15 p_4 p_24 p_36 p_51 p_91 p_96 over Z, which R_TTA2 and Rbar_TT
+    scale by the units eps5^5 and -eps5bar^5."""
+    out = Poly([5**15])
     for d in (4, 24, 36, 51, 91, 96):
         out = out * p_d(d)
     return out
+
+
+def expected_R_TTA2() -> Poly:
+    unit = CycNum.eps5() ** 5
+    return _tta2_block().map(lambda c: unit * c)
 
 
 def expected_Rbar_TT() -> Poly:
-    out = Poly([-(CycNum.eps5bar() ** 5) * 5**15])
-    for d in (4, 24, 36, 51, 91, 96):
-        out = out * p_d(d)
-    return out
+    unit = -(CycNum.eps5bar() ** 5)
+    return _tta2_block().map(lambda c: unit * c)
 
 
 def expected_norm_R_AA() -> Poly:

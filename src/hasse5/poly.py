@@ -9,9 +9,12 @@ and 1) and equality against ``0``.
 Coefficient lists are ascending: ``Poly([c0, c1, c2])`` is c0 + c1*x + c2*x^2.
 The zero polynomial has an empty coefficient list.
 
-Resultants use the Sylvester determinant with the rows of the *first* argument
-on top, evaluated by fraction-free (Bareiss) elimination, so every printed
-signed reference value is comparable without a convention fudge.
+Res(f, g) is the Sylvester determinant with the rows of the *first* argument
+on top, so every printed signed reference value is comparable without a
+convention fudge.  ``resultant`` computes it by the subresultant
+pseudo-remainder sequence, with exact divisions only; ``sylvester`` and the
+fraction-free (Bareiss) ``det_bareiss`` evaluate the determinant itself and
+serve the tests as its independent oracle.
 """
 
 from __future__ import annotations
@@ -96,6 +99,9 @@ class Poly:
         n = max(len(self.c), len(other.c))
         return Poly([self[k] - other[k] for k in range(n)])
 
+    def __rsub__(self, other) -> "Poly":
+        return _as_poly(other) - self
+
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return Poly([a * other for a in self.c])
@@ -154,6 +160,9 @@ class Poly:
                 raise ArithmeticError("inexact polynomial division")
             return q
         return Poly([exact_div(a, other) for a in self.c])
+
+    def __rtruediv__(self, other) -> "Poly":
+        return _as_poly(other) / self
 
     def __call__(self, x):
         if not self.c:
@@ -240,15 +249,71 @@ def det_bareiss(mat: list[list]):
     return out if sign == 1 else -out
 
 
+def _prem(a: list, b: list) -> list:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b, on ascending
+    coefficient lists with deg a >= deg b >= 1; no division is taken."""
+    r = a[:]
+    n = len(b) - 1
+    lead = b[-1]
+    e = len(a) - n
+    while len(r) > n:
+        t = r.pop()
+        k = len(r) - n
+        r = [lead * c for c in r]
+        for j in range(n):
+            r[k + j] = r[k + j] - t * b[j]
+        e -= 1
+        while r and r[-1] == 0:
+            r.pop()
+    if e and r:
+        scale = lead**e
+        r = [scale * c for c in r]
+    return r
+
+
 def resultant(f: Poly, g: Poly):
-    """Res(f, g) by the Sylvester determinant, f-rows first."""
+    """Res(f, g) = det of the Sylvester matrix with f's rows on top, by the
+    subresultant pseudo-remainder sequence (Collins 1967; Brown-Traub 1971;
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 3.3.7).
+
+    (A, B) starts as (f, g), swapped when deg f < deg g, and the sign s as
+    (-1)^(deg f deg g) for a swap and 1 otherwise; lg = h = 1.  Each step
+    flips s when deg A and deg B are both odd and replaces (A, B) by
+    (B, prem(A, B) / (lg h^delta)), delta = deg A - deg B, a division exact
+    in the coefficient ring; then lg = lc(A) and h = lg^delta / h^(delta - 1).
+    When B is a constant, Res = s lc(B)^deg A / h^(deg A - 1); when B
+    vanishes, f and g share a factor and the result is the ring's zero.
+    ``det_bareiss(sylvester(f, g))`` is the test oracle.
+    """
     if f.is_zero() or g.is_zero():
         raise ZeroInput("resultant of zero polynomial")
     if f.degree == 0:
         return f.c[0] ** g.degree if g.degree > 0 else 1
     if g.degree == 0:
         return g.c[0] ** f.degree
-    return det_bareiss(sylvester(f, g))
+    a, b = f.c, g.c
+    negate = False
+    if len(a) < len(b):
+        a, b = b, a
+        negate = f.degree % 2 == 1 and g.degree % 2 == 1
+    lg = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            negate = not negate
+        r = _prem(a, b)
+        if not r:
+            return 0 * f.lc()
+        div = lg * h**delta
+        a, b = b, [exact_div(c, div) for c in r]
+        lg = a[-1]
+        if delta == 1:
+            h = lg
+        elif delta > 1:
+            h = exact_div(lg**delta, h ** (delta - 1))
+    n = len(a) - 1
+    out = exact_div(b[0] ** n, h ** (n - 1))
+    return -out if negate else out
 
 
 def discriminant(f: Poly):

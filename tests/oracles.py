@@ -778,10 +778,10 @@ def icosa_resultant_bareiss(m1, m2, variant: str = "eps"):
     taken by Bareiss elimination over Z[zeta_5][x]."""
     from hasse5.icosa import resultant_divisor, surface_pair
     from hasse5.numfield import CycNum
-    from hasse5.poly import resultant
+    from hasse5.poly import det_bareiss, sylvester
 
     divisor = resultant_divisor(m1, m2)
-    det = resultant(*surface_pair(m1, m2, variant))
+    det = det_bareiss(sylvester(*surface_pair(m1, m2, variant)))
     return det.map(lambda c: (c if isinstance(c, CycNum) else CycNum(c)) / divisor)
 
 

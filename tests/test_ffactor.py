@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from functools import partial, reduce
+from itertools import count
 
 import pytest
 
@@ -123,6 +124,21 @@ def test_no_splitting_element_is_drawn_twice(monkeypatch):
         factor_ff(f, p)
         assert log and log[0] == p + 1, p
         assert len(set(log)) == len(log), p
+
+
+def test_wrong_pow_mod_raises_after_one_whole_degree(monkeypatch):
+    # a "power" that is always 1 never splits; factor_ff's draws x + 1, ...
+    # stop after the last polynomial of degree 2 rather than run forever
+    calls = []
+
+    def pow_mod(a, e, m, p):
+        calls.append(a)
+        return [1]
+
+    monkeypatch.setattr(mp, "pow_mod", pow_mod)
+    with pytest.raises(ValueError, match="every polynomial of degree 2 failed to split a degree-2 product"):
+        ffactor.equal_degree([2, 4, 1], 1, 7, count(8))
+    assert len(calls) == 7**3 - 1 - 7
 
 
 def test_roots_examples():

@@ -79,7 +79,8 @@ DISCY_FAULTS = {"Phi5 x^2 y^3": ("phi5", 2, 3), "Phi5 x^1 y^6": ("phi5", 1, 6), 
 @pytest.mark.parametrize("fault", DISCY_FAULTS)
 def test_discy_fails_a_wrong_coefficient(monkeypatch, fault):
     # the failure value is a point x0 and the two sides there: the left one
-    # is the exact disc_y of the faulty Phi5 (Bareiss over Z[x]) at x0
+    # is the exact disc_y of the faulty Phi5 (the subresultant PRS over
+    # Z[x]) at x0
     where, a, b = DISCY_FAULTS[fault]
     if where == "phi5":
         grid = [row[:] for row in phi5().g]

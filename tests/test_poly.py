@@ -1,16 +1,21 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hasse5 import cli, poly
+from hasse5.numfield import CycNum
 from hasse5.poly import (
     BiPoly,
     NotSkewPalindromic,
     Poly,
     compose_rational,
+    det_bareiss,
     detilde,
     discriminant,
     resultant,
+    sylvester,
 )
 
 
@@ -58,6 +63,115 @@ def test_resultant_swap_sign():
         r1 = resultant(f, g)
         r2 = resultant(g, f)
         assert r1 == (-1) ** (f.degree * g.degree) * r2
+
+
+def _sparse_poly(rng, deg, density, coeff):
+    """A polynomial of degree deg whose lower coefficients are coeff(rng)
+    with probability density and 0 otherwise."""
+    c = [coeff(rng) if rng.random() < density else 0 for _ in range(deg)]
+    lead = 0
+    while lead == 0:
+        lead = coeff(rng)
+    return Poly(c + [lead])
+
+
+def _z_coeff(rng):
+    return rng.randrange(-9, 10)
+
+
+def test_resultant_matches_bareiss_over_Z(monkeypatch):
+    # the subresultant PRS against det_bareiss(sylvester(f, g)): dense and
+    # sparse pairs with non-monic leading coefficients, deg f < deg g (the
+    # swap sign) and, every fourth pair, a shared factor (the result 0)
+    real = poly._prem
+    gaps = []
+
+    def prem(a, b):
+        r = real(a, b)
+        if 1 < len(r) < len(b) - 1:  # the next step has delta > 1
+            gaps.append(len(b) - len(r))
+        return r
+
+    monkeypatch.setattr(poly, "_prem", prem)
+    rng = random.Random(35)
+    swaps = zeros = 0
+    for k in range(1200):
+        density = 1.0 if k % 2 else 0.3
+        f = _sparse_poly(rng, rng.randrange(1, 9), density, _z_coeff)
+        g = _sparse_poly(rng, rng.randrange(1, 9), density, _z_coeff)
+        if k % 4 == 0:
+            h = _sparse_poly(rng, rng.randrange(1, 3), density, _z_coeff)
+            f, g = f * h, g * h
+        got, want = resultant(f, g), det_bareiss(sylvester(f, g))
+        assert got == want and type(got) is int, (f, g)
+        swaps += f.degree < g.degree
+        zeros += got == 0
+    assert swaps >= 300 and zeros >= 300 and len(gaps) >= 100
+
+
+RINGS = {
+    "Z[j]": (lambda rng: Poly([rng.randrange(-3, 4) for _ in range(rng.randrange(3))]), Poly),
+    "Q(zeta5)": (lambda rng: CycNum(*[rng.randrange(-2, 3) for _ in range(4)]), CycNum),
+    "Q": (lambda rng: Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)), Fraction),
+}
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_resultant_matches_bareiss_over_rings(ring):
+    # the same comparison over Z[j] (Poly coefficients), Q(zeta_5) and Q; a
+    # shared factor gives the ring's zero, of the ring's type, as Bareiss does
+    coeff, kind = RINGS[ring]
+    rng = random.Random(36)
+    for k in range(60):
+        density = 1.0 if k % 2 else 0.4
+        f = _sparse_poly(rng, rng.randrange(1, 6), density, coeff)
+        g = _sparse_poly(rng, rng.randrange(1, 6), density, coeff)
+        if k % 3 == 0:
+            h = _sparse_poly(rng, 1, density, coeff)
+            f, g = f * h, g * h
+        got, want = resultant(f, g), det_bareiss(sylvester(f, g))
+        assert got == want and type(got) is type(want) is kind, (f, g)
+        assert got == 0 or k % 3, (f, g)
+
+
+def test_resultant_matches_bareiss_with_int_and_Poly_coefficients():
+    # Z[j] coefficients given partly as plain ints, as in Poly([Poly([3]), 1]):
+    # the pseudo-remainders then subtract a Poly from an int 0
+    def coeff(rng):
+        if rng.random() < 0.4:
+            return rng.randrange(-3, 4)
+        return Poly([rng.randrange(-3, 4) for _ in range(rng.randrange(3))])
+
+    rng = random.Random(37)
+    for k in range(150):
+        density = 1.0 if k % 2 else 0.4
+        f = _sparse_poly(rng, rng.randrange(1, 6), density, coeff)
+        g = _sparse_poly(rng, rng.randrange(1, 6), density, coeff)
+        assert resultant(f, g) == det_bareiss(sylvester(f, g)), (f, g)
+    assert resultant(Poly([0, Poly([1, 1]), Poly([2])]), Poly([Poly([3]), 1])) == Poly([15, -3])
+
+
+def test_resultant_matches_bareiss_on_charzero_calls(monkeypatch, capsys):
+    # every poly.resultant call of `charzero --suite all`, direct or through
+    # discriminant, recorded by a spy and recomputed by Bareiss
+    calls = []
+    real = poly.resultant
+
+    def spy(f, g):
+        r = real(f, g)
+        calls.append((f, g, r))
+        return r
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("hasse5")]:
+        if getattr(mod, "resultant", None) is real:
+            monkeypatch.setattr(mod, "resultant", spy)
+    assert cli.main(["charzero", "--suite", "all"]) == 0
+    capsys.readouterr()
+    # 67 points of disc_y(Phi5), a 7 x 7 grid for the 5^15 Phi5 definition,
+    # and the parametrization identities over Z[j] and Z[z]
+    assert len(calls) >= 67 + 49 and any(isinstance(f.lc(), Poly) for f, _, _ in calls)
+    for f, g, r in calls:
+        assert r == det_bareiss(sylvester(f, g)), (f, g)
 
 
 def test_resultant_vanishes_iff_common_factor_mod_p():
