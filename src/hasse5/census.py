@@ -263,6 +263,7 @@ def census(l: int) -> dict:
     their count against ``predicted_count``."""
     if l % 5 == 0:
         raise ValueError("l must be a prime different from 5")
+    _check_sweep(2, l)  # before the O(l) class number and Hasse invariant
     h = h5l(l)
     find = find_g_factors if l % 5 in (2, 3) else find_k_factors
     factors = find(l, _squarefree_hasse(l))

@@ -54,20 +54,19 @@ in absolute value.  Over C, 5 c_m = sum_k sigma_k(c) (zeta^(-km) - zeta^(-4k)),
 so |c_m| <= 4 * 2H/5 = 8H/5, and primes whose product exceeds 16H/5
 determine every coordinate by the symmetric lift.
 
-Norms.  The norm N(f) = sigma_1(f) sigma_2(f) sigma_3(f) sigma_4(f) of f in
-Q(zeta_5)[x], sigma_k: zeta -> zeta^k, comes from the same primes.  With D
-the lcm of the denominators of the zeta-coordinates of f, F = D f lies in
-Z[zeta_5][x] and N(F) = D^4 N(f) in Z[x].  Modulo p, each sigma_k(F) is F
-with zeta -> r^k, and the four images are multiplied by convolution.  Every
-coefficient of N(F) is at most S_F^4 in absolute value, and primes whose
-product exceeds 2 S_F^4 determine it by the symmetric lift.
+Norms.  The norm N(F) = sigma_1(F) sigma_2(F) sigma_3(F) sigma_4(F) of F in
+Z[zeta_5][x], sigma_k: zeta -> zeta^k, lies in Z[x] and comes from the same
+primes.  Modulo p, each sigma_k(F) is F with zeta -> r^k, and the four
+images are multiplied by convolution.  Every coefficient of N(F) is at most
+S_F^4 in absolute value, and primes whose product exceeds 2 S_F^4 determine
+it by the symmetric lift.  The norm of a polynomial with rational
+coordinates is ``poly.galois_norm``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -96,15 +95,8 @@ def resultant(p1: Poly, p2: Poly) -> Poly:
     g = [t + [(0, 0, 0, 0)] * (w - len(t)) for t in map(_int_coords, p2.c)]
     s_a, s_b, s_g = (sum(abs(v) for t in c for v in t) for c in (a, b, sum(g, [])))
     primes = _primes_past(16 * s_g**5 * (s_a + s_b) ** d // 5)
-    images = [img for i in range(0, len(primes), _CHUNK) for img in _resultant_mod(a, b, g, primes[i : i + _CHUNK])]
-    coords = _crt_symmetric(images, primes)
+    coords = _crt_symmetric(_resultant_mod(a, b, g, primes), primes)
     return Poly([CycNum(*coords[i : i + 4]) for i in range(0, len(coords), 4)])
-
-
-# Primes per _resultant_mod call.  Its arrays of N hold up to 6d + 1 rows of
-# 4 (D + 1) words per prime: under 0.6 MB in all for the ledger's d = 5,
-# D = 50 at 3 primes, against 1.5 MB with 9 primes in one call.
-_CHUNK = 3
 
 
 def _x_len(entry) -> int:
@@ -113,12 +105,12 @@ def _x_len(entry) -> int:
 
 def _int_coords(entry) -> list[tuple[int, int, int, int]]:
     """The zeta-coordinates of the x-coefficients of entry, which must be
-    integers."""
+    integers (VerificationError if not)."""
     coeffs = entry.c if isinstance(entry, Poly) else [entry]
     out = [c.c if isinstance(c, CycNum) else (c, 0, 0, 0) for c in coeffs]
     for t in out:
         if not all(isinstance(v, int) for v in t):
-            raise VerificationError(f"resultant coordinate {t} is not an integer")
+            raise VerificationError(f"coordinate {t} over Z[zeta_5] is not an integer")
     return out
 
 
@@ -269,24 +261,20 @@ def _crt_symmetric(images: list[np.ndarray], primes: list[int]) -> list[int]:
 
 
 def norm(f: Poly) -> Poly:
-    """N(f) = prod_{k=1..4} f^(sigma_k), in Q[x], of f in Q(zeta_5)[x] with
-    CycNum, int or Fraction coefficients; see the module docstring.
+    """N(f) = prod_{k=1..4} f^(sigma_k), in Z[x], of f in Z[zeta_5][x] with
+    CycNum or int coefficients; see the module docstring.
 
     Before it returns, it checks the result exactly: the degree is 4 deg f,
     and the leading and constant coefficients are the norms of those of f.
-    A failed check, or an f too long for the int64 convolutions, raises
-    VerificationError."""
+    A failed check, a coordinate that is not an integer, or an f too long for
+    the int64 convolutions raises VerificationError."""
     if f.is_zero():
         return Poly()
     if len(f.c) >= 2**16:
         raise VerificationError(f"norm over Q(zeta_5): {len(f.c)} coefficients, the int64 products allow < 2^16")
-    coords = [c.c if isinstance(c, CycNum) else (c, 0, 0, 0) for c in f.c]
-    scale = lcm(*(Fraction(v).denominator for t in coords for v in t))
-    ints = [[int(v * scale) for v in t] for t in coords]
-    primes = norm_primes(ints)
-    lifted = _crt_symmetric([_norm_mod(ints, p) for p in primes], primes)
-    d4 = scale**4
-    out = Poly(v // d4 if v % d4 == 0 else Fraction(v, d4) for v in lifted)
+    coords = _int_coords(f)
+    primes = norm_primes(coords)
+    out = Poly(_crt_symmetric([_norm_mod(coords, p) for p in primes], primes))
     for what, got, want in (
         ("degree", out.degree, 4 * f.degree),
         ("leading coefficient", out[out.degree], CycNum(*coords[-1]).norm()),

@@ -178,6 +178,7 @@ def verify_fricke(p: int) -> dict:
     parity check, so a root of P outside F_(p^2) raises
     RootOutsideQuadraticField.
     """
+    mp._check_sweep(2, p)  # before the O(p) Hasse invariant
     P, hits = _conic_hits(p, _squarefree_hasse(p))
     u = mp.rem([0, 1], P, p)
     if mp.pow_mod(u, p * p, P, p) != u:

@@ -13,12 +13,14 @@ special factor families, the large exact resultants
 identity over Q(zeta_5)[x] for the two generators, that G60 fixes j5(x^5), so
 that the 60 roots of G(x^5, j) form a single G60-orbit.
 
-Each resultant is taken over Z[zeta_5][x], after clearing the single
-denominator 2, multimodularly by :mod:`hasse5.cycres`.  The surface
-polynomial is the binomial A + B y^5 in y, so against G of degree d in y the
-resultant is sum_m N_m (-A)^m B^(d-m), with N(y^5) = prod_i G(zeta^i y), and
-no Sylvester matrix is eliminated.  Modulo each prime that sum is taken at
-the points x = 0..D, D the resultant's degree bound, and interpolated.
+Each resultant is taken over Z[zeta_5][x], multimodularly by
+:mod:`hasse5.cycres`.  The maps are stored as their reduced integral
+matrices, and e5, ebar5 lie in Z[zeta_5], so the surface pair is integral as
+it stands and nothing is divided out.  The surface polynomial is the
+binomial A + B y^5 in y, so against G of degree d in y the resultant is
+sum_m N_m (-A)^m B^(d-m), with N(y^5) = prod_i G(zeta^i y), and no Sylvester
+matrix is eliminated.  Modulo each prime that sum is taken at the points
+x = 0..D, D the resultant's degree bound, and interpolated.
 """
 
 from __future__ import annotations
@@ -40,19 +42,16 @@ class RelationFailure(VerificationError):
 class MobiusMap:
     """(a x + b) / (c x + d) with CycNum entries, compared projectively.
 
-    ``den`` records an implicit scalar: the map's reduced matrix is the stored
-    one divided by ``den``.  The resultant calculus is sensitive to the matrix
-    representative (through the denominator-clearing factors), and the
-    reference constants correspond to the fully reduced representatives
-    (integral entries with no common divisor); storing a small integral
-    multiple instead keeps the whole elimination inside Z[zeta].
+    Equality ignores a scalar factor, but the resultant calculus does not:
+    scaling either matrix by lambda scales R_{M1,M2} by lambda^25.  The
+    reference constants correspond to the reduced representatives, integral
+    with no common divisor, which ``coset_maps`` stores.
     """
 
-    __slots__ = ("a", "b", "c", "d", "den")
+    __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, den=1):
+    def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = (_cyc(v) for v in (a, b, c, d))
-        self.den = _cyc(den)
         if (self.a * self.d - self.b * self.c) == 0:
             raise ValueError("singular map")
 
@@ -75,7 +74,6 @@ class MobiusMap:
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            self.den * other.den,
         )
 
     def inv(self) -> "MobiusMap":
@@ -106,11 +104,11 @@ def identity_map() -> MobiusMap:
 @lru_cache(maxsize=1)
 def generators() -> dict[str, MobiusMap]:
     z = CycNum.zeta()
-    s5 = CycNum.sqrt5()
     one = CycNum(1)
+    phi = (one + CycNum.sqrt5()) / 2
     return {
         "S": MobiusMap(z, 0, 0, one),
-        "T": MobiusMap(-(one + s5), CycNum(2), CycNum(2), one + s5, den=2),
+        "T": MobiusMap(-phi, one, one, phi),
         "U": MobiusMap(0, CycNum(-1), one, 0),
         "A": MobiusMap(z**3 * (one + z), z**3, one, -(one + z**4)),
     }
@@ -304,61 +302,45 @@ def _pow5_linear(a: CycNum, b: CycNum) -> Poly:
 
 
 def surface_pair(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> tuple[Poly, Poly]:
-    """2*P1 and 2*P2, the invariant-surface polynomial and its (M1, M2)-transform,
+    """P1 and P2, the invariant-surface polynomial and its (M1, M2)-transform,
     as polynomials in y over Z[zeta][x]."""
     e5 = CycNum.eps5()
     ebar = CycNum.eps5bar() if variant == "epsbar" else e5
-    two = CycNum(2)
 
-    # 2*P1 as a polynomial in y over Z[zeta][x]
+    # P1 = (x^5 - e5) + (1 + e5 x^5) y^5
     zero = Poly()
-    x5_2 = Poly([-(two * e5), 0, 0, 0, 0, two])  # 2 x^5 - 2 e5
-    y5c = Poly([two, 0, 0, 0, 0, two * e5])  # 2 + 2 e5 x^5
-    p1 = Poly([x5_2, zero, zero, zero, zero, y5c])
+    p1 = Poly([Poly([-e5, 0, 0, 0, 0, 1]), zero, zero, zero, zero, Poly([1, 0, 0, 0, 0, e5])])
 
-    # 2*P2 = u(x) (c2 y + d2)^5 + v(x) (a2 y + b2)^5 with
-    # u = 2 (a1 x + b1)^5 - 2 ebar (c1 x + d1)^5, v = 2 (c1 x + d1)^5 + 2 ebar (a1 x + b1)^5
+    # P2 = u(x) (c2 y + d2)^5 + v(x) (a2 y + b2)^5 with
+    # u = (a1 x + b1)^5 - ebar (c1 x + d1)^5, v = (c1 x + d1)^5 + ebar (a1 x + b1)^5
     ax1 = _pow5_linear(m1.a, m1.b)
     cx1 = _pow5_linear(m1.c, m1.d)
-    u = ax1 * two - cx1 * (two * ebar)
-    v = cx1 * two + ax1 * (two * ebar)
+    u = ax1 - cx1 * ebar
+    v = cx1 + ax1 * ebar
     cy2 = _pow5_linear(m2.c, m2.d)
     ay2 = _pow5_linear(m2.a, m2.b)
-    rows = []
-    for k in range(6):
-        rows.append(u * cy2[k] + v * ay2[k])
-    p2 = Poly(rows)
+    p2 = Poly([u * cy2[k] + v * ay2[k] for k in range(6)])
     return p1, p2
-
-
-def resultant_divisor(m1: MobiusMap, m2: MobiusMap) -> CycNum:
-    """2^10 from clearing the half-integral eps constants, den^25 per matrix:
-    the clearing factors enter to the 5th power in y and the resultant raises
-    the second argument's scale to deg_y(P1) = 5 (and vice versa)."""
-    return (m1.den * m2.den) ** 25 * 1024
 
 
 def icosa_resultant(m1: MobiusMap, m2: MobiusMap, variant: str = "eps") -> Poly:
     """Res_y of the invariant-surface polynomial against its (M1, M2)-transform.
 
     variant 'eps' uses e5 in the transformed argument, 'epsbar' uses ebar5.
-    Returns a Poly in x with CycNum coefficients.
+    Returns a Poly in x with CycNum coefficients.  A map with a coordinate
+    outside Z[zeta_5] raises VerificationError.
     """
     from . import cycres  # here, not at the top: only the ledger needs it, so CLI startup skips it
 
-    divisor = resultant_divisor(m1, m2)
-    # c / divisor = c cof / N(divisor), cof the product of divisor's other
-    # conjugates: both taken once, not once per coefficient
-    cof = divisor._cofactor()
-    n = (divisor * cof).rational()
-    return cycres.resultant(*surface_pair(m1, m2, variant)).map(lambda c: c * cof / n)
+    return cycres.resultant(*surface_pair(m1, m2, variant))
 
 
 def norm_to_Q(f: Poly) -> Poly:
-    """N(f) = prod_{k=1..4} f(zeta -> zeta^k) in Q[x], for f with CycNum (or
-    rational) coefficients, by ``cycres.norm``: lifted from the product of
-    the four embeddings of f modulo primes p = 1 mod 5, and checked exactly
-    in degree, leading and constant coefficient (VerificationError if not)."""
+    """N(f) = prod_{k=1..4} f(zeta -> zeta^k) in Z[x], for f with CycNum or
+    int coefficients over Z[zeta_5], by ``cycres.norm``: lifted from the
+    product of the four embeddings of f modulo primes p = 1 mod 5, and
+    checked exactly in degree, leading and constant coefficient.  A failed
+    check, or a coordinate that is not an integer, raises VerificationError."""
     from . import cycres  # lazily, as in icosa_resultant
 
     return cycres.norm(f)
@@ -425,25 +407,29 @@ def expected_norm_R_AA() -> Poly:
 
 
 def coset_maps() -> dict[str, MobiusMap]:
-    """The five nontrivial coset representatives T^i A^k with their reduced-
-    representative denominators.
+    """The five nontrivial coset representatives T^i A^k as reduced matrices.
 
-    Composition introduces common entry divisors; dividing them out gives the
-    coprime integral matrices the reference constants correspond to.  The
-    divisors below are verified in the tests: entries/den are integral with
-    norm-gcd 1.
+    Composition introduces common entry divisors: A A, T A and T A A are
+    divided once by -tau/eps, tau/eps and tau^2/eps^3, for tau = 1 - zeta and
+    eps = (-1 + sqrt 5)/2, which leaves coprime integral matrices, the
+    representatives the reference constants correspond to.  The tests check
+    that the entries are integral with norm-gcd 1.
     """
     g = generators()
     T, A = g["T"], g["A"]
     eps = (CycNum(-1) + CycNum.sqrt5()) / 2
     tau = CycNum(1) - CycNum.zeta()
-    a2 = A * A
-    ta = T * A
-    ta2 = T * A * A
-    a2.den = -(tau / eps)
-    ta.den = CycNum(2) * tau / eps
-    ta2.den = CycNum(2) * tau * tau / eps**3
-    return {"T": T, "A": A, "A2": a2, "TA": ta, "TA2": ta2}
+    return {
+        "T": T,
+        "A": A,
+        "A2": _divided(A * A, -(tau / eps)),
+        "TA": _divided(T * A, tau / eps),
+        "TA2": _divided(T * A * A, tau * tau / eps**3),
+    }
+
+
+def _divided(m: MobiusMap, s: CycNum) -> MobiusMap:
+    return MobiusMap(*(v / s for v in (m.a, m.b, m.c, m.d)))
 
 
 def ledger_checks() -> dict[str, Callable[[], bool]]:

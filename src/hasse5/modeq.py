@@ -611,6 +611,7 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
+    mp._check_sweep(1, p)  # before ss_p and x^p mod ss_p, for the root sweep of _certify
     ss = build_ss(p)
     X, phi = _phi5_mod(ss, p)
     g = mp.gcd(ss, phi, p)

@@ -776,13 +776,12 @@ def zparam_cross_check(p: int) -> bool:
 def icosa_resultant_bareiss(m1, m2, variant: str = "eps"):
     """``icosa_resultant(m1, m2, variant)`` with the Sylvester determinant
     taken by Bareiss elimination over Z[zeta_5][x]."""
-    from hasse5.icosa import resultant_divisor, surface_pair
+    from hasse5.icosa import surface_pair
     from hasse5.numfield import CycNum
     from hasse5.poly import det_bareiss, sylvester
 
-    divisor = resultant_divisor(m1, m2)
     det = det_bareiss(sylvester(*surface_pair(m1, m2, variant)))
-    return det.map(lambda c: (c if isinstance(c, CycNum) else CycNum(c)) / divisor)
+    return det.map(lambda c: c if isinstance(c, CycNum) else CycNum(c))
 
 
 def resultant_mod_by_kronecker(a: list, b: list, g: list, p: int) -> np.ndarray:

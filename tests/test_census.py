@@ -290,6 +290,17 @@ def test_primes_past_the_int64_sweep_rejected():
             find(l, [1, 1])
 
 
+def test_census_checks_the_sweep_bound_before_any_o_l_stage(monkeypatch):
+    # 1753413059 is the first prime with 3 l^2 >= 2^63: the census raises
+    # before the class number and the Hasse invariant, both O(l) loops
+    l = 1753413059
+    assert is_prime(l) and 3 * l * l >= 2**63
+    for stage in ("h5l", "_squarefree_hasse", "_conic_hits"):
+        monkeypatch.setattr(census_mod, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran past the sweep bound"))
+    with pytest.raises(ValueError, match=re.escape(f"l={l} is too large for the int64 divisibility sweep of width 2")):
+        census(l)
+
+
 @pytest.mark.heavy
 def test_census_matches_h_sweep_oracle_to_1500():
     # the fold replaced Horner sweeps over all of H: 4-wide for the quartics,

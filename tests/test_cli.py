@@ -320,9 +320,10 @@ def run_subprocess(code: str, *flags: str, hashseed: str = "0") -> subprocess.Co
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # serial runs never import concurrent.futures (nor multiprocessing): only --jobs > 1 does
-    run = run_subprocess("import sys, hasse5.cli; print('concurrent.futures' in sys.modules)")
-    assert run.returncode == 0 and run.stdout == "False\n", run.stderr
+    # serial runs never import concurrent.futures (nor multiprocessing): only --jobs > 1 does;
+    # nor cycres, which icosa imports only when the ledger runs
+    run = run_subprocess("import sys, hasse5.cli; print(*(m in sys.modules for m in ('concurrent.futures', 'hasse5.cycres')))")
+    assert run.returncode == 0 and run.stdout == "False False\n", run.stderr
 
 
 def test_determinism_two_runs():

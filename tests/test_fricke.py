@@ -110,6 +110,17 @@ def test_verify_fricke_matches_the_R5_norm_route_to_1000():
         assert verify_fricke(p) == fricke_by_R5_norm(p), p
 
 
+def test_verify_fricke_checks_the_sweep_bound_before_any_o_p_stage(monkeypatch):
+    # 1753413059 is the first prime with 3 p^2 >= 2^63: the verdict raises
+    # before the Hasse invariant, an O(p) loop, and before the class numbers
+    p = 1753413059
+    assert 3 * p * p >= 2**63
+    for stage in ("_squarefree_hasse", "_conic_hits", "h5l", "h_minus_p"):
+        monkeypatch.setattr(fricke, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran past the sweep bound"))
+    with pytest.raises(ValueError, match=re.escape(f"l={p} is too large for the int64 divisibility sweep of width 2")):
+        fricke.verify_fricke(p)
+
+
 def test_verify_fricke_builds_no_fricke_polynomial(monkeypatch):
     expected = fricke_by_R5_norm(383)
 

@@ -24,7 +24,6 @@ from hasse5.icosa import (
     q_d,
     resolvent_identities,
     resolvent_theta_identity,
-    resultant_divisor,
     surface_pair,
     tau_covariance,
     verify_group_relations,
@@ -115,16 +114,26 @@ def test_orbit_property_fails_for_a_map_outside_g60(monkeypatch, name):
 
 
 def test_reduced_representative_denominators():
-    # entries/den are integral with no common divisor (norm gcd 1)
+    # the stored entries are integral with no common divisor (norm gcd 1)
     from math import gcd
 
     for name, m in coset_maps().items():
-        quots = [v / m.den for v in (m.a, m.b, m.c, m.d)]
-        assert all(all(isinstance(x, int) for x in q.c) for q in quots), name
+        entries = [m.a, m.b, m.c, m.d]
+        assert all(all(isinstance(x, int) for x in v.c) for v in entries), name
         g = 0
-        for q in quots:
-            g = gcd(g, q.norm())
+        for v in entries:
+            g = gcd(g, v.norm())
         assert g == 1, name
+
+
+def test_ledger_fails_an_unreduced_representative(monkeypatch):
+    # T A stored as the product, not divided by tau/eps: projectively the same
+    # map, but R_{T,TA} scales by (tau/eps)^25, and no divisor corrects it
+    maps = coset_maps()
+    unreduced = {**maps, "TA": maps["T"] * maps["A"]}
+    assert unreduced["TA"] == maps["TA"]
+    monkeypatch.setattr(icosa, "coset_maps", lambda: unreduced)
+    assert icosa.ledger_checks()["R_TTA_eq_R_TT"]() is False
 
 
 def test_qd_rational():
@@ -151,7 +160,7 @@ def test_norm_of_R_AA():
 
 # The eleven resultants of equality_ledger: (M1, M2, variant).  The oracle,
 # Bareiss elimination of the Sylvester matrix over Z[zeta_5][x], takes
-# 1.3-1.7 s a resultant, so the non-heavy run checks R_TT and R_AA and the
+# 1.1-1.5 s a resultant, so the non-heavy run checks R_TT and R_AA and the
 # heavy run the other nine.
 LEDGER_PAIRS = [
     ("T", "T", "eps"),
@@ -202,9 +211,7 @@ def test_resultant_matches_bareiss_oracle(n1, n2, variant):
 @pytest.mark.parametrize("n1,n2,variant", LEDGER_PARAMS)
 def test_coordinate_bound_holds(n1, n2, variant):
     # every zeta-coordinate of the exact resultant is at most 8H/5
-    divisor = resultant_divisor(*_maps(n1, n2))
-    det = _oracle(n1, n2, variant).map(lambda c: c * divisor)
-    largest = max(abs(v) for c in det.c for v in c.c)
+    largest = max(abs(v) for c in _oracle(n1, n2, variant).c for v in c.c)
     assert 5 * largest <= 8 * _bound(n1, n2, variant)
 
 
@@ -304,7 +311,7 @@ def test_resultant_rejects_a_coordinate_that_is_not_an_integer():
     # G = y + zeta/2: the CRT route works over Z[zeta_5] only
     p1, _ = surface_pair(*_maps("T", "T"))
     p2 = Poly([Poly([CycNum(0, Fraction(1, 2))]), Poly([1])])
-    with pytest.raises(VerificationError, match=r"resultant coordinate \(0, Fraction\(1, 2\), 0, 0\) is not an integer"):
+    with pytest.raises(VerificationError, match=r"coordinate \(0, Fraction\(1, 2\), 0, 0\) over Z\[zeta_5\] is not an integer"):
         cycres.resultant(p1, p2)
 
 
@@ -315,10 +322,9 @@ def test_fraction_coordinate_is_rejected():
 
 
 # The four resultants whose norms the ledger compares, and polynomials of
-# other shapes: Fraction coordinates, zero coefficients, constants, zero.
+# other shapes: zero coefficients, constants, zero.
 NORM_PAIRS = ["A", "A2", "TA", "TA2"]
 NORM_SHAPES = {
-    "fractions": Poly([CycNum(Fraction(1, 3), 2, 0, Fraction(-5, 7)), CycNum(0, Fraction(1, 2)), 3, Fraction(-1, 4)]),
     "zero-coefficients": Poly([0, 0, CycNum(1, 2, 3, 4), 0, 0, CycNum.zeta(3)]),
     "cyclotomic-constant": Poly([CycNum(2, -1, 0, 3)]),
     "integer-constant": Poly([7]),
@@ -357,6 +363,13 @@ def test_norm_primes_cover_the_oracle(name):
     primes = norm_primes(coords)
     assert all(p % 5 == 1 and p < 2**31 for p in primes)
     assert prod(primes) > 2 * max(abs(c) for c in _norm_oracle(name).c)
+
+
+def test_norm_rejects_a_coordinate_that_is_not_an_integer():
+    # the CRT route works over Z[zeta_5] only; rational norms are galois_norm's
+    f = Poly([CycNum(Fraction(1, 3), 2, 0, Fraction(-5, 7)), CycNum(0, Fraction(1, 2)), 3, Fraction(-1, 4)])
+    with pytest.raises(VerificationError, match=re.escape("coordinate (Fraction(1, 3), 2, 0, Fraction(-5, 7)) over Z[zeta_5] is not an integer")):
+        norm_to_Q(f)
 
 
 def test_norm_raises_when_its_primes_fall_short(monkeypatch):

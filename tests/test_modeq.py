@@ -7,7 +7,7 @@ import pytest
 
 from hasse5 import VerificationError, modeq, modpoly as mp, refdata
 from hasse5.fp import legendre
-from hasse5.intfactor import primes_in
+from hasse5.intfactor import is_prime, primes_in
 from hasse5.modeq import (
     HD,
     NonExactSplit,
@@ -805,6 +805,17 @@ def test_certify_matches_gcd_oracle(monkeypatch):
 @pytest.mark.heavy
 def test_certify_matches_gcd_oracle_to_2000(monkeypatch):
     _check_certify_against_gcd_oracle(monkeypatch, primes_in(701, 2000))
+
+
+def test_build_k5p_checks_the_sweep_bound_before_ss_p(monkeypatch):
+    # 2147483659 is the first prime with 2 p^2 >= 2^63: build_k5p raises
+    # before it builds ss_p and powers x mod ss_p, not at the root sweep
+    p = 2147483659
+    assert is_prime(p) and 2 * p * p >= 2**63
+    for stage in ("build_ss", "_phi5_mod"):
+        monkeypatch.setattr(modeq, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran past the sweep bound"))
+    with pytest.raises(ValueError, match=re.escape(f"l={p} is too large for the int64 divisibility sweep of width 1")):
+        build_k5p(p)
 
 
 @pytest.mark.parametrize("p", [379, 383, 389, 401])
