@@ -257,13 +257,20 @@ def predicted_count(l: int, h: int) -> int:
     return 2 * h - 1
 
 
+def check_bounds(l: int) -> None:
+    """Raise ``ValueError`` for an l past the census's int64 bound, before the
+    O(l) class number and Hasse invariant: its conic sweep needs
+    3 l^2 < 2^63, which grows with l."""
+    _check_sweep(2, l)
+
+
 def census(l: int) -> dict:
     """The census verdict at l, as the JSON payload that ``hasse5 census``
     prints: the special factors found, in ascending coefficient order, and
     their count against ``predicted_count``."""
     if l % 5 == 0:
         raise ValueError("l must be a prime different from 5")
-    _check_sweep(2, l)  # before the O(l) class number and Hasse invariant
+    check_bounds(l)
     h = h5l(l)
     find = find_g_factors if l % 5 in (2, 3) else find_k_factors
     factors = find(l, _squarefree_hasse(l))

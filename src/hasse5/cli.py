@@ -19,25 +19,32 @@ from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import VerificationError, __version__, fricke as fricke_mod, icosa, modeq, refdata
+from . import VerificationError, __version__, census, fricke as fricke_mod, icosa, modeq, refdata
 from .intfactor import is_prime, primes_in
 
 SCHEMA = 1
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str, check: Callable[[int], None]) -> list[int]:
+    """The primes > 5 of spec, a prime P or a range LO..HI.  check(q), the
+    verdict's entry check, runs first on the largest of them, q, before the
+    range is listed: its int64 bounds grow with the prime, so q decides the
+    whole range, and a prime past them exits with status 2."""
     try:
         bounds = [int(part) for part in spec.split("..", 1)]
     except ValueError:
         raise SystemExit(f"error: malformed range {spec!r}; expected a prime P or a range LO..HI") from None
-    if len(bounds) == 2:
-        primes = primes_in(*bounds)
-    else:
-        n = bounds[0]
-        if not is_prime(n):
-            raise SystemExit(f"error: {n} is not prime")
-        primes = [n]
-    primes = [p for p in primes if p > 5]
+    lo, hi = bounds[0], bounds[-1]
+    if len(bounds) == 1 and not is_prime(lo):
+        raise SystemExit(f"error: {lo} is not prime")
+    top = next((q for q in range(hi, max(lo, 6) - 1, -1) if is_prime(q)), None)
+    if top is not None:
+        try:
+            check(top)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            raise SystemExit(2) from None
+    primes = [p for p in primes_in(lo, hi) if p > 5]
     if not primes:
         raise SystemExit(f"error: no primes > 5 in range {spec!r}")
     return primes
@@ -150,6 +157,7 @@ class Sweep(NamedTuple):
     """One per-prime sweep command: what it computes and how it reports it."""
 
     worker: Callable[[int], dict]  # prime -> JSON payload; a partial of _payload, so picklable
+    check: Callable[[int], None]  # the verdict's entry check: ValueError for a prime past its int64 bounds
     columns: tuple[str, ...]  # text/TSV columns; the first is the prime
     row: Callable[[dict], tuple]  # payload -> the text/TSV values of those columns
     ok: Callable[[int, dict], bool]  # does this payload allow exit status 0
@@ -158,12 +166,14 @@ class Sweep(NamedTuple):
 SWEEPS = {
     "census": Sweep(
         partial(_payload, "census.census"),
+        census.check_bounds,
         ("l", "N", "predicted", "h(-5l)", "match"),
         lambda d: (d["l"], d["found"], d["predicted"], d["h_minus_5l"], d["match"]),
         lambda p, d: d["match"],
     ),
     "k5p": Sweep(
         partial(_payload, "modeq.verify_class_equation"),
+        modeq.check_bounds,
         ("p", "deg", "a_p*h(-5p)", "N_p", "identity", "structure", "notes"),
         lambda d: (
             d["p"],
@@ -178,6 +188,7 @@ SWEEPS = {
     ),
     "fricke": Sweep(
         partial(_payload, "fricke.verify_fricke"),
+        fricke_mod.check_bounds,
         ("p", "deg", "deg_formula", "linear", "linear_formula", "match"),
         lambda d: (d["p"], d["degree_found"], d["degree_formula"], d["linear_found"], d["linear_formula"], d["match"]),
         lambda p, d: d["match"],
@@ -202,7 +213,7 @@ def cmd_sweep(args) -> int:
     is never cached and makes the exit status 1.
     """
     sweep = SWEEPS[args.command]
-    primes = _parse_range(args.range)
+    primes = _parse_range(args.range, sweep.check)
     if args.command == "k5p":
         small = [p for p in primes if p <= 20]
         if small and not args.only_in_s:

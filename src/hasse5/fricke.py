@@ -132,6 +132,15 @@ def L5star_formula(p: int) -> int:
     return (1 + chi5) // 2 * hp + h5
 
 
+def check_bounds(p: int) -> None:
+    """Raise ``ValueError`` for a p past the int64 bounds of ``verify_fricke``,
+    before the O(p) Hasse invariant: the conic sweep needs 3 p^2 < 2^63, and
+    u^(p^2) mod P, of at most (p + 1)/2 coefficients (deg H < p), needs
+    ``mp._np_ok((p + 1) // 2, p)``.  Both grow with p."""
+    mp._check_sweep(2, p)
+    mp._check_products((p + 1) // 2, p)
+
+
 def verify_fricke(p: int) -> dict:
     """The degree and the number of linear factors of ss5star_p, read off the
     census's fold P of the Hasse invariant H and its conic hits, with no
@@ -178,7 +187,7 @@ def verify_fricke(p: int) -> dict:
     parity check, so a root of P outside F_(p^2) raises
     RootOutsideQuadraticField.
     """
-    mp._check_sweep(2, p)  # before the O(p) Hasse invariant
+    check_bounds(p)
     P, hits = _conic_hits(p, _squarefree_hasse(p))
     u = mp.rem([0, 1], P, p)
     if mp.pow_mod(u, p * p, P, p) != u:

@@ -2,11 +2,12 @@
 
 Arbitrary-precision integers and rationals are Python's built-in ``int`` and
 ``fractions.Fraction``; this module only adds primality by Miller-Rabin and a
-sieve for prime ranges.
+segmented sieve for prime ranges.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 
@@ -36,12 +37,17 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi."""
-    if hi < 2:
+    """Primes p with lo <= p <= hi, by a sieve of [lo, hi] with the primes up
+    to isqrt(hi), so in O(hi - lo + sqrt(hi)) memory."""
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(hi) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
+    root = isqrt(hi)
+    base = bytearray([1]) * (root + 1)  # base[q]: q <= root is prime
+    seg = bytearray([1]) * (hi - lo + 1)  # seg[i]: lo + i is prime
+    for p in range(2, root + 1):
+        if base[p]:
+            base[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+            start = max(p * p, -(-lo // p) * p) - lo  # the first composite multiple of p in [lo, hi]
+            seg[start::p] = bytes(len(range(start, len(seg), p)))
+    return list(compress(range(lo, hi + 1), seg))

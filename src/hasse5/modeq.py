@@ -380,10 +380,10 @@ def _phi5_mod(m: list[int], p: int) -> tuple[list[int], list[int]]:
     (``mp._power``, each multiply by x a shift), then Horner in X over
     Phi5's rows (``_hasse_rows(0)``), reduced mod p and mod m once, one
     ``mulmod`` a step."""
-    mulmod, times_x, dtype = mp.mulmod_by(m, p)
+    mulmod, times_x = mp.mulmod_by(m, p)
     n = mp.deg(m)
-    X = mp._power(mulmod, times_x, mp.pad(mp.rem([0, 1], m, p), n, dtype), p)
-    rows = [mp.pad(mp.rem(mp.from_int_poly(r, p), m, p), n, dtype) for r in _hasse_rows(0)]
+    X = mp._power(mulmod, times_x, mp.pad(mp.rem([0, 1], m, p), n), p)
+    rows = [mp.pad(mp.rem(mp.from_int_poly(r, p), m, p), n) for r in _hasse_rows(0)]
     acc = rows[-1]
     for r in reversed(rows[:-1]):
         acc = (mulmod(acc, X) + r) % p
@@ -408,11 +408,11 @@ def _hasse_nonzero(factors: list[list[int]], p: int) -> np.ndarray:
     broadcast product the 49 monomials (x^p)^a x^j, and D = H @ M the values
     D_i(beta^p, beta), where H[i, 7a + j] is the coefficient of X^a Y^j in
     D_Y^i Phi5 mod p, read off ``_hasse_rows`` at each call.  Each entry of
-    H @ M sums 49 products below p^2: int64 while ``mp._np_ok(49, p)``,
-    Python ints (dtype object) otherwise.
+    H @ M sums 49 products below p^2, a bound ``mp._check_products`` checks
+    (``check_bounds`` keeps ``build_k5p`` far inside it).
     """
-    dtype = np.int64 if mp._np_ok(49, p) else object
-    H = np.zeros(7 * 49, dtype=dtype)
+    mp._check_products(49, p)
+    H = np.zeros(7 * 49, dtype=np.int64)
     at, coeffs = [], []
     for i in range(7):
         for a, row in enumerate(_hasse_rows(i)):
@@ -427,7 +427,7 @@ def _hasse_nonzero(factors: list[list[int]], p: int) -> np.ndarray:
         else:
             c = -q[1] % p
             cols.append((c, 0, p - 1, 1, c, q[0]))
-    T = np.array(cols, dtype=dtype).reshape(len(factors), 6).T
+    T = np.array(cols, dtype=np.int64).reshape(len(factors), 6).T
     u0, u1, c, b = T[0:2], T[2:4], T[4], T[5]
     pow0, pow1 = [np.ones_like(u0)], [np.zeros_like(u0)]
     for _ in range(6):
@@ -507,7 +507,10 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     exceeds m(m-1)/2.  Up to min(p, m(m-1)/2 + 1) values are tried, and the
     q_i found must be distinct and multiply to f (a repeated factor of f
     fails every lambda).  Then, f having no root in F_p, each q_i is
-    irreducible and f squarefree, whether or not Xf is right.
+    irreducible and f squarefree, whether or not Xf is right.  The power
+    sums' Newton inverse sums fewer than 2n - 2 products of residues, every
+    other int64 sum at most n + 1: ``mp._rev_inverse`` and ``mp.mulmod_by``
+    check these bounds.
     """
     n = mp.deg(f)
     if n % 2:  # no product of quadratics has odd degree
@@ -515,23 +518,23 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     if n < 3:
         return [f] if n == 2 else []
     m = n // 2
-    mulmod, times_x, dtype = mp.mulmod_by(f, p)
+    mulmod, times_x = mp.mulmod_by(f, p)
 
     def hankel(s, u):
         """sum_k s[j + k] u[k] mod p, for j < len(u)."""
         return np.convolve(s, u[::-1])[len(u) - 1 : 2 * len(u) - 1] % p
 
     # the power sums s_0, ..., s_(2n-2) of the roots of f: n, then -rev(f)'/rev(f)
-    rev = np.asarray(f[::-1], dtype=dtype)
+    rev = np.asarray(f[::-1], dtype=np.int64)
     drev = np.arange(1, n + 1) * rev[1:] % p
     s = np.concatenate(([n % p], -np.convolve(drev, mp._rev_inverse(rev, 2 * n - 2, p))[: 2 * n - 2] % p))
-    T = mp.pad(mp.add([0, 1], Xf, p), n, dtype)
-    W = times_x(mp.pad(Xf, n, dtype))
+    T = mp.pad(mp.add([0, 1], Xf, p), n)
+    W = times_x(mp.pad(Xf, n))
     half = (p + 1) // 2
     tries = min(p, m * (m - 1) // 2 + 1)
     for lam in range(tries):
         V = (T + lam * W) % p
-        powers = [mp.pad([1], n, dtype)]
+        powers = [mp.pad([1], n)]
         for _ in range(m):
             powers.append(mulmod(powers[-1], V))
         P = np.array(powers)  # the rows V^0, ..., V^m
@@ -541,7 +544,7 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
             break
     else:
         raise VerificationError(f"no lambda < {tries} separates the quadratic factors of a degree-{n} piece at p={p}")
-    dR, top = mp.deriv(R, p), np.asarray(R[1:], dtype=dtype)
+    dR, top = mp.deriv(R, p), np.asarray(R[1:], dtype=np.int64)
     # S_U from sum_i u_i v_i^k = Tr(U V^k)/2, k < m, where Tr(U V^k) = V^k . hankel(s, U)
     S_T, S_W = (hankel(top, P[:m] @ hankel(s, U) % p * half % p).tolist() for U in (T, W))
     factors = []
@@ -556,6 +559,17 @@ def _quadratic_factors(f: list[int], Xf: list[int], p: int) -> list[list[int]]:
     if prod != f:
         raise VerificationError(f"the quadratic factors found do not multiply to the degree-{n} piece at p={p}")
     return factors
+
+
+def check_bounds(p: int) -> None:
+    """Raise ``ValueError`` for a p past the int64 bounds of ``build_k5p``,
+    before ss_p and x^p mod ss_p: the root sweep of ``_certify`` needs
+    2 p^2 < 2^63, and the longest int64 sums, in ``_quadratic_factors``'s
+    Newton inverse for a factor of ss_p (of degree n <= p//12 + 2), have
+    fewer than 2n - 2 products; the products mod ss_p have at most
+    p//12 + 3.  Both bounds grow with p."""
+    mp._check_sweep(1, p)
+    mp._check_products(2 * (p // 12) + 2, p)
 
 
 def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
@@ -611,7 +625,7 @@ def build_k5p(p: int) -> list[tuple[tuple[int, ...], int]]:
     """
     if p <= 20:
         raise ValueError("class-equation reconstruction needs p > 20")
-    mp._check_sweep(1, p)  # before ss_p and x^p mod ss_p, for the root sweep of _certify
+    check_bounds(p)
     ss = build_ss(p)
     X, phi = _phi5_mod(ss, p)
     g = mp.gcd(ss, phi, p)

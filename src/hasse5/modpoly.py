@@ -10,7 +10,7 @@ Every convolution of residues here (``mul``, ``_rev_inverse``, ``_barrett``
 and ``mulmod_by``'s product) goes through ``_convolve``, which runs in
 float64 when both operands have at least ``_FLOAT_FROM`` coefficients and
     min(len a, len b) * (p-1)^2 < 2^53,
-and on the operands' own dtype (int64, or Python ints) otherwise.  The float64
+and in int64 otherwise.  The float64
 product is exact.  Every operand entry is an integer in [0, p), which float64
 holds exactly.  Each coefficient of the convolution is a sum of at most
 s = min(len a, len b) products, each an integer in [0, (p-1)^2].  The terms
@@ -21,7 +21,7 @@ exact result is a float64 returns it.  So every product, every addition and
 every fused multiply-add that numpy or its SIMD lanes may perform, in
 whatever order it sums, returns the exact integer, and the cast back to int64
 is exact.  Below ``_FLOAT_FROM`` coefficients the casts cost more than they
-save.  Outside ``_convolve`` the arrays stay int64 (or object).
+save.  Outside ``_convolve`` every array is int64.
 
 Every remainder is the Python schoolbook loop or Barrett's method (von zur
 Gathen & Gerhard, *Modern Computer Algebra*, 9.1) in ``_barrett``: for a of
@@ -33,8 +33,8 @@ quotient of k coefficients and a divisor g of degree >= 1 when
 schoolbook otherwise.  ``mulmod_by(m, p)`` multiplies remainders mod m kept
 as numpy arrays, reducing each product by ``_barrett`` with k = n - 1 and one
 inverse: one convolution for the product and two for its remainder.  Its
-arrays are int64 when ``_np_ok(len(m), p)`` holds, which bounds every
-convolution of the step, and hold Python ints (dtype object) otherwise.  It
+arrays are int64, and it raises ``ValueError`` unless ``_np_ok(len(m), p)``
+holds, which bounds every convolution of the step (``_check_products``).  It
 also multiplies by x alone as a shift and one row update, since
 x^n = -m[:n] mod a monic m of degree n.  ``pow_mod`` (by ``_power``) and
 ``modeq``'s K_5p steps run on it, via ``pad``; ``_power`` raises the variable
@@ -82,17 +82,19 @@ def _np_ok(n: int, p: int) -> bool:
     return n * (p - 1) * (p - 1) < _I64_MAX
 
 
+def _check_products(n: int, p: int) -> None:
+    """Raise ``ValueError`` unless ``_np_ok(n, p)``: an int64 sum of n products
+    of residues mod p needs it."""
+    if not _np_ok(n, p):
+        raise ValueError(f"p={p} is too large for int64 sums of {n} products")
+
+
 def _convolve(a, b, p: int):
-    """np.convolve(a, b) for arrays a, b of one dtype with entries in [0, p):
-    in float64 when both have at least ``_FLOAT_FROM`` entries and the
-    module docstring's bound min(len a, len b) (p-1)^2 < 2^53 holds, which
-    makes every sum exact, and on their dtype otherwise."""
-    if (
-        len(a) >= _FLOAT_FROM
-        and len(b) >= _FLOAT_FROM
-        and min(len(a), len(b)) * (p - 1) * (p - 1) < _F64_EXACT
-        and a.dtype != object
-    ):
+    """np.convolve(a, b) for int64 arrays a, b with entries in [0, p): in
+    float64 when both have at least ``_FLOAT_FROM`` entries and the module
+    docstring's bound min(len a, len b) (p-1)^2 < 2^53 holds, which makes
+    every sum exact, and in int64 otherwise."""
+    if len(a) >= _FLOAT_FROM and len(b) >= _FLOAT_FROM and min(len(a), len(b)) * (p - 1) * (p - 1) < _F64_EXACT:
         return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     return np.convolve(a, b)
 
@@ -192,8 +194,11 @@ def deriv(f, p):
 
 
 def _rev_inverse(rev_m, k: int, p: int):
-    """rev_m^-1 mod x^k by Newton iteration (rev_m[0] = 1), k >= 1."""
-    inv = np.ones(1, dtype=rev_m.dtype)
+    """rev_m^-1 mod x^k by Newton iteration (rev_m[0] = 1), k >= 1.  Each
+    int64 sum has fewer than k products, so it raises ``ValueError`` unless
+    ``_np_ok(k, p)``."""
+    _check_products(k, p)
+    inv = np.ones(1, dtype=np.int64)
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
@@ -212,16 +217,16 @@ def _barrett(a, mon, inv, p):
 
 
 def mulmod_by(m, p):
-    """(mulmod, times_x, dtype) for m of degree n >= 1 over F_p: mulmod(a, b)
-    is a*b mod m for arrays a, b of n coefficients of that dtype, by one
-    convolution and a Barrett remainder; the inverse of rev(m) is taken once,
-    here.  times_x(a) is x*a mod m, by a shift and one row update: the top
-    coefficient c of a moves to x^n = -m[:n] (m made monic).  The dtype is
-    int64 when ``_np_ok(len(m), p)`` bounds every convolution of the step,
-    and object (Python ints) otherwise."""
+    """(mulmod, times_x) for m of degree n >= 1 over F_p: mulmod(a, b) is
+    a*b mod m for int64 arrays a, b of n coefficients, by one convolution and
+    a Barrett remainder; the inverse of rev(m) is taken once, here.
+    times_x(a) is x*a mod m, by a shift and one row update: the top
+    coefficient c of a moves to x^n = -m[:n] (m made monic).  Every
+    convolution of the step sums at most n products, so it raises
+    ``ValueError`` unless ``_np_ok(len(m), p)``."""
+    _check_products(len(m), p)
     n = deg(m)
-    dtype = np.int64 if _np_ok(len(m), p) else object
-    mon = np.asarray(monic(m, p), dtype=dtype)
+    mon = np.asarray(monic(m, p), dtype=np.int64)
     k = n - 1  # coefficients of the quotient of a product of two remainders
     inv = _rev_inverse(mon[::-1], k, p) if k else None
 
@@ -234,12 +239,12 @@ def mulmod_by(m, p):
         out[1:] += a[:-1]
         return out % p
 
-    return mulmod, times_x, dtype
+    return mulmod, times_x
 
 
-def pad(f, n: int, dtype):
-    """f as an array of n coefficients of dtype, zero past len(f) <= n."""
-    a = np.zeros(n, dtype=dtype)
+def pad(f, n: int):
+    """f as an int64 array of n coefficients, zero past len(f) <= n."""
+    a = np.zeros(n, dtype=np.int64)
     a[: len(f)] = f
     return a
 
@@ -262,13 +267,12 @@ def _power(mulmod, times_x, x, e: int):
 
 
 def pow_mod(f, e: int, m, p):
-    """f^e mod m, by square-and-multiply with Barrett remainders."""
-    base = rem(f, m, p)
+    """f^e mod m, by square-and-multiply on one ``mulmod_by`` context."""
     n = deg(m)
     if e == 0 or n < 1:
         return rem([1], m, p)
-    mulmod, times_x, dtype = mulmod_by(m, p)
-    return trim(_power(mulmod, times_x, pad(base, n, dtype), e).tolist())
+    mulmod, times_x = mulmod_by(m, p)
+    return trim(_power(mulmod, times_x, pad(rem(f, m, p), n), e).tolist())
 
 
 def _check_sweep(k: int, l: int) -> None:

@@ -34,7 +34,9 @@ product, and ``k5p_report_by_factoring``, the K_5p verdict by factoring
 H_-20, H_-84 and H_-96 mod p and matching the predicted factor list against
 ``build_k5p``'s, and ``fricke_by_R5_norm``, the Fricke verdict read off
 ss5star_p built as the squarefree part of the norm Res_X(ss_p, R5), which
-the counts on the census's fold replaced.  ``class_number_dirichlet`` gives
+the counts on the census's fold replaced, and ``primes_in_by_sieve``, the
+primes of [lo, hi] by a plain sieve of [0, hi], which the segmented sieve of
+``intfactor.primes_in`` replaced.  ``class_number_dirichlet`` gives
 h(D) by Dirichlet's class number formula, with no reduced forms.
 ``reconstruct`` multiplies a factorization back out, and ``companion`` gives
 the companion of a census quadratic.  Four routes only the tests use live
@@ -47,9 +49,21 @@ Fricke curve.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
+
+
+def primes_in_by_sieve(lo: int, hi: int) -> list[int]:
+    """Primes p with lo <= p <= hi, by a sieve of Eratosthenes over [0, hi]."""
+    if hi < 2:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(hi) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
+    return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
 
 
 def squares_mod(p: int) -> set[int]:

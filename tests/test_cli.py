@@ -12,6 +12,7 @@ import pytest
 import hasse5
 from hasse5 import VerificationError, census as census_mod, cli, fricke as fricke_mod, icosa, modeq, refdata
 from hasse5.cli import main
+from hasse5.intfactor import is_prime
 from test_fricke import CUBIC_13, CUBIC_383, multiply_the_fold
 from test_modeq import move_sporadic_point, perturb_F_off_the_integers
 
@@ -339,6 +340,45 @@ def test_removed_flags_are_usage_errors(capsys):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "1753413059"],  # the first prime with 3 l^2 >= 2^63
+        ["census", "1753413000..1753413100"],  # straddles it
+        ["census", "7..3000000000"],  # listing this range would take 3 GB
+        ["fricke", "1753413059"],
+        ["fricke", "2097169"],  # the first prime past the product bound mod P
+        ["fricke", "2097000..2097200"],
+        ["k5p", "2147483659"],  # the first prime with 2 p^2 >= 2^63
+        ["k5p", "3024617"],  # the first prime past the product bound of build_k5p
+        ["k5p", "3024500..3024700", "--force"],
+    ],
+)
+def test_prime_past_the_int64_bounds_is_a_usage_error(capsys, monkeypatch, argv):
+    # the verdict's own entry check, run on the range's largest prime before
+    # any prime is listed or computed: no rows, one error line, exit status 2
+    for module, stage in ((census_mod, "h5l"), (fricke_mod, "_squarefree_hasse"), (modeq, "build_ss")):
+        monkeypatch.setattr(module, stage, lambda *args: pytest.fail("a verdict ran on a range past its int64 bounds"))
+    spec = argv[1].split("..")
+    lo, hi = int(spec[0]), int(spec[-1])
+    top = next(q for q in range(hi, lo - 1, -1) if is_prime(q))
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert e.value.code == 2 and out == ""
+    assert re.fullmatch(rf"error: [lp]={top} is too large for [^\n]*int64[^\n]*\n", err), err
+    check = {"census": census_mod, "k5p": modeq, "fricke": fricke_mod}[argv[0]].check_bounds
+    with pytest.raises(ValueError, match=re.escape(err[len("error: "):-1])):
+        check(top)
+
+
+@pytest.mark.parametrize("argv", [["census", "1753413059"], ["fricke", "2097169"], ["k5p", "2147483659"]])
+def test_prime_past_the_int64_bounds_exits_2_without_a_traceback(argv):
+    run = run_subprocess(f"from hasse5.cli import main; raise SystemExit(main({[*argv, '--format', 'json']!r}))")
+    assert run.returncode == 2 and run.stdout == "" and "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
 
 
 @pytest.mark.parametrize("argv", [["census", "abc"], ["census", "7.."], ["fricke", "10**3"]])

@@ -18,7 +18,7 @@ from hasse5.fricke import (
     supersingular_j_fp2,
     verify_fricke,
 )
-from hasse5.intfactor import primes_in
+from hasse5.intfactor import is_prime, primes_in
 from oracles import fricke_by_R5_norm, fricke_values_from_R5, zparam_cross_check
 
 
@@ -118,6 +118,25 @@ def test_verify_fricke_checks_the_sweep_bound_before_any_o_p_stage(monkeypatch):
     for stage in ("_squarefree_hasse", "_conic_hits", "h5l", "h_minus_p"):
         monkeypatch.setattr(fricke, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran past the sweep bound"))
     with pytest.raises(ValueError, match=re.escape(f"l={p} is too large for the int64 divisibility sweep of width 2")):
+        fricke.verify_fricke(p)
+
+
+# the primes on either side of mp._np_ok((p + 1) // 2, p), the bound of the
+# products mod P, which has at most (p + 1)/2 coefficients
+FRICKE_PRODUCTS_LAST, FRICKE_PRODUCTS_FIRST_NOT = 2097143, 2097169
+
+
+def test_verify_fricke_checks_the_product_bound_before_any_o_p_stage(monkeypatch):
+    # inside the sweep bound 3 p^2 < 2^63 but past the product bound of
+    # u^(p^2) mod P, the verdict raises before the Hasse invariant and the
+    # class numbers; at the last prime inside it, the check passes
+    last, p = FRICKE_PRODUCTS_LAST, FRICKE_PRODUCTS_FIRST_NOT
+    assert is_prime(last) and is_prime(p) and not any(map(is_prime, range(last + 1, p)))
+    assert mp._np_ok((last + 1) // 2, last) and not mp._np_ok((p + 1) // 2, p) and 3 * p * p < 2**63
+    assert fricke.check_bounds(last) is None
+    for stage in ("_squarefree_hasse", "_conic_hits", "h5l", "h_minus_p"):
+        monkeypatch.setattr(fricke, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran past the product bound"))
+    with pytest.raises(ValueError, match=re.escape(f"p={p} is too large for int64 sums of {(p + 1) // 2} products")):
         fricke.verify_fricke(p)
 
 

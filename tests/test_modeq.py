@@ -534,8 +534,8 @@ def test_build_k5p_matches_row_oracle_to_2000():
     _check_k5p_against_row_oracle(primes_in(701, 2000))
 
 
-# the primes on either side of mp._np_ok(49, p), where the table of
-# _hasse_nonzero leaves int64 for Python ints
+# the primes on either side of mp._np_ok(49, p), past which the table of
+# _hasse_nonzero raises rather than leave int64
 NP_OK_49_LAST, NP_OK_49_FIRST_NOT = 306783353, 306783397
 
 
@@ -549,24 +549,34 @@ def test_np_ok_49_boundary_primes():
 
 @pytest.mark.parametrize("p", [7, 1499, NP_OK_49_LAST, NP_OK_49_FIRST_NOT, 2**61 - 1])
 def test_hasse_table_and_horner_match_row_oracle_on_both_dtypes(p):
-    # synthetic factors, as build_k5p needs p > 20 and ss_p of degree about
-    # p/12: H_-4, H_-11, H_-16, H_-19, and the H_-d of QUAD_D irreducible mod
-    # p, where D_0 = Phi5(beta^p, beta) vanishes, and random linear and
-    # irreducible quadratic factors, where it need not
+    # on both sides of the int64 bounds (the name dates from a Python-int
+    # fallback past them): inside them the table and Horner mod m match the
+    # row oracle, past them they raise.  Synthetic factors, as build_k5p needs p > 20 and ss_p
+    # of degree about p/12: H_-4, H_-11, H_-16, H_-19, and the H_-d of QUAD_D
+    # irreducible mod p, where D_0 = Phi5(beta^p, beta) vanishes, and random
+    # linear and irreducible quadratic factors, where it need not
     import random
 
     rng = random.Random(p)
     cm = [mp.from_int_poly(HD[d], p) for d in (4, 11, 16, 19)]
     cm += [mp.from_int_poly(HD[d], p) for d in modeq.QUAD_D if legendre(discriminant(hd_poly(d)), p) == -1]
     factors = cm + [[rng.randrange(p), 1] for _ in range(4)] + _irreducible_quadratics(p, 4, rng)
-    got = modeq._hasse_nonzero(factors, p)
-    assert got.tolist() == hasse_nonzero_by_rows(factors, p)
-    assert got[0].any() and not got[0].all()
+    if mp._np_ok(49, p):
+        got = modeq._hasse_nonzero(factors, p)
+        assert got.tolist() == hasse_nonzero_by_rows(factors, p)
+        assert got[0].any() and not got[0].all()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"p={p} is too large for int64 sums of 49 products")):
+            modeq._hasse_nonzero(factors, p)
     # x^p and Phi5(x^p, x) mod m, also for a modulus of degree below Phi5's 7 rows
     for n in (3, 12):
         m = [rng.randrange(p) for _ in range(n)] + [1]
-        X = pow_mod_by_squaring([0, 1], p, m, p)
-        assert modeq._phi5_mod(m, p) == (X, eval_rows(modeq._hasse_rows(0), X, m, p)), n
+        if mp._np_ok(n + 1, p):
+            X = pow_mod_by_squaring([0, 1], p, m, p)
+            assert modeq._phi5_mod(m, p) == (X, eval_rows(modeq._hasse_rows(0), X, m, p)), n
+        else:
+            with pytest.raises(ValueError, match="too large"):
+                modeq._phi5_mod(m, p)
 
 
 def test_build_k5p_rejects_a_factor_where_phi5_does_not_vanish(monkeypatch):
@@ -816,6 +826,29 @@ def test_build_k5p_checks_the_sweep_bound_before_ss_p(monkeypatch):
         monkeypatch.setattr(modeq, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran past the sweep bound"))
     with pytest.raises(ValueError, match=re.escape(f"l={p} is too large for the int64 divisibility sweep of width 1")):
         build_k5p(p)
+
+
+# the primes on either side of mp._np_ok(2 (p // 12) + 2, p), the bound of
+# the Newton inverse in _quadratic_factors for a factor of ss_p, of degree
+# at most p//12 + 2
+K5P_PRODUCTS_LAST, K5P_PRODUCTS_FIRST_NOT = 3024607, 3024617
+
+
+def test_build_k5p_checks_the_product_bound_before_any_o_p_stage(monkeypatch):
+    # inside the sweep bound 2 p^2 < 2^63 but past the product bound, build_k5p
+    # raises before ss_p, x^p mod ss_p and the class number; at the last prime
+    # inside it, the check passes
+    last, p = K5P_PRODUCTS_LAST, K5P_PRODUCTS_FIRST_NOT
+    assert is_prime(last) and is_prime(p) and not any(map(is_prime, range(last + 1, p)))
+    k = 2 * (p // 12) + 2
+    assert mp._np_ok(2 * (last // 12) + 2, last) and not mp._np_ok(k, p) and 2 * p * p < 2**63
+    assert modeq.check_bounds(last) is None
+    for stage in ("h5l", "build_ss", "_phi5_mod"):
+        monkeypatch.setattr(modeq, stage, lambda *args, stage=stage: pytest.fail(f"{stage} ran past the product bound"))
+    with pytest.raises(ValueError, match=re.escape(f"p={p} is too large for int64 sums of {k} products")):
+        build_k5p(p)
+    with pytest.raises(ValueError, match="too large"):
+        modeq.verify_class_equation(p)
 
 
 @pytest.mark.parametrize("p", [379, 383, 389, 401])

@@ -48,8 +48,8 @@ def test_pow_mod_zero_exponent_is_one_mod_m():
 
 def _check_pow_mod_against_oracle(primes, degrees, seed, monkeypatch):
     """pow_mod against list square-and-multiply with every product on int64
-    or Python ints (no float64), for f longer than m, shorter, 0, and the
-    variable x, which ``_power`` raises by shifts."""
+    (no float64), for f longer than m, shorter, 0, and the variable x, which
+    ``_power`` raises by shifts."""
     rng = random.Random(seed)
     for p in primes:
         exps = (0, 1, 2, p, p * p, (p * p - 1) // 2, rng.getrandbits(200) | 1 << 199)
@@ -65,14 +65,29 @@ def _check_pow_mod_against_oracle(primes, degrees, seed, monkeypatch):
                         assert mp.pow_mod(f, e, m, p) == want, (p, n, lead, f, e)
 
 
+def _check_pow_mod_raises(p, degrees, seed):
+    """pow_mod and mulmod_by raise past the int64 guard, for every modulus
+    of degree >= 1 and exponent >= 1, rather than compute on other ints."""
+    rng = random.Random(seed)
+    for n in degrees:
+        m = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        with pytest.raises(ValueError, match="too large"):
+            mp.mulmod_by(m, p)
+        for f in ([0, 1], [rng.randrange(p) for _ in range(2 * n + 3)]):
+            with pytest.raises(ValueError, match="too large"):
+                mp.pow_mod(f, p, m, p)
+
+
 INT64_PRIMES = (7, 1499, 40961)
-OBJECT_PRIME = 2**61 - 1  # fails the int64 guard, so pow_mod runs on Python ints
+PAST_INT64_PRIME = 2**61 - 1  # fails the int64 guard, so pow_mod raises
 
 
 def test_pow_mod_matches_squaring_oracle(monkeypatch):
-    assert all(mp._np_ok(301, p) for p in INT64_PRIMES) and not mp._np_ok(2, OBJECT_PRIME)
+    assert all(mp._np_ok(301, p) for p in INT64_PRIMES) and not mp._np_ok(2, PAST_INT64_PRIME)
     _check_pow_mod_against_oracle(INT64_PRIMES, (*range(1, 9), 19, 20, 24), 34, monkeypatch)
-    _check_pow_mod_against_oracle((OBJECT_PRIME,), (*range(1, 9), 20), 35, monkeypatch)
+    _check_pow_mod_raises(PAST_INT64_PRIME, (*range(1, 9), 20), 35)
+    with pytest.raises(ValueError, match="too large"):
+        mp._rev_inverse(np.ones(3, dtype=np.int64), 2, PAST_INT64_PRIME)
     # products with operands on both sides of _FLOAT_FROM
     _check_pow_mod_against_oracle((1499,), (mp._FLOAT_FROM - 1, mp._FLOAT_FROM, mp._FLOAT_FROM + 1), 39, monkeypatch)
 
@@ -81,7 +96,7 @@ def test_pow_mod_matches_squaring_oracle(monkeypatch):
 def test_pow_mod_matches_squaring_oracle_long_moduli(monkeypatch):
     _check_pow_mod_against_oracle(INT64_PRIMES, (64,), 36, monkeypatch)
     _check_pow_mod_against_oracle((1499,), (300,), 37, monkeypatch)  # deg ss_p at p near 3600
-    _check_pow_mod_against_oracle((OBJECT_PRIME,), (32,), 38, monkeypatch)
+    _check_pow_mod_raises(PAST_INT64_PRIME, (32,), 38)
 
 
 def test_power_of_x_squares_and_shifts(monkeypatch):
@@ -93,8 +108,8 @@ def test_power_of_x_squares_and_shifts(monkeypatch):
     mulmod_by, calls = mp.mulmod_by, []
 
     def counted(m, p):
-        mulmod, times_x, dtype = mulmod_by(m, p)
-        return (lambda a, b: calls.append(1) or mulmod(a, b)), times_x, dtype
+        mulmod, times_x = mulmod_by(m, p)
+        return (lambda a, b: calls.append(1) or mulmod(a, b)), times_x
 
     monkeypatch.setattr(mp, "mulmod_by", counted)
     for n in (1, 2, 5, mp._FLOAT_FROM + 20):
